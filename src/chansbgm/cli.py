@@ -19,6 +19,8 @@ import os
 import sys
 from pathlib import Path
 
+from .errors import ChanSbgmError, NumericError
+
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BAD_CONFIG = 2
@@ -755,10 +757,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selfcheck":
             return cmd_selfcheck()
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except OSError as exc:
+    except NumericError:
+        raise  # a failed computation is not bad input
+    except (ConfigError, OSError, ChanSbgmError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -2,18 +2,32 @@
 
 The model is a K-component zero-mean complex Gaussian mixture with
 diagonal per-component covariances diag(gamma_k) on the coefficient
-vector s, observed only through y = A D s + n. The E-step needs, per
-sample and component, the responsibility and the posterior second-moment
-diagonal |mu|^2 + diag(C); the M-step averages those statistics.
+vector s, observed only through y = W s + n with W = A D. The E-step
+gives every sample's responsibilities r_ik; the M-step needs per
+component only the total R_k = sum_i r_ik and the weighted posterior
+second moment T_k = sum_i r_ik (|mu_ik|^2 + diag C_ik).
 
 Because the noise variance differs per sample, the observation covariance
 C_y = W diag(gamma_k) W^H + sigma_i^2 I cannot be factorized once per
-component. Instead the sigma-independent part is eigendecomposed once per
-component per iteration; shifting its eigenvalues by sigma_i^2 then gives
-every per-sample inverse, log-determinant, and quadratic form through a
-few dense matrix products. This is algebraically identical to the
-per-sample Cholesky route in :mod:`chansbgm.posterior` (tested against
-it) but runs vectorized over the whole dataset.
+component. Instead the sigma-independent part is factorized once per
+component per iteration, as U diag(lam) U^H from the SVD of
+(W diag(sqrt(gamma_k)))^H, taken through its triangular QR factor. Unlike
+an eigendecomposition of the formed product, the SVD keeps lam >= 0 and
+accurate when gamma spans many decades. Shifting lam by sigma_i^2 then gives every per-sample inverse,
+log-determinant and quadratic form through a few dense products.
+
+T_k never needs the per-sample S-vectors. With z_i = U^H y_i /
+(lam + sigma_i^2), G = W^H U and Q_k = sum_i r_ik z_i z_i^H (M x M),
+
+    sum_i r_ik |mu_ik|^2   = gamma_k^2 * Re diag(G Q_k G^H),
+    sum_i r_ik diag C_ik   = R_k gamma_k - gamma_k^2 * (|G|^2 v_k),
+
+with v_k = sum_i r_ik / (lam + sigma_i^2). That costs O(n M^2 + S M^2)
+per component instead of O(n M S). :func:`csgmm_e_step` keeps the
+per-sample statistics as the reference: the tests check it against the
+per-sample Cholesky route in :mod:`chansbgm.posterior`, and the sums
+against it. One M-step core serves the fit loop, :func:`csgmm_m_step`
+and :func:`kronecker_m_step`.
 
 Setting K = 1 recovers multiple-measurement-vector sparse Bayesian
 learning; the CLI exposes it under the name ``msbl``.
@@ -37,7 +51,7 @@ from .container import read_array, read_json, write_array, write_json
 from .dictionary import DelayDopplerGrid, Dictionary
 from .errors import InvalidArgumentError, NumericError
 from .scenario import ObservationSet
-from .utils import content_id, hermitianize
+from .utils import content_id, effective_matrix
 
 GAMMA_FLOOR = 1e-7
 
@@ -136,52 +150,68 @@ class EmTrace:
 
 
 class _ComponentCache:
-    """Eigendecomposition of W diag(gamma) W^H, reused across all samples.
+    """Factorization W diag(gamma) W^H = U diag(lam) U^H, reused across all samples.
 
-    With B = U diag(lam) U^H, every per-sample covariance is
-    U diag(lam + sigma_i^2) U^H, so inverses and determinants reduce to
-    the shifted eigenvalues.
+    Every per-sample covariance is U diag(lam + sigma_i^2) U^H, so inverses
+    and determinants reduce to the shifted values. :meth:`log_marginals`
+    keeps the projections U^H y_i and the shifts it computes; the moment
+    methods read them.
     """
 
     def __init__(self, gamma: np.ndarray, w: np.ndarray):
         self.gamma = gamma
-        b = hermitianize((w * gamma[None, :]) @ w.conj().T)
-        lam, u = np.linalg.eigh(b)
-        self.lam = np.maximum(lam, 0.0)
-        self.u = u
-        self.g = w.conj().T @ u  # (S, M)
+        # the SVD of the triangular factor has the same singular values and
+        # right basis, and its full basis spans C^M even when S < M
+        r = np.linalg.qr((w * np.sqrt(gamma)[None, :]).conj().T, mode="r")
+        _, sv, vh = np.linalg.svd(r)
+        self.u = vh.conj().T
+        self.lam = np.zeros(w.shape[0])
+        self.lam[: len(sv)] = sv**2
+        self.g = w.conj().T @ self.u  # (S, M)
 
     def log_marginals(self, samples: np.ndarray, sigma2s: np.ndarray) -> np.ndarray:
         m = samples.shape[1]
-        yt = samples @ self.u.conj()
-        denom = self.lam[None, :] + sigma2s[:, None]
-        quad = np.sum(np.abs(yt) ** 2 / denom, axis=1)
-        return -m * math.log(math.pi) - np.sum(np.log(denom), axis=1) - quad
+        self.yt = samples @ self.u.conj()
+        self.denom = self.lam[None, :] + sigma2s[:, None]
+        quad = np.sum(np.abs(self.yt) ** 2 / self.denom, axis=1)
+        return -m * math.log(math.pi) - np.sum(np.log(self.denom), axis=1) - quad
 
-    def moment_stats(self, samples: np.ndarray, sigma2s: np.ndarray) -> np.ndarray:
+    def moment_stats(self) -> np.ndarray:
         """Per-sample |mu|^2 + diag(C) as an (n, S) array."""
-        yt = samples @ self.u.conj()
-        denom = self.lam[None, :] + sigma2s[:, None]
-        mu = (yt / denom) @ self.g.T * self.gamma[None, :]
-        quad = (1.0 / denom) @ (np.abs(self.g) ** 2).T
-        cov_diag = np.clip(
-            self.gamma[None, :] - self.gamma[None, :] ** 2 * quad,
-            0.0,
-            self.gamma[None, :],
-        )
+        gamma = self.gamma[None, :]
+        mu = (self.yt / self.denom) @ self.g.T * gamma
+        quad = (1.0 / self.denom) @ (np.abs(self.g) ** 2).T
+        cov_diag = np.clip(gamma - gamma**2 * quad, 0.0, gamma)
         return np.abs(mu) ** 2 + cov_diag
 
-
-def _effective_matrix(obs: ObservationSet, dictionary: Dictionary) -> np.ndarray:
-    if obs.measurement.shape[1] != dictionary.matrix.shape[0]:
-        raise InvalidArgumentError(
-            "observation measurement and dictionary have incompatible shapes"
-        )
-    return obs.measurement @ dictionary.matrix
+    def moment_sum(self, r: np.ndarray) -> np.ndarray:
+        """sum_i r_i (|mu_i|^2 + diag C_i), shape (S,), from M x M statistics."""
+        gamma = self.gamma
+        z = self.yt / self.denom
+        q = (z.T * r) @ z.conj()
+        mu2 = np.sum((self.g @ q) * self.g.conj(), axis=1).real
+        total = r.sum()
+        cov = total * gamma - gamma**2 * ((np.abs(self.g) ** 2) @ (r @ (1.0 / self.denom)))
+        return gamma**2 * mu2 + np.clip(cov, 0.0, total * gamma)
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(weights, _DEAD_RESPONSIBILITY))
+
+
+def _e_step(
+    model: SbgmModel, w: np.ndarray, obs: ObservationSet
+) -> tuple[list[_ComponentCache], np.ndarray, np.ndarray]:
+    """Per-component caches, responsibilities (n, K) normalized in the log
+    domain, and per-sample log-likelihoods (n,)."""
+    caches = [_ComponentCache(model.component_variances(k), w) for k in range(model.n_components)]
+    log_post = np.column_stack(
+        [c.log_marginals(obs.samples, obs.noise_vars) for c in caches]
+    ) + _log_weights(model.weights)[None, :]
+    norm = logsumexp(log_post, axis=1)
+    resp = np.exp(log_post - norm[:, None])
+    resp /= resp.sum(axis=1, keepdims=True)
+    return caches, resp, norm
 
 
 def csgmm_e_step(
@@ -190,23 +220,74 @@ def csgmm_e_step(
     """Responsibilities (n, K) and posterior statistics (K, n, S).
 
     The statistics are the per-sample second-moment diagonals
-    |mu_ik|^2 + diag(C_ik) needed by the M-step. Responsibilities are
-    normalized in the log domain.
+    |mu_ik|^2 + diag(C_ik) whose weighted sums the M-step needs.
+    Responsibilities are normalized in the log domain.
     """
     if len(obs) == 0:
         raise InvalidArgumentError("observation set must be nonempty")
-    w = _effective_matrix(obs, dictionary)
-    caches = [_ComponentCache(model.component_variances(k), w) for k in range(model.n_components)]
-    log_marg = np.column_stack([c.log_marginals(obs.samples, obs.noise_vars) for c in caches])
-    log_post = log_marg + _log_weights(model.weights)[None, :]
-    resp = np.exp(log_post - logsumexp(log_post, axis=1, keepdims=True))
-    resp /= resp.sum(axis=1, keepdims=True)
-    stats = np.stack([c.moment_stats(obs.samples, obs.noise_vars) for c in caches])
-    return resp, stats
+    caches, resp, _ = _e_step(model, effective_matrix(obs.measurement, dictionary.matrix), obs)
+    return resp, np.stack([c.moment_stats() for c in caches])
 
 
-def _worst_explained_sample(resp: np.ndarray) -> int:
-    return int(np.argmin(resp.max(axis=1)))
+def _component_sums(resp: np.ndarray, weighted_sum) -> tuple[np.ndarray, np.ndarray]:
+    """Totals R (K,) and statistic sums T (K, S) for :func:`_m_step`.
+
+    ``weighted_sum(k, r)`` returns sum_i r_i stat_ik for component k. A
+    component whose total responsibility underflows is reinitialized from
+    the sample the current model explains worst: its row is that one
+    sample's statistic, with total 1.
+    """
+    totals = resp.sum(axis=0)
+    dead = totals < _DEAD_RESPONSIBILITY
+    worst = np.zeros(len(resp))
+    worst[np.argmin(resp.max(axis=1))] = 1.0
+    sums = np.stack(
+        [weighted_sum(k, worst if dead[k] else resp[:, k]) for k in range(resp.shape[1])]
+    )
+    return np.where(dead, 1.0, totals), sums
+
+
+def _m_step(
+    totals: np.ndarray,
+    sums: np.ndarray,
+    clip_floor: float,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
+    coord_iters: int = 3,
+) -> SbgmModel:
+    """M-step from totals R (K,) and statistic sums T (K, S).
+
+    Without ``factors`` the update is the closed-form full one,
+    gamma_k = T_k / R_k. With the starting (Doppler (K, S_t), delay
+    (K, S_f)) factors it runs ``coord_iters`` coordinate sweeps under
+    gamma = gamma_t kron gamma_f instead.
+    """
+    weights = totals / totals.sum()
+    if factors is None:
+        return SbgmModel(
+            weights=weights,
+            variance_form=FULL,
+            variances=np.maximum(sums / totals[:, None], clip_floor),
+            clip_floor=clip_floor,
+        )
+    gt, gf = factors
+    s_t, s_f = gt.shape[1], gf.shape[1]
+    t = sums.reshape(len(totals), s_t, s_f)
+    r = totals[:, None]
+    for _ in range(coord_iters):
+        gt = np.maximum(np.einsum("kij,kj->ki", t, 1.0 / gf) / (s_f * r), clip_floor)
+        gf = np.maximum(np.einsum("ki,kij->kj", 1.0 / gt, t) / (s_t * r), clip_floor)
+    return SbgmModel(
+        weights=weights,
+        variance_form=KRONECKER,
+        doppler_variances=gt,
+        delay_variances=gf,
+        clip_floor=clip_floor,
+    )
+
+
+def _sample_sums(resp: np.ndarray, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    stats = np.asarray(stats, dtype=float)
+    return _component_sums(np.asarray(resp, dtype=float), lambda k, r: r @ stats[k])
 
 
 def csgmm_m_step(
@@ -217,27 +298,7 @@ def csgmm_m_step(
     A component whose total responsibility underflows is reinitialized
     from the sample the current model explains worst.
     """
-    resp = np.asarray(resp, dtype=float)
-    stats = np.asarray(stats, dtype=float)
-    n, k = resp.shape
-    totals = resp.sum(axis=0)
-    weights = totals / n
-    gammas = np.empty((k, stats.shape[2]))
-    dead = totals < _DEAD_RESPONSIBILITY
-    for j in range(k):
-        if dead[j]:
-            gammas[j] = stats[j, _worst_explained_sample(resp)]
-        else:
-            gammas[j] = resp[:, j] @ stats[j] / totals[j]
-    if np.any(dead):
-        weights = np.maximum(weights, np.where(dead, 1.0 / n, 0.0))
-        weights /= weights.sum()
-    return SbgmModel(
-        weights=weights,
-        variance_form=FULL,
-        variances=np.maximum(gammas, clip_floor),
-        clip_floor=clip_floor,
-    )
+    return _m_step(*_sample_sums(resp, stats), clip_floor)
 
 
 def kronecker_q_objective(
@@ -293,56 +354,22 @@ def kronecker_m_step(
     monotonicity); the default all-ones init recovers exactly Kronecker
     statistics in a single sweep.
     """
-    resp = np.asarray(resp, dtype=float)
-    stats = np.asarray(stats, dtype=float)
-    n, k = resp.shape
-    if stats.shape[2] != doppler_size * delay_size:
+    k = np.shape(resp)[1]
+    if np.shape(stats)[2] != doppler_size * delay_size:
         raise InvalidArgumentError("stats length must equal doppler_size * delay_size")
-    totals = resp.sum(axis=0)
-    weights = totals / n
-    dead = totals < _DEAD_RESPONSIBILITY
-    gts = np.empty((k, doppler_size))
-    gfs = np.empty((k, delay_size))
-    for j in range(k):
-        if dead[j]:
-            t_j = stats[j, _worst_explained_sample(resp)].reshape(doppler_size, delay_size)
-            r_j = 1.0
-        else:
-            t_j = (resp[:, j] @ stats[j]).reshape(doppler_size, delay_size)
-            r_j = totals[j]
-        gt = np.ones(doppler_size) if init_doppler is None else np.array(init_doppler[j])
-        gf = np.ones(delay_size) if init_delay is None else np.array(init_delay[j])
-        for _ in range(coord_iters):
-            gt = np.maximum(t_j @ (1.0 / gf) / (delay_size * r_j), clip_floor)
-            gf = np.maximum((1.0 / gt) @ t_j / (doppler_size * r_j), clip_floor)
-        gts[j] = gt
-        gfs[j] = gf
-    if np.any(dead):
-        weights = np.maximum(weights, np.where(dead, 1.0 / n, 0.0))
-        weights /= weights.sum()
-    return SbgmModel(
-        weights=weights,
-        variance_form=KRONECKER,
-        doppler_variances=gts,
-        delay_variances=gfs,
-        clip_floor=clip_floor,
+    factors = (
+        np.ones((k, doppler_size)) if init_doppler is None else np.asarray(init_doppler, float),
+        np.ones((k, delay_size)) if init_delay is None else np.asarray(init_delay, float),
     )
+    return _m_step(*_sample_sums(resp, stats), clip_floor, factors, coord_iters)
 
 
 def total_log_likelihood(
     model: SbgmModel, obs: ObservationSet, dictionary: Dictionary
 ) -> float:
     """Sum over samples of log sum_k rho_k CN(y_i; 0, C_ik)."""
-    w = _effective_matrix(obs, dictionary)
-    log_marg = np.column_stack(
-        [
-            _ComponentCache(model.component_variances(k), w).log_marginals(
-                obs.samples, obs.noise_vars
-            )
-            for k in range(model.n_components)
-        ]
-    )
-    return float(np.sum(logsumexp(log_marg + _log_weights(model.weights)[None, :], axis=1)))
+    _, _, norm = _e_step(model, effective_matrix(obs.measurement, dictionary.matrix), obs)
+    return float(np.sum(norm))
 
 
 def _init_variances(
@@ -409,15 +436,13 @@ def csgmm_fit(
     :func:`_init_variances`); weights start uniform. ``n_components=1``
     is the sparse Bayesian learning special case. The returned trace
     holds one log-likelihood per E-step and is non-decreasing up to
-    round-off.
+    round-off; its last entry scores the returned model.
     """
     if n_components < 1:
         raise InvalidArgumentError("n_components must be >= 1")
     if len(obs) == 0:
         raise InvalidArgumentError("observation set must be nonempty")
-    w = _effective_matrix(obs, dictionary)
-    n, m = obs.samples.shape
-    n_coef = w.shape[1]
+    w = effective_matrix(obs.measurement, dictionary.matrix)
     rng = np.random.default_rng(seed)
 
     kronecker = variance_form == KRONECKER
@@ -454,19 +479,9 @@ def csgmm_fit(
     converged = False
     for iteration in range(max_iters):
         try:
-            caches = [
-                _ComponentCache(model.component_variances(k), w)
-                for k in range(n_components)
-            ]
-            log_marg = np.column_stack(
-                [c.log_marginals(obs.samples, obs.noise_vars) for c in caches]
-            )
+            caches, resp, norm = _e_step(model, w, obs)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"EM iteration {iteration} failed: {exc}") from exc
-        log_post = log_marg + _log_weights(model.weights)[None, :]
-        norm = logsumexp(log_post, axis=1)
-        resp = np.exp(log_post - norm[:, None])
-        resp /= resp.sum(axis=1, keepdims=True)
         loglik = float(np.sum(norm))
         logliks.append(loglik)
         if len(logliks) >= 2:
@@ -474,47 +489,11 @@ def csgmm_fit(
             if abs(loglik - prev) <= rel_tol * max(abs(prev), 1e-12):
                 converged = True
                 break
-
-        totals = resp.sum(axis=0)
-        dead = totals < _DEAD_RESPONSIBILITY
-        denoms = np.where(dead, 1.0, totals)
-        nums = np.empty((n_components, n_coef))
-        for k, cache in enumerate(caches):
-            stats_k = cache.moment_stats(obs.samples, obs.noise_vars)
-            if dead[k]:
-                nums[k] = stats_k[_worst_explained_sample(resp)]
-            else:
-                nums[k] = resp[:, k] @ stats_k
-        weights = resp.sum(axis=0) / n
-        if np.any(dead):
-            weights = np.maximum(weights, np.where(dead, 1.0 / n, 0.0))
-            weights /= weights.sum()
-        if kronecker:
-            new_gt = np.empty_like(model.doppler_variances)
-            new_gf = np.empty_like(model.delay_variances)
-            for k in range(n_components):
-                t_k = nums[k].reshape(s_t, s_f)
-                gt_k = model.doppler_variances[k].copy()
-                gf_k = model.delay_variances[k].copy()
-                for _ in range(kron_sweeps):
-                    gt_k = np.maximum(t_k @ (1.0 / gf_k) / (s_f * denoms[k]), clip_floor)
-                    gf_k = np.maximum((1.0 / gt_k) @ t_k / (s_t * denoms[k]), clip_floor)
-                new_gt[k] = gt_k
-                new_gf[k] = gf_k
-            model = SbgmModel(
-                weights=weights,
-                variance_form=KRONECKER,
-                doppler_variances=new_gt,
-                delay_variances=new_gf,
-                clip_floor=clip_floor,
-            )
-        else:
-            model = SbgmModel(
-                weights=weights,
-                variance_form=FULL,
-                variances=np.maximum(nums / denoms[:, None], clip_floor),
-                clip_floor=clip_floor,
-            )
+        if iteration == max_iters - 1:
+            break  # return the model the last log-likelihood scored
+        totals, sums = _component_sums(resp, lambda k, r: caches[k].moment_sum(r))
+        factors = (model.doppler_variances, model.delay_variances) if kronecker else None
+        model = _m_step(totals, sums, clip_floor, factors, kron_sweeps)
 
     trace = EmTrace(
         log_likelihoods=np.array(logliks), converged=converged, n_iterations=len(logliks)

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericError
+from .utils import effective_matrix
 
 
 @dataclass
@@ -50,17 +51,6 @@ class ElboBreakdown:
     combined: float
 
 
-def _effective_matrix(measurement: np.ndarray, dict_matrix: np.ndarray) -> np.ndarray:
-    measurement = np.asarray(measurement)
-    dict_matrix = np.asarray(dict_matrix)
-    if measurement.shape[1] != dict_matrix.shape[0]:
-        raise InvalidArgumentError(
-            f"measurement has {measurement.shape[1]} columns but the dictionary "
-            f"has {dict_matrix.shape[0]} rows"
-        )
-    return measurement @ dict_matrix
-
-
 def marginal_cov_factor(
     gamma: np.ndarray,
     measurement: np.ndarray,
@@ -73,7 +63,7 @@ def marginal_cov_factor(
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0):
         raise InvalidArgumentError("gamma must be nonnegative")
-    w = _effective_matrix(measurement, dict_matrix)
+    w = effective_matrix(measurement, dict_matrix)
     if w.shape[1] != gamma.shape[0]:
         raise InvalidArgumentError("gamma length must match the dictionary column count")
     cov = (w * gamma[None, :]) @ w.conj().T + sigma2 * np.eye(w.shape[0])
@@ -99,7 +89,7 @@ def posterior_moments(
     """
     gamma = np.asarray(gamma, dtype=float)
     y = np.asarray(y, dtype=complex)
-    w = _effective_matrix(measurement, dict_matrix)
+    w = effective_matrix(measurement, dict_matrix)
     m = w.shape[0]
     if y.shape != (m,):
         raise InvalidArgumentError(f"y must have shape ({m},)")
@@ -151,7 +141,7 @@ def csvae_elbo_terms(
     if np.any(gamma <= 0):
         raise InvalidArgumentError("gamma must be strictly positive (floor-clipped)")
 
-    w = _effective_matrix(measurement, dict_matrix)
+    w = effective_matrix(measurement, dict_matrix)
     m, s = w.shape
     moments = posterior_moments(gamma, y, measurement, dict_matrix, sigma2, want_full_cov=True)
     mean, cov = moments.mean, moments.full_cov

@@ -334,6 +334,8 @@ class ObservationSet:
             raise InvalidArgumentError("samples must be a 2-D array (n, M)")
         if len(self.samples) != len(self.noise_vars):
             raise InvalidArgumentError("samples and noise_vars must have equal length")
+        if not (np.all(np.isfinite(self.samples)) and np.all(np.isfinite(self.noise_vars))):
+            raise InvalidArgumentError("samples and noise_vars must be finite")
         if np.any(self.noise_vars <= 0):
             raise InvalidArgumentError("noise variances must be positive")
         if self.samples.shape[1] != self.measurement.shape[0]:

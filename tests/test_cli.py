@@ -157,6 +157,20 @@ class TestFit:
                      "--out", str(tmp_path / "m")])
         assert code == EXIT_BAD_CONFIG
 
+    def test_zero_components_rejected(self, simo_dataset, tmp_path):
+        code = main(["fit", str(simo_dataset), "--model", "csgmm", "--K", "0",
+                     "--out", str(tmp_path / "m")])
+        assert code == EXIT_BAD_CONFIG
+
+    def test_non_finite_observation_rejected(self, simo_dataset, tmp_path):
+        path = simo_dataset / "observations.bin"
+        payload = bytearray(path.read_bytes())
+        payload[:8] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(payload))
+        code = main(["fit", str(simo_dataset), "--model", "msbl",
+                     "--out", str(tmp_path / "m")])
+        assert code == EXIT_BAD_CONFIG
+
 
 class TestGenerateAndMetrics:
     @pytest.fixture()

@@ -24,7 +24,7 @@ from chansbgm import (
     save_model,
     total_log_likelihood,
 )
-from chansbgm.em import GAMMA_FLOOR
+from chansbgm.em import GAMMA_FLOOR, _component_sums, _ComponentCache, _e_step
 from chansbgm.utils import complex_standard_normal
 
 
@@ -49,6 +49,22 @@ def random_model(rng, k, s):
     weights = rng.dirichlet(np.ones(k))
     variances = rng.uniform(0.05, 2.0, (k, s))
     return SbgmModel(weights=weights, variances=variances)
+
+
+def random_kronecker_model(rng, k, s_t, s_f):
+    return SbgmModel(
+        weights=rng.dirichlet(np.ones(k)),
+        variance_form="kronecker",
+        doppler_variances=rng.uniform(0.2, 1.5, (k, s_t)),
+        delay_variances=rng.uniform(0.2, 1.5, (k, s_f)),
+    )
+
+
+def fit_loop_sums(model, obs, dictionary, resp=None):
+    """The totals and statistic sums the EM loop feeds its M-step."""
+    caches, e_resp, _ = _e_step(model, obs.measurement @ dictionary.matrix, obs)
+    resp = e_resp if resp is None else resp
+    return _component_sums(resp, lambda k, r: caches[k].moment_sum(r))
 
 
 class TestEStep:
@@ -105,19 +121,24 @@ class TestEStep:
     def test_stats_match_posterior_moments(self):
         d = simo_setup()
         obs = synthetic_observations(d, 6, seed=8)
-        model = random_model(np.random.default_rng(9), 3, d.n_columns)
-        _, stats = csgmm_e_step(model, obs, d)
-        for k in range(3):
-            for i in range(len(obs)):
-                moments = posterior_moments(
-                    model.variances[k],
-                    obs.samples[i],
-                    obs.measurement,
-                    d.matrix,
-                    obs.noise_vars[i],
-                )
-                expected = np.abs(moments.mean) ** 2 + moments.cov_diag
-                np.testing.assert_allclose(stats[k, i], expected, atol=1e-10)
+        rng = np.random.default_rng(9)
+        for model in (random_model(rng, 3, d.n_columns), random_kronecker_model(rng, 3, 4, 4)):
+            resp, stats = csgmm_e_step(model, obs, d)
+            # the fit loop's M x M route to the weighted sums
+            totals, sums = fit_loop_sums(model, obs, d)
+            np.testing.assert_allclose(totals, resp.sum(axis=0), rtol=1e-12)
+            for k in range(3):
+                np.testing.assert_allclose(sums[k], resp[:, k] @ stats[k], rtol=1e-10)
+                for i in range(len(obs)):
+                    moments = posterior_moments(
+                        model.component_variances(k),
+                        obs.samples[i],
+                        obs.measurement,
+                        d.matrix,
+                        obs.noise_vars[i],
+                    )
+                    expected = np.abs(moments.mean) ** 2 + moments.cov_diag
+                    np.testing.assert_allclose(stats[k, i], expected, atol=1e-10)
 
 
 class TestMStep:
@@ -155,6 +176,15 @@ class TestMStep:
         np.testing.assert_allclose(model.variances[1], stats[1, worst])
         assert model.weights[1] > 0
         assert model.weights.sum() == pytest.approx(1.0)
+        # the fit loop takes the same row, with total 1, from M x M statistics
+        d = simo_setup()
+        obs = synthetic_observations(d, 8, seed=3)
+        e_model = random_model(rng, 2, d.n_columns)
+        _, stats = csgmm_e_step(e_model, obs, d)
+        totals, sums = fit_loop_sums(e_model, obs, d, resp)
+        np.testing.assert_array_equal(totals, [8.0, 1.0])
+        np.testing.assert_allclose(sums[0], resp[:, 0] @ stats[0], rtol=1e-10)
+        np.testing.assert_allclose(sums[1], stats[1, worst], rtol=1e-10)
 
 
 class TestKroneckerMStep:
@@ -240,11 +270,10 @@ class TestFit:
         obs = synthetic_observations(d, 30, seed=11)
         model, trace = csgmm_fit(obs, d, 2, max_iters=15, seed=0)
         final = total_log_likelihood(model, obs, d)
-        # the last E-step evaluated the model that was returned
-        if trace.converged:
-            assert final == pytest.approx(trace.log_likelihoods[-1], rel=1e-12)
-        else:
-            assert final >= trace.log_likelihoods[-1] - 1e-8 * abs(trace.log_likelihoods[-1])
+        # the last E-step evaluated the model that was returned, also when
+        # the fit stopped at max_iters
+        assert not trace.converged
+        assert final == pytest.approx(trace.log_likelihoods[-1], rel=1e-12)
 
     def test_msbl_is_single_component_fit(self):
         d = simo_setup()
@@ -313,8 +342,6 @@ class TestTotalLogLikelihood:
         model = random_model(np.random.default_rng(18), 3, d.n_columns)
         from scipy.special import logsumexp
 
-        from chansbgm.em import _ComponentCache
-
         w = obs.measurement @ d.matrix
         log_marg = np.column_stack(
             [
@@ -328,6 +355,40 @@ class TestTotalLogLikelihood:
             np.sum(logsumexp(log_marg + np.log(model.weights)[None, :], axis=1))
         )
         assert total_log_likelihood(model, obs, d) == pytest.approx(expected, rel=1e-12)
+
+
+    def test_log_marginals_with_diverged_variances(self):
+        # three adjacent, nearly collinear atoms with huge variances: the
+        # sigma-free part has a condition number far beyond 1/eps, so its
+        # small eigenvalues must not come from a factorization of the formed
+        # product. The reference splits them off by the Woodbury identity:
+        # slogdet/solve on the well-conditioned remainder plus a 3x3 term.
+        d = build_simo_dictionary(AngleGrid(128), SystemConfig.simo(16))
+        w = d.matrix
+        rng = np.random.default_rng(0)
+        gamma = rng.uniform(1e-3, 1e-2, 128)
+        big = np.array([40, 41, 42])
+        gamma[big] = [1e9, 1e10, 3e9]
+        sigma2s = rng.uniform(0.011, 0.02, 20)
+        samples = complex_standard_normal(rng, (20, 16))
+        rest = gamma.copy()
+        rest[big] = 0.0
+        wb = w[:, big]
+        expected = np.empty(20)
+        for i, (y, sigma2) in enumerate(zip(samples, sigma2s)):
+            a = (w * rest) @ w.conj().T + sigma2 * np.eye(16)
+            core = np.diag(1.0 / gamma[big]) + wb.conj().T @ np.linalg.solve(a, wb)
+            a_y = np.linalg.solve(a, y)
+            u = wb.conj().T @ a_y
+            quad = (y.conj() @ a_y - u.conj() @ np.linalg.solve(core, u)).real
+            logdet = (
+                np.linalg.slogdet(a)[1]
+                + np.linalg.slogdet(core)[1]
+                + np.sum(np.log(gamma[big]))
+            )
+            expected[i] = -16 * math.log(math.pi) - logdet - quad
+        got = _ComponentCache(gamma, w).log_marginals(samples, sigma2s)
+        np.testing.assert_allclose(got, expected, rtol=1e-9)
 
 
 class TestModelSerialization:
