@@ -18,14 +18,15 @@ _EXPORTS = {
         "DelayDopplerGrid",
         "Dictionary",
         "SystemConfig",
+        "build_dictionary",
         "build_ofdm_dictionary",
         "build_simo_dictionary",
         "delay_steering",
         "doppler_steering",
         "load_dictionary",
-        "save_dictionary",
         "steering_vector_ula",
         "swap_system_config",
+        "ula_matrix",
         "unvectorize_channel",
         "vectorize_channel",
     ],

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ChanSbgmError, NumericError
+from .errors import ChanSbgmError, InvalidArgumentError, NumericError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -230,10 +230,8 @@ def cmd_synth(config_path: str | None, seed: int, out: str) -> int:
         AngleGrid,
         DelayDopplerGrid,
         SystemConfig,
-        build_ofdm_dictionary,
-        build_simo_dictionary,
+        build_dictionary,
         grid_to_json,
-        save_dictionary,
         vectorize_channel,
     )
     from .scenario import (
@@ -262,7 +260,7 @@ def cmd_synth(config_path: str | None, seed: int, out: str) -> int:
         if "grid_size" not in config:
             raise ConfigError("simo scenario requires grid_size")
         grid = AngleGrid(config["grid_size"])
-        dictionary = build_simo_dictionary(grid, system)
+        dictionary_id = build_dictionary(grid, system).content_id
         profile = _profile_from_config(config.get("angle_profile"))
         std = math.radians(config.get("laplacian_std_deg", 2.0))
         quad = config.get("quadrature_points", 2048)
@@ -284,7 +282,7 @@ def cmd_synth(config_path: str | None, seed: int, out: str) -> int:
             doppler_bound=config["doppler_bound_hz"],
             delay_bound=config["delay_bound_s"],
         )
-        dictionary = build_ofdm_dictionary(grid, system)
+        dictionary_id = build_dictionary(grid, system).content_id
         paths = config.get("paths", {})
         scenario = OfdmScenario(
             config=system,
@@ -305,7 +303,6 @@ def cmd_synth(config_path: str | None, seed: int, out: str) -> int:
         measurement = random_selection_matrix(config["n_pilots"], system.channel_dim, rng)
 
     obs = make_observations(channels, measurement, snr_range, rng)
-    save_dictionary(dictionary, out_dir / "dictionary")
     write_array(out_dir / "channels", channels, role="ground-truth-channels")
     write_array(out_dir / "observations", obs.samples, role="observations")
     write_array(out_dir / "noise_vars", obs.noise_vars, role="noise-variances")
@@ -320,7 +317,7 @@ def cmd_synth(config_path: str | None, seed: int, out: str) -> int:
             "normalization_scale": scale,
             "grid": grid_to_json(grid),
             "system": system.to_json(),
-            "dictionary_id": dictionary.content_id,
+            "dictionary_id": dictionary_id,
             "n_train": n_train,
         },
     )
@@ -329,24 +326,28 @@ def cmd_synth(config_path: str | None, seed: int, out: str) -> int:
 
 
 def load_dataset(directory: str | Path):
-    """Read a dataset directory back into an observation set + dictionary."""
+    """Read a dataset directory back into an observation set + dictionary.
+
+    The dictionary is rebuilt from the ``grid`` and ``system`` documents of
+    ``scenario.json`` and must hash to its ``dictionary_id``.
+    """
     from .container import read_array, read_json
     from .dictionary import load_dictionary
     from .scenario import ObservationSet
 
     directory = Path(directory)
     meta = read_json(directory / "scenario.json")
+    dictionary = load_dictionary(meta["grid"], meta["system"])
+    if dictionary.content_id != meta.get("dictionary_id"):
+        raise InvalidArgumentError(
+            f"{directory / 'scenario.json'}: grid and system do not rebuild its dictionary_id"
+        )
     samples, _ = read_array(directory / "observations")
     noise_vars, _ = read_array(directory / "noise_vars")
     selection, _ = read_array(directory / "selection")
     snr_db, _ = read_array(directory / "snr_db")
-    dictionary = load_dictionary(directory / "dictionary")
     obs = ObservationSet(
-        samples=samples,
-        noise_vars=noise_vars,
-        measurement=selection,
-        snr_db=snr_db,
-        dictionary=dictionary,
+        samples=samples, noise_vars=noise_vars, measurement=selection, snr_db=snr_db
     )
     return obs, dictionary, meta
 
@@ -387,7 +388,7 @@ def cmd_fit(
         out_dir,
         extra_meta={
             "seed": int(seed),
-            "dataset_id": meta.get("dictionary_id"),
+            "dictionary_id": meta["dictionary_id"],
             "grid": meta["grid"],
             "system": meta["system"],
             "converged": trace.converged,
@@ -426,12 +427,7 @@ def cmd_generate(
     p_max: int | None,
     swap_config_path: str | None,
 ) -> int:
-    from .dictionary import (
-        SystemConfig,
-        build_ofdm_dictionary,
-        build_simo_dictionary,
-        grid_from_json,
-    )
+    from .dictionary import load_dictionary
     from .em import load_model
     from .generation import limit_batch_paths, render_channels, sample_parameters, save_batch
 
@@ -443,13 +439,7 @@ def cmd_generate(
     if swap_config_path is not None:
         system_doc = _load_config(swap_config_path, SYSTEM_SCHEMA)
     if render:
-        grid = grid_from_json(meta["grid"])
-        system = SystemConfig.from_json(system_doc)
-        if system.variant == "simo":
-            dictionary = build_simo_dictionary(grid, system)
-        else:
-            dictionary = build_ofdm_dictionary(grid, system)
-        batch = render_channels(batch, dictionary)
+        batch = render_channels(batch, load_dictionary(meta["grid"], system_doc))
     save_batch(
         batch,
         out,

@@ -12,6 +12,11 @@ Grids are stored as integer sizes plus bounds (points are derived on
 demand), so value equality of grids never depends on floating-point
 round-off. Dictionaries are immutable after construction.
 
+A dictionary is a pure function of its grid and system configuration, so
+it is never stored: :func:`build_dictionary` derives it (the grid type
+picks the builder), and :func:`load_dictionary` does the same from the
+``grid`` and ``system`` JSON documents that datasets and models carry.
+
 Vectorization convention for OFDM: a channel matrix ``H`` of shape
 (n_subcarriers, n_symbols) is flattened column-major (frequency index
 fastest), which makes ``h = (D_t kron D_f) s`` with coefficient index
@@ -22,11 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .container import read_array, read_json, write_array, write_json
 from .errors import CapacityError, DomainMismatchError, InvalidArgumentError
 from .utils import content_id
 
@@ -203,6 +206,16 @@ def steering_vector_ula(theta: float, n_antennas: int) -> np.ndarray:
     return np.exp(-1j * math.pi * idx * math.sin(theta))
 
 
+def ula_matrix(angles: np.ndarray, n_antennas: int) -> np.ndarray:
+    """Half-wavelength ULA steering vectors toward ``angles`` as columns.
+
+    Entry (i, g) is exp(-j*pi*i*sin(angles[g])) with 0-based i; the shape
+    is (n_antennas, len(angles)).
+    """
+    idx = np.arange(n_antennas)[:, None]
+    return np.exp(-1j * math.pi * idx * np.sin(angles)[None, :])
+
+
 def doppler_steering(doppler_hz: float, n_symbols: int, symbol_duration: float) -> np.ndarray:
     """Temporal steering vector: entry i is exp(+j*2*pi*doppler*(i-1)*dT)."""
     idx = np.arange(n_symbols)
@@ -218,10 +231,8 @@ def delay_steering(delay_s: float, n_subcarriers: int, subcarrier_spacing: float
 def build_simo_dictionary(grid: AngleGrid, config: SystemConfig) -> Dictionary:
     """Columns are ULA steering vectors at the grid angles; shape (N, size)."""
     if config.variant != SIMO:
-        raise DomainMismatchError("build_simo_dictionary requires a SIMO config")
-    idx = np.arange(config.n_antennas)[:, None]
-    matrix = np.exp(-1j * math.pi * idx * np.sin(grid.points)[None, :])
-    return Dictionary(matrix=matrix, grid=grid, config=config)
+        raise DomainMismatchError("an angle grid needs a SIMO system config")
+    return Dictionary(matrix=ula_matrix(grid.points, config.n_antennas), grid=grid, config=config)
 
 
 def build_ofdm_dictionary(
@@ -236,7 +247,7 @@ def build_ofdm_dictionary(
     doppler_size*delay_size).
     """
     if config.variant != OFDM:
-        raise DomainMismatchError("build_ofdm_dictionary requires an OFDM config")
+        raise DomainMismatchError("a delay-Doppler grid needs an OFDM system config")
     if grid.size > max_columns:
         raise CapacityError(
             f"grid has {grid.size} columns, exceeding the limit of {max_columns}"
@@ -255,19 +266,25 @@ def build_ofdm_dictionary(
     )
 
 
+def build_dictionary(grid: AngleGrid | DelayDopplerGrid, config: SystemConfig) -> Dictionary:
+    """Dictionary over ``grid`` sampled by ``config``.
+
+    An angle grid takes :func:`build_simo_dictionary`, a delay-Doppler grid
+    :func:`build_ofdm_dictionary`; either raises ``DomainMismatchError``
+    when ``config`` is of the other variant.
+    """
+    if isinstance(grid, AngleGrid):
+        return build_simo_dictionary(grid, config)
+    return build_ofdm_dictionary(grid, config)
+
+
 def swap_system_config(dictionary: Dictionary, new_config: SystemConfig) -> Dictionary:
     """Re-evaluate the dictionary for a new system configuration.
 
     The parameter grid is unchanged; only the sampling of the steering
     vectors (antenna count, or OFDM timing/grid dimensions) changes.
     """
-    if isinstance(dictionary.grid, AngleGrid):
-        if new_config.variant != SIMO:
-            raise DomainMismatchError("angular dictionary cannot take an OFDM config")
-        return build_simo_dictionary(dictionary.grid, new_config)
-    if new_config.variant != OFDM:
-        raise DomainMismatchError("delay-Doppler dictionary cannot take a SIMO config")
-    return build_ofdm_dictionary(dictionary.grid, new_config)
+    return build_dictionary(dictionary.grid, new_config)
 
 
 def vectorize_channel(channel_matrix: np.ndarray) -> np.ndarray:
@@ -309,32 +326,6 @@ def grid_from_json(doc: dict) -> AngleGrid | DelayDopplerGrid:
     )
 
 
-def save_dictionary(dictionary: Dictionary, stem: str | Path) -> None:
-    """Write ``<stem>.json`` metadata plus the matrix as a raw array pair."""
-    stem = Path(stem)
-    meta = {
-        "kind": "dictionary",
-        "grid": grid_to_json(dictionary.grid),
-        "system": dictionary.config.to_json(),
-        "matrix": stem.name + "_matrix",
-    }
-    write_array(stem.parent / (stem.name + "_matrix"), dictionary.matrix, role="dictionary-matrix")
-    write_json(stem.with_suffix(".json"), meta)
-
-
-def load_dictionary(stem: str | Path) -> Dictionary:
-    stem = Path(stem)
-    meta = read_json(stem.with_suffix(".json"))
-    grid = grid_from_json(meta["grid"])
-    config = SystemConfig.from_json(meta["system"])
-    rebuilt = (
-        build_simo_dictionary(grid, config)
-        if config.variant == SIMO
-        else build_ofdm_dictionary(grid, config)
-    )
-    stored, _ = read_array(stem.parent / meta["matrix"])
-    if stored.shape != rebuilt.matrix.shape or not np.array_equal(stored, rebuilt.matrix):
-        raise InvalidArgumentError(
-            "stored dictionary matrix does not match its grid/system metadata"
-        )
-    return rebuilt
+def load_dictionary(grid_doc: dict, system_doc: dict) -> Dictionary:
+    """Build the dictionary described by a ``grid`` and a ``system`` document."""
+    return build_dictionary(grid_from_json(grid_doc), SystemConfig.from_json(system_doc))

@@ -81,16 +81,17 @@ class SbgmModel:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.ndim != 1 or len(self.weights) < 1:
             raise InvalidArgumentError("weights must be a nonempty vector")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
-            raise InvalidArgumentError("weights must be nonnegative and sum to 1")
+        w = self.weights
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+            raise InvalidArgumentError("weights must be finite, nonnegative and sum to 1")
         if self.variance_form == FULL:
             if self.variances is None:
                 raise InvalidArgumentError("full form requires a variances array")
             self.variances = np.asarray(self.variances, dtype=float)
             if self.variances.shape[0] != len(self.weights):
                 raise InvalidArgumentError("one variance row per component required")
-            if np.any(self.variances < 0):
-                raise InvalidArgumentError("variances must be nonnegative")
+            if not np.all(np.isfinite(self.variances)) or np.any(self.variances < 0):
+                raise InvalidArgumentError("variances must be finite and nonnegative")
         elif self.variance_form == KRONECKER:
             if self.doppler_variances is None or self.delay_variances is None:
                 raise InvalidArgumentError("kronecker form requires both factor arrays")
@@ -99,8 +100,9 @@ class SbgmModel:
             k = len(self.weights)
             if self.doppler_variances.shape[0] != k or self.delay_variances.shape[0] != k:
                 raise InvalidArgumentError("one factor row per component required")
-            if np.any(self.doppler_variances < 0) or np.any(self.delay_variances < 0):
-                raise InvalidArgumentError("variance factors must be nonnegative")
+            for factor in (self.doppler_variances, self.delay_variances):
+                if not np.all(np.isfinite(factor)) or np.any(factor < 0):
+                    raise InvalidArgumentError("variance factors must be finite and nonnegative")
         else:
             raise InvalidArgumentError(f"unknown variance form {self.variance_form!r}")
 

@@ -3,10 +3,12 @@
 Two generators are provided. The SIMO generator draws a path angle from a
 street-canyon style mixture profile and then a channel from a zero-mean
 complex Gaussian whose covariance integrates a narrow Laplacian angle
-density against the array steering vectors. The OFDM generator draws a
-random number of discrete paths with uniform delays/Dopplers and
-exponentially decaying gain power, and evaluates the resulting channel
-matrix on the time-frequency sampling grid.
+density against the array steering vectors; the covariance and the
+ground-truth path synthesis share one split Gauss-Legendre quadrature of
+that density. The OFDM generator draws a random number of discrete paths
+with uniform delays/Dopplers and exponentially decaying gain power, and
+evaluates the resulting channel matrix on the time-frequency sampling
+grid.
 
 Observations follow y = A h + n with a fixed 0/1 selection matrix A (or
 identity) and per-sample noise variance derived from a per-sample SNR
@@ -16,12 +18,12 @@ drawn uniformly in dB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .dictionary import SystemConfig
+from .dictionary import SystemConfig, ula_matrix
 from .errors import DegenerateInputError, InvalidArgumentError, NumericError
 from .utils import complex_standard_normal, hermitianize
 
@@ -117,6 +119,27 @@ def _gauss_legendre_nodes(lo: float, hi: float, count: int) -> tuple[np.ndarray,
     return mid + half * x, half * w
 
 
+def _laplacian_nodes(center: float, std_dev: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes and density-weighted weights for a Laplacian angle
+    density around ``center``.
+
+    The window [center - 10 std, center + 10 std], clipped to [-pi, pi],
+    is split at the density's kink and each half uses Gauss-Legendre
+    quadrature, so smooth integrands converge to near machine precision (a
+    composite trapezoid rule stalls around 1e-5 because of the kink). The
+    truncated tail mass is exp(-10 sqrt(2)), below 1e-6.
+    """
+    lo = max(center - 10.0 * std_dev, -math.pi)
+    hi = min(center + 10.0 * std_dev, math.pi)
+    t_lo, w_lo = _gauss_legendre_nodes(lo, center, count // 2)
+    t_hi, w_hi = _gauss_legendre_nodes(center, hi, count - count // 2)
+    theta = np.concatenate([t_lo, t_hi])
+    w = np.concatenate([w_lo, w_hi])
+    scale = std_dev / math.sqrt(2.0)
+    density = np.exp(-np.abs(theta - center) / scale) / (2.0 * scale)
+    return theta, w * density
+
+
 def laplacian_local_covariance(
     center: float,
     std_dev: float,
@@ -125,28 +148,17 @@ def laplacian_local_covariance(
 ) -> np.ndarray:
     """Channel covariance for a Laplacian angle density around ``center``.
 
-    Integrates g(theta) a(theta) a(theta)^H over [center - 10 std,
-    center + 10 std] clipped to [-pi, pi]. The window is split at the
-    density's kink and each half uses Gauss-Legendre quadrature, so the
-    result is converged to near machine precision at the default node
-    count (a composite trapezoid rule stalls around 1e-5 because of the
-    kink). The truncated tail mass is exp(-10 sqrt(2)), below 1e-6.
+    Integrates g(theta) a(theta) a(theta)^H over the quadrature window of
+    :func:`_laplacian_nodes`; the default node count converges it to near
+    machine precision.
     """
     if std_dev <= 0:
         raise InvalidArgumentError("std_dev must be positive")
     if quadrature_points < 64:
         raise InvalidArgumentError("quadrature_points must be >= 64")
-    lo = max(center - 10.0 * std_dev, -math.pi)
-    hi = min(center + 10.0 * std_dev, math.pi)
-    t_lo, w_lo = _gauss_legendre_nodes(lo, center, quadrature_points // 2)
-    t_hi, w_hi = _gauss_legendre_nodes(center, hi, quadrature_points - quadrature_points // 2)
-    theta = np.concatenate([t_lo, t_hi])
-    w = np.concatenate([w_lo, w_hi])
-    scale = std_dev / math.sqrt(2.0)
-    density = np.exp(-np.abs(theta - center) / scale) / (2.0 * scale)
-    idx = np.arange(n_antennas)[:, None]
-    steer = np.exp(-1j * math.pi * idx * np.sin(theta)[None, :])
-    cov = (steer * (w * density)[None, :]) @ steer.conj().T
+    theta, weights = _laplacian_nodes(center, std_dev, quadrature_points)
+    steer = ula_matrix(theta, n_antennas)
+    cov = (steer * weights[None, :]) @ steer.conj().T
     return hermitianize(cov)
 
 
@@ -265,20 +277,10 @@ def simo_ground_truth(
     coefficients = np.zeros((n_samples, grid.size), dtype=complex)
     grid_points = grid.points
     spacing = math.pi / grid.size
-    half = quadrature_points // 2
-    idx = np.arange(n_antennas)[:, None]
-    scale = std_dev / math.sqrt(2.0)
     for i, center in enumerate(angles):
-        lo = max(center - 10.0 * std_dev, -math.pi)
-        hi = min(center + 10.0 * std_dev, math.pi)
-        t_lo, w_lo = _gauss_legendre_nodes(lo, center, half)
-        t_hi, w_hi = _gauss_legendre_nodes(center, hi, quadrature_points - half)
-        theta = np.concatenate([t_lo, t_hi])
-        w = np.concatenate([w_lo, w_hi])
-        density = np.exp(-np.abs(theta - center) / scale) / (2.0 * scale)
-        gains = np.sqrt(w * density) * complex_standard_normal(rng, quadrature_points)
-        steer = np.exp(-1j * math.pi * idx * np.sin(theta)[None, :])
-        channels[i] = steer @ gains
+        theta, weights = _laplacian_nodes(center, std_dev, quadrature_points)
+        gains = np.sqrt(weights) * complex_standard_normal(rng, quadrature_points)
+        channels[i] = ula_matrix(theta, n_antennas) @ gains
         nearest = np.clip(
             np.round((theta - grid_points[0]) / spacing).astype(int), 0, grid.size - 1
         )
@@ -324,7 +326,6 @@ class ObservationSet:
     noise_vars: np.ndarray
     measurement: np.ndarray
     snr_db: np.ndarray | None = None
-    dictionary: object | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)

@@ -70,11 +70,9 @@ def simo_dataset(tmp_path):
 
 class TestSynth:
     def test_writes_all_artifacts(self, simo_dataset):
-        for stem in ("channels", "observations", "noise_vars", "snr_db", "selection"):
-            assert (simo_dataset / f"{stem}.json").exists()
-            assert (simo_dataset / f"{stem}.bin").exists()
-        assert (simo_dataset / "scenario.json").exists()
-        assert (simo_dataset / "dictionary.json").exists()
+        stems = ("channels", "observations", "noise_vars", "snr_db", "selection")
+        expected = {"scenario.json"} | {f"{s}.{ext}" for s in stems for ext in ("json", "bin")}
+        assert {p.name for p in simo_dataset.iterdir()} == expected
 
     def test_single_sample_smoke_run(self, tmp_path):
         cfg = small_simo_config()
@@ -162,6 +160,24 @@ class TestFit:
                      "--out", str(tmp_path / "m")])
         assert code == EXIT_BAD_CONFIG
 
+    def test_model_records_dictionary_id(self, simo_dataset, tmp_path):
+        out = tmp_path / "m"
+        em = write_config(tmp_path, {"max_iters": 2}, "em.json")
+        assert main(["fit", str(simo_dataset), "--model", "msbl", "--out", str(out),
+                     "--config", em]) == EXIT_OK
+        scenario = json.loads((simo_dataset / "scenario.json").read_text())
+        model = json.loads((out / "model.json").read_text())
+        assert model["dictionary_id"] == scenario["dictionary_id"]
+
+    def test_grid_not_matching_dictionary_id_rejected(self, simo_dataset, tmp_path):
+        path = simo_dataset / "scenario.json"
+        scenario = json.loads(path.read_text())
+        scenario["grid"]["size"] += 2
+        path.write_text(json.dumps(scenario))
+        code = main(["fit", str(simo_dataset), "--model", "msbl",
+                     "--out", str(tmp_path / "m")])
+        assert code == EXIT_BAD_CONFIG
+
     def test_non_finite_observation_rejected(self, simo_dataset, tmp_path):
         path = simo_dataset / "observations.bin"
         payload = bytearray(path.read_bytes())
@@ -233,6 +249,22 @@ class TestGenerateAndMetrics:
         assert batch1.sparse.tobytes() == batch2.sparse.tobytes()
         assert batch1.channels.shape == (40, 6)
         assert batch2.channels.shape == (40, 9)
+
+    def test_swap_config_of_other_variant_rejected(self, fitted_model, tmp_path):
+        swap = write_config(tmp_path, small_ofdm_config()["system"], "swap.json")
+        code = main(["generate", str(fitted_model), "-n", "5", "--seed", "0",
+                     "--render", "--swap-config", swap, "--out", str(tmp_path / "b")])
+        assert code == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("stem", ["weights", "variances"])
+    def test_non_finite_model_rejected(self, fitted_model, tmp_path, stem):
+        path = fitted_model / f"{stem}.bin"
+        payload = bytearray(path.read_bytes())
+        payload[:8] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(payload))
+        code = main(["generate", str(fitted_model), "-n", "5", "--seed", "0",
+                     "--out", str(tmp_path / "b")])
+        assert code == EXIT_BAD_CONFIG
 
     def test_metrics_against_self_reference(self, fitted_model, tmp_path):
         batch = tmp_path / "batch"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,12 +11,12 @@ from chansbgm import (
     build_ofdm_dictionary,
     build_simo_dictionary,
     load_dictionary,
-    save_dictionary,
     steering_vector_ula,
     swap_system_config,
     unvectorize_channel,
     vectorize_channel,
 )
+from chansbgm.dictionary import grid_to_json
 from chansbgm.errors import CapacityError, DomainMismatchError, InvalidArgumentError
 
 
@@ -188,9 +189,14 @@ class TestSwapSystemConfig:
         np.testing.assert_allclose(back.matrix, d.matrix, atol=1e-12)
 
     def test_domain_mismatch_rejected(self):
-        d = build_simo_dictionary(AngleGrid(8), SystemConfig.simo(4))
-        with pytest.raises(DomainMismatchError):
-            swap_system_config(d, SystemConfig.ofdm(4, 4, 15e3, 1e-3 / 14))
+        grid, config = small_ofdm_setup()
+        cases = [
+            (build_simo_dictionary(AngleGrid(8), SystemConfig.simo(4)), config),
+            (build_ofdm_dictionary(grid, config), SystemConfig.simo(4)),
+        ]
+        for d, other in cases:
+            with pytest.raises(DomainMismatchError):
+                swap_system_config(d, other)
 
 
 class TestCovarianceStructure:
@@ -220,19 +226,27 @@ class TestCovarianceStructure:
         assert toeplitz_deviation(cov_f) < 1e-10 * np.abs(cov_f).max()
 
 
+def through_json(document):
+    """The document as it reads back from a JSON file."""
+    return json.loads(json.dumps(document))
+
+
 class TestSerialization:
-    def test_simo_round_trip(self, tmp_path):
+    def test_simo_round_trip(self):
         d = build_simo_dictionary(AngleGrid(16), SystemConfig.simo(4))
-        save_dictionary(d, tmp_path / "dict")
-        loaded = load_dictionary(tmp_path / "dict")
+        loaded = load_dictionary(
+            through_json(grid_to_json(d.grid)), through_json(d.config.to_json())
+        )
         np.testing.assert_array_equal(loaded.matrix, d.matrix)
         assert loaded.grid == d.grid
         assert loaded.config == d.config
 
-    def test_ofdm_round_trip(self, tmp_path):
+    def test_ofdm_round_trip(self):
         grid, config = small_ofdm_setup()
         d = build_ofdm_dictionary(grid, config)
-        save_dictionary(d, tmp_path / "dict")
-        loaded = load_dictionary(tmp_path / "dict")
+        loaded = load_dictionary(through_json(grid_to_json(grid)), through_json(config.to_json()))
         np.testing.assert_array_equal(loaded.matrix, d.matrix)
+        np.testing.assert_array_equal(loaded.doppler_factor, d.doppler_factor)
+        np.testing.assert_array_equal(loaded.delay_factor, d.delay_factor)
         assert loaded.grid == d.grid
+        assert loaded.config == d.config

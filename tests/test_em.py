@@ -25,6 +25,7 @@ from chansbgm import (
     total_log_likelihood,
 )
 from chansbgm.em import GAMMA_FLOOR, _component_sums, _ComponentCache, _e_step
+from chansbgm.errors import InvalidArgumentError
 from chansbgm.utils import complex_standard_normal
 
 
@@ -416,3 +417,10 @@ class TestModelSerialization:
         np.testing.assert_allclose(
             loaded.expanded_variances(), model.expanded_variances(), atol=0
         )
+
+    @pytest.mark.parametrize("field", ["doppler_variances", "delay_variances"])
+    def test_non_finite_kronecker_factor_rejected(self, field):
+        factors = {"doppler_variances": np.ones((2, 4)), "delay_variances": np.ones((2, 5))}
+        factors[field][1, 2] = np.inf
+        with pytest.raises(InvalidArgumentError):
+            SbgmModel(weights=np.array([0.4, 0.6]), variance_form="kronecker", **factors)
