@@ -429,19 +429,21 @@ def cmd_generate(
 ) -> int:
     from .dictionary import load_dictionary
     from .em import load_model
-    from .generation import limit_batch_paths, render_channels, sample_parameters, save_batch
+    from .generation import limit_batch_paths, render_channels, sample_blocks, save_batch
 
     model, meta = load_model(model_dir)
-    batch = sample_parameters(model, n, seed)
-    if p_max is not None:
-        batch = limit_batch_paths(batch, p_max)
     system_doc = meta["system"]
     if swap_config_path is not None:
         system_doc = _load_config(swap_config_path, SYSTEM_SCHEMA)
-    if render:
-        batch = render_channels(batch, load_dictionary(meta["grid"], system_doc))
+    dictionary = load_dictionary(meta["grid"], system_doc) if render else None
+    # one row block at a time: drawn, capped, rendered, appended
+    blocks = sample_blocks(model, n, seed)
+    if p_max is not None:
+        blocks = (limit_batch_paths(block, p_max) for block in blocks)
+    if dictionary is not None:
+        blocks = (render_channels(block, dictionary) for block in blocks)
     save_batch(
-        batch,
+        blocks,
         out,
         extra_meta={"grid": meta["grid"], "system": system_doc, "model_id": meta["model_id"]},
     )
@@ -449,24 +451,35 @@ def cmd_generate(
     return EXIT_OK
 
 
-def _load_reference(path: str | Path) -> dict:
-    """Accept either a generated batch or a dataset directory as reference."""
-    from .container import read_array, read_json
-    from .generation import load_batch
+def _open_reference(path: str | Path):
+    """Accept either a generated batch or a dataset directory as reference;
+    returns readers of its coefficients (None for a dataset) and channels."""
+    from .container import ArrayReader
+    from .generation import open_batch
 
     path = Path(path)
     if (path / "batch.json").exists():
-        batch, meta = load_batch(path)
-        return {
-            "sparse": batch.sparse,
-            "channels": batch.channels,
-            "grid": meta.get("grid"),
-        }
+        stored = open_batch(path)
+        return stored.sparse, stored.channels
     if (path / "scenario.json").exists():
-        meta = read_json(path / "scenario.json")
-        channels, _ = read_array(path / "channels")
-        return {"sparse": None, "channels": channels, "grid": meta.get("grid")}
+        return None, ArrayReader(path / "channels")
     raise ConfigError(f"{path} is neither a batch nor a dataset directory")
+
+
+def _angular_pass(sparse, grid):
+    """Power profile, skipped count and (on an angle grid) per-sample
+    spreads of stored coefficients, read one row block at a time."""
+    import numpy as np
+
+    from .metrics import PowerProfile, batch_angular_spreads
+
+    profile = PowerProfile(sparse.shape[1])
+    spreads = []
+    for block in sparse.blocks():
+        profile.add(block)
+        if grid is not None:
+            spreads.append(batch_angular_spreads(block, grid)[0])
+    return profile.profile(), profile.n_skipped, np.concatenate(spreads) if spreads else None
 
 
 def cmd_metrics(
@@ -478,28 +491,26 @@ def cmd_metrics(
     import numpy as np
 
     from .container import write_json
-    from .dictionary import grid_from_json
-    from .generation import load_batch
+    from .dictionary import AngleGrid, grid_from_json
+    from .generation import open_batch
     from .metrics import (
         SPREAD_HIST_BINS,
         SPREAD_HIST_RANGE,
-        batch_angular_spreads,
-        cosine_similarity,
         histogram_w1,
-        nmse,
-        power_angular_profile,
         profile_support_leakage,
+        sample_cosines,
+        sample_nmse,
     )
+    from .utils import row_blocks
 
-    batch, meta = load_batch(batch_dir)
+    batch = open_batch(batch_dir)
+    grid_doc = batch.meta.get("grid")
+    grid = grid_from_json(grid_doc) if grid_doc else None
+    angular = isinstance(grid, AngleGrid)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    profile, skipped = power_angular_profile(batch.sparse)
-    report: dict = {"n_samples": len(batch), "n_skipped_zero_norm": skipped}
-
-    grid_doc = meta.get("grid")
-    grid = grid_from_json(grid_doc) if grid_doc else None
-    angular = grid_doc is not None and grid_doc.get("kind") == "angle"
+    profile, skipped, spreads = _angular_pass(batch.sparse, grid if angular else None)
+    report: dict = {"n_samples": len(batch.sparse), "n_skipped_zero_norm": skipped}
 
     lines = ["grid_index,angle_rad,mass"] if angular else ["grid_index,mass"]
     for idx, mass in enumerate(profile):
@@ -509,9 +520,7 @@ def cmd_metrics(
             lines.append(f"{idx},{repr(float(mass))}")
     _write_text(out_dir / "profile.csv", "\n".join(lines) + "\n")
 
-    spreads = None
     if angular:
-        spreads, _ = batch_angular_spreads(batch.sparse, grid)
         edges = np.linspace(*SPREAD_HIST_RANGE, SPREAD_HIST_BINS + 1)
         hist, _ = np.histogram(np.clip(spreads, edges[0], edges[-1]), bins=edges)
         hist = hist / hist.sum()
@@ -523,28 +532,32 @@ def cmd_metrics(
         _write_text(out_dir / "spread_hist.csv", "\n".join(hist_lines) + "\n")
         report["mean_angular_spread"] = float(np.mean(spreads))
 
-    ref = _load_reference(reference) if reference is not None else None
-    if ref is not None and ref["sparse"] is not None:
-        ref_profile, _ = power_angular_profile(ref["sparse"])
+    ref_sparse, ref_channels = (None, None) if reference is None else _open_reference(reference)
+    if ref_sparse is not None:
+        ref_profile, _, ref_spreads = _angular_pass(ref_sparse, grid if angular else None)
         report["leakage_vs_reference_support"] = profile_support_leakage(
             profile, ref_profile > 1e-12
         )
         if angular:
-            ref_spreads, _ = batch_angular_spreads(ref["sparse"], grid)
             report["spread_w1_vs_reference"] = histogram_w1(spreads, ref_spreads)
     else:
         report["leakage_vs_own_support"] = profile_support_leakage(profile, profile > 1e-12)
 
-    can_pair = (
-        ref is not None
-        and batch.channels is not None
-        and ref["channels"] is not None
-        and len(ref["channels"]) == len(batch)
-        and ref["channels"].shape == batch.channels.shape
-    )
-    if can_pair:
-        report["nmse"] = nmse(batch.channels, ref["channels"])
-        report["cosine_similarity"] = cosine_similarity(batch.channels, ref["channels"])
+    # the spreads are reduced; free them before the channel pass adds two (n,) vectors
+    spreads = ref_spreads = None
+    if (
+        batch.channels is not None
+        and ref_channels is not None
+        and ref_channels.shape == batch.channels.shape
+    ):
+        n = len(batch.channels)
+        errors, cosines = np.empty(n), np.empty(n)
+        for rows in row_blocks(n, batch.channels.shape[1]):
+            estimates, truths = batch.channels.read(rows), ref_channels.read(rows)
+            errors[rows] = sample_nmse(estimates, truths)
+            cosines[rows] = sample_cosines(estimates, truths)
+        report["nmse"] = float(np.mean(errors))
+        report["cosine_similarity"] = float(np.mean(cosines))
     elif channel_metrics:
         raise ConfigError(
             "channel metrics need a reference with channels aligned to the batch"
@@ -648,6 +661,28 @@ def _selfcheck_registry():
             back, _ = read_array(Path(tmp) / "x")
         assert back.tobytes() == arr.tobytes()
 
+    def streamed_round_trip():
+        import tempfile
+
+        from .container import ArrayReader, ArrayWriter, read_array, write_array
+
+        rng = np.random.default_rng(6)
+        arr = complex_standard_normal(rng, (11, 3))
+        with tempfile.TemporaryDirectory() as tmp:
+            whole, streamed = Path(tmp) / "whole", Path(tmp) / "streamed"
+            write_array(whole, arr, role="selfcheck")
+            with ArrayWriter(streamed, role="selfcheck") as writer:
+                for rows in (slice(0, 4), slice(4, 5), slice(5, 5), slice(5, 11)):
+                    writer.append(arr[rows])
+            for suffix in (".bin", ".json"):
+                written = streamed.with_suffix(suffix).read_bytes()
+                assert written == whole.with_suffix(suffix).read_bytes()
+            reader = ArrayReader(streamed)
+            parts = [reader.read(rows) for rows in (slice(0, 7), slice(7, 8), slice(8, 11))]
+            assert np.concatenate(parts).tobytes() == arr.tobytes()
+            assert b"".join(b.tobytes() for b in reader.blocks()) == arr.tobytes()
+            assert read_array(streamed)[0].tobytes() == arr.tobytes()
+
     return [
         ("dictionary-unit-modulus", dictionary_unit_modulus),
         ("ofdm-kron-identity", ofdm_kron_identity),
@@ -658,6 +693,7 @@ def _selfcheck_registry():
         ("conditional-toeplitz", conditional_toeplitz),
         ("limit-paths-idempotent", limit_paths_idempotent),
         ("container-round-trip", container_round_trip),
+        ("streamed-round-trip", streamed_round_trip),
     ]
 
 

@@ -38,6 +38,33 @@ MAX_DICTIONARY_COLUMNS = 1 << 16
 SIMO = "simo"
 OFDM = "ofdm"
 
+# the numeric fields of each kind of grid document and variant of system document
+_GRID_FIELDS = {
+    "angle": ("size",),
+    "delay_doppler": ("doppler_size", "delay_size", "doppler_bound", "delay_bound"),
+}
+_SYSTEM_FIELDS = {
+    SIMO: ("n_antennas",),
+    OFDM: ("n_subcarriers", "n_symbols", "subcarrier_spacing", "symbol_duration"),
+}
+
+
+def _document_fields(doc, tag: str, layouts: dict, what: str) -> tuple[str, dict]:
+    """Check a grid or system document against the layout its ``tag``
+    names; returns the tag value and the layout's fields."""
+    kind = doc.get(tag) if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in layouts:
+        raise InvalidArgumentError(
+            f"{what} document needs {tag} in {sorted(layouts)}, got {kind!r}"
+        )
+    fields = {key: doc.get(key) for key in layouts[kind]}
+    for key, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InvalidArgumentError(
+                f"{kind} {what} document needs a number {key!r}, got {value!r}"
+            )
+    return kind, fields
+
 
 @dataclass(frozen=True)
 class AngleGrid:
@@ -152,14 +179,8 @@ class SystemConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SystemConfig":
-        if doc["variant"] == SIMO:
-            return cls.simo(doc["n_antennas"])
-        return cls.ofdm(
-            doc["n_subcarriers"],
-            doc["n_symbols"],
-            doc["subcarrier_spacing"],
-            doc["symbol_duration"],
-        )
+        variant, fields = _document_fields(doc, "variant", _SYSTEM_FIELDS, "system")
+        return cls.simo(**fields) if variant == SIMO else cls.ofdm(**fields)
 
 
 @dataclass(frozen=True)
@@ -316,14 +337,8 @@ def grid_to_json(grid: AngleGrid | DelayDopplerGrid) -> dict:
 
 
 def grid_from_json(doc: dict) -> AngleGrid | DelayDopplerGrid:
-    if doc["kind"] == "angle":
-        return AngleGrid(size=doc["size"])
-    return DelayDopplerGrid(
-        doppler_size=doc["doppler_size"],
-        delay_size=doc["delay_size"],
-        doppler_bound=doc["doppler_bound"],
-        delay_bound=doc["delay_bound"],
-    )
+    kind, fields = _document_fields(doc, "kind", _GRID_FIELDS, "grid")
+    return AngleGrid(**fields) if kind == "angle" else DelayDopplerGrid(**fields)
 
 
 def load_dictionary(grid_doc: dict, system_doc: dict) -> Dictionary:

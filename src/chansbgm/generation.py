@@ -7,20 +7,29 @@ entry index names the grid point (angle, or delay-Doppler tuple) and the
 complex value is the path gain. Channels are obtained by multiplying with
 any dictionary over the same grid, so the system configuration can differ
 from the one used for training.
+
+A batch can be handled in row blocks (:func:`chansbgm.utils.row_blocks`):
+:func:`sample_blocks` yields the draw block by block, the batch functions
+take a block as they take a whole batch, and :func:`save_batch` appends
+blocks as they come. Streamed this way a batch of any size needs memory
+for one block, and the bytes written do not depend on the block size.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .container import read_array, read_json, write_array, write_json
+from .container import ArrayReader, ArrayWriter, read_json, write_json
 from .dictionary import Dictionary
 from .em import SbgmModel
 from .errors import DomainMismatchError, InvalidArgumentError
-from .utils import complex_standard_normal
+from .utils import complex_standard_normal, row_blocks
 
 
 @dataclass(frozen=True)
@@ -51,14 +60,18 @@ class GeneratedBatch:
         return self.sparse.shape[1]
 
 
-def sample_parameters(
+def sample_blocks(
     model: SbgmModel, n: int, rng: np.random.Generator | int
-) -> GeneratedBatch:
-    """Draw ``n`` coefficient vectors from the fitted mixture.
+) -> Iterator[GeneratedBatch]:
+    """Draw ``n`` coefficient vectors from the fitted mixture, as
+    consecutive row blocks (:func:`chansbgm.utils.row_blocks`).
 
     Component labels follow the mixture weights; conditioned on the label
     the entries are independent circularly symmetric complex Gaussians
-    with the component's variances.
+    with the component's variances. All ``n`` labels are drawn first and
+    the Gaussians block by block after them, which consumes the random
+    stream exactly as one whole draw does, so the values do not depend on
+    the block size. There is always at least one block.
     """
     if n < 0:
         raise InvalidArgumentError("n must be nonnegative")
@@ -66,15 +79,31 @@ def sample_parameters(
     rng = np.random.default_rng(rng)
     s = model.n_coefficients
     labels = rng.choice(model.n_components, size=n, p=model.weights)
-    draws = complex_standard_normal(rng, (n, s))
-    variances = model.expanded_variances()
-    sparse = draws * np.sqrt(variances[labels]) if n else np.zeros((0, s), dtype=complex)
+    scales = np.sqrt(model.expanded_variances())
     provenance = {
         "model_id": model.content_id,
         "seed": None if seed is None else int(seed),
         "p_max": None,
     }
-    return GeneratedBatch(sparse=sparse, labels=labels, provenance=provenance)
+    for rows in row_blocks(n, s):
+        block_labels = labels[rows]
+        draws = complex_standard_normal(rng, (len(block_labels), s))
+        yield GeneratedBatch(
+            sparse=draws * scales[block_labels], labels=block_labels, provenance=provenance
+        )
+
+
+def sample_parameters(
+    model: SbgmModel, n: int, rng: np.random.Generator | int
+) -> GeneratedBatch:
+    """Draw ``n`` coefficient vectors from the fitted mixture in one batch
+    (the blocks of :func:`sample_blocks`, joined)."""
+    blocks = list(sample_blocks(model, n, rng))
+    return GeneratedBatch(
+        sparse=np.concatenate([b.sparse for b in blocks]),
+        labels=np.concatenate([b.labels for b in blocks]),
+        provenance=blocks[0].provenance,
+    )
 
 
 def render_channels(batch: GeneratedBatch, dictionary: Dictionary) -> GeneratedBatch:
@@ -137,37 +166,86 @@ def conditional_covariance(model: SbgmModel, k: int, dictionary: Dictionary) -> 
     return (d * gamma[None, :]) @ d.conj().T
 
 
-def save_batch(batch: GeneratedBatch, directory: str | Path, extra_meta: dict | None = None) -> None:
+def save_batch(
+    batch: GeneratedBatch | Iterable[GeneratedBatch],
+    directory: str | Path,
+    extra_meta: dict | None = None,
+) -> None:
+    """Write a batch directory: ``sparse``, ``labels``, ``channels`` (when
+    the batch has them) and, last, ``batch.json``.
+
+    ``batch`` is a whole batch or the consecutive row blocks of one, such
+    as :func:`sample_blocks` yields (then rendered or capped block by
+    block); blocks are appended to the payloads as they arrive. If a block
+    fails, no payload reaches its final name.
+    """
+    blocks = iter([batch] if isinstance(batch, GeneratedBatch) else batch)
+    first = next(blocks, None)
+    if first is None:
+        raise InvalidArgumentError("a batch is written from at least one block")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    roles = {"sparse": "generated-coefficients", "labels": "component-labels"}
+    if first.channels is not None:
+        roles["channels"] = "generated-channels"
+    n_samples = 0
+    with ExitStack() as stack:
+        writers = {
+            stem: stack.enter_context(ArrayWriter(directory / stem, role))
+            for stem, role in roles.items()
+        }
+        for block in chain([first], blocks):
+            if (block.channels is not None) != ("channels" in writers):
+                raise InvalidArgumentError("either every block of a batch has channels or none")
+            writers["sparse"].append(block.sparse)
+            writers["labels"].append(block.labels.astype(float))
+            if block.channels is not None:
+                writers["channels"].append(block.channels)
+            n_samples += len(block)
     meta = {
         "kind": "generated-batch",
-        "n_samples": len(batch),
-        "n_coefficients": batch.n_coefficients,
-        "has_channels": batch.channels is not None,
-        "provenance": batch.provenance or {},
+        "n_samples": n_samples,
+        "n_coefficients": first.n_coefficients,
+        "has_channels": first.channels is not None,
+        "provenance": first.provenance or {},
     }
     if extra_meta:
         meta.update(extra_meta)
-    write_array(directory / "sparse", batch.sparse, role="generated-coefficients")
-    write_array(directory / "labels", batch.labels.astype(float), role="component-labels")
-    if batch.channels is not None:
-        write_array(directory / "channels", batch.channels, role="generated-channels")
     write_json(directory / "batch.json", meta)
 
 
-def load_batch(directory: str | Path) -> tuple[GeneratedBatch, dict]:
+@dataclass(frozen=True)
+class StoredBatch:
+    """A batch directory opened for reading: its ``batch.json`` and a
+    checked :class:`~chansbgm.container.ArrayReader` per payload."""
+
+    meta: dict
+    sparse: ArrayReader
+    labels: ArrayReader
+    channels: ArrayReader | None
+
+
+def open_batch(directory: str | Path) -> StoredBatch:
+    """Open a batch directory and check its payloads against each other
+    and their sidecars, without reading any rows."""
     directory = Path(directory)
     meta = read_json(directory / "batch.json")
-    sparse, _ = read_array(directory / "sparse")
-    labels, _ = read_array(directory / "labels")
-    channels = None
-    if meta.get("has_channels"):
-        channels, _ = read_array(directory / "channels")
+    sparse = ArrayReader(directory / "sparse")
+    labels = ArrayReader(directory / "labels")
+    channels = ArrayReader(directory / "channels") if meta.get("has_channels") else None
+    if len(sparse.shape) != 2:
+        raise InvalidArgumentError(f"{directory}: sparse must be a 2-D (n, S) array")
+    if len(labels) != len(sparse) or (channels is not None and len(channels) != len(sparse)):
+        raise InvalidArgumentError(f"{directory}: sparse, labels and channels differ in length")
+    return StoredBatch(meta=meta, sparse=sparse, labels=labels, channels=channels)
+
+
+def load_batch(directory: str | Path) -> tuple[GeneratedBatch, dict]:
+    stored = open_batch(directory)
     batch = GeneratedBatch(
-        sparse=sparse,
-        labels=labels.astype(int),
-        channels=channels,
-        provenance=meta.get("provenance"),
+        sparse=stored.sparse.read(),
+        labels=stored.labels.read().astype(int),
+        channels=None if stored.channels is None else stored.channels.read(),
+        provenance=stored.meta.get("provenance"),
     )
-    return batch, meta
+    return batch, stored.meta

@@ -9,6 +9,7 @@ import numpy as np
 
 from .dictionary import AngleGrid
 from .errors import DegenerateInputError, InvalidArgumentError
+from .utils import row_blocks
 
 SPREAD_HIST_BINS = 64
 SPREAD_HIST_RANGE = (0.0, math.pi / 2)
@@ -25,6 +26,42 @@ class AngularStats:
     n_skipped: int
 
 
+class PowerProfile:
+    """Running sum of each sample's normalized power |s_q|^2 / ||s||^2.
+
+    Samples are added in order, row after row, exactly as numpy sums an
+    array over its first axis, so adding a batch in blocks of any size
+    gives the bits of adding it whole. Zero-norm samples are counted and
+    left out.
+    """
+
+    def __init__(self, n_coefficients: int):
+        self.total = np.zeros(n_coefficients)
+        self.n_kept = 0
+        self.n_skipped = 0
+
+    def add(self, vectors: np.ndarray) -> None:
+        power = np.abs(vectors) ** 2
+        norms = power.sum(axis=1)
+        keep = norms > 0
+        # the running total leads the block's rows, so one sum over the
+        # first axis continues the row-by-row order
+        rows = np.empty((int(np.sum(keep)) + 1, len(self.total)))
+        rows[0] = self.total
+        np.divide(power[keep], norms[keep, None], out=rows[1:])
+        self.total = rows.sum(axis=0)
+        self.n_kept += len(rows) - 1
+        self.n_skipped += int(np.sum(~keep))
+
+    def profile(self) -> np.ndarray:
+        """Mean normalized power over the kept samples."""
+        if self.n_kept + self.n_skipped == 0:
+            raise InvalidArgumentError("vectors must be a nonempty (n, S) array")
+        if self.n_kept == 0:
+            raise DegenerateInputError("all samples have zero norm")
+        return self.total / self.n_kept
+
+
 def power_angular_profile(vectors: np.ndarray) -> tuple[np.ndarray, int]:
     """Mean normalized per-gridpoint power, and the skipped-sample count.
 
@@ -32,16 +69,12 @@ def power_angular_profile(vectors: np.ndarray) -> tuple[np.ndarray, int]:
     skipped (the ratio is undefined for them).
     """
     vectors = np.asarray(vectors)
-    if vectors.ndim != 2 or len(vectors) == 0:
+    if vectors.ndim != 2:
         raise InvalidArgumentError("vectors must be a nonempty (n, S) array")
-    power = np.abs(vectors) ** 2
-    norms = power.sum(axis=1)
-    keep = norms > 0
-    n_skipped = int(np.sum(~keep))
-    if not np.any(keep):
-        raise DegenerateInputError("all samples have zero norm")
-    profile = np.mean(power[keep] / norms[keep, None], axis=0)
-    return profile, n_skipped
+    accumulator = PowerProfile(vectors.shape[1])
+    for rows in row_blocks(len(vectors), vectors.shape[1]):
+        accumulator.add(vectors[rows])
+    return accumulator.profile(), accumulator.n_skipped
 
 
 def angular_spread(s: np.ndarray, grid: AngleGrid) -> float:
@@ -65,7 +98,9 @@ def batch_angular_spreads(vectors: np.ndarray, grid: AngleGrid) -> tuple[np.ndar
     totals = power.sum(axis=1)
     keep = totals > 0
     angles = grid.points
-    means = (power[keep] @ angles) / totals[keep]
+    # the product runs over every row, so which rows are kept cannot move
+    # the others within the kernel's row groups
+    means = (power @ angles)[keep] / totals[keep]
     deviations = angles[None, :] - means[:, None]
     spreads = np.sqrt(np.sum(deviations**2 * power[keep], axis=1) / totals[keep])
     return spreads, int(np.sum(~keep))
@@ -77,27 +112,36 @@ def angular_stats(vectors: np.ndarray, grid: AngleGrid) -> AngularStats:
     return AngularStats(profile=profile, spreads=spreads, n_skipped=skipped)
 
 
-def nmse(estimates: np.ndarray, truths: np.ndarray) -> float:
-    """Mean over samples of ||estimate - truth||^2 / dimension."""
+def _paired(estimates: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     estimates = np.asarray(estimates)
     truths = np.asarray(truths)
     if estimates.shape != truths.shape or estimates.ndim != 2 or len(estimates) == 0:
         raise InvalidArgumentError("estimates and truths must be equal-shape (n, N) arrays")
-    err = np.sum(np.abs(estimates - truths) ** 2, axis=1) / estimates.shape[1]
-    return float(np.mean(err))
+    return estimates, truths
 
 
-def cosine_similarity(estimates: np.ndarray, truths: np.ndarray) -> float:
-    """Mean absolute normalized inner product; 1 for collinear pairs."""
-    estimates = np.asarray(estimates)
-    truths = np.asarray(truths)
-    if estimates.shape != truths.shape or estimates.ndim != 2 or len(estimates) == 0:
-        raise InvalidArgumentError("estimates and truths must be equal-shape (n, N) arrays")
+def sample_nmse(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """Per-sample ||estimate - truth||^2 / dimension."""
+    return np.sum(np.abs(estimates - truths) ** 2, axis=1) / estimates.shape[1]
+
+
+def sample_cosines(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """Per-sample absolute normalized inner product; 1 for collinear pairs."""
     num = np.abs(np.sum(estimates.conj() * truths, axis=1))
     den = np.linalg.norm(estimates, axis=1) * np.linalg.norm(truths, axis=1)
     if np.any(den == 0):
         raise DegenerateInputError("cosine similarity is undefined for zero vectors")
-    return float(np.mean(num / den))
+    return num / den
+
+
+def nmse(estimates: np.ndarray, truths: np.ndarray) -> float:
+    """Mean over samples of ||estimate - truth||^2 / dimension."""
+    return float(np.mean(sample_nmse(*_paired(estimates, truths))))
+
+
+def cosine_similarity(estimates: np.ndarray, truths: np.ndarray) -> float:
+    """Mean absolute normalized inner product; 1 for collinear pairs."""
+    return float(np.mean(sample_cosines(*_paired(estimates, truths))))
 
 
 def histogram_w1(

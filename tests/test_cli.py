@@ -178,6 +178,25 @@ class TestFit:
                      "--out", str(tmp_path / "m")])
         assert code == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize(
+        "key, field, value",
+        [("grid", "kind", "angles"), ("grid", "size", None), ("system", "variant", "simd"),
+         ("system", "variant", "ofdm")],
+    )
+    def test_malformed_grid_or_system_document_rejected(
+        self, simo_dataset, tmp_path, key, field, value
+    ):
+        path = simo_dataset / "scenario.json"
+        scenario = json.loads(path.read_text())
+        if value is None:
+            del scenario[key][field]
+        else:
+            scenario[key][field] = value
+        path.write_text(json.dumps(scenario))
+        code = main(["fit", str(simo_dataset), "--model", "msbl",
+                     "--out", str(tmp_path / "m")])
+        assert code == EXIT_BAD_CONFIG
+
     def test_non_finite_observation_rejected(self, simo_dataset, tmp_path):
         path = simo_dataset / "observations.bin"
         payload = bytearray(path.read_bytes())
@@ -287,6 +306,147 @@ class TestGenerateAndMetrics:
         code = main(["metrics", str(batch), "--channel-metrics",
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_BAD_CONFIG
+
+
+    def test_metrics_on_malformed_grid_rejected(self, fitted_model, tmp_path):
+        batch = tmp_path / "batch"
+        main(["generate", str(fitted_model), "-n", "10", "--seed", "5", "--out", str(batch)])
+        meta = json.loads((batch / "batch.json").read_text())
+        meta["grid"]["kind"] = "angles"
+        (batch / "batch.json").write_text(json.dumps(meta))
+        code = main(["metrics", str(batch), "--out", str(tmp_path / "r")])
+        assert code == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("corruption", ["truncated", "shape", "missing-channels"])
+    def test_corrupt_batch_rejected(self, fitted_model, tmp_path, corruption):
+        batch = tmp_path / "batch"
+        main(["generate", str(fitted_model), "-n", "30", "--seed", "5", "--render",
+              "--out", str(batch)])
+        if corruption == "truncated":
+            payload = (batch / "sparse.bin").read_bytes()
+            (batch / "sparse.bin").write_bytes(payload[:-16])
+        elif corruption == "shape":
+            sidecar = json.loads((batch / "sparse.json").read_text())
+            sidecar["shape"] = [15, 48]  # same byte count as the payload's (30, 24)
+            (batch / "sparse.json").write_text(json.dumps(sidecar))
+        else:
+            (batch / "channels.bin").unlink()
+        code = main(["metrics", str(batch), "--out", str(tmp_path / "r")])
+        assert code == EXIT_BAD_CONFIG
+
+    def test_failed_generate_leaves_no_partial_payload(
+        self, fitted_model, tmp_path, monkeypatch
+    ):
+        import chansbgm.generation as generation_module
+        import chansbgm.utils as utils_module
+
+        batch = tmp_path / "batch"
+        assert main(["generate", str(fitted_model), "-n", "150", "--seed", "1", "--render",
+                     "--out", str(batch)]) == EXIT_OK
+        before = dir_bytes(batch)
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1)
+        real_render = generation_module.render_channels
+        calls = []
+
+        def render_then_fail(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            return real_render(*args)
+
+        monkeypatch.setattr(generation_module, "render_channels", render_then_fail)
+        code = main(["generate", str(fitted_model), "-n", "150", "--seed", "2", "--render",
+                     "--out", str(batch)])
+        assert code == EXIT_BAD_CONFIG
+        assert len(calls) == 2
+        # the earlier batch stays whole and no temporary payload is left
+        assert dir_bytes(batch) == before
+
+
+def _generate_and_score(model, root, n, args):
+    """CLI generate of a capped batch and its uncapped reference, and the
+    paired metrics report; returns every byte written."""
+    capped, full = root / "capped", root / "full"
+    for out, extra in ((capped, ["--p-max", "2"]), (full, [])):
+        assert main(["generate", str(model), "-n", str(n), "--seed", "4", *args, *extra,
+                     "--out", str(out)]) == EXIT_OK
+    assert main(["metrics", str(capped), str(full), "--channel-metrics",
+                 "--out", str(root / "report")]) == EXIT_OK
+    assert main(["metrics", str(full), "--out", str(root / "own")]) == EXIT_OK
+    return dir_bytes(root)
+
+
+def _library_batch(model_dir, n, out, p_max, system_doc=None):
+    """The in-memory path: sample_parameters, limit_batch_paths,
+    render_channels, save_batch."""
+    from chansbgm.dictionary import load_dictionary
+    from chansbgm.em import load_model
+    from chansbgm.generation import (
+        limit_batch_paths,
+        render_channels,
+        sample_parameters,
+        save_batch,
+    )
+
+    model, meta = load_model(model_dir)
+    system_doc = system_doc or meta["system"]
+    batch = limit_batch_paths(sample_parameters(model, n, 4), p_max)
+    batch = render_channels(batch, load_dictionary(meta["grid"], system_doc))
+    save_batch(batch, out, extra_meta={"grid": meta["grid"], "system": system_doc,
+                                       "model_id": meta["model_id"]})
+    return dir_bytes(out)
+
+
+@pytest.fixture()
+def ofdm_model(tmp_path):
+    cfg = write_config(tmp_path, small_ofdm_config(), "ofdm.json")
+    em = write_config(tmp_path, {"max_iters": 5}, "em.json")
+    data, model = tmp_path / "ofdm_data", tmp_path / "ofdm_model"
+    assert main(["synth", "--config", cfg, "--seed", "3", "--out", str(data)]) == EXIT_OK
+    assert main(["fit", str(data), "--K", "2", "--seed", "1", "--config", em,
+                 "--out", str(model)]) == EXIT_OK
+    return model
+
+
+class TestBlockSizeInvariance:
+    """generate and metrics write the same bytes whatever the row block
+    size, and the same bytes as the in-memory library path."""
+
+    @pytest.mark.parametrize("n", [150, 129])
+    def test_simo_capped_and_swapped(self, simo_dataset, tmp_path, monkeypatch, n):
+        import chansbgm.utils as utils_module
+
+        em = write_config(tmp_path, {"max_iters": 10}, "em.json")
+        model = tmp_path / "model"
+        main(["fit", str(simo_dataset), "--K", "2", "--seed", "2", "--config", em,
+              "--out", str(model)])
+        swap_doc = {"variant": "simo", "n_antennas": 9}
+        args = ["--render", "--swap-config", write_config(tmp_path, swap_doc, "swap.json")]
+        whole = _generate_and_score(model, tmp_path / "whole", n, args)
+        library = _library_batch(model, n, tmp_path / "library", 2, swap_doc)
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1)
+        assert len(utils_module.row_blocks(n, 24)) > 1
+        blocked = _generate_and_score(model, tmp_path / "blocked", n, args)
+        assert blocked == whole
+        assert library == {
+            name.split("/", 1)[1]: data for name, data in whole.items()
+            if name.startswith("capped/")
+        }
+
+    def test_ofdm_rendered(self, ofdm_model, tmp_path, monkeypatch):
+        import chansbgm.utils as utils_module
+
+        n = 150
+        whole = _generate_and_score(ofdm_model, tmp_path / "whole", n, ["--render"])
+        library = _library_batch(ofdm_model, n, tmp_path / "library", 2)
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1)
+        assert len(utils_module.row_blocks(n, 16)) > 1
+        blocked = _generate_and_score(ofdm_model, tmp_path / "blocked", n, ["--render"])
+        assert blocked == whole
+        assert library == {
+            name.split("/", 1)[1]: data for name, data in whole.items()
+            if name.startswith("capped/")
+        }
 
 
 class TestSelfcheck:

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from chansbgm.container import read_array, write_array
+from chansbgm.container import ArrayReader, ArrayWriter, read_array, write_array
 from chansbgm.errors import InvalidArgumentError
 
 
@@ -44,5 +46,61 @@ def test_truncated_payload_rejected(tmp_path):
     write_array(tmp_path / "x", np.ones(4), role="test")
     payload = (tmp_path / "x.bin").read_bytes()
     (tmp_path / "x.bin").write_bytes(payload[:-8])
+    with pytest.raises(InvalidArgumentError):
+        read_array(tmp_path / "x")
+
+
+def test_streamed_write_is_byte_identical(tmp_path):
+    rng = np.random.default_rng(3)
+    arr = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
+    write_array(tmp_path / "whole", arr, role="test", provenance={"seed": 3})
+    with ArrayWriter(tmp_path / "streamed", role="test", provenance={"seed": 3}) as writer:
+        for rows in (slice(0, 3), slice(3, 3), slice(3, 4), slice(4, 10)):
+            writer.append(arr[rows])
+    for suffix in (".bin", ".json"):
+        assert (tmp_path / f"streamed{suffix}").read_bytes() == (
+            tmp_path / f"whole{suffix}"
+        ).read_bytes()
+
+
+def test_reader_rows_match_whole(tmp_path):
+    rng = np.random.default_rng(4)
+    arr = rng.standard_normal((9, 2, 3))
+    write_array(tmp_path / "x", arr, role="test")
+    reader = ArrayReader(tmp_path / "x")
+    assert len(reader) == 9
+    parts = [reader.read(rows) for rows in (slice(0, 2), slice(2, 2), slice(2, 9))]
+    assert np.concatenate(parts).tobytes() == arr.tobytes()
+    assert reader.read(slice(5, None)).tobytes() == arr[5:].tobytes()
+    assert b"".join(block.tobytes() for block in reader.blocks()) == arr.tobytes()
+
+
+def test_failed_write_leaves_final_names_untouched(tmp_path):
+    write_array(tmp_path / "x", np.ones(4), role="test")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(RuntimeError):
+        with ArrayWriter(tmp_path / "x", role="test") as writer:
+            writer.append(np.zeros(3))
+            raise RuntimeError("disk full")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "block", [np.zeros((2, 4)), np.zeros((2, 3), dtype=complex)], ids=["row-shape", "dtype"]
+)
+def test_block_not_continuing_the_array_rejected(tmp_path, block):
+    with pytest.raises(InvalidArgumentError):
+        with ArrayWriter(tmp_path / "x", role="test") as writer:
+            writer.append(np.zeros((2, 3)))
+            writer.append(block)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shape", [[5], [3, 1], [], "4", [4.0]])
+def test_sidecar_shape_disagreeing_with_payload_rejected(tmp_path, shape):
+    write_array(tmp_path / "x", np.ones(4), role="test")
+    sidecar = json.loads((tmp_path / "x.json").read_text())
+    sidecar["shape"] = shape
+    (tmp_path / "x.json").write_text(json.dumps(sidecar))
     with pytest.raises(InvalidArgumentError):
         read_array(tmp_path / "x")

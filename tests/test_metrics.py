@@ -16,6 +16,7 @@ from chansbgm import (
     toeplitz_deviation,
 )
 from chansbgm.errors import DegenerateInputError, InvalidArgumentError
+from chansbgm.metrics import PowerProfile
 
 
 class TestPowerAngularProfile:
@@ -52,6 +53,26 @@ class TestPowerAngularProfile:
         vectors = rng.standard_normal((50, 12)) * rng.uniform(0, 10, (50, 12))
         profile, _ = power_angular_profile(vectors)
         assert profile.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("size", [2, 5, 64])
+    def test_blocks_give_the_bits_of_one_mean(self, size):
+        rng = np.random.default_rng(2)
+        vectors = rng.standard_normal((300, size)) + 1j * rng.standard_normal((300, size))
+        vectors[[3, 150, 151]] = 0.0
+        power = np.abs(vectors) ** 2
+        norms = power.sum(axis=1)
+        keep = norms > 0
+        reference = np.mean(power[keep] / norms[keep, None], axis=0)
+        for step in (1, 7, 64, 300):
+            accumulator = PowerProfile(size)
+            for start in range(0, 300, step):
+                accumulator.add(vectors[start:start + step])
+            assert accumulator.profile().tobytes() == reference.tobytes()
+            assert accumulator.n_skipped == 3
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            power_angular_profile(np.zeros((0, 4), dtype=complex))
 
     def test_zero_norm_samples_skipped_and_counted(self):
         vectors = np.zeros((4, 3), dtype=complex)
