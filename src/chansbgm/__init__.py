@@ -21,8 +21,8 @@ _EXPORTS = {
         "build_dictionary",
         "build_ofdm_dictionary",
         "build_simo_dictionary",
-        "delay_steering",
-        "doppler_steering",
+        "delay_matrix",
+        "doppler_matrix",
         "load_dictionary",
         "steering_vector_ula",
         "swap_system_config",
@@ -63,9 +63,7 @@ _EXPORTS = {
         "save_batch",
     ],
     "metrics": [
-        "AngularStats",
         "angular_spread",
-        "angular_stats",
         "batch_angular_spreads",
         "cosine_similarity",
         "histogram_w1",

@@ -33,109 +33,51 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-SYSTEM_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {
-            "properties": {
-                "variant": {"const": "simo"},
-                "n_antennas": {"type": "integer", "minimum": 1},
-            },
-            "required": ["variant", "n_antennas"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "variant": {"const": "ofdm"},
-                "n_subcarriers": {"type": "integer", "minimum": 1},
-                "n_symbols": {"type": "integer", "minimum": 1},
-                "subcarrier_spacing": {"type": "number", "exclusiveMinimum": 0},
-                "symbol_duration": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": [
-                "variant",
-                "n_subcarriers",
-                "n_symbols",
-                "subcarrier_spacing",
-                "symbol_duration",
-            ],
-            "additionalProperties": False,
-        },
-    ],
+# JSON types of the fields of each scenario's synth config (its system
+# document is checked by SystemConfig.from_json, value ranges by the
+# constructors that take the values)
+_SYNTH_COMMON = {
+    "n_train": "integer",
+    "snr_range_db": "number pair",
+    "system": "object",
+    "normalize": "boolean",
 }
-
-_SNR_RANGE = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
-
-SYNTH_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "scenario": {"enum": ["simo", "ofdm"]},
-        "n_train": {"type": "integer", "minimum": 1},
-        "snr_range_db": _SNR_RANGE,
-        "system": SYSTEM_SCHEMA,
-        "grid_size": {"type": "integer", "minimum": 2},
-        "angle_profile": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "properties": {
-                    "center_deg": {"type": "number"},
-                    "half_width_deg": {"type": "number", "minimum": 0},
-                    "weight": {"type": "number", "minimum": 0},
-                },
-                "required": ["center_deg", "half_width_deg", "weight"],
-                "additionalProperties": False,
-            },
-        },
-        "laplacian_std_deg": {"type": "number", "exclusiveMinimum": 0},
-        "quadrature_points": {"type": "integer", "minimum": 64},
-        "doppler_size": {"type": "integer", "minimum": 2},
-        "delay_size": {"type": "integer", "minimum": 1},
-        "doppler_bound_hz": {"type": "number", "exclusiveMinimum": 0},
-        "delay_bound_s": {"type": "number", "exclusiveMinimum": 0},
-        "n_pilots": {"type": "integer", "minimum": 1},
-        "paths": {
-            "type": "object",
-            "properties": {
-                "max_paths": {"type": "integer", "minimum": 1},
-                "delay_range_s": _SNR_RANGE,
-                "doppler_range_hz": _SNR_RANGE,
-                "gain_decay_rate": {"type": "number", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "normalize": {"type": "boolean"},
+_SYNTH_FIELDS = {
+    "simo": {
+        **_SYNTH_COMMON,
+        "grid_size": "integer",
+        "angle_profile": "array",
+        "laplacian_std_deg": "number",
+        "quadrature_points": "integer",
     },
-    "required": ["scenario", "n_train", "snr_range_db", "system"],
-    "additionalProperties": False,
-}
-
-EM_OPTIONS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "max_iters": {"type": "integer", "minimum": 1},
-        "rel_tol": {"type": "number", "exclusiveMinimum": 0},
-        "clip_floor": {"type": "number", "exclusiveMinimum": 0},
-        "kron_sweeps": {"type": "integer", "minimum": 1},
+    "ofdm": {
+        **_SYNTH_COMMON,
+        "doppler_size": "integer",
+        "delay_size": "integer",
+        "doppler_bound_hz": "number",
+        "delay_bound_s": "number",
+        "n_pilots": "integer",
+        "paths": "object",
     },
-    "additionalProperties": False,
+}
+_SYNTH_OPTIONAL = ("normalize", "angle_profile", "laplacian_std_deg", "quadrature_points", "paths")
+_ANGLE_COMPONENT_FIELDS = {"center_deg": "number", "half_width_deg": "number", "weight": "number"}
+_PATHS_FIELDS = {
+    "max_paths": "integer",
+    "delay_range_s": "number pair",
+    "doppler_range_hz": "number pair",
+    "gain_decay_rate": "number",
+}
+_EM_OPTION_FIELDS = {
+    "max_iters": "integer",
+    "rel_tol": "number",
+    "clip_floor": "number",
+    "kron_sweeps": "integer",
 }
 
 
 class ConfigError(Exception):
     pass
-
-
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def default_simo_synth_config() -> dict:
@@ -184,25 +126,32 @@ def _configure_threads(threads: int | None) -> None:
         os.environ[var] = str(int(threads))
 
 
-def _load_config(path: str | None, schema: dict, default: dict | None = None) -> dict:
-    import jsonschema
-
-    if path is None:
-        if default is None:
-            raise ConfigError("--config is required for this command")
-        document = default
-    else:
-        try:
-            document = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+def _load_config(path: str):
+    """The JSON document in the file ``path``."""
     try:
-        jsonschema.validate(document, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config failed schema validation: {exc.message}") from exc
-    return document
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+
+
+def _synth_config(document) -> dict:
+    """Check a synth config with its angle_profile entries and paths."""
+    from .utils import check_document, check_tagged_document
+
+    config = check_tagged_document(
+        document, "scenario", _SYNTH_FIELDS, "synth config", _SYNTH_OPTIONAL
+    )
+    if config["n_train"] < 1:
+        raise ConfigError("n_train must be >= 1")
+    for entry in config.get("angle_profile", ()):
+        check_document(
+            entry, _ANGLE_COMPONENT_FIELDS, _ANGLE_COMPONENT_FIELDS, "angle_profile entry"
+        )
+    if "paths" in config:
+        config["paths"] = check_document(config["paths"], _PATHS_FIELDS, what="paths")
+    return config
 
 
 def _profile_from_config(entries: list[dict] | None):
@@ -222,7 +171,7 @@ def _profile_from_config(entries: list[dict] | None):
     )
 
 
-def cmd_synth(config_path: str | None, seed: int, out: str) -> int:
+def cmd_synth(config_path: str, seed: int, out: str) -> int:
     import numpy as np
 
     from .container import write_array, write_json
@@ -245,20 +194,18 @@ def cmd_synth(config_path: str | None, seed: int, out: str) -> int:
         sample_angle,
     )
 
-    config = _load_config(config_path, SYNTH_SCHEMA)
-    if config["system"]["variant"] != config["scenario"]:
+    config = _synth_config(_load_config(config_path))
+    system = SystemConfig.from_json(config["system"])
+    if system.variant != config["scenario"]:
         raise ConfigError("system variant must match the scenario")
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    system = SystemConfig.from_json(config["system"])
     n_train = config["n_train"]
     snr_range = tuple(config["snr_range_db"])
     scale = 1.0
 
     if config["scenario"] == "simo":
-        if "grid_size" not in config:
-            raise ConfigError("simo scenario requires grid_size")
         grid = AngleGrid(config["grid_size"])
         dictionary_id = build_dictionary(grid, system).content_id
         profile = _profile_from_config(config.get("angle_profile"))
@@ -273,9 +220,6 @@ def cmd_synth(config_path: str | None, seed: int, out: str) -> int:
             channels, scale = normalize_dataset(channels)
         measurement = np.eye(system.n_antennas)
     else:
-        for key in ("doppler_size", "delay_size", "doppler_bound_hz", "delay_bound_s", "n_pilots"):
-            if key not in config:
-                raise ConfigError(f"ofdm scenario requires {key}")
         grid = DelayDopplerGrid(
             doppler_size=config["doppler_size"],
             delay_size=config["delay_size"],
@@ -361,10 +305,12 @@ def cmd_fit(
     seed: int,
     config_path: str | None,
 ) -> int:
-    from .container import write_json
+    from .container import write_json, write_text
     from .em import csgmm_fit, save_model
+    from .utils import check_document
 
-    options = _load_config(config_path, EM_OPTIONS_SCHEMA, default={})
+    document = {} if config_path is None else _load_config(config_path)
+    options = check_document(document, _EM_OPTION_FIELDS, what="EM options")
     if model_kind == "msbl":
         if n_components not in (None, 1):
             raise ConfigError("msbl is the single-component model; omit --K or use --K 1")
@@ -397,7 +343,7 @@ def cmd_fit(
     )
     lines = ["iteration,log_likelihood"]
     lines += [f"{i},{repr(float(v))}" for i, v in enumerate(trace.log_likelihoods)]
-    _write_text(out_dir / "trace.csv", "\n".join(lines) + "\n")
+    write_text(out_dir / "trace.csv", "\n".join(lines) + "\n")
     write_json(
         out_dir / "fit.json",
         {
@@ -427,14 +373,13 @@ def cmd_generate(
     p_max: int | None,
     swap_config_path: str | None,
 ) -> int:
-    from .dictionary import load_dictionary
+    from .dictionary import SystemConfig, load_dictionary
     from .em import load_model
     from .generation import limit_batch_paths, render_channels, sample_blocks, save_batch
 
     model, meta = load_model(model_dir)
-    system_doc = meta["system"]
-    if swap_config_path is not None:
-        system_doc = _load_config(swap_config_path, SYSTEM_SCHEMA)
+    system_doc = meta["system"] if swap_config_path is None else _load_config(swap_config_path)
+    SystemConfig.from_json(system_doc)  # the batch records it even when nothing is rendered
     dictionary = load_dictionary(meta["grid"], system_doc) if render else None
     # one row block at a time: drawn, capped, rendered, appended
     blocks = sample_blocks(model, n, seed)
@@ -490,7 +435,7 @@ def cmd_metrics(
 ) -> int:
     import numpy as np
 
-    from .container import write_json
+    from .container import write_json, write_text
     from .dictionary import AngleGrid, grid_from_json
     from .generation import open_batch
     from .metrics import (
@@ -518,7 +463,7 @@ def cmd_metrics(
             lines.append(f"{idx},{repr(float(grid.points[idx]))},{repr(float(mass))}")
         else:
             lines.append(f"{idx},{repr(float(mass))}")
-    _write_text(out_dir / "profile.csv", "\n".join(lines) + "\n")
+    write_text(out_dir / "profile.csv", "\n".join(lines) + "\n")
 
     if angular:
         edges = np.linspace(*SPREAD_HIST_RANGE, SPREAD_HIST_BINS + 1)
@@ -529,7 +474,7 @@ def cmd_metrics(
             f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},{repr(float(hist[i]))}"
             for i in range(SPREAD_HIST_BINS)
         ]
-        _write_text(out_dir / "spread_hist.csv", "\n".join(hist_lines) + "\n")
+        write_text(out_dir / "spread_hist.csv", "\n".join(hist_lines) + "\n")
         report["mean_angular_spread"] = float(np.mean(spreads))
 
     ref_sparse, ref_channels = (None, None) if reference is None else _open_reference(reference)

@@ -51,13 +51,18 @@ def _dtype_tag(array: np.ndarray) -> str:
     return "f64"
 
 
-def write_json(path: str | Path, document: dict) -> None:
-    """Write a JSON document deterministically (sorted keys, fixed layout)."""
+def write_text(path: str | Path, text: str) -> None:
+    """Write UTF-8 text to ``path`` through a temporary file and
+    ``os.replace``, so the final name never holds a partial file."""
     path = Path(path)
-    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def write_json(path: str | Path, document: dict) -> None:
+    """Write a JSON document deterministically (sorted keys, fixed layout)."""
+    write_text(path, json.dumps(document, sort_keys=True, indent=2) + "\n")
 
 
 def read_json(path: str | Path) -> dict:

@@ -31,39 +31,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainMismatchError, InvalidArgumentError
-from .utils import content_id
+from .utils import check_tagged_document, content_id
 
 MAX_DICTIONARY_COLUMNS = 1 << 16
 
 SIMO = "simo"
 OFDM = "ofdm"
 
-# the numeric fields of each kind of grid document and variant of system document
+# the fields of each kind of grid document and variant of system document
 _GRID_FIELDS = {
-    "angle": ("size",),
-    "delay_doppler": ("doppler_size", "delay_size", "doppler_bound", "delay_bound"),
+    "angle": {"size": "integer"},
+    "delay_doppler": {
+        "doppler_size": "integer",
+        "delay_size": "integer",
+        "doppler_bound": "number",
+        "delay_bound": "number",
+    },
 }
 _SYSTEM_FIELDS = {
-    SIMO: ("n_antennas",),
-    OFDM: ("n_subcarriers", "n_symbols", "subcarrier_spacing", "symbol_duration"),
+    SIMO: {"n_antennas": "integer"},
+    OFDM: {
+        "n_subcarriers": "integer",
+        "n_symbols": "integer",
+        "subcarrier_spacing": "number",
+        "symbol_duration": "number",
+    },
 }
-
-
-def _document_fields(doc, tag: str, layouts: dict, what: str) -> tuple[str, dict]:
-    """Check a grid or system document against the layout its ``tag``
-    names; returns the tag value and the layout's fields."""
-    kind = doc.get(tag) if isinstance(doc, dict) else None
-    if not isinstance(kind, str) or kind not in layouts:
-        raise InvalidArgumentError(
-            f"{what} document needs {tag} in {sorted(layouts)}, got {kind!r}"
-        )
-    fields = {key: doc.get(key) for key in layouts[kind]}
-    for key, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidArgumentError(
-                f"{kind} {what} document needs a number {key!r}, got {value!r}"
-            )
-    return kind, fields
 
 
 @dataclass(frozen=True)
@@ -179,8 +172,8 @@ class SystemConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SystemConfig":
-        variant, fields = _document_fields(doc, "variant", _SYSTEM_FIELDS, "system")
-        return cls.simo(**fields) if variant == SIMO else cls.ofdm(**fields)
+        fields = check_tagged_document(doc, "variant", _SYSTEM_FIELDS, "system document")
+        return cls.simo(**fields) if fields.pop("variant") == SIMO else cls.ofdm(**fields)
 
 
 @dataclass(frozen=True)
@@ -237,16 +230,18 @@ def ula_matrix(angles: np.ndarray, n_antennas: int) -> np.ndarray:
     return np.exp(-1j * math.pi * idx * np.sin(angles)[None, :])
 
 
-def doppler_steering(doppler_hz: float, n_symbols: int, symbol_duration: float) -> np.ndarray:
-    """Temporal steering vector: entry i is exp(+j*2*pi*doppler*(i-1)*dT)."""
-    idx = np.arange(n_symbols)
-    return np.exp(2j * math.pi * doppler_hz * idx * symbol_duration)
+def doppler_matrix(dopplers: np.ndarray, n_symbols: int, symbol_duration: float) -> np.ndarray:
+    """Temporal steering vectors toward Doppler shifts ``dopplers`` (Hz) as
+    columns: entry (i, q) is exp(+j*2*pi*dopplers[q]*i*dT) with 0-based i."""
+    sym = np.arange(n_symbols)[:, None]
+    return np.exp(2j * math.pi * sym * (np.asarray(dopplers) * symbol_duration)[None, :])
 
 
-def delay_steering(delay_s: float, n_subcarriers: int, subcarrier_spacing: float) -> np.ndarray:
-    """Spectral steering vector: entry j is exp(-j*2*pi*delay*(j-1)*df)."""
-    idx = np.arange(n_subcarriers)
-    return np.exp(-2j * math.pi * delay_s * idx * subcarrier_spacing)
+def delay_matrix(delays: np.ndarray, n_subcarriers: int, subcarrier_spacing: float) -> np.ndarray:
+    """Spectral steering vectors toward delays ``delays`` (seconds) as
+    columns: entry (j, p) is exp(-j*2*pi*delays[p]*j*df) with 0-based j."""
+    sub = np.arange(n_subcarriers)[:, None]
+    return np.exp(-2j * math.pi * sub * (np.asarray(delays) * subcarrier_spacing)[None, :])
 
 
 def build_simo_dictionary(grid: AngleGrid, config: SystemConfig) -> Dictionary:
@@ -273,10 +268,8 @@ def build_ofdm_dictionary(
         raise CapacityError(
             f"grid has {grid.size} columns, exceeding the limit of {max_columns}"
         )
-    sym = np.arange(config.n_symbols)[:, None]
-    sub = np.arange(config.n_subcarriers)[:, None]
-    d_t = np.exp(2j * math.pi * sym * (grid.doppler_points * config.symbol_duration)[None, :])
-    d_f = np.exp(-2j * math.pi * sub * (grid.delay_points * config.subcarrier_spacing)[None, :])
+    d_t = doppler_matrix(grid.doppler_points, config.n_symbols, config.symbol_duration)
+    d_f = delay_matrix(grid.delay_points, config.n_subcarriers, config.subcarrier_spacing)
     matrix = np.kron(d_t, d_f)
     return Dictionary(
         matrix=matrix,
@@ -337,8 +330,8 @@ def grid_to_json(grid: AngleGrid | DelayDopplerGrid) -> dict:
 
 
 def grid_from_json(doc: dict) -> AngleGrid | DelayDopplerGrid:
-    kind, fields = _document_fields(doc, "kind", _GRID_FIELDS, "grid")
-    return AngleGrid(**fields) if kind == "angle" else DelayDopplerGrid(**fields)
+    fields = check_tagged_document(doc, "kind", _GRID_FIELDS, "grid document")
+    return AngleGrid(**fields) if fields.pop("kind") == "angle" else DelayDopplerGrid(**fields)
 
 
 def load_dictionary(grid_doc: dict, system_doc: dict) -> Dictionary:

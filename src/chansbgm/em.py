@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .container import read_array, read_json, write_array, write_json
 from .dictionary import DelayDopplerGrid, Dictionary
@@ -201,6 +200,20 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(weights, _DEAD_RESPONSIBILITY))
 
 
+def _log_sum_exp(a: np.ndarray) -> np.ndarray:
+    """log sum_k exp(a_ik) per row of ``a``.
+
+    The row maximum and its ties are taken out of the sum, which then adds
+    only terms below 1 and enters through log1p; this keeps full relative
+    precision when one component dominates a sample.
+    """
+    top = a.max(axis=1, keepdims=True)
+    ties = a == top
+    m = ties.sum(axis=1, keepdims=True).astype(float)
+    rest = np.exp(np.where(ties, -np.inf, a - top)).sum(axis=1, keepdims=True)
+    return (np.log1p(rest / m) + np.log(m) + top)[:, 0]
+
+
 def _e_step(
     model: SbgmModel, w: np.ndarray, obs: ObservationSet
 ) -> tuple[list[_ComponentCache], np.ndarray, np.ndarray]:
@@ -210,7 +223,7 @@ def _e_step(
     log_post = np.column_stack(
         [c.log_marginals(obs.samples, obs.noise_vars) for c in caches]
     ) + _log_weights(model.weights)[None, :]
-    norm = logsumexp(log_post, axis=1)
+    norm = _log_sum_exp(log_post)
     resp = np.exp(log_post - norm[:, None])
     resp /= resp.sum(axis=1, keepdims=True)
     return caches, resp, norm
@@ -442,6 +455,10 @@ def csgmm_fit(
     """
     if n_components < 1:
         raise InvalidArgumentError("n_components must be >= 1")
+    if max_iters < 1 or kron_sweeps < 1:
+        raise InvalidArgumentError("max_iters and kron_sweeps must be >= 1")
+    if not (rel_tol > 0 and clip_floor > 0):
+        raise InvalidArgumentError("rel_tol and clip_floor must be > 0")
     if len(obs) == 0:
         raise InvalidArgumentError("observation set must be nonempty")
     w = effective_matrix(obs.measurement, dictionary.matrix)

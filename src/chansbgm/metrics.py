@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,17 +12,6 @@ from .utils import row_blocks
 
 SPREAD_HIST_BINS = 64
 SPREAD_HIST_RANGE = (0.0, math.pi / 2)
-
-
-@dataclass
-class AngularStats:
-    """Batch-level angular summary: normalized power profile over the grid
-    and per-sample angular spreads. Zero-norm samples are excluded and
-    counted."""
-
-    profile: np.ndarray
-    spreads: np.ndarray
-    n_skipped: int
 
 
 class PowerProfile:
@@ -104,12 +92,6 @@ def batch_angular_spreads(vectors: np.ndarray, grid: AngleGrid) -> tuple[np.ndar
     deviations = angles[None, :] - means[:, None]
     spreads = np.sqrt(np.sum(deviations**2 * power[keep], axis=1) / totals[keep])
     return spreads, int(np.sum(~keep))
-
-
-def angular_stats(vectors: np.ndarray, grid: AngleGrid) -> AngularStats:
-    profile, skipped = power_angular_profile(vectors)
-    spreads, _ = batch_angular_spreads(vectors, grid)
-    return AngularStats(profile=profile, spreads=spreads, n_skipped=skipped)
 
 
 def _paired(estimates: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,8 @@ and the conditional distribution of s given y is Gaussian with
     mu  = diag(gamma) W^H C_y^{-1} y,
     C   = diag(gamma) - diag(gamma) W^H C_y^{-1} W diag(gamma).
 
-All inverses are applied through the Cholesky factor of C_y by triangular
-solves; C_y is never inverted explicitly.
+All inverses are applied through the Cholesky factor of C_y by linear
+solves with that factor; C_y is never inverted explicitly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericError
 from .utils import effective_matrix
@@ -97,11 +96,11 @@ def posterior_moments(
         raise InvalidArgumentError("gamma length must match the dictionary column count")
     factor = marginal_cov_factor(gamma, measurement, dict_matrix, sigma2)
 
-    u = scipy.linalg.solve_triangular(factor, y, lower=True)
-    ciy = scipy.linalg.solve_triangular(factor.conj().T, u, lower=False)
+    u = np.linalg.solve(factor, y)
+    ciy = np.linalg.solve(factor.conj().T, u)
     mean = gamma * (w.conj().T @ ciy)
 
-    v = scipy.linalg.solve_triangular(factor, w, lower=True)
+    v = np.linalg.solve(factor, w)
     quad = np.sum(np.abs(v) ** 2, axis=0)
     cov_diag = np.clip(gamma - gamma**2 * quad, 0.0, gamma)
 

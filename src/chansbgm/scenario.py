@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dictionary import SystemConfig, ula_matrix
+from .dictionary import SystemConfig, delay_matrix, doppler_matrix, ula_matrix
 from .errors import DegenerateInputError, InvalidArgumentError, NumericError
 from .utils import complex_standard_normal, hermitianize
 
@@ -211,6 +211,8 @@ class OfdmScenario:
             raise InvalidArgumentError("OfdmScenario requires an OFDM system config")
         if self.max_paths < 1:
             raise InvalidArgumentError("max_paths must be >= 1")
+        if not self.gain_decay_rate >= 0:
+            raise InvalidArgumentError("gain_decay_rate must be >= 0")
         lo_d, hi_d = self.delay_range
         if not (0.0 <= lo_d <= hi_d < self.delay_bound):
             raise InvalidArgumentError("delay_range must lie within [0, delay_bound)")
@@ -230,10 +232,8 @@ def evaluate_ofdm_channel(
     Entry (j, i) accumulates gain * exp(+j2pi doppler i dT) *
     exp(-j2pi delay j df) over paths, with 0-based sample indices.
     """
-    sub = np.arange(config.n_subcarriers)[:, None]
-    sym = np.arange(config.n_symbols)[:, None]
-    freq = np.exp(-2j * math.pi * sub * (np.asarray(delays) * config.subcarrier_spacing)[None, :])
-    time = np.exp(2j * math.pi * sym * (np.asarray(dopplers) * config.symbol_duration)[None, :])
+    freq = delay_matrix(delays, config.n_subcarriers, config.subcarrier_spacing)
+    time = doppler_matrix(dopplers, config.n_symbols, config.symbol_duration)
     return (freq * np.asarray(gains)[None, :]) @ time.T
 
 

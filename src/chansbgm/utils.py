@@ -1,4 +1,4 @@
-"""Small numeric helpers used across modules."""
+"""Small helpers used across modules."""
 
 from __future__ import annotations
 
@@ -31,6 +31,60 @@ def row_blocks(n: int, row_size: int) -> list[slice]:
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON value types a field table may name
+_JSON_TYPES = {
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+    "number": _is_number,
+    "boolean": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number pair": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+}
+
+
+def check_document(doc, fields: dict[str, str], required=(), what: str = "document") -> dict:
+    """Check a JSON object against a field table; returns its fields.
+
+    ``fields`` maps every known key to the JSON type of its value (a key
+    of ``_JSON_TYPES``); ``required`` lists the keys that must be present.
+    An integer may be written as a float without a fractional part and
+    comes back as an ``int``; booleans are neither integers nor numbers.
+    Ranges are left to the constructors that take the values.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidArgumentError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise InvalidArgumentError(f"{what} has unknown fields {unknown}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise InvalidArgumentError(f"{what} lacks the fields {missing}")
+    checked = {}
+    for key, value in doc.items():
+        if not _JSON_TYPES[fields[key]](value):
+            raise InvalidArgumentError(f"{what}: {key!r} must be {fields[key]}, got {value!r}")
+        checked[key] = int(value) if fields[key] == "integer" else value
+    return checked
+
+
+def check_tagged_document(doc, tag: str, layouts: dict, what: str, optional=()) -> dict:
+    """Check a document whose ``tag`` field names its layout in ``layouts``
+    (a field table per tag value) with :func:`check_document`; every field
+    but those in ``optional`` is required. Returns the fields, ``tag``
+    included."""
+    kind = doc.get(tag) if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in layouts:
+        raise InvalidArgumentError(f"{what} needs {tag} in {sorted(layouts)}, got {kind!r}")
+    layout = {tag: "string", **layouts[kind]}
+    required = [key for key in layout if key not in optional]
+    return check_document(doc, layout, required, f"{kind} {what}")
 
 
 def complex_standard_normal(rng: np.random.Generator, shape) -> np.ndarray:

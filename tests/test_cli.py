@@ -105,6 +105,49 @@ class TestSynth:
             == EXIT_BAD_CONFIG
         )
 
+    @pytest.mark.parametrize(
+        "make, edit",
+        [
+            (small_simo_config, lambda c: c.update(n_train="5")),
+            (small_ofdm_config, lambda c: c.update(n_train=0)),
+            (small_simo_config, lambda c: c.update(snr_range_db=[0.0, 10.0, 20.0])),
+            (small_simo_config, lambda c: c.update(grid=24)),
+            (small_simo_config,
+             lambda c: c.update(angle_profile=[{"center_deg": 0.0, "half_width_deg": 5.0}])),
+            (small_ofdm_config, lambda c: c.update(paths={"gain_decay_rate": -1.0})),
+            (small_ofdm_config, lambda c: c.update(paths={"max_path": 3})),
+            (small_ofdm_config, lambda c: c.update(normalize="yes")),
+            (small_simo_config, lambda c: c.update(scenario="mimo")),
+            (small_ofdm_config, lambda c: c.update(grid_size=1)),
+        ],
+        ids=["n_train-string", "ofdm-n_train-0", "snr-three-items", "unknown-key",
+             "profile-entry-without-weight", "negative-gain-decay", "paths-unknown-key",
+             "normalize-string",
+             "scenario-mimo", "simo-field-in-ofdm"],
+    )
+    def test_malformed_config_rejected(self, tmp_path, make, edit):
+        config = make()
+        edit(config)
+        path = write_config(tmp_path, config)
+        out = tmp_path / "x"
+        assert main(["synth", "--config", path, "--seed", "0", "--out", str(out)]) == (
+            EXIT_BAD_CONFIG
+        )
+
+    def test_integral_floats_accepted_as_integers(self, tmp_path):
+        config = small_simo_config()
+        config.update(n_train=30.0, grid_size=24.0, quadrature_points=256.0)
+        config["system"]["n_antennas"] = 6.0
+        as_floats, as_ints = tmp_path / "floats", tmp_path / "ints"
+        for cfg, out in ((config, as_floats), (small_simo_config(), as_ints)):
+            path = write_config(tmp_path, cfg)
+            assert main(["synth", "--config", path, "--seed", "4", "--out", str(out)]) == EXIT_OK
+        written = dir_bytes(as_floats)
+        assert written.keys() == dir_bytes(as_ints).keys()
+        for name, data in dir_bytes(as_ints).items():
+            if name != "scenario.json":
+                assert written[name] == data, name
+
     def test_ofdm_normalization_target(self, tmp_path):
         cfg = write_config(tmp_path, small_ofdm_config())
         out = tmp_path / "ofdm"
@@ -181,7 +224,8 @@ class TestFit:
     @pytest.mark.parametrize(
         "key, field, value",
         [("grid", "kind", "angles"), ("grid", "size", None), ("system", "variant", "simd"),
-         ("system", "variant", "ofdm")],
+         ("system", "variant", "ofdm"), ("system", "n_antennas", 6.5),
+         ("system", "n_rx", 2)],
     )
     def test_malformed_grid_or_system_document_rejected(
         self, simo_dataset, tmp_path, key, field, value
@@ -194,6 +238,17 @@ class TestFit:
             scenario[key][field] = value
         path.write_text(json.dumps(scenario))
         code = main(["fit", str(simo_dataset), "--model", "msbl",
+                     "--out", str(tmp_path / "m")])
+        assert code == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"max_iters": 0}, {"rel_tol": 0}, {"kron_sweeps": 1.5}, {"max_iter": 10}],
+        ids=["max_iters-0", "rel_tol-0", "kron_sweeps-1.5", "unknown-key"],
+    )
+    def test_malformed_em_options_rejected(self, simo_dataset, tmp_path, options):
+        em = write_config(tmp_path, options, "em.json")
+        code = main(["fit", str(simo_dataset), "--model", "msbl", "--config", em,
                      "--out", str(tmp_path / "m")])
         assert code == EXIT_BAD_CONFIG
 
@@ -275,6 +330,14 @@ class TestGenerateAndMetrics:
                      "--render", "--swap-config", swap, "--out", str(tmp_path / "b")])
         assert code == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("render", [["--render"], []], ids=["rendered", "unrendered"])
+    def test_malformed_swap_config_rejected(self, fitted_model, tmp_path, render):
+        # the batch records the swapped system, so it is checked even unrendered
+        swap = write_config(tmp_path, {"variant": "simo", "n_antennas": 9.5}, "swap.json")
+        code = main(["generate", str(fitted_model), "-n", "5", "--seed", "0", *render,
+                     "--swap-config", swap, "--out", str(tmp_path / "b")])
+        assert code == EXIT_BAD_CONFIG
+
     @pytest.mark.parametrize("stem", ["weights", "variances"])
     def test_non_finite_model_rejected(self, fitted_model, tmp_path, stem):
         path = fitted_model / f"{stem}.bin"
@@ -307,6 +370,18 @@ class TestGenerateAndMetrics:
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_BAD_CONFIG
 
+
+    @pytest.mark.parametrize("field, value", [("n_antennas", 16.5), ("n_rx", 2)])
+    def test_render_with_malformed_model_system_rejected(
+        self, fitted_model, tmp_path, field, value
+    ):
+        path = fitted_model / "model.json"
+        meta = json.loads(path.read_text())
+        meta["system"][field] = value
+        path.write_text(json.dumps(meta))
+        code = main(["generate", str(fitted_model), "-n", "5", "--seed", "0",
+                     "--render", "--out", str(tmp_path / "b")])
+        assert code == EXIT_BAD_CONFIG
 
     def test_metrics_on_malformed_grid_rejected(self, fitted_model, tmp_path):
         batch = tmp_path / "batch"
@@ -455,6 +530,26 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert out.count("[PASS]") >= 8
+
+
+    def test_runtime_imports_only_numpy(self):
+        # a fresh interpreter, so only what chansbgm itself imports is loaded
+        import subprocess
+        import sys
+
+        code = (
+            "import pkgutil, sys, contextlib, io, importlib, chansbgm\n"
+            "for info in pkgutil.iter_modules(chansbgm.__path__):\n"
+            "    importlib.import_module('chansbgm.' + info.name)\n"
+            "from chansbgm.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['selfcheck']) == 0\n"
+            "print(sorted(m for m in ('scipy', 'jsonschema') if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestFullPipelineDeterminism:

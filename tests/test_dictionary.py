@@ -16,7 +16,7 @@ from chansbgm import (
     unvectorize_channel,
     vectorize_channel,
 )
-from chansbgm.dictionary import grid_to_json
+from chansbgm.dictionary import grid_from_json, grid_to_json
 from chansbgm.errors import CapacityError, DomainMismatchError, InvalidArgumentError
 
 
@@ -109,6 +109,19 @@ class TestOfdmDictionary:
         d = build_ofdm_dictionary(grid, config)
         np.testing.assert_allclose(
             d.matrix, np.kron(d.doppler_factor, d.delay_factor), atol=1e-12
+        )
+
+    def test_on_grid_path_renders_its_column(self):
+        from chansbgm import evaluate_ofdm_channel
+
+        grid, config = small_ofdm_setup()
+        d = build_ofdm_dictionary(grid, config)
+        q, p = 1, 3
+        h = evaluate_ofdm_channel(
+            config, np.ones(1), grid.doppler_points[[q]], grid.delay_points[[p]]
+        )
+        np.testing.assert_allclose(
+            vectorize_channel(h), d.matrix[:, q * grid.delay_size + p], atol=1e-14
         )
 
     def test_unit_modulus(self):
@@ -250,3 +263,29 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.delay_factor, d.delay_factor)
         assert loaded.grid == d.grid
         assert loaded.config == d.config
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"variant": "simo", "n_antennas": 16.5},
+            {"variant": "simo", "n_antennas": True},
+            {"variant": "simo", "n_antennas": "16"},
+            {"variant": "simo", "n_antennas": 16, "n_rx": 1},
+            {"variant": "simo"},
+            ["simo", 16],
+        ],
+    )
+    def test_malformed_system_document_rejected(self, doc):
+        with pytest.raises(InvalidArgumentError):
+            SystemConfig.from_json(doc)
+
+    def test_integral_float_fields_read_as_integers(self):
+        config = SystemConfig.from_json({"variant": "simo", "n_antennas": 16.0})
+        assert config == SystemConfig.simo(16)
+        assert type(config.n_antennas) is int
+        grid = grid_from_json(
+            {"kind": "delay_doppler", "doppler_size": 4.0, "delay_size": 4,
+             "doppler_bound": 200, "delay_bound": 4e-6}
+        )
+        assert type(grid.doppler_size) is int
+        assert grid == DelayDopplerGrid(4, 4, doppler_bound=200.0, delay_bound=4e-6)

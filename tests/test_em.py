@@ -24,7 +24,7 @@ from chansbgm import (
     save_model,
     total_log_likelihood,
 )
-from chansbgm.em import GAMMA_FLOOR, _component_sums, _ComponentCache, _e_step
+from chansbgm.em import GAMMA_FLOOR, _component_sums, _ComponentCache, _e_step, _log_sum_exp
 from chansbgm.errors import InvalidArgumentError
 from chansbgm.utils import complex_standard_normal
 
@@ -310,6 +310,16 @@ class TestFit:
         weights = np.sort(model.weights)
         np.testing.assert_allclose(weights, [0.3, 0.7], atol=0.05)
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("max_iters", 0), ("kron_sweeps", 0), ("rel_tol", 0.0), ("clip_floor", 0.0)],
+    )
+    def test_out_of_range_option_rejected(self, option, value):
+        d = simo_setup()
+        obs = synthetic_observations(d, 10, seed=17)
+        with pytest.raises(InvalidArgumentError):
+            csgmm_fit(obs, d, 1, seed=0, **{option: value})
+
     def test_kronecker_fit_monotone_and_structured(self):
         grid = DelayDopplerGrid(4, 4, doppler_bound=200.0, delay_bound=4e-6)
         config = SystemConfig.ofdm(5, 4, 15e3, 1e-3 / 14)
@@ -357,6 +367,11 @@ class TestTotalLogLikelihood:
         )
         assert total_log_likelihood(model, obs, d) == pytest.approx(expected, rel=1e-12)
 
+    def test_log_sum_exp_keeps_small_terms_and_ties(self):
+        # a dominated term below round-off of 1 still counts, through log1p
+        out = _log_sum_exp(np.array([[0.0, -40.0], [3.0, 3.0]]))
+        assert out[0] == pytest.approx(math.exp(-40.0), rel=1e-12, abs=0.0)
+        assert out[1] == math.log(2.0) + 3.0
 
     def test_log_marginals_with_diverged_variances(self):
         # three adjacent, nearly collinear atoms with huge variances: the
