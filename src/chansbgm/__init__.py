@@ -90,7 +90,7 @@ _EXPORTS = {
         "laplacian_local_covariance",
         "make_observations",
         "normalize_dataset",
-        "random_selection_matrix",
+        "random_pilots",
         "sample_angle",
         "simo_ground_truth",
     ],

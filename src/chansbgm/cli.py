@@ -190,7 +190,7 @@ def cmd_synth(config_path: str, seed: int, out: str) -> int:
         laplacian_local_covariance,
         make_observations,
         normalize_dataset,
-        random_selection_matrix,
+        random_pilots,
         sample_angle,
     )
 
@@ -218,7 +218,7 @@ def cmd_synth(config_path: str, seed: int, out: str) -> int:
             channels[i] = draw_simo_channel(cov, rng)
         if config.get("normalize", False):
             channels, scale = normalize_dataset(channels)
-        measurement = np.eye(system.n_antennas)
+        pilots = np.arange(system.n_antennas)
     else:
         grid = DelayDopplerGrid(
             doppler_size=config["doppler_size"],
@@ -244,14 +244,16 @@ def cmd_synth(config_path: str, seed: int, out: str) -> int:
         )
         if config.get("normalize", True):
             channels, scale = normalize_dataset(channels)
-        measurement = random_selection_matrix(config["n_pilots"], system.channel_dim, rng)
+        pilots = random_pilots(config["n_pilots"], system.channel_dim, rng)
 
-    obs = make_observations(channels, measurement, snr_range, rng)
+    obs = make_observations(channels, pilots, snr_range, rng)
     write_array(out_dir / "channels", channels, role="ground-truth-channels")
     write_array(out_dir / "observations", obs.samples, role="observations")
     write_array(out_dir / "noise_vars", obs.noise_vars, role="noise-variances")
     write_array(out_dir / "snr_db", obs.snr_db, role="per-sample-snr-db")
-    write_array(out_dir / "selection", measurement, role="selection-matrix")
+    # stored as the 0/1 selection matrix A, one unit row per pilot
+    selection = np.eye(system.channel_dim)[pilots]
+    write_array(out_dir / "selection", selection, role="selection-matrix")
     write_json(
         out_dir / "scenario.json",
         {
@@ -269,11 +271,25 @@ def cmd_synth(config_path: str, seed: int, out: str) -> int:
     return EXIT_OK
 
 
+def _selection_pilots(selection, n_entries: int):
+    """Pilot indices of a stored (M, n_entries) 0/1 selection matrix with
+    one 1 per row; :class:`ObservationSet` checks that the rows differ."""
+    ones = selection == 1.0
+    if selection.shape[1:] != (n_entries,) or not (
+        (ones == (selection != 0.0)).all() and (ones.sum(axis=1) == 1).all()
+    ):
+        raise InvalidArgumentError(
+            f"selection must be 0/1 with {n_entries} columns and one 1 per row"
+        )
+    return ones.argmax(axis=1)
+
+
 def load_dataset(directory: str | Path):
     """Read a dataset directory back into an observation set + dictionary.
 
     The dictionary is rebuilt from the ``grid`` and ``system`` documents of
-    ``scenario.json`` and must hash to its ``dictionary_id``.
+    ``scenario.json`` and must hash to its ``dictionary_id``; the stored
+    selection matrix becomes the observation set's pilot indices.
     """
     from .container import read_array, read_json
     from .dictionary import load_dictionary
@@ -290,9 +306,8 @@ def load_dataset(directory: str | Path):
     noise_vars, _ = read_array(directory / "noise_vars")
     selection, _ = read_array(directory / "selection")
     snr_db, _ = read_array(directory / "snr_db")
-    obs = ObservationSet(
-        samples=samples, noise_vars=noise_vars, measurement=selection, snr_db=snr_db
-    )
+    pilots = _selection_pilots(selection, len(dictionary.matrix))
+    obs = ObservationSet(samples=samples, noise_vars=noise_vars, pilots=pilots, snr_db=snr_db)
     return obs, dictionary, meta
 
 
@@ -577,7 +592,7 @@ def _selfcheck_registry():
         rng = np.random.default_rng(2)
         d = build_simo_dictionary(AngleGrid(16), SystemConfig.simo(6))
         channels = complex_standard_normal(rng, (30, 6))
-        obs = make_observations(channels, np.eye(6), (5.0, 15.0), rng)
+        obs = make_observations(channels, np.arange(6), (5.0, 15.0), rng)
         _, trace = csgmm_fit(obs, d, 2, max_iters=10, seed=0)
         assert trace.is_monotone(1e-8)
 

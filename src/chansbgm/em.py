@@ -2,10 +2,12 @@
 
 The model is a K-component zero-mean complex Gaussian mixture with
 diagonal per-component covariances diag(gamma_k) on the coefficient
-vector s, observed only through y = W s + n with W = A D. The E-step
-gives every sample's responsibilities r_ik; the M-step needs per
-component only the total R_k = sum_i r_ik and the weighted posterior
-second moment T_k = sum_i r_ik (|mu_ik|^2 + diag C_ik).
+vector s, observed only through y = W s + n with W = A D: the rows of
+the dictionary D at the observed pilots, gathered by
+:meth:`ObservationSet.observed_rows`. The E-step gives every sample's
+responsibilities r_ik; the M-step needs per component only the total
+R_k = sum_i r_ik and the weighted posterior second moment
+T_k = sum_i r_ik (|mu_ik|^2 + diag C_ik).
 
 Because the noise variance differs per sample, the observation covariance
 C_y = W diag(gamma_k) W^H + sigma_i^2 I cannot be factorized once per
@@ -50,7 +52,7 @@ from .container import read_array, read_json, write_array, write_json
 from .dictionary import DelayDopplerGrid, Dictionary
 from .errors import InvalidArgumentError, NumericError
 from .scenario import ObservationSet
-from .utils import content_id, effective_matrix
+from .utils import content_id
 
 GAMMA_FLOOR = 1e-7
 
@@ -238,9 +240,7 @@ def csgmm_e_step(
     |mu_ik|^2 + diag(C_ik) whose weighted sums the M-step needs.
     Responsibilities are normalized in the log domain.
     """
-    if len(obs) == 0:
-        raise InvalidArgumentError("observation set must be nonempty")
-    caches, resp, _ = _e_step(model, effective_matrix(obs.measurement, dictionary.matrix), obs)
+    caches, resp, _ = _e_step(model, obs.observed_rows(dictionary.matrix), obs)
     return resp, np.stack([c.moment_stats() for c in caches])
 
 
@@ -249,16 +249,18 @@ def _component_sums(resp: np.ndarray, weighted_sum) -> tuple[np.ndarray, np.ndar
 
     ``weighted_sum(k, r)`` returns sum_i r_i stat_ik for component k. A
     component whose total responsibility underflows is reinitialized from
-    the sample the current model explains worst: its row is that one
-    sample's statistic, with total 1.
+    one badly explained sample: its row is that sample's statistic, with
+    total 1. The j-th such component takes the j-th worst explained
+    sample, so components that die together restart apart.
     """
     totals = resp.sum(axis=0)
     dead = totals < _DEAD_RESPONSIBILITY
-    worst = np.zeros(len(resp))
-    worst[np.argmin(resp.max(axis=1))] = 1.0
-    sums = np.stack(
-        [weighted_sum(k, worst if dead[k] else resp[:, k]) for k in range(resp.shape[1])]
-    )
+    restarts = np.zeros_like(resp)
+    dead_cols = np.flatnonzero(dead)
+    worst_first = np.argsort(resp.max(axis=1), kind="stable")
+    restarts[worst_first[np.arange(len(dead_cols)) % len(resp)], dead_cols] = 1.0
+    resp = np.where(dead, restarts, resp)
+    sums = np.stack([weighted_sum(k, resp[:, k]) for k in range(resp.shape[1])])
     return np.where(dead, 1.0, totals), sums
 
 
@@ -311,7 +313,7 @@ def csgmm_m_step(
     """Closed-form update: weighted means of the posterior statistics.
 
     A component whose total responsibility underflows is reinitialized
-    from the sample the current model explains worst.
+    from a badly explained sample (see :func:`_component_sums`).
     """
     return _m_step(*_sample_sums(resp, stats), clip_floor)
 
@@ -383,7 +385,7 @@ def total_log_likelihood(
     model: SbgmModel, obs: ObservationSet, dictionary: Dictionary
 ) -> float:
     """Sum over samples of log sum_k rho_k CN(y_i; 0, C_ik)."""
-    _, _, norm = _e_step(model, effective_matrix(obs.measurement, dictionary.matrix), obs)
+    _, _, norm = _e_step(model, obs.observed_rows(dictionary.matrix), obs)
     return float(np.sum(norm))
 
 
@@ -391,31 +393,21 @@ def _init_variances(
     obs: ObservationSet,
     w: np.ndarray,
     n_components: int,
-    init: str,
     rng: np.random.Generator,
     clip_floor: float,
 ) -> np.ndarray:
     """Seeded starting variances, shape (K, S).
 
-    ``"spectrum"`` anchors each component on the matched-filter power
-    spectrum of one randomly chosen observation, sharpened (4th power,
-    rescaled to keep the total energy) so that each component starts on
-    the dominant peaks of that sample. Starting narrow is cheap: EM grows
-    variances multiplicatively fast where the data demand it, while
-    shrinking an overly wide component takes many iterations. The
-    ``"random"`` alternative (i.i.d. uniform around the mean observation
-    energy) leaves all components statistically identical, which makes
-    symmetry breaking very slow for larger K.
+    Each component is anchored on the matched-filter power spectrum of
+    one randomly chosen observation, sharpened (4th power, rescaled to
+    keep the total energy) so that it starts on the dominant peaks of that
+    sample. Starting narrow is cheap: EM grows variances multiplicatively
+    fast where the data demand it, while shrinking an overly wide
+    component takes many iterations.
     """
     n = len(obs)
     n_coef = w.shape[1]
     scale = float(np.mean(np.abs(obs.samples) ** 2))
-    if init == "random":
-        return np.maximum(
-            rng.uniform(0.5, 1.5, (n_components, n_coef)) * scale, clip_floor
-        )
-    if init != "spectrum":
-        raise InvalidArgumentError(f"unknown init {init!r}")
     col_norm2 = np.sum(np.abs(w) ** 2, axis=0)
     picks = rng.choice(n, size=min(n_components, n), replace=False)
     gammas = np.empty((n_components, n_coef))
@@ -442,12 +434,11 @@ def csgmm_fit(
     seed: int = 0,
     clip_floor: float = GAMMA_FLOOR,
     kron_sweeps: int = 3,
-    init: str = "spectrum",
 ) -> tuple[SbgmModel, EmTrace]:
     """Fit the mixture by EM until the relative log-likelihood change
     drops below ``rel_tol`` or ``max_iters`` is reached.
 
-    Initialization is seeded and data-driven by default (see
+    Initialization is seeded and data-driven (see
     :func:`_init_variances`); weights start uniform. ``n_components=1``
     is the sparse Bayesian learning special case. The returned trace
     holds one log-likelihood per E-step and is non-decreasing up to
@@ -459,13 +450,12 @@ def csgmm_fit(
         raise InvalidArgumentError("max_iters and kron_sweeps must be >= 1")
     if not (rel_tol > 0 and clip_floor > 0):
         raise InvalidArgumentError("rel_tol and clip_floor must be > 0")
-    if len(obs) == 0:
-        raise InvalidArgumentError("observation set must be nonempty")
-    w = effective_matrix(obs.measurement, dictionary.matrix)
+    w = obs.observed_rows(dictionary.matrix)
     rng = np.random.default_rng(seed)
 
     kronecker = variance_form == KRONECKER
-    init_gammas = _init_variances(obs, w, n_components, init, rng, clip_floor)
+    init_gammas = _init_variances(obs, w, n_components, rng, clip_floor)
+    weights = np.full(n_components, 1.0 / n_components)
     if kronecker:
         if not isinstance(dictionary.grid, DelayDopplerGrid):
             raise InvalidArgumentError("kronecker variances need a delay-Doppler dictionary")
@@ -478,21 +468,10 @@ def csgmm_fit(
             gt[k] = np.maximum(table.mean(axis=1), clip_floor)
             gf[k] = np.maximum(table.mean(axis=0) / max(table.mean(), clip_floor), clip_floor)
         model = SbgmModel(
-            weights=np.full(n_components, 1.0 / n_components),
-            variance_form=KRONECKER,
-            doppler_variances=gt,
-            delay_variances=gf,
-            clip_floor=clip_floor,
+            weights, KRONECKER, doppler_variances=gt, delay_variances=gf, clip_floor=clip_floor
         )
-    elif variance_form == FULL:
-        model = SbgmModel(
-            weights=np.full(n_components, 1.0 / n_components),
-            variance_form=FULL,
-            variances=init_gammas,
-            clip_floor=clip_floor,
-        )
-    else:
-        raise InvalidArgumentError(f"unknown variance form {variance_form!r}")
+    else:  # SbgmModel rejects an unknown variance form
+        model = SbgmModel(weights, variance_form, variances=init_gammas, clip_floor=clip_floor)
 
     logliks: list[float] = []
     converged = False

@@ -11,7 +11,10 @@ and the conditional distribution of s given y is Gaussian with
     C   = diag(gamma) - diag(gamma) W^H C_y^{-1} W diag(gamma).
 
 All inverses are applied through the Cholesky factor of C_y by linear
-solves with that factor; C_y is never inverted explicitly.
+solves with that factor; C_y is never inverted explicitly, nor formed:
+the factor comes from a QR decomposition of its square-root form. These
+per-sample routes are the reference the EM code is tested against, so
+they take the measurement A as a matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
-from .utils import effective_matrix
 
 
 @dataclass
@@ -50,26 +52,38 @@ class ElboBreakdown:
     combined: float
 
 
+def _effective_matrix(measurement: np.ndarray, dict_matrix: np.ndarray) -> np.ndarray:
+    """W = A D: the measurement matrix applied to the dictionary matrix."""
+    try:
+        return np.asarray(measurement) @ np.asarray(dict_matrix)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"measurement and dictionary do not chain: {exc}") from exc
+
+
 def marginal_cov_factor(
     gamma: np.ndarray,
     measurement: np.ndarray,
     dict_matrix: np.ndarray,
     sigma2: float,
 ) -> np.ndarray:
-    """Cholesky factor L with L L^H = A D diag(gamma) D^H A^H + sigma2 I."""
+    """Cholesky factor L with L L^H = A D diag(gamma) D^H A^H + sigma2 I.
+
+    L is R^H for the QR factor R of [diag(sqrt(gamma)) (A D)^H; sqrt(sigma2) I],
+    its rows scaled to a positive diagonal. The covariance is never formed,
+    so L stays accurate when gamma spans many decades.
+    """
     if sigma2 <= 0:
         raise InvalidArgumentError("sigma2 must be positive")
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0):
         raise InvalidArgumentError("gamma must be nonnegative")
-    w = effective_matrix(measurement, dict_matrix)
+    w = _effective_matrix(measurement, dict_matrix)
     if w.shape[1] != gamma.shape[0]:
         raise InvalidArgumentError("gamma length must match the dictionary column count")
-    cov = (w * gamma[None, :]) @ w.conj().T + sigma2 * np.eye(w.shape[0])
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:  # impossible for valid inputs
-        raise NumericError("marginal covariance failed to factorize") from exc
+    root = np.vstack([np.sqrt(gamma)[:, None] * w.conj().T, math.sqrt(sigma2) * np.eye(len(w))])
+    r = np.linalg.qr(root, mode="r")
+    diag = np.diag(r)
+    return (r * (diag.conj() / np.abs(diag))[:, None]).conj().T
 
 
 def posterior_moments(
@@ -88,12 +102,10 @@ def posterior_moments(
     """
     gamma = np.asarray(gamma, dtype=float)
     y = np.asarray(y, dtype=complex)
-    w = effective_matrix(measurement, dict_matrix)
+    w = _effective_matrix(measurement, dict_matrix)
     m = w.shape[0]
     if y.shape != (m,):
         raise InvalidArgumentError(f"y must have shape ({m},)")
-    if gamma.shape[0] != w.shape[1]:
-        raise InvalidArgumentError("gamma length must match the dictionary column count")
     factor = marginal_cov_factor(gamma, measurement, dict_matrix, sigma2)
 
     u = np.linalg.solve(factor, y)
@@ -140,7 +152,7 @@ def csvae_elbo_terms(
     if np.any(gamma <= 0):
         raise InvalidArgumentError("gamma must be strictly positive (floor-clipped)")
 
-    w = effective_matrix(measurement, dict_matrix)
+    w = _effective_matrix(measurement, dict_matrix)
     m, s = w.shape
     moments = posterior_moments(gamma, y, measurement, dict_matrix, sigma2, want_full_cov=True)
     mean, cov = moments.mean, moments.full_cov

@@ -10,9 +10,11 @@ with uniform delays/Dopplers and exponentially decaying gain power, and
 evaluates the resulting channel matrix on the time-frequency sampling
 grid.
 
-Observations follow y = A h + n with a fixed 0/1 selection matrix A (or
-identity) and per-sample noise variance derived from a per-sample SNR
-drawn uniformly in dB.
+Observations follow y = A h + n, where A keeps the channel entries at a
+fixed set of pilot indices (all of them for SIMO), and the per-sample
+noise variance follows from a per-sample SNR drawn uniformly in dB. A is
+held as those indices, never as a matrix: A h is ``h[pilots]`` and the
+effective dictionary A D is ``D[pilots]``.
 """
 
 from __future__ import annotations
@@ -79,13 +81,13 @@ class AngleProfile:
         return mask
 
 
-def sample_angle(profile: AngleProfile, rng: np.random.Generator, size: int | None = None):
-    """Draw path angles from the mixture profile.
+def sample_angle(profile: AngleProfile, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` path angles from the mixture profile.
 
     Per-component sampling is a truncated Gaussian realized by rejection;
     the acceptance rate at the 3-std truncation exceeds 99.7%.
     """
-    n = 1 if size is None else int(size)
+    n = int(size)
     weights = np.array([c.weight for c in profile.components])
     labels = rng.choice(len(profile.components), size=n, p=weights)
     out = np.empty(n)
@@ -100,7 +102,7 @@ def sample_angle(profile: AngleProfile, rng: np.random.Generator, size: int | No
             if abs(draw - comp.center) <= comp.half_width:
                 out[i] = draw
                 break
-    return out[0] if size is None else out
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -288,79 +290,80 @@ def simo_ground_truth(
     return channels, coefficients
 
 
-def random_selection_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """0/1 matrix whose rows are m distinct unit vectors drawn uniformly."""
+def random_pilots(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """m distinct indices drawn uniformly from range(n)."""
     if not (1 <= m <= n):
         raise InvalidArgumentError("need 1 <= m <= n")
-    picks = rng.choice(n, size=m, replace=False)
-    matrix = np.zeros((m, n))
-    matrix[np.arange(m), picks] = 1.0
-    return matrix
+    return rng.choice(n, size=m, replace=False)
 
 
-def _validate_selection(measurement: np.ndarray) -> None:
-    measurement = np.asarray(measurement)
-    if measurement.ndim != 2:
-        raise InvalidArgumentError("measurement matrix must be 2-D")
-    ones = measurement == 1.0
-    if not np.array_equal(measurement != 0.0, ones):
-        raise InvalidArgumentError("measurement entries must be 0 or 1")
-    if not np.all(ones.sum(axis=1) == 1):
-        raise InvalidArgumentError("each measurement row must be a unit vector")
-    cols = ones.argmax(axis=1)
-    if len(np.unique(cols)) != len(cols):
-        raise InvalidArgumentError("measurement rows must select distinct entries")
+def _check_pilots(pilots, n_entries: int | None = None) -> np.ndarray:
+    """``pilots`` as a 1-D array of distinct non-negative integers, each
+    below ``n_entries`` when that is given."""
+    pilots = np.asarray(pilots)
+    if pilots.ndim != 1 or pilots.dtype.kind not in "iu":
+        raise InvalidArgumentError("pilots must be a 1-D integer index vector")
+    if np.any(pilots < 0) or len(np.unique(pilots)) != len(pilots):
+        raise InvalidArgumentError("pilots must be distinct non-negative indices")
+    if n_entries is not None and np.any(pilots >= n_entries):
+        raise InvalidArgumentError(f"pilots must be below the {n_entries} channel entries")
+    return pilots
 
 
 @dataclass
 class ObservationSet:
-    """Noisy compressed samples with their shared selection matrix.
+    """Noisy compressed samples with the channel entries they observe.
 
     samples: (n, M) complex observations, one per row.
     noise_vars: (n,) per-sample noise variance (per complex entry).
-    measurement: (M, N) 0/1 selection matrix (identity included).
+    pilots: (M,) distinct channel-entry indices; sample entry j observes
+        channel entry pilots[j] (``np.arange(N)`` observes them all).
     snr_db: (n,) the drawn per-sample SNR values.
     """
 
     samples: np.ndarray
     noise_vars: np.ndarray
-    measurement: np.ndarray
+    pilots: np.ndarray
     snr_db: np.ndarray | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
         self.noise_vars = np.asarray(self.noise_vars, dtype=float)
-        self.measurement = np.asarray(self.measurement, dtype=float)
-        if self.samples.ndim != 2:
-            raise InvalidArgumentError("samples must be a 2-D array (n, M)")
+        self.pilots = _check_pilots(self.pilots)
+        if self.samples.ndim != 2 or len(self.samples) == 0:
+            raise InvalidArgumentError("samples must be a nonempty 2-D array (n, M)")
         if len(self.samples) != len(self.noise_vars):
             raise InvalidArgumentError("samples and noise_vars must have equal length")
         if not (np.all(np.isfinite(self.samples)) and np.all(np.isfinite(self.noise_vars))):
             raise InvalidArgumentError("samples and noise_vars must be finite")
         if np.any(self.noise_vars <= 0):
             raise InvalidArgumentError("noise variances must be positive")
-        if self.samples.shape[1] != self.measurement.shape[0]:
-            raise InvalidArgumentError("sample length must match measurement row count")
-        _validate_selection(self.measurement)
+        if self.samples.shape[1] != len(self.pilots):
+            raise InvalidArgumentError("sample length must match the pilot count")
 
     def __len__(self) -> int:
         return len(self.samples)
 
+    def observed_rows(self, matrix: np.ndarray) -> np.ndarray:
+        """The rows of ``matrix`` at the pilots; for a dictionary matrix D
+        this is the effective dictionary W = A D."""
+        return matrix[_check_pilots(self.pilots, len(matrix))]
+
 
 def make_observations(
     channels: np.ndarray,
-    measurement: np.ndarray,
+    pilots: np.ndarray,
     snr_range_db: tuple[float, float],
     rng: np.random.Generator,
     *,
     signal_energy: float | None = None,
 ) -> ObservationSet:
-    """Compress channels through ``measurement`` and add per-sample noise.
+    """Keep the channel entries at ``pilots`` and add per-sample noise.
 
     The per-sample noise variance is
     signal_energy / (M * 10^(SNR_i/10)) with SNR_i uniform on the given
     dB range and signal_energy defaulting to the dataset mean of
-    ||A h||^2.
+    ||A h||^2, A h being the entries at the M pilots.
     """
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 2 or len(channels) == 0:
@@ -368,20 +371,22 @@ def make_observations(
     lo, hi = snr_range_db
     if lo > hi:
         raise InvalidArgumentError("snr_range_db must satisfy lo <= hi")
-    measurement = np.asarray(measurement, dtype=float)
-    compressed = channels @ measurement.T
+    pilots = _check_pilots(pilots, channels.shape[1])
+    # take keeps the rows contiguous (channels[:, pilots] is column-major),
+    # so the row sums below round as over the rows of a matrix product
+    compressed = channels.take(pilots, axis=1)
     if signal_energy is None:
         signal_energy = float(np.mean(np.sum(np.abs(compressed) ** 2, axis=1)))
     if signal_energy <= 0:
-        raise DegenerateInputError("channel set carries no energy under the measurement")
-    m = measurement.shape[0]
+        raise DegenerateInputError("channel set carries no energy at the pilots")
+    m = len(pilots)
     snr_db = rng.uniform(lo, hi, size=len(channels))
     noise_vars = signal_energy / (m * 10.0 ** (0.1 * snr_db))
     noise = complex_standard_normal(rng, (len(channels), m)) * np.sqrt(noise_vars)[:, None]
     return ObservationSet(
         samples=compressed + noise,
         noise_vars=noise_vars,
-        measurement=measurement,
+        pilots=pilots,
         snr_db=snr_db,
     )
 

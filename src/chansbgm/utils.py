@@ -97,18 +97,6 @@ def complex_standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (pair[..., 0] + 1j * pair[..., 1]) / np.sqrt(2.0)
 
 
-def effective_matrix(measurement: np.ndarray, dict_matrix: np.ndarray) -> np.ndarray:
-    """W = A D: the measurement matrix applied to the dictionary matrix."""
-    measurement = np.asarray(measurement)
-    dict_matrix = np.asarray(dict_matrix)
-    if measurement.shape[1] != dict_matrix.shape[0]:
-        raise InvalidArgumentError(
-            f"measurement has {measurement.shape[1]} columns but the dictionary "
-            f"has {dict_matrix.shape[0]} rows"
-        )
-    return measurement @ dict_matrix
-
-
 def hermitianize(a: np.ndarray) -> np.ndarray:
     """Symmetrize a square matrix to be exactly Hermitian."""
     return 0.5 * (a + a.conj().T)

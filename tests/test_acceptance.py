@@ -78,7 +78,7 @@ def synthetic_dataset(seed, n_samples=200, m=16, s=64):
         support = rng.choice(s, size=4, replace=False)
         coeff[i, support] = complex_standard_normal(rng, 4)
     channels = coeff @ dictionary.matrix.T
-    obs = make_observations(channels, np.eye(m), (0.0, 20.0), rng)
+    obs = make_observations(channels, np.arange(m), (0.0, 20.0), rng)
     return obs, dictionary
 
 

@@ -261,6 +261,22 @@ class TestFit:
                      "--out", str(tmp_path / "m")])
         assert code == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize(
+        "row, head",
+        [(0, [0.5, 0.0]), (0, [1.0, 1.0]), (1, [1.0, 0.0])],
+        ids=["half-entry", "two-ones-in-a-row", "repeated-pilot"],
+    )
+    def test_malformed_selection_rejected(self, simo_dataset, tmp_path, row, head):
+        from chansbgm.container import read_array, write_array
+
+        # the stored SIMO selection is the identity; overwrite a row's first two entries
+        selection = np.array(read_array(simo_dataset / "selection")[0])
+        selection[row, :2] = head
+        write_array(simo_dataset / "selection", selection, role="selection-matrix")
+        code = main(["fit", str(simo_dataset), "--model", "msbl",
+                     "--out", str(tmp_path / "m")])
+        assert code == EXIT_BAD_CONFIG
+
 
 class TestGenerateAndMetrics:
     @pytest.fixture()

@@ -43,7 +43,7 @@ def synthetic_observations(dictionary, n_samples, seed, snr=(0.0, 20.0), sparsit
         support = rng.choice(s, size=sparsity, replace=False)
         coeff[i, support] = complex_standard_normal(rng, sparsity)
     channels = coeff @ dictionary.matrix.T
-    return make_observations(channels, np.eye(dictionary.matrix.shape[0]), snr, rng)
+    return make_observations(channels, np.arange(dictionary.matrix.shape[0]), snr, rng)
 
 
 def random_model(rng, k, s):
@@ -63,7 +63,7 @@ def random_kronecker_model(rng, k, s_t, s_f):
 
 def fit_loop_sums(model, obs, dictionary, resp=None):
     """The totals and statistic sums the EM loop feeds its M-step."""
-    caches, e_resp, _ = _e_step(model, obs.measurement @ dictionary.matrix, obs)
+    caches, e_resp, _ = _e_step(model, obs.observed_rows(dictionary.matrix), obs)
     resp = e_resp if resp is None else resp
     return _component_sums(resp, lambda k, r: caches[k].moment_sum(r))
 
@@ -108,7 +108,7 @@ class TestEStep:
                     + posterior_moments(
                         model.variances[k],
                         obs.samples[i],
-                        obs.measurement,
+                        np.eye(len(d.matrix))[obs.pilots],
                         d.matrix,
                         obs.noise_vars[i],
                     ).log_marginal
@@ -134,7 +134,7 @@ class TestEStep:
                     moments = posterior_moments(
                         model.component_variances(k),
                         obs.samples[i],
-                        obs.measurement,
+                        np.eye(len(d.matrix))[obs.pilots],
                         d.matrix,
                         obs.noise_vars[i],
                     )
@@ -186,6 +186,17 @@ class TestMStep:
         np.testing.assert_array_equal(totals, [8.0, 1.0])
         np.testing.assert_allclose(sums[0], resp[:, 0] @ stats[0], rtol=1e-10)
         np.testing.assert_allclose(sums[1], stats[1, worst], rtol=1e-10)
+
+    def test_components_dying_together_restart_apart(self):
+        rng = np.random.default_rng(4)
+        stats = rng.uniform(0.5, 2.0, (8, 4))
+        resp = np.zeros((8, 3))
+        resp[:, 0] = 1.0  # components 1 and 2 receive nothing at all
+        # both dead components see the same statistics, so only the sample
+        # each restarts from can tell them apart
+        model = csgmm_m_step(resp, np.stack([stats, stats, stats]))
+        assert not np.array_equal(model.variances[1], model.variances[2])
+        np.testing.assert_allclose(model.weights, [0.8, 0.1, 0.1])
 
 
 class TestKroneckerMStep:
@@ -304,7 +315,7 @@ class TestFit:
         batch = sample_parameters(truth, 2000, np.random.default_rng(14))
         channels = batch.sparse @ d.matrix.T
         obs = make_observations(
-            channels, np.eye(16), (15.0, 20.0), np.random.default_rng(15)
+            channels, np.arange(16), (15.0, 20.0), np.random.default_rng(15)
         )
         model, _ = csgmm_fit(obs, d, 2, max_iters=150, seed=1)
         weights = np.sort(model.weights)
@@ -327,7 +338,7 @@ class TestFit:
         rng = np.random.default_rng(16)
         coeff = complex_standard_normal(rng, (50, 16)) * rng.uniform(0, 1, (50, 16))
         channels = coeff @ d.matrix.T
-        obs = make_observations(channels, np.eye(20), (5.0, 20.0), rng)
+        obs = make_observations(channels, np.arange(20), (5.0, 20.0), rng)
         model, trace = csgmm_fit(
             obs, d, 2, variance_form="kronecker", max_iters=30, seed=2
         )
@@ -342,7 +353,7 @@ class TestTotalLogLikelihood:
         obs = ObservationSet(
             samples=np.zeros((1, 1), dtype=complex),
             noise_vars=np.array([1.0]),
-            measurement=np.eye(1),
+            pilots=np.arange(1),
         )
         model = SbgmModel(weights=np.array([1.0]), variances=np.zeros((1, 2)))
         assert total_log_likelihood(model, obs, d) == pytest.approx(math.log(1 / math.pi))
@@ -353,7 +364,7 @@ class TestTotalLogLikelihood:
         model = random_model(np.random.default_rng(18), 3, d.n_columns)
         from scipy.special import logsumexp
 
-        w = obs.measurement @ d.matrix
+        w = obs.observed_rows(d.matrix)
         log_marg = np.column_stack(
             [
                 _ComponentCache(model.variances[k], w).log_marginals(

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from chansbgm import csvae_elbo_terms, marginal_cov_factor, posterior_moments
+from chansbgm import (
+    AngleGrid,
+    SystemConfig,
+    build_simo_dictionary,
+    csvae_elbo_terms,
+    marginal_cov_factor,
+    posterior_moments,
+)
 from chansbgm.errors import InvalidArgumentError
+from chansbgm.utils import complex_standard_normal
 
 
 def random_instance(rng, m, s, sigma_range=(1e-3, 1.0)):
@@ -104,6 +112,38 @@ class TestPosteriorMoments:
             np.zeros(1), np.zeros(1, dtype=complex), np.eye(1), np.eye(1), 1.0
         )
         assert moments.log_marginal == pytest.approx(math.log(1 / math.pi))
+
+    def test_log_marginal_with_diverged_variances(self):
+        # three adjacent, nearly collinear atoms with huge variances make the
+        # formed covariance W diag(gamma) W^H + sigma2 I too ill-conditioned
+        # to factorize accurately; the reference splits them off by the
+        # Woodbury identity: slogdet/solve on the well-conditioned remainder
+        # plus a 3x3 term
+        d = build_simo_dictionary(AngleGrid(128), SystemConfig.simo(16))
+        w = d.matrix
+        rng = np.random.default_rng(0)
+        gamma = rng.uniform(1e-3, 1e-2, 128)
+        big = np.array([40, 41, 42])
+        gamma[big] = [1e9, 1e10, 3e9]
+        sigma2s = rng.uniform(0.011, 0.02, 20)
+        samples = complex_standard_normal(rng, (20, 16))
+        rest = gamma.copy()
+        rest[big] = 0.0
+        wb = w[:, big]
+        for y, sigma2 in zip(samples, sigma2s):
+            a = (w * rest) @ w.conj().T + sigma2 * np.eye(16)
+            core = np.diag(1.0 / gamma[big]) + wb.conj().T @ np.linalg.solve(a, wb)
+            a_y = np.linalg.solve(a, y)
+            u = wb.conj().T @ a_y
+            quad = (y.conj() @ a_y - u.conj() @ np.linalg.solve(core, u)).real
+            logdet = (
+                np.linalg.slogdet(a)[1]
+                + np.linalg.slogdet(core)[1]
+                + np.sum(np.log(gamma[big]))
+            )
+            expected = -16 * math.log(math.pi) - logdet - quad
+            got = posterior_moments(gamma, y, np.eye(16), w, sigma2).log_marginal
+            np.testing.assert_allclose(got, expected, rtol=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):

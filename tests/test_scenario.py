@@ -16,7 +16,7 @@ from chansbgm import (
     laplacian_local_covariance,
     make_observations,
     normalize_dataset,
-    random_selection_matrix,
+    random_pilots,
     sample_angle,
     steering_vector_ula,
     vectorize_channel,
@@ -184,31 +184,30 @@ class TestOfdmChannelDraws:
 class TestSelectionMatrix:
     def test_full_selection_is_permutation(self):
         rng = np.random.default_rng(0)
-        a = random_selection_matrix(5, 5, rng)
-        np.testing.assert_array_equal(np.sort(a.argmax(axis=1)), np.arange(5))
-        np.testing.assert_array_equal(a.sum(axis=0), np.ones(5))
+        picks = random_pilots(5, 5, rng)
+        np.testing.assert_array_equal(np.sort(picks), np.arange(5))
+        np.testing.assert_array_equal(np.bincount(picks, minlength=5), np.ones(5))
 
     def test_distinct_indices(self):
         rng = np.random.default_rng(1)
-        a = random_selection_matrix(30, 336, rng)
-        picked = a.argmax(axis=1)
+        picked = random_pilots(30, 336, rng)
         assert len(np.unique(picked)) == 30
 
     def test_single_pick_is_uniform(self):
         rng = np.random.default_rng(2)
-        picks = [random_selection_matrix(1, 2, rng).argmax() for _ in range(10_000)]
+        picks = [random_pilots(1, 2, rng)[0] for _ in range(10_000)]
         assert abs(np.mean(picks) - 0.5) < 0.02
 
     def test_rejects_oversized_selection(self):
         with pytest.raises(InvalidArgumentError):
-            random_selection_matrix(5, 4, np.random.default_rng(0))
+            random_pilots(5, 4, np.random.default_rng(0))
 
 
 class TestObservations:
     def test_noiseless_limit(self):
         rng = np.random.default_rng(0)
         channels = rng.standard_normal((20, 6)) + 1j * rng.standard_normal((20, 6))
-        obs = make_observations(channels, np.eye(6), (300.0, 300.0), rng)
+        obs = make_observations(channels, np.arange(6), (300.0, 300.0), rng)
         rel = np.abs(obs.samples - channels).max() / np.abs(channels).max()
         assert rel < 1e-10
 
@@ -216,16 +215,16 @@ class TestObservations:
         rng = np.random.default_rng(1)
         channels = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
         obs = make_observations(
-            channels, np.eye(4), (10.0, 10.0), rng, signal_energy=4.0
+            channels, np.arange(4), (10.0, 10.0), rng, signal_energy=4.0
         )
         np.testing.assert_allclose(obs.noise_vars, 0.1, atol=1e-15)
 
     def test_snr_definition_self_consistent(self):
         rng = np.random.default_rng(2)
         channels = rng.standard_normal((200, 8)) + 1j * rng.standard_normal((200, 8))
-        a = random_selection_matrix(3, 8, rng)
-        obs = make_observations(channels, a, (5.0, 20.0), rng)
-        energy = np.mean(np.sum(np.abs(channels @ a.T) ** 2, axis=1))
+        pilots = random_pilots(3, 8, rng)
+        obs = make_observations(channels, pilots, (5.0, 20.0), rng)
+        energy = np.mean(np.sum(np.abs(channels[:, pilots]) ** 2, axis=1))
         recomputed = 10 * np.log10(energy / (3 * obs.noise_vars))
         np.testing.assert_allclose(recomputed, obs.snr_db, atol=1e-9)
 
@@ -233,7 +232,7 @@ class TestObservations:
         rng = np.random.default_rng(3)
         channels = np.zeros((100_000, 2), dtype=complex)
         channels[:, 0] = 1.0  # fixed deterministic signal
-        obs = make_observations(channels, np.eye(2), (0.0, 0.0), rng)
+        obs = make_observations(channels, np.arange(2), (0.0, 0.0), rng)
         noise = obs.samples - channels
         assert abs(np.var(noise.real) - np.var(noise.imag)) < 0.01
         pseudo = np.mean(noise**2)
@@ -242,7 +241,24 @@ class TestObservations:
     def test_zero_energy_dataset_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(DegenerateInputError):
-            make_observations(np.zeros((5, 4), dtype=complex), np.eye(4), (0.0, 10.0), rng)
+            make_observations(np.zeros((5, 4), dtype=complex), np.arange(4), (0.0, 10.0), rng)
+
+    @pytest.mark.parametrize(
+        "pilots", [[0, 4], [1, 1], [-1, 2], [0.0, 1.0], [[0, 1]]],
+        ids=["past-last-entry", "repeated", "negative", "float", "2-D"],
+    )
+    def test_malformed_pilots_rejected(self, pilots):
+        rng = np.random.default_rng(5)
+        with pytest.raises(InvalidArgumentError):
+            make_observations(np.ones((3, 4), dtype=complex), pilots, (0.0, 10.0), rng)
+
+    def test_observed_rows_gathers_pilot_rows(self):
+        rng = np.random.default_rng(6)
+        obs = make_observations(np.ones((3, 4), dtype=complex), [3, 1], (0.0, 10.0), rng)
+        matrix = np.arange(12.0).reshape(4, 3)
+        np.testing.assert_array_equal(obs.observed_rows(matrix), matrix[[3, 1]])
+        with pytest.raises(InvalidArgumentError):
+            obs.observed_rows(matrix[:3])
 
 
 class TestNormalizeDataset:
