@@ -297,7 +297,7 @@ def load_dataset(directory: str | Path):
 
     directory = Path(directory)
     meta = read_json(directory / "scenario.json")
-    dictionary = load_dictionary(meta["grid"], meta["system"])
+    dictionary = load_dictionary(meta.get("grid"), meta.get("system"))
     if dictionary.content_id != meta.get("dictionary_id"):
         raise InvalidArgumentError(
             f"{directory / 'scenario.json'}: grid and system do not rebuild its dictionary_id"
@@ -388,14 +388,16 @@ def cmd_generate(
     p_max: int | None,
     swap_config_path: str | None,
 ) -> int:
-    from .dictionary import SystemConfig, load_dictionary
+    from .dictionary import SystemConfig, grid_from_json, load_dictionary
     from .em import load_model
     from .generation import limit_batch_paths, render_channels, sample_blocks, save_batch
 
     model, meta = load_model(model_dir)
-    system_doc = meta["system"] if swap_config_path is None else _load_config(swap_config_path)
-    SystemConfig.from_json(system_doc)  # the batch records it even when nothing is rendered
-    dictionary = load_dictionary(meta["grid"], system_doc) if render else None
+    grid_doc = meta.get("grid")
+    system_doc = meta.get("system") if swap_config_path is None else _load_config(swap_config_path)
+    grid_from_json(grid_doc)  # the batch records both even when nothing is rendered
+    SystemConfig.from_json(system_doc)
+    dictionary = load_dictionary(grid_doc, system_doc) if render else None
     # one row block at a time: drawn, capped, rendered, appended
     blocks = sample_blocks(model, n, seed)
     if p_max is not None:
@@ -405,7 +407,7 @@ def cmd_generate(
     save_batch(
         blocks,
         out,
-        extra_meta={"grid": meta["grid"], "system": system_doc, "model_id": meta["model_id"]},
+        extra_meta={"grid": grid_doc, "system": system_doc, "model_id": model.content_id},
     )
     print(f"generate: wrote {n} samples to {out}")
     return EXIT_OK

@@ -66,7 +66,14 @@ def write_json(path: str | Path, document: dict) -> None:
 
 
 def read_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON object stored in ``path``; any other content is rejected."""
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise InvalidArgumentError(f"{path} must hold a JSON object")
+    return document
 
 
 class ArrayWriter:

@@ -38,7 +38,8 @@ MAX_DICTIONARY_COLUMNS = 1 << 16
 SIMO = "simo"
 OFDM = "ofdm"
 
-# the fields of each kind of grid document and variant of system document
+# the fields of each kind of grid document and variant of system document,
+# in the order the documents are written and checked
 _GRID_FIELDS = {
     "angle": {"size": "integer"},
     "delay_doppler": {
@@ -160,15 +161,8 @@ class SystemConfig:
         return self.n_subcarriers * self.n_symbols
 
     def to_json(self) -> dict:
-        if self.variant == SIMO:
-            return {"variant": SIMO, "n_antennas": self.n_antennas}
-        return {
-            "variant": OFDM,
-            "n_subcarriers": self.n_subcarriers,
-            "n_symbols": self.n_symbols,
-            "subcarrier_spacing": self.subcarrier_spacing,
-            "symbol_duration": self.symbol_duration,
-        }
+        fields = _SYSTEM_FIELDS[self.variant]
+        return {"variant": self.variant, **{key: getattr(self, key) for key in fields}}
 
     @classmethod
     def from_json(cls, doc: dict) -> "SystemConfig":
@@ -318,15 +312,8 @@ def unvectorize_channel(h: np.ndarray, config: SystemConfig) -> np.ndarray:
 
 
 def grid_to_json(grid: AngleGrid | DelayDopplerGrid) -> dict:
-    if isinstance(grid, AngleGrid):
-        return {"kind": "angle", "size": grid.size}
-    return {
-        "kind": "delay_doppler",
-        "doppler_size": grid.doppler_size,
-        "delay_size": grid.delay_size,
-        "doppler_bound": grid.doppler_bound,
-        "delay_bound": grid.delay_bound,
-    }
+    kind = "angle" if isinstance(grid, AngleGrid) else "delay_doppler"
+    return {"kind": kind, **{key: getattr(grid, key) for key in _GRID_FIELDS[kind]}}
 
 
 def grid_from_json(doc: dict) -> AngleGrid | DelayDopplerGrid:

@@ -37,11 +37,14 @@ learning; the CLI exposes it under the name ``msbl``.
 The coefficient variances may optionally be constrained to a Kronecker
 product gamma_k = gamma_t_k kron gamma_f_k (Doppler factor times delay
 factor), which has no closed-form M-step; coordinate updates with
-closed-form half-steps are used instead.
+closed-form half-steps are used instead. ``_FORMS`` states each form's
+stored arrays once; the model, its hash, ``save_model`` and ``load_model``
+all read it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +55,7 @@ from .container import read_array, read_json, write_array, write_json
 from .dictionary import DelayDopplerGrid, Dictionary
 from .errors import InvalidArgumentError, NumericError
 from .scenario import ObservationSet
-from .utils import content_id
+from .utils import check_tagged_document, content_id
 
 GAMMA_FLOOR = 1e-7
 
@@ -60,6 +63,22 @@ _DEAD_RESPONSIBILITY = 1e-300
 
 FULL = "full"
 KRONECKER = "kronecker"
+
+# the arrays each variance form stores, in expansion and hash order: the
+# SbgmModel attribute (also the file stem), its role, its model.json size key
+_FORMS = {
+    FULL: (("variances", "component-variances", "n_coefficients"),),
+    KRONECKER: (
+        ("doppler_variances", "doppler-variances", "doppler_size"),
+        ("delay_variances", "delay-variances", "delay_size"),
+    ),
+}
+# the model.json fields load_model checks, per variance form
+_MODEL_FIELDS = {
+    form: {"kind": "string", "n_components": "integer", "clip_floor": "number",
+           "model_id": "string", **{key: "integer" for _, _, key in layout}}
+    for form, layout in _FORMS.items()
+}
 
 
 @dataclass
@@ -85,27 +104,20 @@ class SbgmModel:
         w = self.weights
         if not np.all(np.isfinite(w)) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise InvalidArgumentError("weights must be finite, nonnegative and sum to 1")
-        if self.variance_form == FULL:
-            if self.variances is None:
-                raise InvalidArgumentError("full form requires a variances array")
-            self.variances = np.asarray(self.variances, dtype=float)
-            if self.variances.shape[0] != len(self.weights):
-                raise InvalidArgumentError("one variance row per component required")
-            if not np.all(np.isfinite(self.variances)) or np.any(self.variances < 0):
-                raise InvalidArgumentError("variances must be finite and nonnegative")
-        elif self.variance_form == KRONECKER:
-            if self.doppler_variances is None or self.delay_variances is None:
-                raise InvalidArgumentError("kronecker form requires both factor arrays")
-            self.doppler_variances = np.asarray(self.doppler_variances, dtype=float)
-            self.delay_variances = np.asarray(self.delay_variances, dtype=float)
-            k = len(self.weights)
-            if self.doppler_variances.shape[0] != k or self.delay_variances.shape[0] != k:
-                raise InvalidArgumentError("one factor row per component required")
-            for factor in (self.doppler_variances, self.delay_variances):
-                if not np.all(np.isfinite(factor)) or np.any(factor < 0):
-                    raise InvalidArgumentError("variance factors must be finite and nonnegative")
-        else:
+        if self.variance_form not in _FORMS:
             raise InvalidArgumentError(f"unknown variance form {self.variance_form!r}")
+        for name, _, _ in _FORMS[self.variance_form]:
+            factor = np.asarray(getattr(self, name), dtype=float)  # None becomes a 0-d nan
+            if factor.ndim != 2 or len(factor) != len(w):
+                raise InvalidArgumentError(f"{name} needs one row per component")
+            if not np.all(np.isfinite(factor)) or np.any(factor < 0):
+                raise InvalidArgumentError(f"{name} must be finite and nonnegative")
+            setattr(self, name, factor)
+
+    @property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """The stored variance arrays of the form, in ``_FORMS`` order."""
+        return tuple(getattr(self, name) for name, _, _ in _FORMS[self.variance_form])
 
     @property
     def n_components(self) -> int:
@@ -113,27 +125,17 @@ class SbgmModel:
 
     @property
     def n_coefficients(self) -> int:
-        if self.variance_form == FULL:
-            return self.variances.shape[1]
-        return self.doppler_variances.shape[1] * self.delay_variances.shape[1]
+        return math.prod(factor.shape[1] for factor in self.factors)
 
     def component_variances(self, k: int) -> np.ndarray:
-        if self.variance_form == FULL:
-            return self.variances[k]
-        return np.kron(self.doppler_variances[k], self.delay_variances[k])
+        return functools.reduce(np.kron, [factor[k] for factor in self.factors])
 
     def expanded_variances(self) -> np.ndarray:
         return np.stack([self.component_variances(k) for k in range(self.n_components)])
 
     @property
     def content_id(self) -> str:
-        chunks = [self.weights.tobytes()]
-        if self.variance_form == FULL:
-            chunks.append(self.variances.tobytes())
-        else:
-            chunks.append(self.doppler_variances.tobytes())
-            chunks.append(self.delay_variances.tobytes())
-        return content_id(*chunks)
+        return content_id(self.weights.tobytes(), *(f.tobytes() for f in self.factors))
 
 
 @dataclass
@@ -268,18 +270,19 @@ def _m_step(
     totals: np.ndarray,
     sums: np.ndarray,
     clip_floor: float,
-    factors: tuple[np.ndarray, np.ndarray] | None = None,
+    factors: tuple[np.ndarray, ...] = (),
     coord_iters: int = 3,
 ) -> SbgmModel:
     """M-step from totals R (K,) and statistic sums T (K, S).
 
-    Without ``factors`` the update is the closed-form full one,
-    gamma_k = T_k / R_k. With the starting (Doppler (K, S_t), delay
-    (K, S_f)) factors it runs ``coord_iters`` coordinate sweeps under
-    gamma = gamma_t kron gamma_f instead.
+    ``factors`` are the current model's :attr:`SbgmModel.factors`. Unless
+    they are a Doppler (K, S_t) and a delay (K, S_f) factor, the update is
+    the closed-form full one, gamma_k = T_k / R_k, which needs none. Given
+    the two factors it runs ``coord_iters`` coordinate sweeps from them
+    under gamma = gamma_t kron gamma_f instead.
     """
     weights = totals / totals.sum()
-    if factors is None:
+    if len(factors) != 2:
         return SbgmModel(
             weights=weights,
             variance_form=FULL,
@@ -453,25 +456,22 @@ def csgmm_fit(
     w = obs.observed_rows(dictionary.matrix)
     rng = np.random.default_rng(seed)
 
-    kronecker = variance_form == KRONECKER
     init_gammas = _init_variances(obs, w, n_components, rng, clip_floor)
-    weights = np.full(n_components, 1.0 / n_components)
-    if kronecker:
+    if variance_form == KRONECKER:
         if not isinstance(dictionary.grid, DelayDopplerGrid):
             raise InvalidArgumentError("kronecker variances need a delay-Doppler dictionary")
-        s_t, s_f = dictionary.grid.doppler_size, dictionary.grid.delay_size
         # nearest Kronecker factors of the init: row/column energy profiles
-        gt = np.empty((n_components, s_t))
-        gf = np.empty((n_components, s_f))
-        for k in range(n_components):
-            table = init_gammas[k].reshape(s_t, s_f)
-            gt[k] = np.maximum(table.mean(axis=1), clip_floor)
-            gf[k] = np.maximum(table.mean(axis=0) / max(table.mean(), clip_floor), clip_floor)
-        model = SbgmModel(
-            weights, KRONECKER, doppler_variances=gt, delay_variances=gf, clip_floor=clip_floor
-        )
+        grid = dictionary.grid
+        tables = init_gammas.reshape(n_components, grid.doppler_size, grid.delay_size)
+        scale = np.maximum(init_gammas.mean(axis=1), clip_floor)[:, None]
+        factors = {
+            "doppler_variances": np.maximum(tables.mean(axis=2), clip_floor),
+            "delay_variances": np.maximum(tables.mean(axis=1) / scale, clip_floor),
+        }
     else:  # SbgmModel rejects an unknown variance form
-        model = SbgmModel(weights, variance_form, variances=init_gammas, clip_floor=clip_floor)
+        factors = {"variances": init_gammas}
+    weights = np.full(n_components, 1.0 / n_components)
+    model = SbgmModel(weights, variance_form, clip_floor=clip_floor, **factors)
 
     logliks: list[float] = []
     converged = False
@@ -490,8 +490,7 @@ def csgmm_fit(
         if iteration == max_iters - 1:
             break  # return the model the last log-likelihood scored
         totals, sums = _component_sums(resp, lambda k, r: caches[k].moment_sum(r))
-        factors = (model.doppler_variances, model.delay_variances) if kronecker else None
-        model = _m_step(totals, sums, clip_floor, factors, kron_sweeps)
+        model = _m_step(totals, sums, clip_floor, model.factors, kron_sweeps)
 
     trace = EmTrace(
         log_likelihoods=np.array(logliks), converged=converged, n_iterations=len(logliks)
@@ -504,55 +503,41 @@ def msbl_fit(obs: ObservationSet, dictionary: Dictionary, **options) -> tuple[Sb
     return csgmm_fit(obs, dictionary, 1, **options)
 
 
-def save_model(model: SbgmModel, directory: str | Path, extra_meta: dict | None = None) -> None:
-    """Write ``model.json`` plus raw arrays for weights and variances."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    meta = {
+def _describe(model: SbgmModel) -> dict:
+    """The ``model.json`` fields that describe ``model``'s arrays."""
+    return {
         "kind": "sbgm-model",
         "n_components": model.n_components,
         "variance_form": model.variance_form,
         "clip_floor": model.clip_floor,
         "model_id": model.content_id,
+        **{key: f.shape[1] for (_, _, key), f in zip(_FORMS[model.variance_form], model.factors)},
     }
-    if model.variance_form == FULL:
-        meta["n_coefficients"] = int(model.variances.shape[1])
-    else:
-        meta["doppler_size"] = int(model.doppler_variances.shape[1])
-        meta["delay_size"] = int(model.delay_variances.shape[1])
-    if extra_meta:
-        meta.update(extra_meta)
+
+
+def save_model(model: SbgmModel, directory: str | Path, extra_meta: dict | None = None) -> None:
+    """Write ``model.json`` plus raw arrays for weights and variances."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     write_array(directory / "weights", model.weights, role="mixture-weights")
-    if model.variance_form == FULL:
-        write_array(directory / "variances", model.variances, role="component-variances")
-    else:
-        write_array(
-            directory / "doppler_variances", model.doppler_variances, role="doppler-variances"
-        )
-        write_array(directory / "delay_variances", model.delay_variances, role="delay-variances")
-    write_json(directory / "model.json", meta)
+    for (stem, role, _), factor in zip(_FORMS[model.variance_form], model.factors):
+        write_array(directory / stem, factor, role=role)
+    write_json(directory / "model.json", {**_describe(model), **(extra_meta or {})})
 
 
 def load_model(directory: str | Path) -> tuple[SbgmModel, dict]:
-    directory = Path(directory)
-    meta = read_json(directory / "model.json")
-    weights, _ = read_array(directory / "weights")
-    if meta["variance_form"] == FULL:
-        variances, _ = read_array(directory / "variances")
-        model = SbgmModel(
-            weights=weights,
-            variance_form=FULL,
-            variances=variances,
-            clip_floor=meta["clip_floor"],
-        )
-    else:
-        doppler, _ = read_array(directory / "doppler_variances")
-        delay, _ = read_array(directory / "delay_variances")
-        model = SbgmModel(
-            weights=weights,
-            variance_form=KRONECKER,
-            doppler_variances=doppler,
-            delay_variances=delay,
-            clip_floor=meta["clip_floor"],
-        )
+    """Read a model directory; returns (model, ``model.json``). The fields
+    of :func:`_describe` must be present and describe the arrays read."""
+    path = Path(directory) / "model.json"
+    meta = read_json(path)
+    keys = {"variance_form"}.union(*_MODEL_FIELDS.values())
+    doc = {key: value for key, value in meta.items() if key in keys}  # the rest is the caller's
+    header = check_tagged_document(doc, "variance_form", _MODEL_FIELDS, f"model document {path}")
+    form = header["variance_form"]
+    factors = {stem: read_array(path.parent / stem)[0] for stem, _, _ in _FORMS[form]}
+    weights, _ = read_array(path.parent / "weights")
+    model = SbgmModel(weights, form, clip_floor=header["clip_floor"], **factors)
+    wrong = sorted(key for key, value in _describe(model).items() if header[key] != value)
+    if wrong:
+        raise InvalidArgumentError(f"{path} does not describe its arrays: {wrong} differ")
     return model, meta

@@ -364,6 +364,55 @@ class TestGenerateAndMetrics:
                      "--out", str(tmp_path / "b")])
         assert code == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize(
+        "document, field, value",
+        [("model.json", "variance_form", None), ("model.json", "variance_form", "diagonal"),
+         ("model.json", "clip_floor", None), ("model.json", "grid", None),
+         ("model.json", "system", None), ("model.json", "model_id", None),
+         ("scenario.json", "grid", None), ("scenario.json", "system", None),
+         ("model.json", None, "[]"), ("model.json", None, "{"),
+         ("scenario.json", None, "[]"), ("scenario.json", None, "{")],
+    )
+    def test_malformed_model_or_scenario_document_rejected(
+        self, fitted_model, simo_dataset, tmp_path, capsys, document, field, value
+    ):
+        if document == "model.json":
+            path = fitted_model / document
+            command = ["generate", str(fitted_model), "-n", "5", "--seed", "0", "--render"]
+        else:
+            path = simo_dataset / document
+            command = ["fit", str(simo_dataset), "--model", "msbl"]
+        if field is None:
+            path.write_text(value)  # not a JSON object
+        else:
+            meta = json.loads(path.read_text())
+            if value is None:
+                del meta[field]
+            else:
+                meta[field] = value
+            path.write_text(json.dumps(meta))
+        assert main([*command, "--out", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
+        if field == "variance_form" and value:
+            assert repr(value) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["doubled-variance", "n_components", "n_coefficients", "model_id"],
+    )
+    def test_model_arrays_not_matching_model_json_rejected(self, fitted_model, tmp_path, edit):
+        if edit == "doubled-variance":
+            path = fitted_model / "variances.bin"
+            payload = bytearray(path.read_bytes())
+            payload[:8] = (2 * np.frombuffer(payload[:8], "<f8")).tobytes()
+            path.write_bytes(bytes(payload))
+        else:
+            meta = json.loads((fitted_model / "model.json").read_text())
+            meta[edit] = "0" * 12 if edit == "model_id" else meta[edit] + 1
+            (fitted_model / "model.json").write_text(json.dumps(meta))
+        code = main(["generate", str(fitted_model), "-n", "5", "--seed", "0",
+                     "--out", str(tmp_path / "b")])
+        assert code == EXIT_BAD_CONFIG
+
     def test_metrics_against_self_reference(self, fitted_model, tmp_path):
         batch = tmp_path / "batch"
         main(["generate", str(fitted_model), "-n", "100", "--seed", "5",

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -443,6 +444,38 @@ class TestModelSerialization:
         np.testing.assert_allclose(
             loaded.expanded_variances(), model.expanded_variances(), atol=0
         )
+
+    # saved models and batches record these ids: a change to the hash or the
+    # layout would orphan every model written before it
+    @pytest.mark.parametrize(
+        "form, factors, model_id, sizes, roles",
+        [
+            ("full", {"variances": np.arange(1.0, 7.0).reshape(2, 3)}, "20e3e917a2fe",
+             {"n_coefficients": 3}, {"variances": "component-variances"}),
+            ("kronecker", {"doppler_variances": np.arange(1.0, 5.0).reshape(2, 2),
+                           "delay_variances": np.arange(1.0, 7.0).reshape(2, 3)},
+             "72fffb4e7a3a", {"doppler_size": 2, "delay_size": 3},
+             {"doppler_variances": "doppler-variances", "delay_variances": "delay-variances"}),
+        ],
+    )
+    def test_model_id_and_saved_layout_are_pinned(
+        self, tmp_path, form, factors, model_id, sizes, roles
+    ):
+        model = SbgmModel(weights=[0.25, 0.75], variance_form=form, **factors)
+        assert model.content_id == model_id
+        directory = tmp_path / "model"
+        save_model(model, directory)
+        roles = {"weights": "mixture-weights", **roles}
+        assert sorted(p.name for p in directory.iterdir()) == sorted(
+            ["model.json", *(f"{stem}.{ext}" for stem in roles for ext in ("bin", "json"))]
+        )
+        assert json.loads((directory / "model.json").read_text()) == {
+            "kind": "sbgm-model", "n_components": 2, "variance_form": form,
+            "clip_floor": GAMMA_FLOOR, "model_id": model_id, **sizes,
+        }
+        for stem, role in roles.items():
+            assert json.loads((directory / f"{stem}.json").read_text())["role"] == role
+        assert load_model(directory)[0].content_id == model_id
 
     @pytest.mark.parametrize("field", ["doppler_variances", "delay_variances"])
     def test_non_finite_kronecker_factor_rejected(self, field):
