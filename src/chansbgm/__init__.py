@@ -45,10 +45,7 @@ _EXPORTS = {
         "total_log_likelihood",
     ],
     "errors": [
-        "CapacityError",
         "ChanSbgmError",
-        "DegenerateInputError",
-        "DomainMismatchError",
         "InvalidArgumentError",
         "NumericError",
     ],

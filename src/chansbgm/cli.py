@@ -2,24 +2,23 @@
 
 Every command takes a seed and writes deterministic artifacts; re-running
 with the same inputs reproduces every output file byte for byte. Numeric
-imports happen after thread configuration so that --threads (or the
-CHANSBGM_THREADS environment variable) can cap the linear-algebra thread
-pools before they start.
+imports happen after thread configuration so that --threads can cap the
+linear-algebra thread pools before they start.
 
 Exit codes: 0 success, 1 unexpected failure, 2 invalid configuration or
-input, 3 diagnostic failure (non-monotone fit trace).
+input (``InvalidArgumentError`` or ``OSError``), 3 diagnostic failure
+(non-monotone fit trace).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from .errors import ChanSbgmError, InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -76,10 +75,6 @@ _EM_OPTION_FIELDS = {
 }
 
 
-class ConfigError(Exception):
-    pass
-
-
 def default_simo_synth_config() -> dict:
     """Street-canyon SIMO dataset at the reference scale."""
     return {
@@ -115,25 +110,10 @@ def default_ofdm_synth_config() -> dict:
 
 
 def _configure_threads(threads: int | None) -> None:
-    if threads is None:
-        env = os.environ.get("CHANSBGM_THREADS")
-        threads = int(env) if env else None
-    if threads is None:
-        return
-    if "numpy" in sys.modules:
-        return  # pools already started; the cap only works at first import
+    if threads is None or "numpy" in sys.modules:
+        return  # no cap, or pools already started; the cap only works at first import
     for var in _THREAD_VARS:
         os.environ[var] = str(int(threads))
-
-
-def _load_config(path: str):
-    """The JSON document in the file ``path``."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 def _synth_config(document) -> dict:
@@ -144,7 +124,7 @@ def _synth_config(document) -> dict:
         document, "scenario", _SYNTH_FIELDS, "synth config", _SYNTH_OPTIONAL
     )
     if config["n_train"] < 1:
-        raise ConfigError("n_train must be >= 1")
+        raise InvalidArgumentError("n_train must be >= 1")
     for entry in config.get("angle_profile", ()):
         check_document(
             entry, _ANGLE_COMPONENT_FIELDS, _ANGLE_COMPONENT_FIELDS, "angle_profile entry"
@@ -174,7 +154,7 @@ def _profile_from_config(entries: list[dict] | None):
 def cmd_synth(config_path: str, seed: int, out: str) -> int:
     import numpy as np
 
-    from .container import write_array, write_json
+    from .container import read_json, write_array, write_json
     from .dictionary import (
         AngleGrid,
         DelayDopplerGrid,
@@ -194,12 +174,8 @@ def cmd_synth(config_path: str, seed: int, out: str) -> int:
         sample_angle,
     )
 
-    config = _synth_config(_load_config(config_path))
+    config = _synth_config(read_json(config_path))
     system = SystemConfig.from_json(config["system"])
-    if system.variant != config["scenario"]:
-        raise ConfigError("system variant must match the scenario")
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     n_train = config["n_train"]
     snr_range = tuple(config["snr_range_db"])
@@ -247,6 +223,8 @@ def cmd_synth(config_path: str, seed: int, out: str) -> int:
         pilots = random_pilots(config["n_pilots"], system.channel_dim, rng)
 
     obs = make_observations(channels, pilots, snr_range, rng)
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_array(out_dir / "channels", channels, role="ground-truth-channels")
     write_array(out_dir / "observations", obs.samples, role="observations")
     write_array(out_dir / "noise_vars", obs.noise_vars, role="noise-variances")
@@ -320,18 +298,20 @@ def cmd_fit(
     seed: int,
     config_path: str | None,
 ) -> int:
-    from .container import write_json, write_text
+    from .container import read_json, write_json, write_text
     from .em import csgmm_fit, save_model
     from .utils import check_document
 
-    document = {} if config_path is None else _load_config(config_path)
+    document = {} if config_path is None else read_json(config_path)
     options = check_document(document, _EM_OPTION_FIELDS, what="EM options")
     if model_kind == "msbl":
         if n_components not in (None, 1):
-            raise ConfigError("msbl is the single-component model; omit --K or use --K 1")
+            raise InvalidArgumentError(
+                "msbl is the single-component model; omit --K or use --K 1"
+            )
         n_components = 1
     elif n_components is None:
-        raise ConfigError("csgmm requires --K")
+        raise InvalidArgumentError("csgmm requires --K")
 
     obs, dictionary, meta = load_dataset(dataset)
     model, trace = csgmm_fit(
@@ -388,16 +368,18 @@ def cmd_generate(
     p_max: int | None,
     swap_config_path: str | None,
 ) -> int:
-    from .dictionary import SystemConfig, grid_from_json, load_dictionary
+    from .container import read_json
+    from .dictionary import SystemConfig, build_dictionary, check_pairing, grid_from_json
     from .em import load_model
     from .generation import limit_batch_paths, render_channels, sample_blocks, save_batch
 
     model, meta = load_model(model_dir)
     grid_doc = meta.get("grid")
-    system_doc = meta.get("system") if swap_config_path is None else _load_config(swap_config_path)
-    grid_from_json(grid_doc)  # the batch records both even when nothing is rendered
-    SystemConfig.from_json(system_doc)
-    dictionary = load_dictionary(grid_doc, system_doc) if render else None
+    system_doc = meta.get("system") if swap_config_path is None else read_json(swap_config_path)
+    # the batch records both even when nothing is rendered
+    grid, system = grid_from_json(grid_doc), SystemConfig.from_json(system_doc)
+    check_pairing(grid, system)
+    dictionary = build_dictionary(grid, system) if render else None
     # one row block at a time: drawn, capped, rendered, appended
     blocks = sample_blocks(model, n, seed)
     if p_max is not None:
@@ -415,17 +397,18 @@ def cmd_generate(
 
 def _open_reference(path: str | Path):
     """Accept either a generated batch or a dataset directory as reference;
-    returns readers of its coefficients (None for a dataset) and channels."""
-    from .container import ArrayReader
+    returns readers of its coefficients (None for a dataset) and channels,
+    and its ``batch.json`` or ``scenario.json`` document."""
+    from .container import ArrayReader, read_json
     from .generation import open_batch
 
     path = Path(path)
     if (path / "batch.json").exists():
         stored = open_batch(path)
-        return stored.sparse, stored.channels
+        return stored.sparse, stored.channels, stored.meta
     if (path / "scenario.json").exists():
-        return None, ArrayReader(path / "channels")
-    raise ConfigError(f"{path} is neither a batch nor a dataset directory")
+        return None, ArrayReader(path / "channels"), read_json(path / "scenario.json")
+    raise InvalidArgumentError(f"{path} is neither a batch nor a dataset directory")
 
 
 def _angular_pass(sparse, grid):
@@ -462,6 +445,7 @@ def cmd_metrics(
         profile_support_leakage,
         sample_cosines,
         sample_nmse,
+        spread_histogram,
     )
     from .utils import row_blocks
 
@@ -469,6 +453,22 @@ def cmd_metrics(
     grid_doc = batch.meta.get("grid")
     grid = grid_from_json(grid_doc) if grid_doc else None
     angular = isinstance(grid, AngleGrid)
+    ref_sparse, ref_channels, ref_meta = (
+        (None, None, {}) if reference is None else _open_reference(reference)
+    )
+    # coefficients compare only on one grid, channels only for one system
+    if ref_sparse is not None and ref_meta.get("grid") != grid_doc:
+        raise InvalidArgumentError(f"{reference} was not drawn on the grid of {batch_dir}")
+    aligned = (
+        batch.channels is not None
+        and ref_channels is not None
+        and ref_channels.shape == batch.channels.shape
+        and ref_meta.get("system") == batch.meta.get("system")
+    )
+    if channel_metrics and not aligned:
+        raise InvalidArgumentError(
+            "channel metrics need a reference with channels aligned to the batch"
+        )
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     profile, skipped, spreads = _angular_pass(batch.sparse, grid if angular else None)
@@ -484,8 +484,7 @@ def cmd_metrics(
 
     if angular:
         edges = np.linspace(*SPREAD_HIST_RANGE, SPREAD_HIST_BINS + 1)
-        hist, _ = np.histogram(np.clip(spreads, edges[0], edges[-1]), bins=edges)
-        hist = hist / hist.sum()
+        hist = spread_histogram(spreads, edges)
         hist_lines = ["bin_lo,bin_hi,mass"]
         hist_lines += [
             f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},{repr(float(hist[i]))}"
@@ -494,7 +493,6 @@ def cmd_metrics(
         write_text(out_dir / "spread_hist.csv", "\n".join(hist_lines) + "\n")
         report["mean_angular_spread"] = float(np.mean(spreads))
 
-    ref_sparse, ref_channels = (None, None) if reference is None else _open_reference(reference)
     if ref_sparse is not None:
         ref_profile, _, ref_spreads = _angular_pass(ref_sparse, grid if angular else None)
         report["leakage_vs_reference_support"] = profile_support_leakage(
@@ -507,11 +505,7 @@ def cmd_metrics(
 
     # the spreads are reduced; free them before the channel pass adds two (n,) vectors
     spreads = ref_spreads = None
-    if (
-        batch.channels is not None
-        and ref_channels is not None
-        and ref_channels.shape == batch.channels.shape
-    ):
+    if aligned:
         n = len(batch.channels)
         errors, cosines = np.empty(n), np.empty(n)
         for rows in row_blocks(n, batch.channels.shape[1]):
@@ -520,10 +514,6 @@ def cmd_metrics(
             cosines[rows] = sample_cosines(estimates, truths)
         report["nmse"] = float(np.mean(errors))
         report["cosine_similarity"] = float(np.mean(cosines))
-    elif channel_metrics:
-        raise ConfigError(
-            "channel metrics need a reference with channels aligned to the batch"
-        )
     write_json(out_dir / "report.json", report)
     print(f"metrics: wrote report to {out_dir}")
     return EXIT_OK
@@ -745,9 +735,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selfcheck":
             return cmd_selfcheck()
         raise AssertionError(f"unhandled command {args.command}")
-    except NumericError:
-        raise  # a failed computation is not bad input
-    except (ConfigError, OSError, ChanSbgmError) as exc:
+    except (OSError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

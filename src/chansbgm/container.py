@@ -2,10 +2,10 @@
 
 Every array is stored as two files, ``<stem>.json`` and ``<stem>.bin``.
 The sidecar records shape, dtype tag (``"c128"`` or ``"f64"``), row-major
-order, little-endian byte order, a semantic role string, and optional
-provenance. The payload is the raw little-endian bytes; complex values are
-stored as interleaved (re, im) pairs of 8-byte floats. Reading back what
-was written is bit-exact.
+order, little-endian byte order and a semantic role string. The payload
+is the raw little-endian bytes; complex values are stored as interleaved
+(re, im) pairs of 8-byte floats. Reading back what was written is
+bit-exact.
 
 Arrays move in row blocks (:func:`chansbgm.utils.row_blocks`), so a batch
 never has to be whole in memory:
@@ -84,14 +84,12 @@ class ArrayWriter:
     when the block exits cleanly and discards the payload when it raises.
     """
 
-    def __init__(self, stem: str | Path, role: str, provenance: dict | None = None):
+    def __init__(self, stem: str | Path, role: str):
         stem = Path(stem)
         self._bin = stem.with_suffix(".bin")
         self._sidecar_path = stem.with_suffix(".json")
         self._tmp = self._bin.with_name(self._bin.name + ".tmp")
         self._sidecar = {"format": FORMAT_TAG, "order": "C", "endianness": "LE", "role": role}
-        if provenance is not None:
-            self._sidecar["provenance"] = provenance
         self._shape: list[int] | None = None
         self._file = open(self._tmp, "wb")
 
@@ -190,12 +188,7 @@ class ArrayReader:
             yield self.read(rows)
 
 
-def write_array(
-    stem: str | Path,
-    array: np.ndarray,
-    role: str,
-    provenance: dict | None = None,
-) -> None:
+def write_array(stem: str | Path, array: np.ndarray, role: str) -> None:
     """Write ``array`` to ``<stem>.json`` + ``<stem>.bin``.
 
     Arrays are converted to c128/f64 before writing; integer input is
@@ -204,7 +197,7 @@ def write_array(
     array = np.asarray(array)
     if array.ndim == 0:
         raise InvalidArgumentError("arrays are written in rows; a 0-d array has none")
-    with ArrayWriter(stem, role, provenance) as writer:
+    with ArrayWriter(stem, role) as writer:
         for rows in row_blocks(len(array), math.prod(array.shape[1:])):
             writer.append(array[rows])
 

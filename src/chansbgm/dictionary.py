@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, DomainMismatchError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .utils import check_tagged_document, content_id
 
 MAX_DICTIONARY_COLUMNS = 1 << 16
@@ -196,7 +197,7 @@ class Dictionary:
     def n_columns(self) -> int:
         return self.matrix.shape[1]
 
-    @property
+    @cached_property
     def content_id(self) -> str:
         return content_id(self.matrix.tobytes())
 
@@ -238,10 +239,17 @@ def delay_matrix(delays: np.ndarray, n_subcarriers: int, subcarrier_spacing: flo
     return np.exp(-2j * math.pi * sub * (np.asarray(delays) * subcarrier_spacing)[None, :])
 
 
+def check_pairing(grid: AngleGrid | DelayDopplerGrid, config: SystemConfig) -> None:
+    """An angle grid needs a SIMO system, a delay-Doppler grid an OFDM one."""
+    if isinstance(grid, AngleGrid) and config.variant != SIMO:
+        raise InvalidArgumentError("an angle grid needs a SIMO system config")
+    if isinstance(grid, DelayDopplerGrid) and config.variant != OFDM:
+        raise InvalidArgumentError("a delay-Doppler grid needs an OFDM system config")
+
+
 def build_simo_dictionary(grid: AngleGrid, config: SystemConfig) -> Dictionary:
     """Columns are ULA steering vectors at the grid angles; shape (N, size)."""
-    if config.variant != SIMO:
-        raise DomainMismatchError("an angle grid needs a SIMO system config")
+    check_pairing(grid, config)
     return Dictionary(matrix=ula_matrix(grid.points, config.n_antennas), grid=grid, config=config)
 
 
@@ -256,10 +264,9 @@ def build_ofdm_dictionary(
     delay_size); the full matrix has shape (n_symbols*n_subcarriers,
     doppler_size*delay_size).
     """
-    if config.variant != OFDM:
-        raise DomainMismatchError("a delay-Doppler grid needs an OFDM system config")
+    check_pairing(grid, config)
     if grid.size > max_columns:
-        raise CapacityError(
+        raise InvalidArgumentError(
             f"grid has {grid.size} columns, exceeding the limit of {max_columns}"
         )
     d_t = doppler_matrix(grid.doppler_points, config.n_symbols, config.symbol_duration)
@@ -278,8 +285,8 @@ def build_dictionary(grid: AngleGrid | DelayDopplerGrid, config: SystemConfig) -
     """Dictionary over ``grid`` sampled by ``config``.
 
     An angle grid takes :func:`build_simo_dictionary`, a delay-Doppler grid
-    :func:`build_ofdm_dictionary`; either raises ``DomainMismatchError``
-    when ``config`` is of the other variant.
+    :func:`build_ofdm_dictionary`; either rejects a ``config`` of the other
+    variant (:func:`check_pairing`).
     """
     if isinstance(grid, AngleGrid):
         return build_simo_dictionary(grid, config)
@@ -307,7 +314,7 @@ def vectorize_channel(channel_matrix: np.ndarray) -> np.ndarray:
 def unvectorize_channel(h: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Inverse of :func:`vectorize_channel`."""
     if config.variant != OFDM:
-        raise DomainMismatchError("unvectorize_channel requires an OFDM config")
+        raise InvalidArgumentError("unvectorize_channel requires an OFDM config")
     return np.asarray(h).reshape((config.n_subcarriers, config.n_symbols), order="F")
 
 

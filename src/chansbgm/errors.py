@@ -6,19 +6,8 @@ class ChanSbgmError(Exception):
 
 
 class InvalidArgumentError(ChanSbgmError, ValueError):
-    """An argument violates a precondition (bad value, dimension mismatch)."""
-
-
-class DomainMismatchError(ChanSbgmError, ValueError):
-    """Objects from incompatible physical domains were combined."""
-
-
-class CapacityError(ChanSbgmError, ValueError):
-    """A requested size exceeds a configured capacity limit."""
-
-
-class DegenerateInputError(ChanSbgmError, ValueError):
-    """Input is degenerate (all-zero dataset, zero-norm vector, ...)."""
+    """Input the program rejects: a bad value, a dimension or domain
+    mismatch, a size over a limit, or degenerate data."""
 
 
 class NumericError(ChanSbgmError, RuntimeError):

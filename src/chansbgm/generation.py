@@ -28,7 +28,7 @@ import numpy as np
 from .container import ArrayReader, ArrayWriter, read_json, write_json
 from .dictionary import Dictionary
 from .em import SbgmModel
-from .errors import DomainMismatchError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .utils import complex_standard_normal, row_blocks
 
 
@@ -113,7 +113,7 @@ def render_channels(batch: GeneratedBatch, dictionary: Dictionary) -> GeneratedB
     count has to match the coefficient dimension.
     """
     if dictionary.n_columns != batch.n_coefficients:
-        raise DomainMismatchError(
+        raise InvalidArgumentError(
             f"dictionary has {dictionary.n_columns} columns but the batch has "
             f"{batch.n_coefficients} coefficients"
         )
@@ -161,7 +161,7 @@ def conditional_covariance(model: SbgmModel, k: int, dictionary: Dictionary) -> 
         raise InvalidArgumentError("component index out of range")
     gamma = model.component_variances(k)
     if dictionary.n_columns != len(gamma):
-        raise DomainMismatchError("dictionary and model dimensions do not match")
+        raise InvalidArgumentError("dictionary and model dimensions do not match")
     d = dictionary.matrix
     return (d * gamma[None, :]) @ d.conj().T
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .dictionary import AngleGrid
-from .errors import DegenerateInputError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .utils import row_blocks
 
 SPREAD_HIST_BINS = 64
@@ -46,7 +46,7 @@ class PowerProfile:
         if self.n_kept + self.n_skipped == 0:
             raise InvalidArgumentError("vectors must be a nonempty (n, S) array")
         if self.n_kept == 0:
-            raise DegenerateInputError("all samples have zero norm")
+            raise InvalidArgumentError("all samples have zero norm")
         return self.total / self.n_kept
 
 
@@ -71,7 +71,7 @@ def angular_spread(s: np.ndarray, grid: AngleGrid) -> float:
     power = np.abs(s) ** 2
     total = power.sum()
     if total == 0:
-        raise DegenerateInputError("angular spread is undefined for a zero vector")
+        raise InvalidArgumentError("angular spread is undefined for a zero vector")
     angles = grid.points
     if len(angles) != len(s):
         raise InvalidArgumentError("vector length must match the grid size")
@@ -112,7 +112,7 @@ def sample_cosines(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
     num = np.abs(np.sum(estimates.conj() * truths, axis=1))
     den = np.linalg.norm(estimates, axis=1) * np.linalg.norm(truths, axis=1)
     if np.any(den == 0):
-        raise DegenerateInputError("cosine similarity is undefined for zero vectors")
+        raise InvalidArgumentError("cosine similarity is undefined for zero vectors")
     return num / den
 
 
@@ -126,27 +126,32 @@ def cosine_similarity(estimates: np.ndarray, truths: np.ndarray) -> float:
     return float(np.mean(sample_cosines(*_paired(estimates, truths))))
 
 
+def spread_histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Share of ``values`` in each bin between consecutive ``edges``.
+
+    Values are clipped into the bin range so every value carries mass.
+    """
+    counts, _ = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)
+    return counts / counts.sum()
+
+
 def histogram_w1(
     a,
     b,
     bins: int | np.ndarray = SPREAD_HIST_BINS,
     value_range: tuple[float, float] = SPREAD_HIST_RANGE,
 ) -> float:
-    """1-Wasserstein distance between binned empirical distributions.
-
-    Values are clipped into the bin range so every sample carries mass;
-    the distance is zero exactly when the two histograms coincide.
+    """1-Wasserstein distance between binned empirical distributions
+    (:func:`spread_histogram`); zero exactly when the two histograms
+    coincide.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise InvalidArgumentError("both value lists must be nonempty")
     edges = np.asarray(bins, dtype=float) if np.ndim(bins) else np.linspace(*value_range, int(bins) + 1)
-    lo, hi = edges[0], edges[-1]
-    hist_a, _ = np.histogram(np.clip(a, lo, hi), bins=edges)
-    hist_b, _ = np.histogram(np.clip(b, lo, hi), bins=edges)
-    p = hist_a / hist_a.sum()
-    q = hist_b / hist_b.sum()
+    p = spread_histogram(a, edges)
+    q = spread_histogram(b, edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     gaps = np.diff(centers)
     cdf_diff = np.cumsum(p - q)[:-1]

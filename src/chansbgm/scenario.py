@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dictionary import SystemConfig, delay_matrix, doppler_matrix, ula_matrix
-from .errors import DegenerateInputError, InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError, NumericError
 from .utils import complex_standard_normal, hermitianize
 
 
@@ -378,7 +378,7 @@ def make_observations(
     if signal_energy is None:
         signal_energy = float(np.mean(np.sum(np.abs(compressed) ** 2, axis=1)))
     if signal_energy <= 0:
-        raise DegenerateInputError("channel set carries no energy at the pilots")
+        raise InvalidArgumentError("channel set carries no energy at the pilots")
     m = len(pilots)
     snr_db = rng.uniform(lo, hi, size=len(channels))
     noise_vars = signal_energy / (m * 10.0 ** (0.1 * snr_db))
@@ -401,6 +401,6 @@ def normalize_dataset(channels: np.ndarray) -> tuple[np.ndarray, float]:
         raise InvalidArgumentError("channels must be a nonempty (n, N) array")
     mean_energy = float(np.mean(np.sum(np.abs(channels) ** 2, axis=1)))
     if mean_energy == 0.0:
-        raise DegenerateInputError("cannot normalize an all-zero dataset")
+        raise InvalidArgumentError("cannot normalize an all-zero dataset")
     scale = math.sqrt(channels.shape[1] / mean_energy)
     return channels * scale, scale

@@ -119,11 +119,12 @@ class TestSynth:
             (small_ofdm_config, lambda c: c.update(normalize="yes")),
             (small_simo_config, lambda c: c.update(scenario="mimo")),
             (small_ofdm_config, lambda c: c.update(grid_size=1)),
+            (small_simo_config, lambda c: c.update(system=small_ofdm_config()["system"])),
         ],
         ids=["n_train-string", "ofdm-n_train-0", "snr-three-items", "unknown-key",
              "profile-entry-without-weight", "negative-gain-decay", "paths-unknown-key",
              "normalize-string",
-             "scenario-mimo", "simo-field-in-ofdm"],
+             "scenario-mimo", "simo-field-in-ofdm", "system-of-other-variant"],
     )
     def test_malformed_config_rejected(self, tmp_path, make, edit):
         config = make()
@@ -133,6 +134,7 @@ class TestSynth:
         assert main(["synth", "--config", path, "--seed", "0", "--out", str(out)]) == (
             EXIT_BAD_CONFIG
         )
+        assert not out.exists()
 
     def test_integral_floats_accepted_as_integers(self, tmp_path):
         config = small_simo_config()
@@ -346,6 +348,15 @@ class TestGenerateAndMetrics:
                      "--render", "--swap-config", swap, "--out", str(tmp_path / "b")])
         assert code == EXIT_BAD_CONFIG
 
+    def test_unrendered_swap_config_of_other_variant_rejected(self, fitted_model, tmp_path):
+        # the batch would record the model's angle grid beside an OFDM system
+        swap = write_config(tmp_path, small_ofdm_config()["system"], "swap.json")
+        out = tmp_path / "b"
+        code = main(["generate", str(fitted_model), "-n", "10", "--seed", "0",
+                     "--swap-config", swap, "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        assert not out.exists()
+
     @pytest.mark.parametrize("render", [["--render"], []], ids=["rendered", "unrendered"])
     def test_malformed_swap_config_rejected(self, fitted_model, tmp_path, render):
         # the batch records the swapped system, so it is checked even unrendered
@@ -434,6 +445,7 @@ class TestGenerateAndMetrics:
         code = main(["metrics", str(batch), "--channel-metrics",
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_BAD_CONFIG
+        assert not (tmp_path / "r").exists()
 
 
     @pytest.mark.parametrize("field, value", [("n_antennas", 16.5), ("n_rx", 2)])
@@ -589,6 +601,48 @@ class TestBlockSizeInvariance:
         }
 
 
+class TestReferenceMismatch:
+    """metrics compares coefficients only on one grid and channels only
+    for one system."""
+
+    def test_reference_on_another_grid_rejected(self, ofdm_model, tmp_path):
+        config = small_simo_config()
+        config["grid_size"] = 16  # as many coefficients as the 4x4 delay-Doppler grid
+        data, model = tmp_path / "simo_data", tmp_path / "simo_model"
+        assert main(["synth", "--config", write_config(tmp_path, config, "simo.json"),
+                     "--seed", "0", "--out", str(data)]) == EXIT_OK
+        em = write_config(tmp_path, {"max_iters": 3}, "em3.json")
+        assert main(["fit", str(data), "--model", "msbl", "--config", em,
+                     "--out", str(model)]) == EXIT_OK
+        angle, delay_doppler = tmp_path / "angle", tmp_path / "delay_doppler"
+        for source, out in ((model, angle), (ofdm_model, delay_doppler)):
+            assert main(["generate", str(source), "-n", "20", "--seed", "0",
+                         "--out", str(out)]) == EXIT_OK
+        report = tmp_path / "report"
+        assert main(["metrics", str(angle), str(delay_doppler),
+                     "--out", str(report)]) == EXIT_BAD_CONFIG
+        assert not report.exists()
+
+    def test_channels_for_another_system_rejected(self, ofdm_model, tmp_path):
+        batches = []
+        for n_subcarriers, n_symbols in ((4, 4), (2, 8)):  # 16 channel entries each
+            system = dict(small_ofdm_config()["system"],
+                          n_subcarriers=n_subcarriers, n_symbols=n_symbols)
+            swap = write_config(tmp_path, system, f"swap_{n_subcarriers}.json")
+            out = tmp_path / f"batch_{n_subcarriers}"
+            assert main(["generate", str(ofdm_model), "-n", "20", "--seed", "0", "--render",
+                         "--swap-config", swap, "--out", str(out)]) == EXIT_OK
+            batches.append(str(out))
+        report = tmp_path / "report"
+        assert main(["metrics", *batches, "--channel-metrics",
+                     "--out", str(report)]) == EXIT_BAD_CONFIG
+        assert not report.exists()
+        # without --channel-metrics the coefficients are scored and the channels are not
+        assert main(["metrics", *batches, "--out", str(report)]) == EXIT_OK
+        scored = json.loads((report / "report.json").read_text())
+        assert "leakage_vs_reference_support" in scored and "nmse" not in scored
+
+
 class TestSelfcheck:
     def test_selfcheck_passes(self, capsys):
         assert main(["selfcheck"]) == EXIT_OK
@@ -674,21 +728,17 @@ class TestDiagnosticsAndDefaults:
         )
         assert out.stdout.strip() == "3 3"
 
-    def test_thread_env_var_fallback(self):
-        import subprocess
-        import sys
+    def test_numeric_error_is_not_bad_input(self, simo_dataset, tmp_path, monkeypatch):
+        import chansbgm.em as em_module
+        from chansbgm.errors import NumericError
 
-        code = (
-            "import os\n"
-            "os.environ['CHANSBGM_THREADS'] = '2'\n"
-            "from chansbgm.cli import _configure_threads\n"
-            "_configure_threads(None)\n"
-            "print(os.environ['MKL_NUM_THREADS'])\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "2"
+        def failing_fit(*args, **kwargs):
+            raise NumericError("factorization failed")
+
+        monkeypatch.setattr(em_module, "csgmm_fit", failing_fit)
+        # main lets it propagate, so the interpreter exits 1
+        with pytest.raises(NumericError):
+            main(["fit", str(simo_dataset), "--model", "msbl", "--out", str(tmp_path / "m")])
 
     def test_reference_scale_defaults(self):
         from chansbgm.cli import default_ofdm_synth_config, default_simo_synth_config

@@ -29,8 +29,8 @@ def test_real_round_trip_is_bit_exact(tmp_path):
 def test_rewrite_is_byte_identical(tmp_path):
     rng = np.random.default_rng(2)
     arr = rng.standard_normal((3, 4))
-    write_array(tmp_path / "a", arr, role="test", provenance={"seed": 2})
-    write_array(tmp_path / "b", arr, role="test", provenance={"seed": 2})
+    write_array(tmp_path / "a", arr, role="test")
+    write_array(tmp_path / "b", arr, role="test")
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
@@ -53,8 +53,8 @@ def test_truncated_payload_rejected(tmp_path):
 def test_streamed_write_is_byte_identical(tmp_path):
     rng = np.random.default_rng(3)
     arr = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
-    write_array(tmp_path / "whole", arr, role="test", provenance={"seed": 3})
-    with ArrayWriter(tmp_path / "streamed", role="test", provenance={"seed": 3}) as writer:
+    write_array(tmp_path / "whole", arr, role="test")
+    with ArrayWriter(tmp_path / "streamed", role="test") as writer:
         for rows in (slice(0, 3), slice(3, 3), slice(3, 4), slice(4, 10)):
             writer.append(arr[rows])
     for suffix in (".bin", ".json"):

@@ -15,8 +15,8 @@ from chansbgm import (
     profile_support_leakage,
     toeplitz_deviation,
 )
-from chansbgm.errors import DegenerateInputError, InvalidArgumentError
-from chansbgm.metrics import PowerProfile
+from chansbgm.errors import InvalidArgumentError
+from chansbgm.metrics import PowerProfile, spread_histogram
 
 
 class TestPowerAngularProfile:
@@ -115,7 +115,7 @@ class TestAngularSpread:
         )
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InvalidArgumentError, match="undefined for a zero vector"):
             angular_spread(np.zeros(8), self.grid)
 
     def test_batch_agrees_with_scalar(self):
@@ -168,7 +168,7 @@ class TestChannelMetrics:
         assert cosine_similarity(a, b) == pytest.approx(oracle, rel=1e-12)
 
     def test_cosine_zero_vector_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InvalidArgumentError, match="undefined for zero vectors"):
             cosine_similarity(np.zeros((1, 3)), np.ones((1, 3)))
 
     def test_dimension_mismatch_rejected(self):
@@ -184,6 +184,11 @@ class TestHistogramW1:
 
     def test_point_masses_unit_bins(self):
         assert histogram_w1([0.0], [1.0], bins=np.array([0.0, 1.0, 2.0])) == pytest.approx(1.0)
+
+    def test_histogram_clips_into_end_bins(self):
+        values = np.array([-5.0, 0.5, 1.5, 1.7, 9.0])
+        shares = spread_histogram(values, np.array([0.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(shares, [0.4, 0.6])
 
     def test_matches_quantile_coupling_oracle(self):
         rng = np.random.default_rng(10)
