@@ -154,7 +154,7 @@ def _profile_from_config(entries: list[dict] | None):
 def cmd_synth(config_path: str, seed: int, out: str) -> int:
     import numpy as np
 
-    from .container import read_json, write_array, write_json
+    from .container import output_directory, read_json, write_array, write_json
     from .dictionary import (
         AngleGrid,
         DelayDopplerGrid,
@@ -176,76 +176,75 @@ def cmd_synth(config_path: str, seed: int, out: str) -> int:
 
     config = _synth_config(read_json(config_path))
     system = SystemConfig.from_json(config["system"])
-    rng = np.random.default_rng(seed)
-    n_train = config["n_train"]
-    snr_range = tuple(config["snr_range_db"])
-    scale = 1.0
+    with output_directory(out, "scenario.json") as out_dir:
+        rng = np.random.default_rng(seed)
+        n_train = config["n_train"]
+        snr_range = tuple(config["snr_range_db"])
+        scale = 1.0
 
-    if config["scenario"] == "simo":
-        grid = AngleGrid(config["grid_size"])
-        dictionary_id = build_dictionary(grid, system).content_id
-        profile = _profile_from_config(config.get("angle_profile"))
-        std = math.radians(config.get("laplacian_std_deg", 2.0))
-        quad = config.get("quadrature_points", 2048)
-        angles = sample_angle(profile, rng, size=n_train)
-        channels = np.empty((n_train, system.n_antennas), dtype=complex)
-        for i, angle in enumerate(angles):
-            cov = laplacian_local_covariance(angle, std, system.n_antennas, quad)
-            channels[i] = draw_simo_channel(cov, rng)
-        if config.get("normalize", False):
-            channels, scale = normalize_dataset(channels)
-        pilots = np.arange(system.n_antennas)
-    else:
-        grid = DelayDopplerGrid(
-            doppler_size=config["doppler_size"],
-            delay_size=config["delay_size"],
-            doppler_bound=config["doppler_bound_hz"],
-            delay_bound=config["delay_bound_s"],
-        )
-        dictionary_id = build_dictionary(grid, system).content_id
-        paths = config.get("paths", {})
-        scenario = OfdmScenario(
-            config=system,
-            max_paths=paths.get("max_paths", 8),
-            delay_range=tuple(paths.get("delay_range_s", (0.0, 0.5 * grid.delay_bound))),
-            doppler_range=tuple(
-                paths.get("doppler_range_hz", (-0.8 * grid.doppler_bound, 0.8 * grid.doppler_bound))
-            ),
-            gain_decay_rate=paths.get("gain_decay_rate", 1e6),
-            doppler_bound=grid.doppler_bound,
-            delay_bound=grid.delay_bound,
-        )
-        channels = np.stack(
-            [vectorize_channel(draw_ofdm_channel(scenario, rng)) for _ in range(n_train)]
-        )
-        if config.get("normalize", True):
-            channels, scale = normalize_dataset(channels)
-        pilots = random_pilots(config["n_pilots"], system.channel_dim, rng)
+        if config["scenario"] == "simo":
+            grid = AngleGrid(config["grid_size"])
+            dictionary_id = build_dictionary(grid, system).content_id
+            profile = _profile_from_config(config.get("angle_profile"))
+            std = math.radians(config.get("laplacian_std_deg", 2.0))
+            quad = config.get("quadrature_points", 2048)
+            angles = sample_angle(profile, rng, size=n_train)
+            channels = np.empty((n_train, system.n_antennas), dtype=complex)
+            for i, angle in enumerate(angles):
+                cov = laplacian_local_covariance(angle, std, system.n_antennas, quad)
+                channels[i] = draw_simo_channel(cov, rng)
+            if config.get("normalize", False):
+                channels, scale = normalize_dataset(channels)
+            pilots = np.arange(system.n_antennas)
+        else:
+            grid = DelayDopplerGrid(
+                doppler_size=config["doppler_size"],
+                delay_size=config["delay_size"],
+                doppler_bound=config["doppler_bound_hz"],
+                delay_bound=config["delay_bound_s"],
+            )
+            dictionary_id = build_dictionary(grid, system).content_id
+            paths = config.get("paths", {})
+            scenario = OfdmScenario(
+                config=system,
+                max_paths=paths.get("max_paths", 8),
+                delay_range=tuple(paths.get("delay_range_s", (0.0, 0.5 * grid.delay_bound))),
+                doppler_range=tuple(paths.get(
+                    "doppler_range_hz", (-0.8 * grid.doppler_bound, 0.8 * grid.doppler_bound)
+                )),
+                gain_decay_rate=paths.get("gain_decay_rate", 1e6),
+                doppler_bound=grid.doppler_bound,
+                delay_bound=grid.delay_bound,
+            )
+            channels = np.stack(
+                [vectorize_channel(draw_ofdm_channel(scenario, rng)) for _ in range(n_train)]
+            )
+            if config.get("normalize", True):
+                channels, scale = normalize_dataset(channels)
+            pilots = random_pilots(config["n_pilots"], system.channel_dim, rng)
 
-    obs = make_observations(channels, pilots, snr_range, rng)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_array(out_dir / "channels", channels, role="ground-truth-channels")
-    write_array(out_dir / "observations", obs.samples, role="observations")
-    write_array(out_dir / "noise_vars", obs.noise_vars, role="noise-variances")
-    write_array(out_dir / "snr_db", obs.snr_db, role="per-sample-snr-db")
-    # stored as the 0/1 selection matrix A, one unit row per pilot
-    selection = np.eye(system.channel_dim)[pilots]
-    write_array(out_dir / "selection", selection, role="selection-matrix")
-    write_json(
-        out_dir / "scenario.json",
-        {
-            "kind": "dataset",
-            "config": config,
-            "seed": int(seed),
-            "normalization_scale": scale,
-            "grid": grid_to_json(grid),
-            "system": system.to_json(),
-            "dictionary_id": dictionary_id,
-            "n_train": n_train,
-        },
-    )
-    print(f"synth: wrote {n_train} samples to {out_dir}")
+        obs = make_observations(channels, pilots, snr_range, rng)
+        write_array(out_dir / "channels", channels, role="ground-truth-channels")
+        write_array(out_dir / "observations", obs.samples, role="observations")
+        write_array(out_dir / "noise_vars", obs.noise_vars, role="noise-variances")
+        write_array(out_dir / "snr_db", obs.snr_db, role="per-sample-snr-db")
+        # stored as the 0/1 selection matrix A, one unit row per pilot
+        selection = np.eye(system.channel_dim)[pilots]
+        write_array(out_dir / "selection", selection, role="selection-matrix")
+        write_json(
+            out_dir / "scenario.json",
+            {
+                "kind": "dataset",
+                "config": config,
+                "seed": int(seed),
+                "normalization_scale": scale,
+                "grid": grid_to_json(grid),
+                "system": system.to_json(),
+                "dictionary_id": dictionary_id,
+                "n_train": n_train,
+            },
+        )
+    print(f"synth: wrote {n_train} samples to {Path(out)}")
     return EXIT_OK
 
 
@@ -298,7 +297,7 @@ def cmd_fit(
     seed: int,
     config_path: str | None,
 ) -> int:
-    from .container import read_json, write_json, write_text
+    from .container import output_directory, read_json, write_json
     from .em import csgmm_fit, save_model
     from .utils import check_document
 
@@ -314,46 +313,45 @@ def cmd_fit(
         raise InvalidArgumentError("csgmm requires --K")
 
     obs, dictionary, meta = load_dataset(dataset)
-    model, trace = csgmm_fit(
-        obs,
-        dictionary,
-        n_components,
-        variance_form=variance_form,
-        seed=seed,
-        **options,
-    )
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(
-        model,
-        out_dir,
-        extra_meta={
-            "seed": int(seed),
-            "dictionary_id": meta["dictionary_id"],
-            "grid": meta["grid"],
-            "system": meta["system"],
-            "converged": trace.converged,
-            "n_iterations": trace.n_iterations,
-        },
-    )
-    lines = ["iteration,log_likelihood"]
-    lines += [f"{i},{repr(float(v))}" for i, v in enumerate(trace.log_likelihoods)]
-    write_text(out_dir / "trace.csv", "\n".join(lines) + "\n")
-    write_json(
-        out_dir / "fit.json",
-        {
-            "converged": trace.converged,
-            "n_iterations": trace.n_iterations,
-            "final_log_likelihood": float(trace.log_likelihoods[-1]),
-            "monotone": trace.is_monotone(),
-        },
-    )
+    with output_directory(out, "model.json") as out_dir:
+        model, trace = csgmm_fit(
+            obs,
+            dictionary,
+            n_components,
+            variance_form=variance_form,
+            seed=seed,
+            **options,
+        )
+        save_model(
+            model,
+            out_dir,
+            extra_meta={
+                "seed": int(seed),
+                "dictionary_id": meta["dictionary_id"],
+                "grid": meta["grid"],
+                "system": meta["system"],
+                "converged": trace.converged,
+                "n_iterations": trace.n_iterations,
+            },
+        )
+        lines = ["iteration,log_likelihood"]
+        lines += [f"{i},{repr(float(v))}" for i, v in enumerate(trace.log_likelihoods)]
+        (out_dir / "trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_json(
+            out_dir / "fit.json",
+            {
+                "converged": trace.converged,
+                "n_iterations": trace.n_iterations,
+                "final_log_likelihood": float(trace.log_likelihoods[-1]),
+                "monotone": trace.is_monotone(),
+            },
+        )
     print(
         f"fit: {trace.n_iterations} iterations, "
         f"final log-likelihood {trace.log_likelihoods[-1]:.6f}, "
         f"converged={trace.converged}"
     )
-    if not trace.is_monotone():
+    if not trace.is_monotone():  # committed all the same: trace.csv shows where it fell
         print("fit: log-likelihood trace decreased beyond tolerance", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     return EXIT_OK
@@ -368,7 +366,7 @@ def cmd_generate(
     p_max: int | None,
     swap_config_path: str | None,
 ) -> int:
-    from .container import read_json
+    from .container import output_directory, read_json
     from .dictionary import SystemConfig, build_dictionary, check_pairing, grid_from_json
     from .em import load_model
     from .generation import limit_batch_paths, render_channels, sample_blocks, save_batch
@@ -379,18 +377,19 @@ def cmd_generate(
     # the batch records both even when nothing is rendered
     grid, system = grid_from_json(grid_doc), SystemConfig.from_json(system_doc)
     check_pairing(grid, system)
-    dictionary = build_dictionary(grid, system) if render else None
-    # one row block at a time: drawn, capped, rendered, appended
-    blocks = sample_blocks(model, n, seed)
-    if p_max is not None:
-        blocks = (limit_batch_paths(block, p_max) for block in blocks)
-    if dictionary is not None:
-        blocks = (render_channels(block, dictionary) for block in blocks)
-    save_batch(
-        blocks,
-        out,
-        extra_meta={"grid": grid_doc, "system": system_doc, "model_id": model.content_id},
-    )
+    with output_directory(out, "batch.json") as out_dir:
+        dictionary = build_dictionary(grid, system) if render else None
+        # one row block at a time: drawn, capped, rendered, appended
+        blocks = sample_blocks(model, n, seed)
+        if p_max is not None:
+            blocks = (limit_batch_paths(block, p_max) for block in blocks)
+        if dictionary is not None:
+            blocks = (render_channels(block, dictionary) for block in blocks)
+        save_batch(
+            blocks,
+            out_dir,
+            extra_meta={"grid": grid_doc, "system": system_doc, "model_id": model.content_id},
+        )
     print(f"generate: wrote {n} samples to {out}")
     return EXIT_OK
 
@@ -435,7 +434,7 @@ def cmd_metrics(
 ) -> int:
     import numpy as np
 
-    from .container import write_json, write_text
+    from .container import output_directory, write_json
     from .dictionary import AngleGrid, grid_from_json
     from .generation import open_batch
     from .metrics import (
@@ -469,53 +468,53 @@ def cmd_metrics(
         raise InvalidArgumentError(
             "channel metrics need a reference with channels aligned to the batch"
         )
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    profile, skipped, spreads = _angular_pass(batch.sparse, grid if angular else None)
-    report: dict = {"n_samples": len(batch.sparse), "n_skipped_zero_norm": skipped}
+    with output_directory(out, "report.json") as out_dir:
+        profile, skipped, spreads = _angular_pass(batch.sparse, grid if angular else None)
+        report: dict = {"n_samples": len(batch.sparse), "n_skipped_zero_norm": skipped}
 
-    lines = ["grid_index,angle_rad,mass"] if angular else ["grid_index,mass"]
-    for idx, mass in enumerate(profile):
+        lines = ["grid_index,angle_rad,mass"] if angular else ["grid_index,mass"]
+        for idx, mass in enumerate(profile):
+            if angular:
+                lines.append(f"{idx},{repr(float(grid.points[idx]))},{repr(float(mass))}")
+            else:
+                lines.append(f"{idx},{repr(float(mass))}")
+        (out_dir / "profile.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
         if angular:
-            lines.append(f"{idx},{repr(float(grid.points[idx]))},{repr(float(mass))}")
+            edges = np.linspace(*SPREAD_HIST_RANGE, SPREAD_HIST_BINS + 1)
+            hist = spread_histogram(spreads, edges)
+            hist_lines = ["bin_lo,bin_hi,mass"]
+            hist_lines += [
+                f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},{repr(float(hist[i]))}"
+                for i in range(SPREAD_HIST_BINS)
+            ]
+            text = "\n".join(hist_lines) + "\n"
+            (out_dir / "spread_hist.csv").write_text(text, encoding="utf-8")
+            report["mean_angular_spread"] = float(np.mean(spreads))
+
+        if ref_sparse is not None:
+            ref_profile, _, ref_spreads = _angular_pass(ref_sparse, grid if angular else None)
+            report["leakage_vs_reference_support"] = profile_support_leakage(
+                profile, ref_profile > 1e-12
+            )
+            if angular:
+                report["spread_w1_vs_reference"] = histogram_w1(spreads, ref_spreads)
         else:
-            lines.append(f"{idx},{repr(float(mass))}")
-    write_text(out_dir / "profile.csv", "\n".join(lines) + "\n")
+            report["leakage_vs_own_support"] = profile_support_leakage(profile, profile > 1e-12)
 
-    if angular:
-        edges = np.linspace(*SPREAD_HIST_RANGE, SPREAD_HIST_BINS + 1)
-        hist = spread_histogram(spreads, edges)
-        hist_lines = ["bin_lo,bin_hi,mass"]
-        hist_lines += [
-            f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},{repr(float(hist[i]))}"
-            for i in range(SPREAD_HIST_BINS)
-        ]
-        write_text(out_dir / "spread_hist.csv", "\n".join(hist_lines) + "\n")
-        report["mean_angular_spread"] = float(np.mean(spreads))
-
-    if ref_sparse is not None:
-        ref_profile, _, ref_spreads = _angular_pass(ref_sparse, grid if angular else None)
-        report["leakage_vs_reference_support"] = profile_support_leakage(
-            profile, ref_profile > 1e-12
-        )
-        if angular:
-            report["spread_w1_vs_reference"] = histogram_w1(spreads, ref_spreads)
-    else:
-        report["leakage_vs_own_support"] = profile_support_leakage(profile, profile > 1e-12)
-
-    # the spreads are reduced; free them before the channel pass adds two (n,) vectors
-    spreads = ref_spreads = None
-    if aligned:
-        n = len(batch.channels)
-        errors, cosines = np.empty(n), np.empty(n)
-        for rows in row_blocks(n, batch.channels.shape[1]):
-            estimates, truths = batch.channels.read(rows), ref_channels.read(rows)
-            errors[rows] = sample_nmse(estimates, truths)
-            cosines[rows] = sample_cosines(estimates, truths)
-        report["nmse"] = float(np.mean(errors))
-        report["cosine_similarity"] = float(np.mean(cosines))
-    write_json(out_dir / "report.json", report)
-    print(f"metrics: wrote report to {out_dir}")
+        # the spreads are reduced; free them before the channel pass adds two (n,) vectors
+        spreads = ref_spreads = None
+        if aligned:
+            n = len(batch.channels)
+            errors, cosines = np.empty(n), np.empty(n)
+            for rows in row_blocks(n, batch.channels.shape[1]):
+                estimates, truths = batch.channels.read(rows), ref_channels.read(rows)
+                errors[rows] = sample_nmse(estimates, truths)
+                cosines[rows] = sample_cosines(estimates, truths)
+            report["nmse"] = float(np.mean(errors))
+            report["cosine_similarity"] = float(np.mean(cosines))
+        write_json(out_dir / "report.json", report)
+    print(f"metrics: wrote report to {Path(out)}")
     return EXIT_OK
 
 

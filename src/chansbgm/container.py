@@ -10,11 +10,8 @@ bit-exact.
 Arrays move in row blocks (:func:`chansbgm.utils.row_blocks`), so a batch
 never has to be whole in memory:
 
-* :class:`ArrayWriter` appends row blocks to ``<stem>.bin.tmp``; committing
-  moves the payload to ``<stem>.bin`` with ``os.replace`` and then writes
-  the sidecar, whose shape counts the rows appended. On an error the
-  temporary payload is removed, so no partial payload ever carries the
-  final name.
+* :class:`ArrayWriter` appends row blocks to ``<stem>.bin`` and then
+  writes the sidecar, whose shape counts the rows appended.
 * :class:`ArrayReader` reads and checks the sidecar, checks the payload's
   size against it, and then reads any range of rows with ``seek`` and
   ``np.fromfile`` (plain reads: mapped file pages would count toward the
@@ -22,6 +19,9 @@ never has to be whole in memory:
 
 :func:`write_array` and :func:`read_array` are the whole-array forms of the
 same writer and reader; the bytes on disk do not depend on the block size.
+
+Writers write in place; a command commits its whole output directory at
+once with :func:`output_directory`, so it never leaves a partial one.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
@@ -51,18 +53,36 @@ def _dtype_tag(array: np.ndarray) -> str:
     return "f64"
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write UTF-8 text to ``path`` through a temporary file and
-    ``os.replace``, so the final name never holds a partial file."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+@contextmanager
+def output_directory(path: str | Path, document: str) -> Iterator[Path]:
+    """Stage a command's output directory and commit it whole.
+
+    ``path`` must be absent, empty or an earlier output holding ``document``;
+    anything else is refused. The block fills a fresh sibling directory
+    ``.<name>.partial-<pid>``, which replaces ``path`` only on a clean exit.
+    On an error it is removed and ``path`` is left as it was.
+    """
+    path = Path(path).resolve()
+    reusable = (path / document).is_file() or path.is_dir() and not os.listdir(path)
+    if path.exists() and not reusable:
+        raise InvalidArgumentError(f"{path} is neither empty nor an output with {document}")
+    staging = path.with_name(f".{path.name}.partial-{os.getpid()}")
+    earlier = path.with_name(f".{path.name}.replaced-{os.getpid()}")
+    staging.mkdir(parents=True)  # not mkdtemp: its mode 0700 would carry over to outputs
+    try:
+        yield staging
+    except BaseException:
+        shutil.rmtree(staging)
+        raise
+    if path.exists():  # a rename cannot replace a non-empty directory
+        os.replace(path, earlier)
+    os.replace(staging, path)
+    shutil.rmtree(earlier, ignore_errors=True)  # absent if nothing was replaced
 
 
 def write_json(path: str | Path, document: dict) -> None:
     """Write a JSON document deterministically (sorted keys, fixed layout)."""
-    write_text(path, json.dumps(document, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def read_json(path: str | Path) -> dict:
@@ -80,18 +100,17 @@ class ArrayWriter:
     """Write one array to ``<stem>.json`` + ``<stem>.bin`` a row block at a time.
 
     The first block fixes the dtype tag and the shape of a row; later
-    blocks must match them. Used as a context manager, the writer commits
-    when the block exits cleanly and discards the payload when it raises.
+    blocks must match them. Used as a context manager, the writer closes
+    the payload on exit and, when the block exits cleanly, commits.
     """
 
     def __init__(self, stem: str | Path, role: str):
         stem = Path(stem)
         self._bin = stem.with_suffix(".bin")
         self._sidecar_path = stem.with_suffix(".json")
-        self._tmp = self._bin.with_name(self._bin.name + ".tmp")
         self._sidecar = {"format": FORMAT_TAG, "order": "C", "endianness": "LE", "role": role}
         self._shape: list[int] | None = None
-        self._file = open(self._tmp, "wb")
+        self._file = open(self._bin, "wb")
 
     def append(self, block: np.ndarray) -> None:
         block = np.asarray(block)
@@ -110,27 +129,19 @@ class ArrayWriter:
         self._shape[0] += len(block)
 
     def commit(self) -> None:
-        """Give the payload its final name, then write the sidecar."""
+        """Close the payload, then write the sidecar."""
+        self._file.close()
         if self._shape is None:
-            self.discard()
             raise InvalidArgumentError(f"no rows were appended to {self._bin}")
-        self._file.close()
-        os.replace(self._tmp, self._bin)
         write_json(self._sidecar_path, dict(self._sidecar, shape=self._shape))
-
-    def discard(self) -> None:
-        """Remove the temporary payload; the final names are left untouched."""
-        self._file.close()
-        self._tmp.unlink(missing_ok=True)
 
     def __enter__(self) -> "ArrayWriter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        self._file.close()
         if exc_type is None:
             self.commit()
-        else:
-            self.discard()
 
 
 class ArrayReader:

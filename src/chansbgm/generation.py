@@ -176,8 +176,8 @@ def save_batch(
 
     ``batch`` is a whole batch or the consecutive row blocks of one, such
     as :func:`sample_blocks` yields (then rendered or capped block by
-    block); blocks are appended to the payloads as they arrive. If a block
-    fails, no payload reaches its final name.
+    block); blocks are appended to the payloads as they arrive. A failed
+    block leaves partial payloads; stage with :func:`container.output_directory`.
     """
     blocks = iter([batch] if isinstance(batch, GeneratedBatch) else batch)
     first = next(blocks, None)

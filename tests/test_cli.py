@@ -195,6 +195,19 @@ class TestFit:
                   "--out", str(out), "--config", em])
         assert dir_bytes(out1) == dir_bytes(out2)
 
+    @pytest.mark.parametrize("target", ["dataset", "unrelated-directory", "regular-file"])
+    def test_out_holding_other_files_refused(self, simo_dataset, tmp_path, target):
+        out = {"dataset": simo_dataset}.get(target, tmp_path / "elsewhere")
+        if target == "regular-file":
+            out.write_text("notes")
+        elif target == "unrelated-directory":
+            out.mkdir()
+            (out / "notes.txt").write_text("notes")
+        before = dir_bytes(tmp_path)
+        code = main(["fit", str(simo_dataset), "--model", "msbl", "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        assert dir_bytes(tmp_path) == before
+
     def test_csgmm_requires_component_count(self, simo_dataset, tmp_path):
         code = main(["fit", str(simo_dataset), "--model", "csgmm",
                      "--out", str(tmp_path / "m")])
@@ -438,14 +451,24 @@ class TestGenerateAndMetrics:
         assert report["nmse"] == 0.0
         assert report["cosine_similarity"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_channel_metrics_without_reference_fails(self, fitted_model, tmp_path):
+    @pytest.mark.parametrize("case", ["no-reference", "zero-norm-channel"])
+    def test_rejected_channel_metrics_write_nothing(self, fitted_model, tmp_path, case):
         batch = tmp_path / "batch"
-        main(["generate", str(fitted_model), "-n", "10", "--seed", "5",
+        main(["generate", str(fitted_model), "-n", "10", "--seed", "5", "--render",
               "--out", str(batch)])
-        code = main(["metrics", str(batch), "--channel-metrics",
+        reference = []
+        if case == "zero-norm-channel":
+            # one zeroed channel (6 c128 entries): its cosine similarity is undefined,
+            # and the profile and spread passes run before the channel pass
+            payload = bytearray((batch / "channels.bin").read_bytes())
+            payload[:96] = bytes(96)
+            (batch / "channels.bin").write_bytes(bytes(payload))
+            reference = [str(batch)]
+        code = main(["metrics", str(batch), *reference, "--channel-metrics",
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_BAD_CONFIG
         assert not (tmp_path / "r").exists()
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
 
     @pytest.mark.parametrize("field, value", [("n_antennas", 16.5), ("n_rx", 2)])
@@ -513,6 +536,13 @@ class TestGenerateAndMetrics:
         assert len(calls) == 2
         # the earlier batch stays whole and no temporary payload is left
         assert dir_bytes(batch) == before
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+        # an unrendered rerun replaces it whole: no channels of the earlier batch stay
+        assert main(["generate", str(fitted_model), "-n", "150", "--seed", "2",
+                     "--out", str(batch)]) == EXIT_OK
+        assert sorted(dir_bytes(batch)) == [
+            "batch.json", "labels.bin", "labels.json", "sparse.bin", "sparse.json"
+        ]
 
 
 def _generate_and_score(model, root, n, args):
@@ -710,6 +740,9 @@ class TestDiagnosticsAndDefaults:
         code = main(["fit", str(simo_dataset), "--model", "msbl",
                      "--out", str(tmp_path / "m")])
         assert code == EXIT_DIAGNOSTIC
+        # the model directory is committed all the same, trace.csv included
+        assert (tmp_path / "m" / "trace.csv").exists()
+        assert (tmp_path / "m" / "model.json").exists()
 
     def test_thread_cap_sets_environment(self):
         # run in a fresh interpreter so numpy is not yet imported

@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from chansbgm.container import ArrayReader, ArrayWriter, read_array, write_array
+from chansbgm.container import ArrayReader, ArrayWriter, output_directory, read_array, write_array
 from chansbgm.errors import InvalidArgumentError
+
+
+def tree(directory):
+    """Map of name to content bytes for each file of ``directory``."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 def test_complex_round_trip_is_bit_exact(tmp_path):
@@ -76,24 +81,43 @@ def test_reader_rows_match_whole(tmp_path):
 
 
 def test_failed_write_leaves_final_names_untouched(tmp_path):
-    write_array(tmp_path / "x", np.ones(4), role="test")
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    out = tmp_path / "out"
+    with output_directory(out, "x.json") as staged:
+        write_array(staged / "x", np.ones(4), role="test")
+    before = tree(out)
     with pytest.raises(RuntimeError):
-        with ArrayWriter(tmp_path / "x", role="test") as writer:
-            writer.append(np.zeros(3))
-            raise RuntimeError("disk full")
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        with output_directory(out, "x.json") as staged:
+            with ArrayWriter(staged / "x", role="test") as writer:
+                writer.append(np.zeros(3))
+                raise RuntimeError("disk full")
+    # the earlier directory is whole and no staging directory is left
+    assert tree(out) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 @pytest.mark.parametrize(
     "block", [np.zeros((2, 4)), np.zeros((2, 3), dtype=complex)], ids=["row-shape", "dtype"]
 )
 def test_block_not_continuing_the_array_rejected(tmp_path, block):
-    with pytest.raises(InvalidArgumentError):
-        with ArrayWriter(tmp_path / "x", role="test") as writer:
-            writer.append(np.zeros((2, 3)))
-            writer.append(block)
+    with pytest.raises(InvalidArgumentError, match="does not continue"):
+        with output_directory(tmp_path / "out", "x.json") as staged:
+            with ArrayWriter(staged / "x", role="test") as writer:
+                writer.append(np.zeros((2, 3)))
+                writer.append(block)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_output_directory_replaces_an_earlier_output_whole(tmp_path):
+    out, plain = tmp_path / "out", tmp_path / "plain"
+    plain.mkdir()
+    for stems in (["x", "stale"], ["x"]):
+        with output_directory(out, "x.json") as staged:
+            for stem in stems:
+                write_array(staged / stem, np.ones(2), role="test")
+    assert sorted(tree(out)) == ["x.bin", "x.json"]
+    # staged with mkdir, so the mode is a plain directory's, not mkdtemp's 0700
+    assert out.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "plain"]
 
 
 @pytest.mark.parametrize("shape", [[5], [3, 1], [], "4", [4.0]])
