@@ -89,6 +89,7 @@ _EXPORTS = {
         "normalize_dataset",
         "random_pilots",
         "sample_angle",
+        "simo_channels",
         "simo_ground_truth",
     ],
 }

@@ -166,17 +166,15 @@ def cmd_synth(config_path: str, seed: int, out: str) -> int:
     from .scenario import (
         OfdmScenario,
         draw_ofdm_channel,
-        draw_simo_channel,
-        laplacian_local_covariance,
         make_observations,
         normalize_dataset,
         random_pilots,
-        sample_angle,
+        simo_channels,
     )
 
     config = _synth_config(read_json(config_path))
     system = SystemConfig.from_json(config["system"])
-    with output_directory(out, "scenario.json") as out_dir:
+    with output_directory(out, "scenario.json", reads=[config_path]) as out_dir:
         rng = np.random.default_rng(seed)
         n_train = config["n_train"]
         snr_range = tuple(config["snr_range_db"])
@@ -188,11 +186,7 @@ def cmd_synth(config_path: str, seed: int, out: str) -> int:
             profile = _profile_from_config(config.get("angle_profile"))
             std = math.radians(config.get("laplacian_std_deg", 2.0))
             quad = config.get("quadrature_points", 2048)
-            angles = sample_angle(profile, rng, size=n_train)
-            channels = np.empty((n_train, system.n_antennas), dtype=complex)
-            for i, angle in enumerate(angles):
-                cov = laplacian_local_covariance(angle, std, system.n_antennas, quad)
-                channels[i] = draw_simo_channel(cov, rng)
+            channels = simo_channels(profile, std, system.n_antennas, n_train, rng, quad)
             if config.get("normalize", False):
                 channels, scale = normalize_dataset(channels)
             pilots = np.arange(system.n_antennas)
@@ -313,7 +307,7 @@ def cmd_fit(
         raise InvalidArgumentError("csgmm requires --K")
 
     obs, dictionary, meta = load_dataset(dataset)
-    with output_directory(out, "model.json") as out_dir:
+    with output_directory(out, "model.json", reads=[dataset, config_path]) as out_dir:
         model, trace = csgmm_fit(
             obs,
             dictionary,
@@ -377,7 +371,7 @@ def cmd_generate(
     # the batch records both even when nothing is rendered
     grid, system = grid_from_json(grid_doc), SystemConfig.from_json(system_doc)
     check_pairing(grid, system)
-    with output_directory(out, "batch.json") as out_dir:
+    with output_directory(out, "batch.json", reads=[model_dir, swap_config_path]) as out_dir:
         dictionary = build_dictionary(grid, system) if render else None
         # one row block at a time: drawn, capped, rendered, appended
         blocks = sample_blocks(model, n, seed)
@@ -468,7 +462,7 @@ def cmd_metrics(
         raise InvalidArgumentError(
             "channel metrics need a reference with channels aligned to the batch"
         )
-    with output_directory(out, "report.json") as out_dir:
+    with output_directory(out, "report.json", reads=[batch_dir, reference]) as out_dir:
         profile, skipped, spreads = _angular_pass(batch.sparse, grid if angular else None)
         report: dict = {"n_samples": len(batch.sparse), "n_skipped_zero_norm": skipped}
 

@@ -54,18 +54,24 @@ def _dtype_tag(array: np.ndarray) -> str:
 
 
 @contextmanager
-def output_directory(path: str | Path, document: str) -> Iterator[Path]:
+def output_directory(path: str | Path, document: str, reads=()) -> Iterator[Path]:
     """Stage a command's output directory and commit it whole.
 
     ``path`` must be absent, empty or an earlier output holding ``document``;
-    anything else is refused. The block fills a fresh sibling directory
-    ``.<name>.partial-<pid>``, which replaces ``path`` only on a clean exit.
-    On an error it is removed and ``path`` is left as it was.
+    anything else is refused, and so is a ``path`` that holds one of the
+    inputs ``reads`` (paths the command reads; None entries are skipped),
+    which replacing it would delete. The block fills a fresh sibling
+    directory ``.<name>.partial-<pid>``, which replaces ``path`` only on a
+    clean exit. On an error it is removed and ``path`` is left as it was.
     """
     path = Path(path).resolve()
     reusable = (path / document).is_file() or path.is_dir() and not os.listdir(path)
     if path.exists() and not reusable:
         raise InvalidArgumentError(f"{path} is neither empty nor an output with {document}")
+    for read in filter(None, reads):
+        read = Path(read).resolve()
+        if read == path or path in read.parents:
+            raise InvalidArgumentError(f"{read} is an input; replacing {path} would delete it")
     staging = path.with_name(f".{path.name}.partial-{os.getpid()}")
     earlier = path.with_name(f".{path.name}.replaced-{os.getpid()}")
     staging.mkdir(parents=True)  # not mkdtemp: its mode 0700 would carry over to outputs

@@ -5,10 +5,15 @@ street-canyon style mixture profile and then a channel from a zero-mean
 complex Gaussian whose covariance integrates a narrow Laplacian angle
 density against the array steering vectors; the covariance and the
 ground-truth path synthesis share one split Gauss-Legendre quadrature of
-that density. The OFDM generator draws a random number of discrete paths
-with uniform delays/Dopplers and exponentially decaying gain power, and
-evaluates the resulting channel matrix on the time-frequency sampling
-grid.
+that density, vectorized over a block of samples. A ULA's covariance is
+Hermitian Toeplitz, so only its first column is integrated, and steering
+vectors are never formed: their entries are the powers of one phasor per
+node, taken by a running product. Channels are drawn through batched
+Cholesky factors, with a small jitter for the (numerically) singular
+covariances that narrow densities give. The OFDM generator draws a random
+number of discrete paths with uniform delays/Dopplers and exponentially
+decaying gain power, and evaluates the resulting channel matrix on the
+time-frequency sampling grid.
 
 Observations follow y = A h + n, where A keeps the channel entries at a
 fixed set of pilot indices (all of them for SIMO), and the per-sample
@@ -25,9 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dictionary import SystemConfig, delay_matrix, doppler_matrix, ula_matrix
+from .dictionary import SystemConfig, delay_matrix, doppler_matrix
 from .errors import InvalidArgumentError, NumericError
-from .utils import complex_standard_normal, hermitianize
+from .utils import complex_standard_normal
 
 
 @dataclass(frozen=True)
@@ -115,35 +120,64 @@ def _reference_gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss_legendre_nodes(lo: float, hi: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre_nodes(lo, hi, count: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _reference_gauss_legendre(count)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
 
-def _laplacian_nodes(center: float, std_dev: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and density-weighted weights for a Laplacian angle
-    density around ``center``.
+def _laplacian_nodes(centers, std_dev: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes and density-weighted weights, each of shape
+    (len(centers), count), for Laplacian angle densities around ``centers``.
 
-    The window [center - 10 std, center + 10 std], clipped to [-pi, pi],
+    Each window [center - 10 std, center + 10 std], clipped to [-pi, pi],
     is split at the density's kink and each half uses Gauss-Legendre
     quadrature, so smooth integrands converge to near machine precision (a
     composite trapezoid rule stalls around 1e-5 because of the kink). The
     truncated tail mass is exp(-10 sqrt(2)), below 1e-6.
     """
-    lo = max(center - 10.0 * std_dev, -math.pi)
-    hi = min(center + 10.0 * std_dev, math.pi)
-    t_lo, w_lo = _gauss_legendre_nodes(lo, center, count // 2)
-    t_hi, w_hi = _gauss_legendre_nodes(center, hi, count - count // 2)
-    theta = np.concatenate([t_lo, t_hi])
-    w = np.concatenate([w_lo, w_hi])
+    centers = np.asarray(centers, dtype=float)[:, None]
+    lo = np.maximum(centers - 10.0 * std_dev, -math.pi)
+    hi = np.minimum(centers + 10.0 * std_dev, math.pi)
+    t_lo, w_lo = _gauss_legendre_nodes(lo, centers, count // 2)
+    t_hi, w_hi = _gauss_legendre_nodes(centers, hi, count - count // 2)
+    theta = np.concatenate([t_lo, t_hi], axis=1)
+    w = np.concatenate([w_lo, w_hi], axis=1)
     scale = std_dev / math.sqrt(2.0)
-    density = np.exp(-np.abs(theta - center) / scale) / (2.0 * scale)
+    density = np.exp(-np.abs(theta - centers) / scale) / (2.0 * scale)
     return theta, w * density
 
 
+def _steering_sums(theta: np.ndarray, coeffs: np.ndarray, n_antennas: int) -> np.ndarray:
+    """Rows of sum_j coeffs[:, j] z_j^m for m < ``n_antennas``, with
+    z_j = exp(-j pi sin theta[:, j]): the ULA steering vectors toward the
+    nodes ``theta`` weighted by ``coeffs``. The powers come from a running
+    product, so no (n_antennas, nodes) steering matrix is formed; power m
+    carries about m roundings more than ``ula_matrix`` would.
+    """
+    z = np.exp(-1j * math.pi * np.sin(theta))
+    power = np.ones_like(z)
+    coeffs = coeffs.astype(complex)[:, :, None]
+    sums = np.empty((len(theta), n_antennas), dtype=complex)
+    for m in range(n_antennas):
+        sums[:, m] = (power[:, None, :] @ coeffs)[:, 0, 0]  # one dot product per row
+        power *= z
+    return sums
+
+
+# Samples are walked in blocks whose (rows, nodes) quadrature arrays hold
+# about this many entries (2 MB complex), so their memory depends on neither
+# the sample count nor the node count.
+_NODE_BLOCK = 1 << 17
+
+
+def _node_blocks(n: int, count: int) -> list[slice]:
+    step = max(1, _NODE_BLOCK // count)
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 def laplacian_local_covariance(
-    center: float,
+    center,
     std_dev: float,
     n_antennas: int,
     quadrature_points: int = 2048,
@@ -152,41 +186,110 @@ def laplacian_local_covariance(
 
     Integrates g(theta) a(theta) a(theta)^H over the quadrature window of
     :func:`_laplacian_nodes`; the default node count converges it to near
-    machine precision.
+    machine precision. The covariance of a ULA is Hermitian Toeplitz, so
+    only its first column r_m = sum_j w_j z_j^m (z_j = exp(-j pi sin
+    theta_j)) is integrated, and entry (a, b) is r_(a-b), or the conjugate
+    of r_(b-a) above the diagonal: the result is exactly Hermitian and
+    exactly Toeplitz.
+
+    A scalar ``center`` gives one (N, N) matrix; a 1-D array of centers
+    gives the (n, N, N) stack of their covariances, each row of which
+    equals the scalar call. The stack's working arrays are (n,
+    quadrature_points), so callers pass a block of centers at a time.
     """
     if std_dev <= 0:
         raise InvalidArgumentError("std_dev must be positive")
     if quadrature_points < 64:
         raise InvalidArgumentError("quadrature_points must be >= 64")
-    theta, weights = _laplacian_nodes(center, std_dev, quadrature_points)
-    steer = ula_matrix(theta, n_antennas)
-    cov = (steer * weights[None, :]) @ steer.conj().T
-    return hermitianize(cov)
+    centers = np.asarray(center, dtype=float)
+    if centers.ndim > 1:
+        raise InvalidArgumentError("center must be a scalar or a 1-D array")
+    theta, weights = _laplacian_nodes(centers.reshape(-1), std_dev, quadrature_points)
+    column = _steering_sums(theta, weights, n_antennas)
+    lag = np.arange(n_antennas)[:, None] - np.arange(n_antennas)[None, :]
+    cov = column[:, np.abs(lag)]
+    above = lag < 0
+    cov[:, above] = cov[:, above].conj()
+    return cov if centers.ndim else cov[0]
+
+
+def _cholesky_factors(covs: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of PSD covariances.
+
+    The stack is factored at once; only when that fails is each covariance
+    factored alone, and one that is singular (PSD but not PD) gets a
+    single jitter of 1e-12 * trace/N before its retry.
+    """
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        pass
+    factors = np.empty_like(covs)
+    n = covs.shape[-1]
+    for i, cov in enumerate(covs):
+        try:
+            factors[i] = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            jitter = 1e-12 * (np.trace(cov).real / n)
+            try:
+                factors[i] = np.linalg.cholesky(cov + jitter * np.eye(n))
+            except np.linalg.LinAlgError as exc:
+                raise NumericError("covariance is not positive semidefinite") from exc
+    return factors
 
 
 def draw_simo_channel(cov: np.ndarray, rng: np.random.Generator, size: int | None = None):
     """Draw circularly symmetric complex Gaussian vectors with covariance ``cov``.
 
-    Uses a Cholesky factor; on a singular (PSD but not PD) covariance a
-    single jitter of 1e-12 * trace/N is added before retrying.
+    An (N, N) ``cov`` gives one vector, or ``size`` rows of them; an
+    (n, N, N) stack gives one row per covariance (``size`` must then be
+    None). Each draw is L z with L the Cholesky factor of its covariance
+    (see :func:`_cholesky_factors` for singular ones) and z a row of one
+    ``complex_standard_normal(rng, (rows, N))`` call, so a stack consumes
+    the generator exactly as its rows drawn one at a time do. An all-zero
+    covariance draws zeros and consumes no normals, alone or in a stack.
     """
     cov = np.asarray(cov)
-    n = cov.shape[0]
-    count = 1 if size is None else int(size)
-    if not np.any(cov):
-        draws = np.zeros((count, n), dtype=complex)
-        return draws[0] if size is None else draws
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * (np.trace(cov).real / n)
-        try:
-            factor = np.linalg.cholesky(cov + jitter * np.eye(n))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError("covariance is not positive semidefinite") from exc
-    z = complex_standard_normal(rng, (count, n))
-    draws = z @ factor.T  # rows are factor @ z_i
-    return draws[0] if size is None else draws
+    if cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2]:
+        raise InvalidArgumentError("cov must be an (N, N) matrix or an (n, N, N) stack")
+    if cov.ndim == 3 and size is not None:
+        raise InvalidArgumentError("a stack of covariances draws one channel each; omit size")
+    stack = cov if cov.ndim == 3 else cov[None]
+    count = len(stack) if size is None else int(size)
+    live = stack.any(axis=(1, 2))
+    factors = _cholesky_factors(stack[live])
+    live = np.broadcast_to(live, count)  # one covariance serves all `size` draws
+    z = complex_standard_normal(rng, (int(live.sum()), stack.shape[-1]))
+    draws = np.zeros((count, stack.shape[-1]), dtype=complex)
+    draws[live] = (factors @ z[..., None])[..., 0]
+    return draws[0] if cov.ndim == 2 and size is None else draws
+
+
+def simo_channels(
+    profile: AngleProfile,
+    std_dev: float,
+    n_antennas: int,
+    n_samples: int,
+    rng: np.random.Generator,
+    quadrature_points: int = 2048,
+) -> np.ndarray:
+    """Draw ``n_samples`` path angles from ``profile``, then one channel per
+    angle from the Laplacian local covariance around it; shape
+    (n, n_antennas).
+
+    Samples go a block at a time: the block's covariance stack
+    (:func:`laplacian_local_covariance`) is drawn from
+    (:func:`draw_simo_channel`) before the next block is computed, so only
+    one block's (rows, quadrature_points) arrays are held. Both are looked
+    up in this module when called, so the benchmark's tracer, which wraps
+    them by name, times them.
+    """
+    angles = sample_angle(profile, rng, size=n_samples)
+    channels = np.empty((n_samples, n_antennas), dtype=complex)
+    for rows in _node_blocks(n_samples, quadrature_points):
+        covs = laplacian_local_covariance(angles[rows], std_dev, n_antennas, quadrature_points)
+        channels[rows] = draw_simo_channel(covs, rng)
+    return channels
 
 
 @dataclass(frozen=True)
@@ -277,16 +380,17 @@ def simo_ground_truth(
     angles = sample_angle(profile, rng, size=n_samples)
     channels = np.empty((n_samples, n_antennas), dtype=complex)
     coefficients = np.zeros((n_samples, grid.size), dtype=complex)
-    grid_points = grid.points
     spacing = math.pi / grid.size
-    for i, center in enumerate(angles):
-        theta, weights = _laplacian_nodes(center, std_dev, quadrature_points)
-        gains = np.sqrt(weights) * complex_standard_normal(rng, quadrature_points)
-        channels[i] = ula_matrix(theta, n_antennas) @ gains
+    for rows in _node_blocks(n_samples, quadrature_points):
+        theta, weights = _laplacian_nodes(angles[rows], std_dev, quadrature_points)
+        # one row of gains per sample, drawn in sample order
+        gains = np.sqrt(weights) * complex_standard_normal(rng, theta.shape)
+        channels[rows] = _steering_sums(theta, gains, n_antennas)
         nearest = np.clip(
-            np.round((theta - grid_points[0]) / spacing).astype(int), 0, grid.size - 1
+            np.round((theta - grid.points[0]) / spacing).astype(int), 0, grid.size - 1
         )
-        np.add.at(coefficients[i], nearest, gains)
+        sample = np.arange(len(theta))[:, None]
+        np.add.at(coefficients[rows], (sample, nearest), gains)
     return channels, coefficients
 
 

@@ -97,11 +97,6 @@ def complex_standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (pair[..., 0] + 1j * pair[..., 1]) / np.sqrt(2.0)
 
 
-def hermitianize(a: np.ndarray) -> np.ndarray:
-    """Symmetrize a square matrix to be exactly Hermitian."""
-    return 0.5 * (a + a.conj().T)
-
-
 def content_id(*chunks: bytes) -> str:
     """Short stable identifier for binary content (used in provenance)."""
     h = hashlib.sha256()

@@ -338,6 +338,33 @@ class TestGenerateAndMetrics:
         loaded, _ = load_batch(batch)
         assert np.all(np.sum(loaded.sparse != 0, axis=1) <= 2)
 
+    @pytest.mark.parametrize("command", ["synth", "fit", "generate", "metrics"])
+    def test_out_holding_an_input_refused(self, fitted_model, simo_dataset, tmp_path, command):
+        # replacing --out would delete the input read from inside it
+        if command == "synth":
+            out = simo_dataset
+            config = write_config(out, small_simo_config(), "synth.json")
+            args = ["synth", "--config", config, "--seed", "11"]
+        elif command == "fit":
+            out = fitted_model
+            config = write_config(out, {"max_iters": 10}, "em.json")
+            args = ["fit", str(simo_dataset), "--K", "2", "--seed", "2", "--config", config]
+        elif command == "generate":
+            out = tmp_path / "batch"
+            assert main(["generate", str(fitted_model), "-n", "5", "--out", str(out)]) == EXIT_OK
+            swap = write_config(out, {"variant": "simo", "n_antennas": 9}, "swap.json")
+            args = ["generate", str(fitted_model), "-n", "5", "--render", "--swap-config", swap]
+        else:
+            out, batch = tmp_path / "report", tmp_path / "report" / "batch"
+            for step in (["generate", str(fitted_model), "-n", "5", "--out", str(tmp_path / "b")],
+                         ["metrics", str(tmp_path / "b"), "--out", str(out)],
+                         ["generate", str(fitted_model), "-n", "5", "--out", str(batch)]):
+                assert main(step) == EXIT_OK
+            args = ["metrics", str(batch)]
+        before = dir_bytes(out)
+        assert main([*args, "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert dir_bytes(out) == before
+
     def test_swap_config_changes_channels_not_coefficients(self, fitted_model, tmp_path):
         swap = write_config(
             tmp_path, {"variant": "simo", "n_antennas": 9}, "swap.json"

@@ -18,10 +18,18 @@ from chansbgm import (
     normalize_dataset,
     random_pilots,
     sample_angle,
+    simo_channels,
+    simo_ground_truth,
     steering_vector_ula,
+    ula_matrix,
     vectorize_channel,
 )
-from chansbgm.errors import InvalidArgumentError
+from chansbgm.dictionary import AngleGrid
+from chansbgm.errors import InvalidArgumentError, NumericError
+from chansbgm.scenario import _laplacian_nodes
+from chansbgm.utils import complex_standard_normal
+
+STD = math.radians(2.0)
 
 
 class TestAngleProfile:
@@ -81,6 +89,29 @@ class TestLaplacianCovariance:
         diag = np.diag(cov).real
         np.testing.assert_allclose(diag, diag[0], rtol=1e-12)
 
+    def test_stack_rows_equal_scalar_calls(self):
+        centers = np.random.default_rng(0).uniform(-1.3, 1.3, 9)
+        stack = laplacian_local_covariance(centers, STD, 16, quadrature_points=256)
+        assert stack.shape == (9, 16, 16)
+        for center, cov in zip(centers, stack):
+            single = laplacian_local_covariance(center, STD, 16, quadrature_points=256)
+            assert np.array_equal(cov, single)
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_matches_steering_product(self, n):
+        centers = np.array([-1.2, -0.35, 0.0, 0.7, 1.45])
+        stack = laplacian_local_covariance(centers, STD, n)
+        for center, cov in zip(centers, stack):
+            theta, weights = _laplacian_nodes([center], STD, 2048)
+            steer = ula_matrix(theta[0], n)
+            reference = (steer * weights[0]) @ steer.conj().T
+            assert np.abs(cov - reference).max() < 1e-13 * np.abs(reference).max()
+
+    def test_exactly_hermitian_toeplitz(self):
+        for cov in laplacian_local_covariance(np.array([-0.9, 0.1, 1.1]), STD, 16):
+            assert np.array_equal(cov, cov.conj().T)
+            assert np.array_equal(cov[1:, 1:], cov[:-1, :-1])
+
     def test_quadrature_refinement_converges(self):
         coarse = laplacian_local_covariance(0.1, math.radians(2.0), 12, quadrature_points=2048)
         fine = laplacian_local_covariance(0.1, math.radians(2.0), 12, quadrature_points=4096)
@@ -126,6 +157,102 @@ class TestSimoChannelDraws:
         emp = draws.T.conj() @ draws / len(draws)
         tol = 6 * np.abs(np.diag(cov)).max() / math.sqrt(len(draws))
         assert np.abs(emp.T - cov).max() < tol
+
+
+    @staticmethod
+    def _stack(n=16):
+        centers = np.array([-1.0, -0.2, 0.4, 1.2])
+        return laplacian_local_covariance(centers, math.radians(20.0), n)
+
+    def test_stack_consumes_the_stream_of_single_draws(self):
+        covs = self._stack()
+        stacked_rng, single_rng = np.random.default_rng(5), np.random.default_rng(5)
+        stacked = draw_simo_channel(covs, stacked_rng)
+        singles = np.stack([draw_simo_channel(cov, single_rng) for cov in covs])
+        assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+        assert stacked.shape == (4, 16)
+        np.testing.assert_allclose(stacked, singles, rtol=0, atol=1e-14 * np.abs(singles).max())
+
+    def test_stack_factors_well_conditioned_covariances_without_jitter(self):
+        covs = self._stack(4)
+        assert np.linalg.eigvalsh(covs).min() > 1e-6
+        draws = draw_simo_channel(covs, np.random.default_rng(6))
+        z = complex_standard_normal(np.random.default_rng(6), (4, 4))
+        expected = np.einsum("rij,rj->ri", np.linalg.cholesky(covs), z)
+        np.testing.assert_allclose(draws, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+
+    def test_jitter_only_for_the_singular_covariance(self):
+        pd = self._stack(4)[0]
+        a = steering_vector_ula(0.5, 4)
+        singular = np.outer(a, a.conj())
+        draws = draw_simo_channel(np.stack([pd, singular]), np.random.default_rng(7))
+        z = complex_standard_normal(np.random.default_rng(7), (2, 4))
+        jitter = lambda cov: cov + 1e-12 * np.trace(cov).real / 4 * np.eye(4)  # noqa: E731
+        plain = np.linalg.cholesky(pd) @ z[0]
+        np.testing.assert_allclose(draws[0], plain, rtol=0, atol=1e-15)
+        assert np.abs(draws[0] - np.linalg.cholesky(jitter(pd)) @ z[0]).max() > 1e-15
+        np.testing.assert_allclose(
+            draws[1], np.linalg.cholesky(jitter(singular)) @ z[1], rtol=0, atol=1e-14
+        )
+
+    def test_indefinite_covariance_in_stack_raises(self):
+        covs = self._stack(4)
+        covs[2] = -covs[2]
+        with pytest.raises(NumericError):
+            draw_simo_channel(covs, np.random.default_rng(8))
+
+    def test_zero_covariance_consumes_no_normals_alone_or_stacked(self):
+        # a zero covariance draws zeros without touching the generator, so a
+        # stack holding one draws what its rows drawn one at a time would
+        covs = self._stack(4)
+        covs[1] = 0.0
+        stacked_rng, single_rng = np.random.default_rng(9), np.random.default_rng(9)
+        stacked = draw_simo_channel(covs, stacked_rng)
+        singles = np.stack([draw_simo_channel(cov, single_rng) for cov in covs])
+        assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+        np.testing.assert_array_equal(stacked[1], 0.0)
+        np.testing.assert_allclose(stacked, singles, rtol=0, atol=1e-14 * np.abs(singles).max())
+        untouched = np.random.default_rng(9)
+        draw_simo_channel(np.zeros((3, 4, 4)), untouched)
+        assert untouched.bit_generator.state == np.random.default_rng(9).bit_generator.state
+
+    def test_size_needs_a_single_covariance(self):
+        with pytest.raises(InvalidArgumentError):
+            draw_simo_channel(self._stack(4), np.random.default_rng(0), size=3)
+
+
+class TestSimoDatasets:
+    def test_channels_equal_per_sample_draws(self):
+        # more samples than one block of nodes, so the walk crosses blocks
+        profile = AngleProfile.street_canyons()
+        channels = simo_channels(profile, STD, 8, 150, np.random.default_rng(10), 1024)
+        rng = np.random.default_rng(10)
+        angles = sample_angle(profile, rng, size=150)
+        expected = np.stack([
+            draw_simo_channel(laplacian_local_covariance(angle, STD, 8, 1024), rng)
+            for angle in angles
+        ])
+        assert np.array_equal(channels, expected)
+
+    def test_ground_truth_matches_per_sample_reference(self):
+        profile, grid, n, q = AngleProfile.street_canyons(), AngleGrid(64), 8, 1024
+        channels, coefficients = simo_ground_truth(
+            profile, STD, grid, n, 300, np.random.default_rng(11), quadrature_points=q
+        )
+        rng = np.random.default_rng(11)
+        angles = sample_angle(profile, rng, size=300)
+        spacing = math.pi / grid.size
+        for i, angle in enumerate(angles):
+            theta, weights = (a[0] for a in _laplacian_nodes([angle], STD, q))
+            gains = np.sqrt(weights) * complex_standard_normal(rng, q)
+            nearest = np.clip(
+                np.round((theta - grid.points[0]) / spacing).astype(int), 0, grid.size - 1
+            )
+            expected = np.zeros(grid.size, dtype=complex)
+            np.add.at(expected, nearest, gains)
+            assert np.array_equal(coefficients[i], expected)
+            channel = ula_matrix(theta, n) @ gains
+            assert np.abs(channels[i] - channel).max() < 1e-13 * np.abs(channel).max()
 
 
 class TestOfdmChannelDraws:

@@ -43,7 +43,8 @@ def test_traced_synth_and_fit_record_their_spans(tmp_path):
     synth = traced_stage(
         tmp_path, "synth", "synth", "--config", str(config), "--seed", "3", "--out", "data"
     )
-    assert "scenario.observations" in synth
+    # the per-layer scenario.covariance_s and scenario.draw_s read these spans
+    assert {"scenario.covariance", "scenario.draw", "scenario.observations"} <= synth
     fit = traced_stage(
         tmp_path, "fit", "fit", "data", "--K", "2", "--config", "em.json", "--out", "model"
     )
