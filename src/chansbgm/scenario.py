@@ -8,12 +8,12 @@ ground-truth path synthesis share one split Gauss-Legendre quadrature of
 that density, vectorized over a block of samples. A ULA's covariance is
 Hermitian Toeplitz, so only its first column is integrated, and steering
 vectors are never formed: their entries are the powers of one phasor per
-node, taken by a running product. Channels are drawn through batched
-Cholesky factors, with a small jitter for the (numerically) singular
-covariances that narrow densities give. The OFDM generator draws a random
-number of discrete paths with uniform delays/Dopplers and exponentially
-decaying gain power, and evaluates the resulting channel matrix on the
-time-frequency sampling grid.
+node, taken by a running product. Channels are drawn a block at a time
+from per-covariance Cholesky factors, with a small jitter for the
+(numerically) singular covariances that narrow densities give. The OFDM
+generator draws a random number of discrete paths with uniform
+delays/Dopplers and exponentially decaying gain power, and evaluates the
+resulting channel matrix on the time-frequency sampling grid.
 
 Observations follow y = A h + n, where A keeps the channel entries at a
 fixed set of pilot indices (all of them for SIMO), and the per-sample
@@ -216,14 +216,9 @@ def laplacian_local_covariance(
 def _cholesky_factors(covs: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a stack of PSD covariances.
 
-    The stack is factored at once; only when that fails is each covariance
-    factored alone, and one that is singular (PSD but not PD) gets a
-    single jitter of 1e-12 * trace/N before its retry.
+    Each covariance is factored alone, and one that is singular (PSD but
+    not PD) gets a single jitter of 1e-12 * trace/N before its retry.
     """
-    try:
-        return np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        pass
     factors = np.empty_like(covs)
     n = covs.shape[-1]
     for i, cov in enumerate(covs):
