@@ -11,6 +11,15 @@ linear-algebra thread pools before numpy starts them.
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "dataset": [
+        "check_synth_config",
+        "default_ofdm_synth_config",
+        "default_simo_synth_config",
+        "load_dataset",
+        "open_channels",
+        "save_dataset",
+        "synthesize",
+    ],
     "dictionary": [
         "OFDM",
         "SIMO",

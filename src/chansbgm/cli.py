@@ -32,81 +32,12 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-# JSON types of the fields of each scenario's synth config (its system
-# document is checked by SystemConfig.from_json, value ranges by the
-# constructors that take the values)
-_SYNTH_COMMON = {
-    "n_train": "integer",
-    "snr_range_db": "number pair",
-    "system": "object",
-    "normalize": "boolean",
-}
-_SYNTH_FIELDS = {
-    "simo": {
-        **_SYNTH_COMMON,
-        "grid_size": "integer",
-        "angle_profile": "array",
-        "laplacian_std_deg": "number",
-        "quadrature_points": "integer",
-    },
-    "ofdm": {
-        **_SYNTH_COMMON,
-        "doppler_size": "integer",
-        "delay_size": "integer",
-        "doppler_bound_hz": "number",
-        "delay_bound_s": "number",
-        "n_pilots": "integer",
-        "paths": "object",
-    },
-}
-_SYNTH_OPTIONAL = ("normalize", "angle_profile", "laplacian_std_deg", "quadrature_points", "paths")
-_ANGLE_COMPONENT_FIELDS = {"center_deg": "number", "half_width_deg": "number", "weight": "number"}
-_PATHS_FIELDS = {
-    "max_paths": "integer",
-    "delay_range_s": "number pair",
-    "doppler_range_hz": "number pair",
-    "gain_decay_rate": "number",
-}
 _EM_OPTION_FIELDS = {
     "max_iters": "integer",
     "rel_tol": "number",
     "clip_floor": "number",
     "kron_sweeps": "integer",
 }
-
-
-def default_simo_synth_config() -> dict:
-    """Street-canyon SIMO dataset at the reference scale."""
-    return {
-        "scenario": "simo",
-        "n_train": 10_000,
-        "snr_range_db": [0.0, 20.0],
-        "system": {"variant": "simo", "n_antennas": 16},
-        "grid_size": 256,
-        "laplacian_std_deg": 2.0,
-    }
-
-
-def default_ofdm_synth_config() -> dict:
-    """Pilot-masked OFDM dataset at the reference scale."""
-    return {
-        "scenario": "ofdm",
-        "n_train": 10_000,
-        "snr_range_db": [5.0, 20.0],
-        "system": {
-            "variant": "ofdm",
-            "n_subcarriers": 24,
-            "n_symbols": 14,
-            "subcarrier_spacing": 15e3,
-            "symbol_duration": 1e-3 / 14,
-        },
-        "doppler_size": 40,
-        "delay_size": 40,
-        "doppler_bound_hz": 250.0,
-        "delay_bound_s": 6e-6,
-        "n_pilots": 30,
-        "normalize": True,
-    }
 
 
 def _configure_threads(threads: int | None) -> None:
@@ -116,170 +47,15 @@ def _configure_threads(threads: int | None) -> None:
         os.environ[var] = str(int(threads))
 
 
-def _synth_config(document) -> dict:
-    """Check a synth config with its angle_profile entries and paths."""
-    from .utils import check_document, check_tagged_document
-
-    config = check_tagged_document(
-        document, "scenario", _SYNTH_FIELDS, "synth config", _SYNTH_OPTIONAL
-    )
-    if config["n_train"] < 1:
-        raise InvalidArgumentError("n_train must be >= 1")
-    for entry in config.get("angle_profile", ()):
-        check_document(
-            entry, _ANGLE_COMPONENT_FIELDS, _ANGLE_COMPONENT_FIELDS, "angle_profile entry"
-        )
-    if "paths" in config:
-        config["paths"] = check_document(config["paths"], _PATHS_FIELDS, what="paths")
-    return config
-
-
-def _profile_from_config(entries: list[dict] | None):
-    from .scenario import AngleComponent, AngleProfile
-
-    if entries is None:
-        return AngleProfile.street_canyons()
-    return AngleProfile(
-        components=tuple(
-            AngleComponent(
-                center=math.radians(e["center_deg"]),
-                half_width=math.radians(e["half_width_deg"]),
-                weight=e["weight"],
-            )
-            for e in entries
-        )
-    )
-
-
 def cmd_synth(config_path: str, seed: int, out: str) -> int:
-    import numpy as np
+    from .container import output_directory, read_json
+    from .dataset import DATASET_DOCUMENT, check_synth_config, save_dataset, synthesize
 
-    from .container import output_directory, read_json, write_array, write_json
-    from .dictionary import (
-        AngleGrid,
-        DelayDopplerGrid,
-        SystemConfig,
-        build_dictionary,
-        grid_to_json,
-        vectorize_channel,
-    )
-    from .scenario import (
-        OfdmScenario,
-        draw_ofdm_channel,
-        make_observations,
-        normalize_dataset,
-        random_pilots,
-        simo_channels,
-    )
-
-    config = _synth_config(read_json(config_path))
-    system = SystemConfig.from_json(config["system"])
-    with output_directory(out, "scenario.json", reads=[config_path]) as out_dir:
-        rng = np.random.default_rng(seed)
-        n_train = config["n_train"]
-        snr_range = tuple(config["snr_range_db"])
-        scale = 1.0
-
-        if config["scenario"] == "simo":
-            grid = AngleGrid(config["grid_size"])
-            dictionary_id = build_dictionary(grid, system).content_id
-            profile = _profile_from_config(config.get("angle_profile"))
-            std = math.radians(config.get("laplacian_std_deg", 2.0))
-            quad = config.get("quadrature_points", 2048)
-            channels = simo_channels(profile, std, system.n_antennas, n_train, rng, quad)
-            if config.get("normalize", False):
-                channels, scale = normalize_dataset(channels)
-            pilots = np.arange(system.n_antennas)
-        else:
-            grid = DelayDopplerGrid(
-                doppler_size=config["doppler_size"],
-                delay_size=config["delay_size"],
-                doppler_bound=config["doppler_bound_hz"],
-                delay_bound=config["delay_bound_s"],
-            )
-            dictionary_id = build_dictionary(grid, system).content_id
-            paths = config.get("paths", {})
-            scenario = OfdmScenario(
-                config=system,
-                max_paths=paths.get("max_paths", 8),
-                delay_range=tuple(paths.get("delay_range_s", (0.0, 0.5 * grid.delay_bound))),
-                doppler_range=tuple(paths.get(
-                    "doppler_range_hz", (-0.8 * grid.doppler_bound, 0.8 * grid.doppler_bound)
-                )),
-                gain_decay_rate=paths.get("gain_decay_rate", 1e6),
-                doppler_bound=grid.doppler_bound,
-                delay_bound=grid.delay_bound,
-            )
-            channels = np.stack(
-                [vectorize_channel(draw_ofdm_channel(scenario, rng)) for _ in range(n_train)]
-            )
-            if config.get("normalize", True):
-                channels, scale = normalize_dataset(channels)
-            pilots = random_pilots(config["n_pilots"], system.channel_dim, rng)
-
-        obs = make_observations(channels, pilots, snr_range, rng)
-        write_array(out_dir / "channels", channels, role="ground-truth-channels")
-        write_array(out_dir / "observations", obs.samples, role="observations")
-        write_array(out_dir / "noise_vars", obs.noise_vars, role="noise-variances")
-        write_array(out_dir / "snr_db", obs.snr_db, role="per-sample-snr-db")
-        # stored as the 0/1 selection matrix A, one unit row per pilot
-        selection = np.eye(system.channel_dim)[pilots]
-        write_array(out_dir / "selection", selection, role="selection-matrix")
-        write_json(
-            out_dir / "scenario.json",
-            {
-                "kind": "dataset",
-                "config": config,
-                "seed": int(seed),
-                "normalization_scale": scale,
-                "grid": grid_to_json(grid),
-                "system": system.to_json(),
-                "dictionary_id": dictionary_id,
-                "n_train": n_train,
-            },
-        )
-    print(f"synth: wrote {n_train} samples to {Path(out)}")
+    config = check_synth_config(read_json(config_path))
+    with output_directory(out, DATASET_DOCUMENT, reads=[config_path]) as out_dir:
+        save_dataset(out_dir, *synthesize(config, seed))
+    print(f"synth: wrote {config['n_train']} samples to {Path(out)}")
     return EXIT_OK
-
-
-def _selection_pilots(selection, n_entries: int):
-    """Pilot indices of a stored (M, n_entries) 0/1 selection matrix with
-    one 1 per row; :class:`ObservationSet` checks that the rows differ."""
-    ones = selection == 1.0
-    if selection.shape[1:] != (n_entries,) or not (
-        (ones == (selection != 0.0)).all() and (ones.sum(axis=1) == 1).all()
-    ):
-        raise InvalidArgumentError(
-            f"selection must be 0/1 with {n_entries} columns and one 1 per row"
-        )
-    return ones.argmax(axis=1)
-
-
-def load_dataset(directory: str | Path):
-    """Read a dataset directory back into an observation set + dictionary.
-
-    The dictionary is rebuilt from the ``grid`` and ``system`` documents of
-    ``scenario.json`` and must hash to its ``dictionary_id``; the stored
-    selection matrix becomes the observation set's pilot indices.
-    """
-    from .container import read_array, read_json
-    from .dictionary import load_dictionary
-    from .scenario import ObservationSet
-
-    directory = Path(directory)
-    meta = read_json(directory / "scenario.json")
-    dictionary = load_dictionary(meta.get("grid"), meta.get("system"))
-    if dictionary.content_id != meta.get("dictionary_id"):
-        raise InvalidArgumentError(
-            f"{directory / 'scenario.json'}: grid and system do not rebuild its dictionary_id"
-        )
-    samples, _ = read_array(directory / "observations")
-    noise_vars, _ = read_array(directory / "noise_vars")
-    selection, _ = read_array(directory / "selection")
-    snr_db, _ = read_array(directory / "snr_db")
-    pilots = _selection_pilots(selection, len(dictionary.matrix))
-    obs = ObservationSet(samples=samples, noise_vars=noise_vars, pilots=pilots, snr_db=snr_db)
-    return obs, dictionary, meta
 
 
 def cmd_fit(
@@ -292,6 +68,7 @@ def cmd_fit(
     config_path: str | None,
 ) -> int:
     from .container import output_directory, read_json, write_json
+    from .dataset import load_dataset
     from .em import csgmm_fit, save_model
     from .utils import check_document
 
@@ -389,19 +166,16 @@ def cmd_generate(
 
 
 def _open_reference(path: str | Path):
-    """Accept either a generated batch or a dataset directory as reference;
-    returns readers of its coefficients (None for a dataset) and channels,
-    and its ``batch.json`` or ``scenario.json`` document."""
-    from .container import ArrayReader, read_json
+    """Readers of a reference batch's (or dataset's) coefficients (None for
+    a dataset) and channels, and its batch or dataset document."""
+    from .dataset import open_channels
     from .generation import open_batch
 
     path = Path(path)
     if (path / "batch.json").exists():
         stored = open_batch(path)
         return stored.sparse, stored.channels, stored.meta
-    if (path / "scenario.json").exists():
-        return None, ArrayReader(path / "channels"), read_json(path / "scenario.json")
-    raise InvalidArgumentError(f"{path} is neither a batch nor a dataset directory")
+    return (None, *open_channels(path))
 
 
 def _angular_pass(sparse, grid):

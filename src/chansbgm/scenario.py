@@ -299,14 +299,19 @@ class OfdmScenario:
 
     config: SystemConfig
     max_paths: int = 8
-    delay_range: tuple[float, float] = (0.0, 3e-6)
-    doppler_range: tuple[float, float] = (-200.0, 200.0)
+    delay_range: tuple[float, float] | None = None  # default (0, delay_bound / 2)
+    doppler_range: tuple[float, float] | None = None  # default +-0.8 doppler_bound
     gain_decay_rate: float = 1e6
     # grid bounds the learned representation will use; ranges must fit inside
     doppler_bound: float = 250.0
     delay_bound: float = 6e-6
 
     def __post_init__(self):
+        bound = 0.8 * self.doppler_bound
+        defaults = {"delay_range": (0.0, 0.5 * self.delay_bound), "doppler_range": (-bound, bound)}
+        for name, default in defaults.items():  # frozen: the ranges are settled here, once
+            value = getattr(self, name)
+            object.__setattr__(self, name, default if value is None else tuple(value))
         if self.config.variant != "ofdm":
             raise InvalidArgumentError("OfdmScenario requires an OFDM system config")
         if self.max_paths < 1:
@@ -417,7 +422,7 @@ class ObservationSet:
     noise_vars: (n,) per-sample noise variance (per complex entry).
     pilots: (M,) distinct channel-entry indices; sample entry j observes
         channel entry pilots[j] (``np.arange(N)`` observes them all).
-    snr_db: (n,) the drawn per-sample SNR values.
+    snr_db: (n,) the drawn per-sample SNR values, or None.
     """
 
     samples: np.ndarray
@@ -439,6 +444,10 @@ class ObservationSet:
             raise InvalidArgumentError("noise variances must be positive")
         if self.samples.shape[1] != len(self.pilots):
             raise InvalidArgumentError("sample length must match the pilot count")
+        if self.snr_db is not None:
+            self.snr_db = np.asarray(self.snr_db, dtype=float)
+            if self.snr_db.shape != (len(self),) or not np.isfinite(self.snr_db).all():
+                raise InvalidArgumentError("snr_db must hold one finite value per sample")
 
     def __len__(self) -> int:
         return len(self.samples)

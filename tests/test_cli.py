@@ -4,13 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chansbgm.cli import (
-    EXIT_BAD_CONFIG,
-    EXIT_OK,
-    default_ofdm_synth_config,
-    load_dataset,
-    main,
-)
+from chansbgm.cli import EXIT_BAD_CONFIG, EXIT_OK, main
+from chansbgm.dataset import default_ofdm_synth_config, load_dataset
 
 
 def small_simo_config():
@@ -292,6 +287,17 @@ class TestFit:
                      "--out", str(tmp_path / "m")])
         assert code == EXIT_BAD_CONFIG
 
+
+    @pytest.mark.parametrize("edit", [lambda v: v[:-1], lambda v: np.where(v == v[0], np.inf, v)],
+                             ids=["short", "infinite"])
+    def test_malformed_snr_db_rejected(self, simo_dataset, tmp_path, edit):
+        from chansbgm.container import read_array, write_array
+
+        snr_db = np.array(read_array(simo_dataset / "snr_db")[0])
+        write_array(simo_dataset / "snr_db", edit(snr_db), role="per-sample-snr-db")
+        code = main(["fit", str(simo_dataset), "--model", "msbl",
+                     "--out", str(tmp_path / "m")])
+        assert code == EXIT_BAD_CONFIG
 
 class TestGenerateAndMetrics:
     @pytest.fixture()
@@ -801,7 +807,7 @@ class TestDiagnosticsAndDefaults:
             main(["fit", str(simo_dataset), "--model", "msbl", "--out", str(tmp_path / "m")])
 
     def test_reference_scale_defaults(self):
-        from chansbgm.cli import default_ofdm_synth_config, default_simo_synth_config
+        from chansbgm.dataset import default_ofdm_synth_config, default_simo_synth_config
 
         simo = default_simo_synth_config()
         assert simo["system"]["n_antennas"] == 16

@@ -1,0 +1,57 @@
+"""A dataset written by ``save_dataset`` reads back bit for bit."""
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from chansbgm import OfdmScenario
+from chansbgm.dataset import (
+    _PATHS_FIELDS,
+    check_synth_config,
+    default_ofdm_synth_config,
+    load_dataset,
+    open_channels,
+    save_dataset,
+    synthesize,
+)
+
+SIMO = {
+    "scenario": "simo",
+    "n_train": 40,
+    "snr_range_db": [0.0, 20.0],
+    "system": {"variant": "simo", "n_antennas": 6},
+    "grid_size": 24,
+    "quadrature_points": 256,
+}
+OFDM = dict(
+    default_ofdm_synth_config(),
+    n_train=30,
+    system={"variant": "ofdm", "n_subcarriers": 6, "n_symbols": 4,
+            "subcarrier_spacing": 15e3, "symbol_duration": 1e-3 / 14},
+    doppler_size=4,
+    delay_size=4,
+    n_pilots=10,
+)
+
+
+@pytest.mark.parametrize("config", [SIMO, OFDM], ids=["simo", "ofdm"])
+def test_save_then_load_round_trips(tmp_path, config):
+    channels, obs, document = synthesize(check_synth_config(dict(config)), seed=3)
+    save_dataset(tmp_path, channels, obs, document)
+    loaded, dictionary, meta = load_dataset(tmp_path)
+    for name in ("samples", "noise_vars", "pilots", "snr_db"):
+        written, read = getattr(obs, name), getattr(loaded, name)
+        assert (read.dtype, read.shape) == (written.dtype, written.shape), name
+        assert read.tobytes() == written.tobytes(), name
+    assert meta == document
+    assert dictionary.content_id == document["dictionary_id"]
+    reader, opened = open_channels(tmp_path)
+    assert reader.read().tobytes() == channels.tobytes()
+    assert opened == document
+
+
+def test_every_paths_field_sets_an_ofdm_scenario_argument():
+    arguments = {f.name for f in fields(OfdmScenario)}
+    assert {argument for _, argument in _PATHS_FIELDS.values()} <= arguments
+

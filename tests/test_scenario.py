@@ -7,6 +7,7 @@ from chansbgm import (
     AngleComponent,
     AngleProfile,
     DelayDopplerGrid,
+    ObservationSet,
     OfdmScenario,
     SystemConfig,
     build_ofdm_dictionary,
@@ -280,6 +281,13 @@ class TestOfdmChannelDraws:
         )
         assert np.linalg.matrix_rank(h) <= 3
 
+    def test_default_ranges_follow_the_bounds(self):
+        scenario = OfdmScenario(config=self.config, doppler_bound=300.0, delay_bound=5e-6)
+        assert scenario.delay_range == (0.0, 2.5e-6)
+        assert scenario.doppler_range == (-240.0, 240.0)
+        given = OfdmScenario(config=self.config, delay_range=[1e-7, 2e-6])
+        assert given.delay_range == (1e-7, 2e-6)
+
     def test_draw_respects_path_budget(self):
         scenario = OfdmScenario(config=self.config, max_paths=2)
         rng = np.random.default_rng(5)
@@ -386,6 +394,17 @@ class TestObservations:
         np.testing.assert_array_equal(obs.observed_rows(matrix), matrix[[3, 1]])
         with pytest.raises(InvalidArgumentError):
             obs.observed_rows(matrix[:3])
+
+    @pytest.mark.parametrize(
+        "snr_db", [[1.0, 2.0], [1.0, np.nan, 2.0], [[1.0, 2.0, 3.0]]],
+        ids=["short", "nan", "2-D"],
+    )
+    def test_malformed_snr_db_rejected(self, snr_db):
+        obs = make_observations(np.ones((3, 4), dtype=complex), [3, 1], (0.0, 10.0),
+                                np.random.default_rng(7))
+        with pytest.raises(InvalidArgumentError, match="snr_db"):
+            ObservationSet(obs.samples, obs.noise_vars, obs.pilots, snr_db)
+        assert ObservationSet(obs.samples, obs.noise_vars, obs.pilots).snr_db is None
 
 
 class TestNormalizeDataset:

@@ -43,9 +43,30 @@ def test_traced_synth_and_fit_record_their_spans(tmp_path):
     synth = traced_stage(
         tmp_path, "synth", "synth", "--config", str(config), "--seed", "3", "--out", "data"
     )
-    # the per-layer scenario.covariance_s and scenario.draw_s read these spans
-    assert {"scenario.covariance", "scenario.draw", "scenario.observations"} <= synth
+    # the per-layer scenario.*, dictionary.build_* and container.write_* read these spans
+    assert {"scenario.covariance", "scenario.draw", "scenario.observations",
+            "dictionary.build", "container.write"} <= synth
     fit = traced_stage(
         tmp_path, "fit", "fit", "data", "--K", "2", "--config", "em.json", "--out", "model"
     )
     assert {"dictionary.load", "em.fit"} <= fit
+
+
+def test_traced_ofdm_synth_records_its_spans(tmp_path):
+    from chansbgm.dataset import default_ofdm_synth_config
+
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(dict(
+        default_ofdm_synth_config(),
+        n_train=10,
+        system={"variant": "ofdm", "n_subcarriers": 6, "n_symbols": 4,
+                "subcarrier_spacing": 15e3, "symbol_duration": 1e-3 / 14},
+        doppler_size=4,
+        delay_size=4,
+        n_pilots=5,
+    )), encoding="utf-8")
+    synth = traced_stage(
+        tmp_path, "synth", "synth", "--config", str(config), "--seed", "3", "--out", "data"
+    )
+    assert {"scenario.draw", "scenario.observations", "dictionary.build",
+            "container.write"} <= synth
