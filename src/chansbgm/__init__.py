@@ -16,7 +16,6 @@ _EXPORTS = {
         "default_ofdm_synth_config",
         "default_simo_synth_config",
         "load_dataset",
-        "open_channels",
         "save_dataset",
         "synthesize",
     ],

@@ -1,11 +1,9 @@
 """The training dataset: its synth config, its simulation and its directory.
 
-A dataset holds what an access point collects in normal operation (noisy
-compressed observations, their noise variances and SNRs, and the pilots)
-with the ground-truth channels they were drawn from. This module alone
-knows its directory: ``scenario.json`` (the synth config, seed,
-normalization scale, and the ``grid`` and ``system`` documents with the
-``dictionary_id`` they rebuild) and the arrays ``channels``,
+A dataset is what an access point collects in normal operation (noisy
+compressed observations with their noise variances, SNRs and pilots),
+stored with the ground-truth channels they were drawn from. This module
+alone knows its directory: ``scenario.json`` and the arrays ``channels``,
 ``observations``, ``noise_vars``, ``snr_db`` and ``selection`` (the pilots
 as the (M, N) 0/1 matrix with one unit row per pilot).
 """

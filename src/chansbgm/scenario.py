@@ -9,8 +9,8 @@ that density, vectorized over a block of samples. A ULA's covariance is
 Hermitian Toeplitz, so only its first column is integrated, and steering
 vectors are never formed: their entries are the powers of one phasor per
 node, taken by a running product. Channels are drawn a block at a time
-from per-covariance Cholesky factors, with a small jitter for the
-(numerically) singular covariances that narrow densities give. The OFDM
+from Cholesky factors taken with a small jitter, which lets the
+(numerically) singular covariances of narrow densities factor. The OFDM
 generator draws a random number of discrete paths with uniform
 delays/Dopplers and exponentially decaying gain power, and evaluates the
 resulting channel matrix on the time-frequency sampling grid.
@@ -214,23 +214,15 @@ def laplacian_local_covariance(
 
 
 def _cholesky_factors(covs: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack of PSD covariances.
-
-    Each covariance is factored alone, and one that is singular (PSD but
-    not PD) gets a single jitter of 1e-12 * trace/N before its retry.
-    """
-    factors = np.empty_like(covs)
+    """Lower Cholesky factors of a stack of PSD covariances, each with 1e-12 *
+    trace/N added to its diagonal: singular covariances factor too, and since
+    every covariance gets the jitter, the factor is continuous in it."""
     n = covs.shape[-1]
-    for i, cov in enumerate(covs):
-        try:
-            factors[i] = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 * (np.trace(cov).real / n)
-            try:
-                factors[i] = np.linalg.cholesky(cov + jitter * np.eye(n))
-            except np.linalg.LinAlgError as exc:
-                raise NumericError("covariance is not positive semidefinite") from exc
-    return factors
+    jitter = 1e-12 * (np.trace(covs, axis1=1, axis2=2).real / n)
+    try:
+        return np.linalg.cholesky(covs + jitter[:, None, None] * np.eye(n))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("covariance is not positive semidefinite") from exc
 
 
 def draw_simo_channel(cov: np.ndarray, rng: np.random.Generator, size: int | None = None):
@@ -239,7 +231,7 @@ def draw_simo_channel(cov: np.ndarray, rng: np.random.Generator, size: int | Non
     An (N, N) ``cov`` gives one vector, or ``size`` rows of them; an
     (n, N, N) stack gives one row per covariance (``size`` must then be
     None). Each draw is L z with L the Cholesky factor of its covariance
-    (see :func:`_cholesky_factors` for singular ones) and z a row of one
+    plus 1e-12 * trace/N on the diagonal and z a row of one
     ``complex_standard_normal(rng, (rows, N))`` call, so a stack consumes
     the generator exactly as its rows drawn one at a time do. An all-zero
     covariance draws zeros and consumes no normals, alone or in a stack.

@@ -174,27 +174,25 @@ class TestSimoChannelDraws:
         assert stacked.shape == (4, 16)
         np.testing.assert_allclose(stacked, singles, rtol=0, atol=1e-14 * np.abs(singles).max())
 
-    def test_stack_factors_well_conditioned_covariances_without_jitter(self):
-        covs = self._stack(4)
-        assert np.linalg.eigvalsh(covs).min() > 1e-6
-        draws = draw_simo_channel(covs, np.random.default_rng(6))
-        z = complex_standard_normal(np.random.default_rng(6), (4, 4))
-        expected = np.einsum("rij,rj->ri", np.linalg.cholesky(covs), z)
-        np.testing.assert_allclose(draws, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
-
-    def test_jitter_only_for_the_singular_covariance(self):
-        pd = self._stack(4)[0]
+    def test_every_draw_uses_the_jittered_factor(self):
         a = steering_vector_ula(0.5, 4)
-        singular = np.outer(a, a.conj())
-        draws = draw_simo_channel(np.stack([pd, singular]), np.random.default_rng(7))
+        covs = np.stack([self._stack(4)[0], np.outer(a, a.conj())])  # definite, singular
+        draws = draw_simo_channel(covs, np.random.default_rng(7))
         z = complex_standard_normal(np.random.default_rng(7), (2, 4))
-        jitter = lambda cov: cov + 1e-12 * np.trace(cov).real / 4 * np.eye(4)  # noqa: E731
-        plain = np.linalg.cholesky(pd) @ z[0]
-        np.testing.assert_allclose(draws[0], plain, rtol=0, atol=1e-15)
-        assert np.abs(draws[0] - np.linalg.cholesky(jitter(pd)) @ z[0]).max() > 1e-15
-        np.testing.assert_allclose(
-            draws[1], np.linalg.cholesky(jitter(singular)) @ z[1], rtol=0, atol=1e-14
-        )
+        for cov, draw, normals in zip(covs, draws, z):
+            jittered = cov + 1e-12 * (np.trace(cov).real / 4) * np.eye(4)
+            expected = np.linalg.cholesky(jittered) @ normals
+            np.testing.assert_allclose(draw, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("center", [-0.73, 0.48])
+    def test_draws_are_continuous_in_a_singular_covariance(self, center):
+        # a 2-degree covariance on 16 antennas is singular to round-off; raising
+        # its real parts by one ulp moves the jittered factor by about 5e-6,
+        # while switching between a plain and a jittered factor moves it by 2e-2
+        cov = laplacian_local_covariance(center, math.radians(2.0), 16)
+        nudged = cov.real * (1 + 2.0**-52) + 1j * cov.imag
+        first, second = (draw_simo_channel(c, np.random.default_rng(11)) for c in (cov, nudged))
+        assert np.abs(first - second).max() < 1e-4
 
     def test_indefinite_covariance_in_stack_raises(self):
         covs = self._stack(4)
