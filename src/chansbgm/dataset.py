@@ -126,7 +126,7 @@ def check_synth_config(document) -> dict:
     return config
 
 
-def angle_profile(entries: list[dict] | None) -> AngleProfile:
+def _angle_profile(entries: list[dict] | None) -> AngleProfile:
     """The angle profile of a config's ``angle_profile`` entries (degrees);
     the street-canyon profile when there are none."""
     if entries is None:
@@ -155,7 +155,7 @@ def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dic
     n_train = config["n_train"]
     if config["scenario"] == "simo":
         grid = AngleGrid(config["grid_size"])
-        profile = angle_profile(config.get("angle_profile"))
+        profile = _angle_profile(config.get("angle_profile"))
         std = math.radians(config.get("laplacian_std_deg", 2.0))
         quad = config.get("quadrature_points", 2048)
         channels = simo_channels(profile, std, system.n_antennas, n_train, rng, quad)

@@ -428,8 +428,8 @@ class ObservationSet:
         self.pilots = _check_pilots(self.pilots)
         if self.samples.ndim != 2 or len(self.samples) == 0:
             raise InvalidArgumentError("samples must be a nonempty 2-D array (n, M)")
-        if len(self.samples) != len(self.noise_vars):
-            raise InvalidArgumentError("samples and noise_vars must have equal length")
+        if self.noise_vars.shape != (len(self.samples),):
+            raise InvalidArgumentError("noise_vars must hold one value per sample")
         if not (np.all(np.isfinite(self.samples)) and np.all(np.isfinite(self.noise_vars))):
             raise InvalidArgumentError("samples and noise_vars must be finite")
         if np.any(self.noise_vars <= 0):

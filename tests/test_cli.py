@@ -288,13 +288,17 @@ class TestFit:
         assert code == EXIT_BAD_CONFIG
 
 
-    @pytest.mark.parametrize("edit", [lambda v: v[:-1], lambda v: np.where(v == v[0], np.inf, v)],
-                             ids=["short", "infinite"])
-    def test_malformed_snr_db_rejected(self, simo_dataset, tmp_path, edit):
+    @pytest.mark.parametrize(
+        "stem, edit",
+        [("snr_db", lambda v: v[:-1]), ("snr_db", lambda v: np.where(v == v[0], np.inf, v)),
+         ("noise_vars", lambda v: v[:, None])],
+        ids=["short-snr_db", "infinite-snr_db", "column-noise_vars"],
+    )
+    def test_malformed_per_sample_vector_rejected(self, simo_dataset, tmp_path, stem, edit):
         from chansbgm.container import read_array, write_array
 
-        snr_db = np.array(read_array(simo_dataset / "snr_db")[0])
-        write_array(simo_dataset / "snr_db", edit(snr_db), role="per-sample-snr-db")
+        stored, sidecar = read_array(simo_dataset / stem)
+        write_array(simo_dataset / stem, edit(np.array(stored)), role=sidecar["role"])
         code = main(["fit", str(simo_dataset), "--model", "msbl",
                      "--out", str(tmp_path / "m")])
         assert code == EXIT_BAD_CONFIG
