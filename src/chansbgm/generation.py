@@ -88,9 +88,8 @@ def sample_blocks(
     for rows in row_blocks(n, s):
         block_labels = labels[rows]
         draws = complex_standard_normal(rng, (len(block_labels), s))
-        yield GeneratedBatch(
-            sparse=draws * scales[block_labels], labels=block_labels, provenance=provenance
-        )
+        draws *= scales[block_labels]
+        yield GeneratedBatch(sparse=draws, labels=block_labels, provenance=provenance)
 
 
 def sample_parameters(
@@ -126,25 +125,45 @@ def render_channels(batch: GeneratedBatch, dictionary: Dictionary) -> GeneratedB
 def limit_paths(s: np.ndarray, p_max: int) -> np.ndarray:
     """Keep the ``p_max`` entries that are largest in squared magnitude.
 
-    All other entries are zeroed; ties are broken toward the lowest
-    index. Works on a single vector or on the last axis of a batch.
+    All other entries are zeroed. Works on a single vector or on the last
+    axis of a batch. Each row's ``p_max``-th largest power is found by
+    selection (``np.partition``), not by a full sort; every entry above it
+    is kept, and of the entries tied with it the lowest-index ones fill
+    the remaining places. Non-finite input is rejected, since a NaN power
+    has no rank.
     """
     if p_max < 1:
         raise InvalidArgumentError("p_max must be >= 1")
     s = np.asarray(s)
-    if p_max >= s.shape[-1]:
+    if not np.isfinite(s).all():
+        raise InvalidArgumentError("limit_paths needs finite coefficients")
+    n_entries = s.shape[-1]
+    if p_max >= n_entries:
         return s.copy()
-    power = np.abs(s) ** 2
-    # stable sort on -power keeps the lowest index first among ties
-    order = np.argsort(-power, axis=-1, kind="stable")
-    keep = order[..., :p_max]
-    mask = np.zeros(s.shape, dtype=bool)
-    np.put_along_axis(mask, keep, True, axis=-1)
-    return np.where(mask, s, 0.0)
+    # |s|**2 squared in place; re**2 + im**2 would round near-ties apart
+    power = np.abs(s).reshape(-1, n_entries)
+    power *= power
+    # a copy of the column, so the partitioned array is freed
+    kth = np.partition(power, n_entries - p_max, axis=-1)[:, [n_entries - p_max]]
+    keep = power >= kth
+    # rows where entries tied at kth would keep more than p_max
+    over = np.flatnonzero(np.count_nonzero(keep, axis=-1) > p_max)
+    if len(over):
+        rows, row_kth = power[over], kth[over]
+        above = rows > row_kth
+        tied = rows == row_kth
+        room = p_max - np.count_nonzero(above, axis=-1)[:, None]
+        keep[over] = above | (tied & (np.cumsum(tied, axis=-1) <= room))
+    return np.where(keep.reshape(s.shape), s, 0.0)
 
 
 def limit_batch_paths(batch: GeneratedBatch, p_max: int) -> GeneratedBatch:
-    """Apply :func:`limit_paths` to every vector of a batch."""
+    """Apply :func:`limit_paths` to every vector of a batch.
+
+    The result has no channels (``channels=None``): channels rendered
+    before the cap no longer match the capped coefficients, so render
+    after capping.
+    """
     provenance = dict(batch.provenance or {})
     provenance["p_max"] = int(p_max)
     return GeneratedBatch(

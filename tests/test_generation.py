@@ -18,7 +18,10 @@ from chansbgm import (
     swap_system_config,
     toeplitz_deviation,
 )
+from chansbgm import utils as utils_module
 from chansbgm.errors import InvalidArgumentError
+from chansbgm.generation import sample_blocks
+from chansbgm.utils import complex_standard_normal
 
 
 def one_component_model(gamma):
@@ -155,6 +158,134 @@ class TestLimitPaths:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(InvalidArgumentError):
             limit_paths(np.ones(3), 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    @pytest.mark.parametrize("p_max", [1, 4])
+    def test_rejects_non_finite_input(self, bad, p_max):
+        # a NaN power has no rank: selection would place it first, the
+        # former sort on -power last
+        s = np.ones((3, 4), dtype=complex)
+        s[1, 2] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            limit_paths(s, p_max)
+
+
+def _argsort_limit_paths(s, p_max):
+    """The former cap, a stable full sort on -power: the reference for the
+    selection in :func:`limit_paths`."""
+    s = np.asarray(s)
+    if p_max >= s.shape[-1]:
+        return s.copy()
+    power = np.abs(s) ** 2
+    order = np.argsort(-power, axis=-1, kind="stable")
+    mask = np.zeros(s.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :p_max], True, axis=-1)
+    return np.where(mask, s, 0.0)
+
+
+def _assert_same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestLimitPathsOracle:
+    """The selection keeps exactly the entries the stable sort kept."""
+
+    S = 24
+    BUDGETS = [1, 3, S - 1, S, S + 3]
+
+    @pytest.mark.parametrize("p_max", BUDGETS)
+    def test_random_complex_batch(self, p_max):
+        s = complex_standard_normal(np.random.default_rng(20), (300, self.S))
+        _assert_same_bytes(limit_paths(s, p_max), _argsort_limit_paths(s, p_max))
+
+    @pytest.mark.parametrize("p_max", BUDGETS)
+    def test_quantized_batch_with_many_ties(self, p_max):
+        rng = np.random.default_rng(21)
+        # few distinct magnitudes: most rows have ties at the p_max-th power
+        s = rng.integers(-2, 3, (400, self.S)) + 1j * rng.integers(-2, 3, (400, self.S))
+        s[::7] = 1.0j  # rows of one value, tied everywhere
+        _assert_same_bytes(limit_paths(s, p_max), _argsort_limit_paths(s, p_max))
+
+    @pytest.mark.parametrize("p_max", BUDGETS)
+    def test_all_zero_rows(self, p_max):
+        s = complex_standard_normal(np.random.default_rng(22), (6, self.S))
+        s[[0, 3, 5]] = 0.0
+        out = limit_paths(s, p_max)
+        _assert_same_bytes(out, _argsort_limit_paths(s, p_max))
+        np.testing.assert_array_equal(out[[0, 3, 5]], 0.0)
+
+    @pytest.mark.parametrize("p_max", BUDGETS)
+    def test_single_vector(self, p_max):
+        rng = np.random.default_rng(23)
+        for s in (complex_standard_normal(rng, self.S), np.round(rng.standard_normal(self.S))):
+            _assert_same_bytes(limit_paths(s, p_max), _argsort_limit_paths(s, p_max))
+
+    @pytest.mark.parametrize("p_max", BUDGETS)
+    def test_real_input(self, p_max):
+        rng = np.random.default_rng(24)
+        s = np.round(2 * rng.standard_normal((200, self.S))) / 2
+        out = limit_paths(s, p_max)
+        assert out.dtype == np.float64
+        _assert_same_bytes(out, _argsort_limit_paths(s, p_max))
+
+    def test_higher_dimensional_batch(self):
+        rng = np.random.default_rng(25)
+        s = rng.integers(-1, 2, (5, 7, self.S)) + 0j
+        _assert_same_bytes(limit_paths(s, 4), _argsort_limit_paths(s, 4))
+
+    def test_empty_batch(self):
+        s = np.zeros((0, self.S), dtype=complex)
+        _assert_same_bytes(limit_paths(s, 2), _argsort_limit_paths(s, 2))
+
+    def test_capping_blocks_equals_capping_the_whole(self, monkeypatch):
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1)
+        model = one_component_model(np.linspace(0.1, 1.0, 16))
+        n = 3 * utils_module.ROW_ALIGN + 5
+        blocks = list(sample_blocks(model, n, 31))
+        assert len(blocks) == 4
+        capped = np.concatenate([limit_batch_paths(b, 3).sparse for b in blocks])
+        whole = limit_batch_paths(sample_parameters(model, n, 31), 3)
+        _assert_same_bytes(capped, whole.sparse)
+        _assert_same_bytes(whole.sparse, _argsort_limit_paths(whole.sparse, 3))
+
+    def test_drops_rendered_channels(self):
+        d = build_simo_dictionary(AngleGrid(8), SystemConfig.simo(4))
+        rendered = render_channels(sample_parameters(one_component_model(np.ones(8)), 5, 0), d)
+        assert limit_batch_paths(rendered, 2).channels is None
+
+
+class TestComplexStandardNormal:
+    @pytest.mark.parametrize("shape", [3, (7, 5), (0, 4), (2, 3, 4), ()])
+    def test_equals_the_complex_expression(self, shape):
+        out = complex_standard_normal(np.random.default_rng(40), shape)
+        pair = np.random.default_rng(40).standard_normal(tuple(np.atleast_1d(shape)) + (2,))
+        expected = (pair[..., 0] + 1j * pair[..., 1]) / np.sqrt(2.0)
+        _assert_same_bytes(out, expected)
+        assert out.dtype == np.complex128
+        assert out.flags.c_contiguous
+
+    def test_consumes_the_stream_as_one_draw(self):
+        rng = np.random.default_rng(41)
+        complex_standard_normal(rng, (4, 3))
+        reference = np.random.default_rng(41)
+        reference.standard_normal((4, 3, 2))
+        assert rng.standard_normal() == reference.standard_normal()
+
+    def test_sample_parameters_bytes(self):
+        model = SbgmModel(
+            weights=np.array([0.25, 0.75]),
+            variances=np.random.default_rng(42).uniform(0.0, 2.0, (2, 16)),
+        )
+        batch = sample_parameters(model, 500, 43)
+        rng = np.random.default_rng(43)
+        labels = rng.choice(2, size=500, p=model.weights)
+        pair = rng.standard_normal((500, 16, 2))
+        draws = (pair[..., 0] + 1j * pair[..., 1]) / np.sqrt(2.0)
+        expected = draws * np.sqrt(model.expanded_variances())[labels]
+        np.testing.assert_array_equal(batch.labels, labels)
+        _assert_same_bytes(batch.sparse, expected)
 
 
 class TestConditionalCovariance:
