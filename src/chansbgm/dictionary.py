@@ -61,6 +61,14 @@ _SYSTEM_FIELDS = {
 }
 
 
+def _check_columns(size: int) -> None:
+    """A grid point is a dictionary column; the dictionary is formed whole."""
+    if size > MAX_DICTIONARY_COLUMNS:
+        raise InvalidArgumentError(
+            f"grid has {size} columns, exceeding the limit of {MAX_DICTIONARY_COLUMNS}"
+        )
+
+
 @dataclass(frozen=True)
 class AngleGrid:
     """Uniform angle grid g*pi/size for g = -size/2 .. size/2 - 1 (radians)."""
@@ -70,6 +78,7 @@ class AngleGrid:
     def __post_init__(self):
         if self.size < 2 or self.size % 2 != 0:
             raise InvalidArgumentError("angle grid size must be a positive even integer")
+        _check_columns(self.size)
 
     @property
     def points(self) -> np.ndarray:
@@ -99,6 +108,7 @@ class DelayDopplerGrid:
             raise InvalidArgumentError("doppler_bound must be positive and finite")
         if not (self.delay_bound > 0 and math.isfinite(self.delay_bound)):
             raise InvalidArgumentError("delay_bound must be positive and finite")
+        _check_columns(self.size)
 
     @property
     def doppler_points(self) -> np.ndarray:
@@ -253,11 +263,7 @@ def build_simo_dictionary(grid: AngleGrid, config: SystemConfig) -> Dictionary:
     return Dictionary(matrix=ula_matrix(grid.points, config.n_antennas), grid=grid, config=config)
 
 
-def build_ofdm_dictionary(
-    grid: DelayDopplerGrid,
-    config: SystemConfig,
-    max_columns: int = MAX_DICTIONARY_COLUMNS,
-) -> Dictionary:
+def build_ofdm_dictionary(grid: DelayDopplerGrid, config: SystemConfig) -> Dictionary:
     """Kronecker dictionary D_t kron D_f over the delay-Doppler grid.
 
     D_t has shape (n_symbols, doppler_size), D_f (n_subcarriers,
@@ -265,10 +271,6 @@ def build_ofdm_dictionary(
     doppler_size*delay_size).
     """
     check_pairing(grid, config)
-    if grid.size > max_columns:
-        raise InvalidArgumentError(
-            f"grid has {grid.size} columns, exceeding the limit of {max_columns}"
-        )
     d_t = doppler_matrix(grid.doppler_points, config.n_symbols, config.symbol_duration)
     d_f = delay_matrix(grid.delay_points, config.n_subcarriers, config.subcarrier_spacing)
     matrix = np.kron(d_t, d_f)

@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import read_array, read_json, write_array, write_json
-from .dictionary import DelayDopplerGrid, Dictionary
+from .dictionary import AngleGrid, DelayDopplerGrid, Dictionary
 from .errors import InvalidArgumentError, NumericError
 from .scenario import ObservationSet
 from .utils import check_tagged_document, content_id
@@ -60,6 +60,9 @@ from .utils import check_tagged_document, content_id
 GAMMA_FLOOR = 1e-7
 
 _DEAD_RESPONSIBILITY = 1e-300
+
+# a log-likelihood may fall by this fraction of its size and still count as monotone
+_MONOTONE_REL_SLACK = 1e-8
 
 FULL = "full"
 KRONECKER = "kronecker"
@@ -137,6 +140,18 @@ class SbgmModel:
     def content_id(self) -> str:
         return content_id(self.weights.tobytes(), *(f.tobytes() for f in self.factors))
 
+    def check_grid(self, grid: AngleGrid | DelayDopplerGrid) -> None:
+        """Reject a grid whose points are not this model's coefficients: one
+        point per coefficient, and for the Kronecker form a delay-Doppler
+        grid of the factors' sizes."""
+        sizes = tuple(factor.shape[1] for factor in self.factors)
+        if self.variance_form == KRONECKER and isinstance(grid, DelayDopplerGrid):
+            points = (grid.doppler_size, grid.delay_size)
+        else:  # a Kronecker model's two sizes never equal this one
+            points = (grid.size,)
+        if sizes != points:
+            raise InvalidArgumentError(f"model variances of sizes {sizes} do not fit its grid")
+
 
 @dataclass
 class EmTrace:
@@ -146,11 +161,11 @@ class EmTrace:
     converged: bool
     n_iterations: int
 
-    def is_monotone(self, rel_slack: float = 1e-8) -> bool:
+    def is_monotone(self) -> bool:
         ll = self.log_likelihoods
         if len(ll) < 2:
             return True
-        floor = ll[:-1] - rel_slack * np.abs(ll[:-1])
+        floor = ll[:-1] - _MONOTONE_REL_SLACK * np.abs(ll[:-1])
         return bool(np.all(ll[1:] >= floor))
 
 

@@ -135,21 +135,19 @@ def spread_histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts / counts.sum()
 
 
-def histogram_w1(
-    a,
-    b,
-    bins: int | np.ndarray = SPREAD_HIST_BINS,
-    value_range: tuple[float, float] = SPREAD_HIST_RANGE,
-) -> float:
+def histogram_w1(a, b, bins: int | np.ndarray = SPREAD_HIST_BINS) -> float:
     """1-Wasserstein distance between binned empirical distributions
     (:func:`spread_histogram`); zero exactly when the two histograms
-    coincide.
+    coincide. An integer ``bins`` splits ``SPREAD_HIST_RANGE`` evenly.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise InvalidArgumentError("both value lists must be nonempty")
-    edges = np.asarray(bins, dtype=float) if np.ndim(bins) else np.linspace(*value_range, int(bins) + 1)
+    if np.ndim(bins):
+        edges = np.asarray(bins, dtype=float)
+    else:
+        edges = np.linspace(*SPREAD_HIST_RANGE, int(bins) + 1)
     p = spread_histogram(a, edges)
     q = spread_histogram(b, edges)
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -225,13 +225,12 @@ def _cholesky_factors(covs: np.ndarray) -> np.ndarray:
         raise NumericError("covariance is not positive semidefinite") from exc
 
 
-def draw_simo_channel(cov: np.ndarray, rng: np.random.Generator, size: int | None = None):
+def draw_simo_channel(cov: np.ndarray, rng: np.random.Generator):
     """Draw circularly symmetric complex Gaussian vectors with covariance ``cov``.
 
-    An (N, N) ``cov`` gives one vector, or ``size`` rows of them; an
-    (n, N, N) stack gives one row per covariance (``size`` must then be
-    None). Each draw is L z with L the Cholesky factor of its covariance
-    plus 1e-12 * trace/N on the diagonal and z a row of one
+    An (N, N) ``cov`` gives one vector; an (n, N, N) stack gives one row
+    per covariance. Each draw is L z with L the Cholesky factor of its
+    covariance plus 1e-12 * trace/N on the diagonal and z a row of one
     ``complex_standard_normal(rng, (rows, N))`` call, so a stack consumes
     the generator exactly as its rows drawn one at a time do. An all-zero
     covariance draws zeros and consumes no normals, alone or in a stack.
@@ -239,17 +238,13 @@ def draw_simo_channel(cov: np.ndarray, rng: np.random.Generator, size: int | Non
     cov = np.asarray(cov)
     if cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2]:
         raise InvalidArgumentError("cov must be an (N, N) matrix or an (n, N, N) stack")
-    if cov.ndim == 3 and size is not None:
-        raise InvalidArgumentError("a stack of covariances draws one channel each; omit size")
     stack = cov if cov.ndim == 3 else cov[None]
-    count = len(stack) if size is None else int(size)
     live = stack.any(axis=(1, 2))
     factors = _cholesky_factors(stack[live])
-    live = np.broadcast_to(live, count)  # one covariance serves all `size` draws
     z = complex_standard_normal(rng, (int(live.sum()), stack.shape[-1]))
-    draws = np.zeros((count, stack.shape[-1]), dtype=complex)
+    draws = np.zeros(stack.shape[:2], dtype=complex)
     draws[live] = (factors @ z[..., None])[..., 0]
-    return draws[0] if cov.ndim == 2 and size is None else draws
+    return draws[0] if cov.ndim == 2 else draws
 
 
 def simo_channels(
@@ -455,15 +450,13 @@ def make_observations(
     pilots: np.ndarray,
     snr_range_db: tuple[float, float],
     rng: np.random.Generator,
-    *,
-    signal_energy: float | None = None,
 ) -> ObservationSet:
     """Keep the channel entries at ``pilots`` and add per-sample noise.
 
     The per-sample noise variance is
     signal_energy / (M * 10^(SNR_i/10)) with SNR_i uniform on the given
-    dB range and signal_energy defaulting to the dataset mean of
-    ||A h||^2, A h being the entries at the M pilots.
+    dB range and signal_energy the dataset mean of ||A h||^2, A h being
+    the entries at the M pilots.
     """
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 2 or len(channels) == 0:
@@ -475,8 +468,7 @@ def make_observations(
     # take keeps the rows contiguous (channels[:, pilots] is column-major),
     # so the row sums below round as over the rows of a matrix product
     compressed = channels.take(pilots, axis=1)
-    if signal_energy is None:
-        signal_energy = float(np.mean(np.sum(np.abs(compressed) ** 2, axis=1)))
+    signal_energy = float(np.mean(np.sum(np.abs(compressed) ** 2, axis=1)))
     if signal_energy <= 0:
         raise InvalidArgumentError("channel set carries no energy at the pilots")
     m = len(pilots)

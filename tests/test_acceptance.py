@@ -218,7 +218,7 @@ def test_criterion_2_em_monotonicity(em_fit_battery):
     violations = [
         (i, trace.n_iterations)
         for i, (_, trace, _) in enumerate(results)
-        if not trace.is_monotone(1e-8)
+        if not trace.is_monotone()
     ]
     report(
         "criterion 2 (EM monotonicity)",

@@ -115,11 +115,13 @@ class TestSynth:
             (small_simo_config, lambda c: c.update(scenario="mimo")),
             (small_ofdm_config, lambda c: c.update(grid_size=1)),
             (small_simo_config, lambda c: c.update(system=small_ofdm_config()["system"])),
+            (small_simo_config, lambda c: c.update(grid_size=131072)),
         ],
         ids=["n_train-string", "ofdm-n_train-0", "snr-three-items", "unknown-key",
              "profile-entry-without-weight", "negative-gain-decay", "paths-unknown-key",
              "normalize-string",
-             "scenario-mimo", "simo-field-in-ofdm", "system-of-other-variant"],
+             "scenario-mimo", "simo-field-in-ofdm", "system-of-other-variant",
+             "simo-grid-above-the-column-cap"],
     )
     def test_malformed_config_rejected(self, tmp_path, make, edit):
         config = make()
@@ -529,6 +531,50 @@ class TestGenerateAndMetrics:
         code = main(["metrics", str(batch), "--out", str(tmp_path / "r")])
         assert code == EXIT_BAD_CONFIG
 
+    def test_model_on_a_grid_of_another_size_rejected(self, fitted_model, tmp_path):
+        path = fitted_model / "model.json"
+        meta = json.loads(path.read_text())
+        meta["grid"]["size"] = 48  # the model has 24 coefficients
+        path.write_text(json.dumps(meta))
+        out = tmp_path / "batch"
+        code = main(["generate", str(fitted_model), "-n", "5", "--seed", "0", "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"kind": "angle", "size": 48},
+            {"kind": "delay_doppler", "doppler_size": 2, "delay_size": 4,
+             "doppler_bound": 250.0, "delay_bound": 6e-6},
+        ],
+        ids=["angle", "delay-doppler"],
+    )
+    def test_batch_on_a_grid_of_another_size_rejected(self, fitted_model, tmp_path, grid):
+        batch = tmp_path / "batch"
+        assert main(["generate", str(fitted_model), "-n", "10", "--seed", "5",
+                     "--out", str(batch)]) == EXIT_OK
+        meta = json.loads((batch / "batch.json").read_text())
+        meta["grid"] = grid  # the batch has 24 coefficients per sample
+        (batch / "batch.json").write_text(json.dumps(meta))
+        report = tmp_path / "report"
+        assert main(["metrics", str(batch), "--out", str(report)]) == EXIT_BAD_CONFIG
+        assert not report.exists()
+
+    def test_reference_on_a_grid_of_another_size_rejected(self, fitted_model, tmp_path):
+        from chansbgm.generation import GeneratedBatch, save_batch
+
+        batch, reference = tmp_path / "batch", tmp_path / "reference"
+        assert main(["generate", str(fitted_model), "-n", "10", "--seed", "5",
+                     "--out", str(batch)]) == EXIT_OK
+        grid = json.loads((batch / "batch.json").read_text())["grid"]
+        coefficients = GeneratedBatch(sparse=np.ones((10, 16), complex), labels=np.zeros(10, int))
+        save_batch(coefficients, reference, extra_meta={"grid": grid})  # 16 of 24 points
+        report = tmp_path / "report"
+        assert main(["metrics", str(batch), str(reference),
+                     "--out", str(report)]) == EXIT_BAD_CONFIG
+        assert not report.exists()
+
     @pytest.mark.parametrize("corruption", ["truncated", "shape", "missing-channels"])
     def test_corrupt_batch_rejected(self, fitted_model, tmp_path, corruption):
         batch = tmp_path / "batch"
@@ -625,6 +671,59 @@ def ofdm_model(tmp_path):
     assert main(["fit", str(data), "--K", "2", "--seed", "1", "--config", em,
                  "--out", str(model)]) == EXIT_OK
     return model
+
+
+def test_kronecker_model_on_a_grid_of_another_shape_rejected(tmp_path):
+    cfg = write_config(tmp_path, small_ofdm_config(), "ofdm.json")
+    em = write_config(tmp_path, {"max_iters": 3}, "em.json")
+    data, model = tmp_path / "data", tmp_path / "model"
+    assert main(["synth", "--config", cfg, "--seed", "3", "--out", str(data)]) == EXIT_OK
+    assert main(["fit", str(data), "--K", "2", "--variance-form", "kronecker",
+                 "--config", em, "--out", str(model)]) == EXIT_OK
+    meta = json.loads((model / "model.json").read_text())
+    meta["grid"].update(doppler_size=2, delay_size=8)  # 16 points, as the 4 x 4 factors expand to
+    (model / "model.json").write_text(json.dumps(meta))
+    out = tmp_path / "batch"
+    code = main(["generate", str(model), "-n", "5", "--seed", "0", "--out", str(out)])
+    assert code == EXIT_BAD_CONFIG
+    assert not out.exists()
+
+
+class TestCsvBytes:
+    """The CSV files of a tiny seeded run, pinned byte for byte: every
+    value is written as the ``repr`` of a Python int or float. The digests
+    hold for one numpy build and platform; the EM and metrics arithmetic
+    behind them may round differently elsewhere."""
+
+    DIGESTS = {
+        "simo_model/trace.csv":
+            "f62b420a8e928501899f4aa1235c85be7d7f33cbf8f8257c1a1b4a2483c398a6",
+        "simo_report/profile.csv":
+            "45fccbaaec492dce00dff82f81af1c165c86a6d08ad1688026ded7749665b030",
+        "simo_report/spread_hist.csv":
+            "c9d43014dfcafcd7506e24003f8cc32fe640ba1c196333c8d3b2ad38a2558095",
+        "ofdm_model/trace.csv":
+            "4856461fe8e1055e21eafb3f61b44c5b75ec22db66b0b58ad34b85b2e2a24f5a",
+        "ofdm_report/profile.csv":
+            "473788e13b8c9bbf7d13caea23091ebc8a988056b29a5d10dc97d776f9cd6e10",
+    }
+
+    def test_csv_files_byte_identical(self, tmp_path):
+        import hashlib
+
+        em = write_config(tmp_path, {"max_iters": 5}, "em.json")
+        for name, config in (("simo", small_simo_config()), ("ofdm", small_ofdm_config())):
+            cfg = write_config(tmp_path, config, f"{name}.json")
+            data, model = tmp_path / f"{name}_data", tmp_path / f"{name}_model"
+            batch, report = tmp_path / f"{name}_batch", tmp_path / f"{name}_report"
+            assert main(["synth", "--config", cfg, "--seed", "11", "--out", str(data)]) == EXIT_OK
+            assert main(["fit", str(data), "--K", "2", "--seed", "2", "--config", em,
+                         "--out", str(model)]) == EXIT_OK
+            assert main(["generate", str(model), "-n", "40", "--seed", "3",
+                         "--out", str(batch)]) == EXIT_OK
+            assert main(["metrics", str(batch), "--out", str(report)]) == EXIT_OK
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestBlockSizeInvariance:

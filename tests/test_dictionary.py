@@ -68,6 +68,11 @@ class TestAngleGrid:
         with pytest.raises(InvalidArgumentError):
             AngleGrid(size=7)
 
+    def test_capacity_limit(self):
+        AngleGrid(65536)
+        with pytest.raises(InvalidArgumentError, match="exceeding the limit of 65536"):
+            AngleGrid(131072)
+
 
 class TestSimoDictionary:
     def test_paper_scale_shape(self):
@@ -166,10 +171,9 @@ class TestOfdmDictionary:
         )
 
     def test_capacity_limit(self):
-        grid = DelayDopplerGrid(256, 512, doppler_bound=250.0, delay_bound=6e-6)
-        config = SystemConfig.ofdm(4, 4, 15e3, 1e-3 / 14)
+        DelayDopplerGrid(256, 256, doppler_bound=250.0, delay_bound=6e-6)
         with pytest.raises(InvalidArgumentError, match="exceeding the limit of 65536"):
-            build_ofdm_dictionary(grid, config, max_columns=65536)
+            DelayDopplerGrid(256, 512, doppler_bound=250.0, delay_bound=6e-6)
 
 
 class TestSwapSystemConfig:

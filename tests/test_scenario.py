@@ -119,6 +119,11 @@ class TestLaplacianCovariance:
         assert np.linalg.norm(coarse - fine) < 1e-8
 
 
+def _repeated_draws(cov, n, rng):
+    """``n`` draws from one covariance, as a stack of ``n`` copies of it."""
+    return draw_simo_channel(np.broadcast_to(cov, (n, *np.shape(cov))), rng)
+
+
 class TestSimoChannelDraws:
     def test_zero_covariance_gives_zero_vector(self):
         rng = np.random.default_rng(0)
@@ -127,7 +132,7 @@ class TestSimoChannelDraws:
 
     def test_identity_covariance_unit_energy(self):
         rng = np.random.default_rng(1)
-        draws = draw_simo_channel(np.eye(2), rng, size=100_000)
+        draws = _repeated_draws(np.eye(2), 100_000, rng)
         energy = np.mean(np.abs(draws) ** 2, axis=0)
         np.testing.assert_allclose(energy, 1.0, atol=0.02)
 
@@ -135,7 +140,7 @@ class TestSimoChannelDraws:
         rng = np.random.default_rng(2)
         a = steering_vector_ula(0.5, 6)
         cov = np.outer(a, a.conj())
-        draws = draw_simo_channel(cov, rng, size=32)
+        draws = _repeated_draws(cov, 32, rng)
         # remove the component along a; the residual is jitter-level only
         coeff = draws @ a.conj() / (a.conj() @ a)
         residual = draws - np.outer(coeff, a)
@@ -144,7 +149,7 @@ class TestSimoChannelDraws:
     def test_circular_symmetry(self):
         rng = np.random.default_rng(3)
         cov = laplacian_local_covariance(0.2, math.radians(2.0), 4)
-        draws = draw_simo_channel(cov, rng, size=100_000)
+        draws = _repeated_draws(cov, 100_000, rng)
         re_var = np.var(draws.real, axis=0)
         im_var = np.var(draws.imag, axis=0)
         np.testing.assert_allclose(re_var, im_var, rtol=0.05)
@@ -154,7 +159,7 @@ class TestSimoChannelDraws:
     def test_empirical_covariance_matches(self):
         rng = np.random.default_rng(4)
         cov = laplacian_local_covariance(-0.3, math.radians(2.0), 4)
-        draws = draw_simo_channel(cov, rng, size=100_000)
+        draws = _repeated_draws(cov, 100_000, rng)
         emp = draws.T.conj() @ draws / len(draws)
         tol = 6 * np.abs(np.diag(cov)).max() / math.sqrt(len(draws))
         assert np.abs(emp.T - cov).max() < tol
@@ -214,10 +219,6 @@ class TestSimoChannelDraws:
         untouched = np.random.default_rng(9)
         draw_simo_channel(np.zeros((3, 4, 4)), untouched)
         assert untouched.bit_generator.state == np.random.default_rng(9).bit_generator.state
-
-    def test_size_needs_a_single_covariance(self):
-        with pytest.raises(InvalidArgumentError):
-            draw_simo_channel(self._stack(4), np.random.default_rng(0), size=3)
 
 
 class TestSimoDatasets:
@@ -346,10 +347,9 @@ class TestObservations:
 
     def test_fixed_snr_noise_variance(self):
         rng = np.random.default_rng(1)
-        channels = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
-        obs = make_observations(
-            channels, np.arange(4), (10.0, 10.0), rng, signal_energy=4.0
-        )
+        # unit-modulus entries: every channel carries energy 4 at the 4 pilots
+        channels = np.exp(1j * rng.uniform(0, 2 * math.pi, (50, 4)))
+        obs = make_observations(channels, np.arange(4), (10.0, 10.0), rng)
         np.testing.assert_allclose(obs.noise_vars, 0.1, atol=1e-15)
 
     def test_snr_definition_self_consistent(self):
