@@ -1,9 +1,12 @@
 """Command-line pipeline: synth, fit, generate, metrics, selfcheck.
 
-Every command takes a seed and writes deterministic artifacts; re-running
-with the same inputs reproduces every output file byte for byte. Numeric
-imports happen after thread configuration so that --threads can cap the
-linear-algebra thread pools before they start.
+Every command takes a seed and writes deterministic artifacts. Re-running
+with the same inputs on one host, BLAS build and thread count reproduces
+every output file byte for byte; across them, results agree to round-off.
+Each subcommand's parser binds its ``cmd_*`` function, which takes the
+parsed arguments and does its numeric imports itself, after thread
+configuration, so that --threads can cap the linear-algebra thread pools
+before they start.
 
 Exit codes: 0 success, 1 unexpected failure, 2 invalid configuration or
 input (``InvalidArgumentError`` or ``OSError``), 3 diagnostic failure
@@ -49,34 +52,27 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_synth(config_path: str, seed: int, out: str) -> int:
+def cmd_synth(args: argparse.Namespace) -> int:
     from .container import output_directory, read_json
     from .dataset import DATASET_DOCUMENT, check_synth_config, save_dataset, synthesize
 
-    config = check_synth_config(read_json(config_path))
-    with output_directory(out, DATASET_DOCUMENT, reads=[config_path]) as out_dir:
-        save_dataset(out_dir, *synthesize(config, seed))
-    print(f"synth: wrote {config['n_train']} samples to {Path(out)}")
+    config = check_synth_config(read_json(args.config))
+    with output_directory(args.out, DATASET_DOCUMENT, reads=[args.config]) as out_dir:
+        save_dataset(out_dir, *synthesize(config, args.seed))
+    print(f"synth: wrote {config['n_train']} samples to {Path(args.out)}")
     return EXIT_OK
 
 
-def cmd_fit(
-    dataset: str,
-    out: str,
-    model_kind: str,
-    n_components: int | None,
-    variance_form: str,
-    seed: int,
-    config_path: str | None,
-) -> int:
+def cmd_fit(args: argparse.Namespace) -> int:
     from .container import output_directory, read_json, write_json
     from .dataset import load_dataset
     from .em import csgmm_fit, save_model
     from .utils import check_document
 
-    document = {} if config_path is None else read_json(config_path)
+    document = {} if args.config is None else read_json(args.config)
     options = check_document(document, _EM_OPTION_FIELDS, what="EM options")
-    if model_kind == "msbl":
+    n_components = args.K
+    if args.model == "msbl":
         if n_components not in (None, 1):
             raise InvalidArgumentError(
                 "msbl is the single-component model; omit --K or use --K 1"
@@ -85,21 +81,22 @@ def cmd_fit(
     elif n_components is None:
         raise InvalidArgumentError("csgmm requires --K")
 
-    obs, dictionary, meta = load_dataset(dataset)
-    with output_directory(out, "model.json", reads=[dataset, config_path]) as out_dir:
+    obs, dictionary, meta = load_dataset(args.dataset)
+    with output_directory(args.out, "model.json", reads=[args.dataset, args.config]) as out_dir:
         model, trace = csgmm_fit(
             obs,
             dictionary,
             n_components,
-            variance_form=variance_form,
-            seed=seed,
+            variance_form=args.variance_form,
+            seed=args.seed,
             **options,
         )
+        monotone = trace.is_monotone()
         save_model(
             model,
             out_dir,
             extra_meta={
-                "seed": int(seed),
+                "seed": int(args.seed),
                 "dictionary_id": meta["dictionary_id"],
                 "grid": meta["grid"],
                 "system": meta["system"],
@@ -115,7 +112,7 @@ def cmd_fit(
                 "converged": trace.converged,
                 "n_iterations": trace.n_iterations,
                 "final_log_likelihood": float(trace.log_likelihoods[-1]),
-                "monotone": trace.is_monotone(),
+                "monotone": monotone,
             },
         )
     print(
@@ -123,39 +120,31 @@ def cmd_fit(
         f"final log-likelihood {trace.log_likelihoods[-1]:.6f}, "
         f"converged={trace.converged}"
     )
-    if not trace.is_monotone():  # committed all the same: trace.csv shows where it fell
+    if not monotone:  # committed all the same: trace.csv shows where it fell
         print("fit: log-likelihood trace decreased beyond tolerance", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     return EXIT_OK
 
 
-def cmd_generate(
-    model_dir: str,
-    n: int,
-    seed: int,
-    out: str,
-    render: bool,
-    p_max: int | None,
-    swap_config_path: str | None,
-) -> int:
+def cmd_generate(args: argparse.Namespace) -> int:
     from .container import output_directory, read_json
     from .dictionary import SystemConfig, build_dictionary, check_pairing, grid_from_json
     from .em import load_model
     from .generation import limit_batch_paths, render_channels, sample_blocks, save_batch
 
-    model, meta = load_model(model_dir)
+    model, meta = load_model(args.model)
     grid_doc = meta.get("grid")
-    system_doc = meta.get("system") if swap_config_path is None else read_json(swap_config_path)
+    system_doc = meta.get("system") if args.swap_config is None else read_json(args.swap_config)
     # the batch records both even when nothing is rendered
     grid, system = grid_from_json(grid_doc), SystemConfig.from_json(system_doc)
     model.check_grid(grid)
     check_pairing(grid, system)
-    with output_directory(out, "batch.json", reads=[model_dir, swap_config_path]) as out_dir:
-        dictionary = build_dictionary(grid, system) if render else None
+    with output_directory(args.out, "batch.json", reads=[args.model, args.swap_config]) as out_dir:
+        dictionary = build_dictionary(grid, system) if args.render else None
         # one row block at a time: drawn, capped, rendered, appended
-        blocks = sample_blocks(model, n, seed)
-        if p_max is not None:
-            blocks = (limit_batch_paths(block, p_max) for block in blocks)
+        blocks = sample_blocks(model, args.n, args.seed)
+        if args.p_max is not None:
+            blocks = (limit_batch_paths(block, args.p_max) for block in blocks)
         if dictionary is not None:
             blocks = (render_channels(block, dictionary) for block in blocks)
         save_batch(
@@ -163,7 +152,7 @@ def cmd_generate(
             out_dir,
             extra_meta={"grid": grid_doc, "system": system_doc, "model_id": model.content_id},
         )
-    print(f"generate: wrote {n} samples to {out}")
+    print(f"generate: wrote {args.n} samples to {args.out}")
     return EXIT_OK
 
 
@@ -196,12 +185,7 @@ def _angular_pass(sparse, grid):
     return profile.profile(), profile.n_skipped, np.concatenate(spreads) if spreads else None
 
 
-def cmd_metrics(
-    batch_dir: str,
-    reference: str | None,
-    out: str,
-    channel_metrics: bool,
-) -> int:
+def cmd_metrics(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .container import output_directory, write_json
@@ -218,6 +202,7 @@ def cmd_metrics(
     )
     from .utils import row_blocks
 
+    batch_dir, reference = args.batch, args.reference
     batch = open_batch(batch_dir)
     grid_doc = batch.meta.get("grid")
     grid = grid_from_json(grid_doc) if grid_doc else None
@@ -237,11 +222,11 @@ def cmd_metrics(
         and ref_channels.shape == batch.channels.shape
         and ref_meta.get("system") == batch.meta.get("system")
     )
-    if channel_metrics and not aligned:
+    if args.channel_metrics and not aligned:
         raise InvalidArgumentError(
             "channel metrics need a reference with channels aligned to the batch"
         )
-    with output_directory(out, "report.json", reads=[batch_dir, reference]) as out_dir:
+    with output_directory(args.out, "report.json", reads=[batch_dir, reference]) as out_dir:
         profile, skipped, spreads = _angular_pass(batch.sparse, grid if angular else None)
         report: dict = {"n_samples": len(batch.sparse), "n_skipped_zero_norm": skipped}
 
@@ -279,7 +264,7 @@ def cmd_metrics(
             report["nmse"] = float(np.mean(errors))
             report["cosine_similarity"] = float(np.mean(cosines))
         write_json(out_dir / "report.json", report)
-    print(f"metrics: wrote report to {Path(out)}")
+    print(f"metrics: wrote report to {Path(args.out)}")
     return EXIT_OK
 
 
@@ -408,7 +393,7 @@ def _selfcheck_registry():
     ]
 
 
-def cmd_selfcheck() -> int:
+def cmd_selfcheck(args: argparse.Namespace) -> int:
     failures = 0
     for name, check in _selfcheck_registry():
         try:
@@ -433,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--config", required=True, help="scenario config JSON")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True)
+    p_synth.set_defaults(run=cmd_synth)
 
     p_fit = sub.add_parser("fit", help="fit a mixture model to a dataset")
     p_fit.add_argument("dataset", help="dataset directory from synth")
@@ -444,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--config", default=None, help="EM options JSON")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", required=True)
+    p_fit.set_defaults(run=cmd_fit)
 
     p_gen = sub.add_parser("generate", help="sample parameters (and channels)")
     p_gen.add_argument("model", help="model directory from fit")
@@ -455,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--swap-config", default=None, help="system config JSON for rendering"
     )
     p_gen.add_argument("--out", required=True)
+    p_gen.set_defaults(run=cmd_generate)
 
     p_met = sub.add_parser("metrics", help="evaluate a generated batch")
     p_met.add_argument("batch", help="batch directory from generate")
@@ -463,8 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--channel-metrics", action="store_true", help="require nmse/cosine against the reference"
     )
     p_met.add_argument("--out", required=True)
+    p_met.set_defaults(run=cmd_metrics)
 
-    sub.add_parser("selfcheck", help="run bundled invariant checks")
+    p_check = sub.add_parser("selfcheck", help="run bundled invariant checks")
+    p_check.set_defaults(run=cmd_selfcheck)
     return parser
 
 
@@ -472,28 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _configure_threads(args.threads)
     try:
-        if args.command == "synth":
-            return cmd_synth(args.config, args.seed, args.out)
-        if args.command == "fit":
-            return cmd_fit(
-                args.dataset,
-                args.out,
-                args.model,
-                args.K,
-                args.variance_form,
-                args.seed,
-                args.config,
-            )
-        if args.command == "generate":
-            return cmd_generate(
-                args.model, args.n, args.seed, args.out,
-                args.render, args.p_max, args.swap_config,
-            )
-        if args.command == "metrics":
-            return cmd_metrics(args.batch, args.reference, args.out, args.channel_metrics)
-        if args.command == "selfcheck":
-            return cmd_selfcheck()
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except (OSError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -28,8 +28,11 @@ with v_k = sum_i r_ik / (lam + sigma_i^2). That costs O(n M^2 + S M^2)
 per component instead of O(n M S). :func:`csgmm_e_step` keeps the
 per-sample statistics as the reference: the tests check it against the
 per-sample Cholesky route in :mod:`chansbgm.posterior`, and the sums
-against it. One M-step core serves the fit loop, :func:`csgmm_m_step`
-and :func:`kronecker_m_step`.
+against it. One EM iteration is written once, in :func:`_em_steps`,
+which yields each successive model with its log-likelihood; a fit is a
+driver over it, and :func:`csgmm_fit` is the init plus a loop with the
+stop rule. Its M-step core also serves :func:`csgmm_m_step` and
+:func:`kronecker_m_step`.
 
 Setting K = 1 recovers multiple-measurement-vector sparse Bayesian
 learning; the CLI exposes it under the name ``msbl``.
@@ -45,9 +48,11 @@ all read it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -159,7 +164,10 @@ class EmTrace:
 
     log_likelihoods: np.ndarray
     converged: bool
-    n_iterations: int
+
+    @property
+    def n_iterations(self) -> int:
+        return len(self.log_likelihoods)
 
     def is_monotone(self) -> bool:
         ll = self.log_likelihoods
@@ -407,6 +415,31 @@ def total_log_likelihood(
     return float(np.sum(norm))
 
 
+def _em_steps(
+    model: SbgmModel, w: np.ndarray, obs: ObservationSet, clip_floor: float, kron_sweeps: int
+) -> Iterator[tuple[float, SbgmModel]]:
+    """EM from ``model``: yields the total log-likelihood of ``model`` and
+    ``model`` itself, then the same for each EM update of it.
+
+    Each item costs one E-step; the M-step that makes the next model runs
+    only when the next item is asked for, so a driver that stops discards
+    no update. An E-step's arrays are released only after the next E-step
+    has allocated its own. A step function that released them all on
+    return left them on top of the heap, where glibc hands them back to the
+    system: the K=16 street-canyon fit then took 5954 minor faults and
+    48 ms per iteration instead of 80 and 30 ms (one BLAS thread, 2-vCPU
+    x86-64 host).
+    """
+    for iteration in itertools.count():
+        try:
+            caches, resp, norm = _e_step(model, w, obs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"EM iteration {iteration} failed: {exc}") from exc
+        yield float(np.sum(norm)), model
+        totals, sums = _component_sums(resp, lambda k, r: caches[k].moment_sum(r))
+        model = _m_step(totals, sums, clip_floor, model.factors, kron_sweeps)
+
+
 def _init_variances(
     obs: ObservationSet,
     w: np.ndarray,
@@ -489,28 +522,12 @@ def csgmm_fit(
     model = SbgmModel(weights, variance_form, clip_floor=clip_floor, **factors)
 
     logliks: list[float] = []
-    converged = False
-    for iteration in range(max_iters):
-        try:
-            caches, resp, norm = _e_step(model, w, obs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"EM iteration {iteration} failed: {exc}") from exc
-        loglik = float(np.sum(norm))
+    for loglik, model in _em_steps(model, w, obs, clip_floor, kron_sweeps):
+        prev = logliks[-1] if logliks else None
         logliks.append(loglik)
-        if len(logliks) >= 2:
-            prev = logliks[-2]
-            if abs(loglik - prev) <= rel_tol * max(abs(prev), 1e-12):
-                converged = True
-                break
-        if iteration == max_iters - 1:
-            break  # return the model the last log-likelihood scored
-        totals, sums = _component_sums(resp, lambda k, r: caches[k].moment_sum(r))
-        model = _m_step(totals, sums, clip_floor, model.factors, kron_sweeps)
-
-    trace = EmTrace(
-        log_likelihoods=np.array(logliks), converged=converged, n_iterations=len(logliks)
-    )
-    return model, trace
+        converged = prev is not None and abs(loglik - prev) <= rel_tol * max(abs(prev), 1e-12)
+        if converged or len(logliks) == max_iters:
+            return model, EmTrace(np.array(logliks), converged)
 
 
 def msbl_fit(obs: ObservationSet, dictionary: Dictionary, **options) -> tuple[SbgmModel, EmTrace]:

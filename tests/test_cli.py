@@ -690,22 +690,44 @@ def test_kronecker_model_on_a_grid_of_another_shape_rejected(tmp_path):
 
 
 class TestCsvBytes:
-    """The CSV files of a tiny seeded run, pinned byte for byte: every
-    value is written as the ``repr`` of a Python int or float. The digests
-    hold for one numpy build and platform; the EM and metrics arithmetic
-    behind them may round differently elsewhere."""
+    """The CSV files and fit documents of tiny seeded runs, pinned byte for
+    byte: every value is written as the ``repr`` of a Python int or float,
+    and ``model.json``'s ``model_id`` hashes the fitted arrays. The fits
+    cover both variance forms, the iteration cap and a stop on ``rel_tol``.
+    The digests hold for one numpy build and platform; the EM and metrics
+    arithmetic behind them may round differently elsewhere."""
 
     DIGESTS = {
         "simo_model/trace.csv":
             "f62b420a8e928501899f4aa1235c85be7d7f33cbf8f8257c1a1b4a2483c398a6",
+        "simo_model/fit.json":
+            "e565f37762d490492203723a82b65599db5ccc3e25bb5fefdbf7cb670dc6afe9",
+        "simo_model/model.json":
+            "834341518fb053ceac21d9a404e4854c1bd62cb9d32f5b5b5da4bce6911461f6",
         "simo_report/profile.csv":
             "45fccbaaec492dce00dff82f81af1c165c86a6d08ad1688026ded7749665b030",
         "simo_report/spread_hist.csv":
             "c9d43014dfcafcd7506e24003f8cc32fe640ba1c196333c8d3b2ad38a2558095",
         "ofdm_model/trace.csv":
             "4856461fe8e1055e21eafb3f61b44c5b75ec22db66b0b58ad34b85b2e2a24f5a",
+        "ofdm_model/fit.json":
+            "54245ab9085d490e4ecf5f31310584fb632c31d7fb3dba5eea1a63954504f18b",
+        "ofdm_model/model.json":
+            "4b5dab13af13fa013da1ac5329505f747eaaeeaab048d39eeea6e66d6611324b",
         "ofdm_report/profile.csv":
             "473788e13b8c9bbf7d13caea23091ebc8a988056b29a5d10dc97d776f9cd6e10",
+        "ofdm_kron_model/trace.csv":
+            "cb893c96e254d4587b453ceaf77d2c95fa06595592f63f3708998d3140cccfc1",
+        "ofdm_kron_model/fit.json":
+            "6f0cd791db59bb3a88c46079b075b0883cbe903986a24f079b5424397823f22d",
+        "ofdm_kron_model/model.json":
+            "8157d4596f3cfd7224bc09d36b6f6abafb37044fb2e45742082d2b77207b5998",
+        "simo_tol_model/trace.csv":
+            "fbb5809797bf88722d029a97b0cc03af41838820e419ad2e342eb6a939621c0d",
+        "simo_tol_model/fit.json":
+            "d70fdf875a7ff826470b10c227a393529e95e690cae182db17820ce1209a964a",
+        "simo_tol_model/model.json":
+            "10e59082c5c8e932c6e71044d40a2ad389f573f384c368be575bba568e35e4af",
     }
 
     def test_csv_files_byte_identical(self, tmp_path):
@@ -722,6 +744,14 @@ class TestCsvBytes:
             assert main(["generate", str(model), "-n", "40", "--seed", "3",
                          "--out", str(batch)]) == EXIT_OK
             assert main(["metrics", str(batch), "--out", str(report)]) == EXIT_OK
+        assert main(["fit", str(tmp_path / "ofdm_data"), "--K", "2", "--seed", "2",
+                     "--variance-form", "kronecker", "--config", em,
+                     "--out", str(tmp_path / "ofdm_kron_model")]) == EXIT_OK
+        em_tol = write_config(tmp_path, {"max_iters": 300, "rel_tol": 1e-3}, "em_tol.json")
+        assert main(["fit", str(tmp_path / "simo_data"), "--K", "2", "--seed", "2",
+                     "--config", em_tol, "--out", str(tmp_path / "simo_tol_model")]) == EXIT_OK
+        fit = json.loads((tmp_path / "simo_tol_model" / "fit.json").read_text(encoding="utf-8"))
+        assert fit["converged"] and fit["n_iterations"] < 300
         for name, digest in self.DIGESTS.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
@@ -856,6 +886,32 @@ class TestFullPipelineDeterminism:
             main(["metrics", str(batch), "--out", str(report)])
             results.append(dir_bytes(root))
         assert results[0] == results[1]
+
+    def test_fit_agrees_across_thread_counts(self, tmp_path):
+        # bytes reproduce for one host, BLAS build and thread count; another
+        # thread count may sum in another order. The cap acts only before
+        # numpy is imported, hence one fresh interpreter per count.
+        import os
+        import subprocess
+        import sys
+
+        from chansbgm.em import load_model
+
+        cfg = write_config(tmp_path, dict(default_ofdm_synth_config(), n_train=2000))
+        em = write_config(tmp_path, {"max_iters": 12}, "em.json")
+        data = tmp_path / "data"
+        assert main(["synth", "--config", cfg, "--seed", "3", "--out", str(data)]) == EXIT_OK
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        variances = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"model_{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "chansbgm.cli", "--threads", threads, "fit", str(data),
+                 "--K", "4", "--config", em, "--out", str(out)],
+                capture_output=True, check=True, env=env,
+            )
+            variances.append(load_model(out)[0].variances)
+        np.testing.assert_allclose(variances[1], variances[0], rtol=1e-9, atol=0)
 
 
 class TestDiagnosticsAndDefaults:

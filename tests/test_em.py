@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -25,8 +26,15 @@ from chansbgm import (
     save_model,
     total_log_likelihood,
 )
-from chansbgm.em import GAMMA_FLOOR, _component_sums, _ComponentCache, _e_step, _log_sum_exp
-from chansbgm.errors import InvalidArgumentError
+from chansbgm.em import (
+    GAMMA_FLOOR,
+    _component_sums,
+    _ComponentCache,
+    _e_step,
+    _em_steps,
+    _log_sum_exp,
+)
+from chansbgm.errors import InvalidArgumentError, NumericError
 from chansbgm.utils import complex_standard_normal
 
 
@@ -60,6 +68,15 @@ def random_kronecker_model(rng, k, s_t, s_f):
         doppler_variances=rng.uniform(0.2, 1.5, (k, s_t)),
         delay_variances=rng.uniform(0.2, 1.5, (k, s_f)),
     )
+
+
+def ofdm_problem(seed):
+    """A 4 x 4 delay-Doppler dictionary and 50 observations at 20 pilots."""
+    grid = DelayDopplerGrid(4, 4, doppler_bound=200.0, delay_bound=4e-6)
+    d = build_ofdm_dictionary(grid, SystemConfig.ofdm(5, 4, 15e3, 1e-3 / 14))
+    rng = np.random.default_rng(seed)
+    coeff = complex_standard_normal(rng, (50, 16)) * rng.uniform(0, 1, (50, 16))
+    return d, make_observations(coeff @ d.matrix.T, np.arange(20), (5.0, 20.0), rng)
 
 
 def fit_loop_sums(model, obs, dictionary, resp=None):
@@ -332,14 +349,43 @@ class TestFit:
         with pytest.raises(InvalidArgumentError):
             csgmm_fit(obs, d, 1, seed=0, **{option: value})
 
+    @pytest.mark.parametrize("iteration", [0, 3])
+    def test_factorization_failure_names_its_iteration(self, monkeypatch, iteration):
+        d = simo_setup()
+        obs = synthetic_observations(d, 20, seed=18)
+        svd, calls = np.linalg.svd, []
+
+        def svd_failing_in_iteration(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2 * iteration + 2:  # the second component's factorization
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_failing_in_iteration)
+        with pytest.raises(NumericError, match=f"EM iteration {iteration} failed") as info:
+            csgmm_fit(obs, d, 2, max_iters=10, seed=0)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("k, form", [(1, "full"), (3, "full"), (2, "kronecker")])
+    def test_fit_is_its_init_driven_by_em_steps(self, k, form):
+        # the fit's model and trace, bit for bit, from its init and n steps
+        # taken by hand: the model returned is the one the last step scored
+        d, obs = ofdm_problem(19)
+        n, options = 6, {"variance_form": form, "rel_tol": 1e-12, "seed": 5}
+        model, trace = csgmm_fit(obs, d, k, max_iters=n, **options)
+        init, _ = csgmm_fit(obs, d, k, max_iters=1, **options)
+        steps = _em_steps(init, obs.observed_rows(d.matrix), obs, GAMMA_FLOOR, 3)
+        logliks, models = zip(*itertools.islice(steps, n))
+        assert models[0] is init
+        assert not trace.converged and trace.n_iterations == n
+        assert trace.log_likelihoods.tobytes() == np.array(logliks).tobytes()
+        assert model.variance_form == form
+        for got, want in zip((model.weights, *model.factors),
+                             (models[-1].weights, *models[-1].factors)):
+            assert got.tobytes() == want.tobytes()
+
     def test_kronecker_fit_monotone_and_structured(self):
-        grid = DelayDopplerGrid(4, 4, doppler_bound=200.0, delay_bound=4e-6)
-        config = SystemConfig.ofdm(5, 4, 15e3, 1e-3 / 14)
-        d = build_ofdm_dictionary(grid, config)
-        rng = np.random.default_rng(16)
-        coeff = complex_standard_normal(rng, (50, 16)) * rng.uniform(0, 1, (50, 16))
-        channels = coeff @ d.matrix.T
-        obs = make_observations(channels, np.arange(20), (5.0, 20.0), rng)
+        d, obs = ofdm_problem(16)
         model, trace = csgmm_fit(
             obs, d, 2, variance_form="kronecker", max_iters=30, seed=2
         )

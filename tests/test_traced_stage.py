@@ -2,7 +2,7 @@
 
 ``benchmarks/traced_stage.py`` wraps program functions by name; if one is
 renamed, ``run.py --trace 1`` loses its span without failing. This runs
-the tracer on a tiny SIMO synth and fit and checks the spans it records.
+the tracer on tiny synths and fits and checks the spans it records.
 """
 
 import json
@@ -13,6 +13,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the per-layer em.* metrics read these; the probes run after each fit
+FIT_SPANS = {"dictionary.load", "em.fit", "em.e_step", "em.loglik", "em.m_step"}
 
 
 def traced_stage(tmp_path, name, *cli_args):
@@ -49,10 +52,10 @@ def test_traced_synth_and_fit_record_their_spans(tmp_path):
     fit = traced_stage(
         tmp_path, "fit", "fit", "data", "--K", "2", "--config", "em.json", "--out", "model"
     )
-    assert {"dictionary.load", "em.fit"} <= fit
+    assert FIT_SPANS <= fit
 
 
-def test_traced_ofdm_synth_records_its_spans(tmp_path):
+def test_traced_ofdm_synth_and_kronecker_fit_record_their_spans(tmp_path):
     from chansbgm.dataset import default_ofdm_synth_config
 
     config = tmp_path / "synth.json"
@@ -70,3 +73,9 @@ def test_traced_ofdm_synth_records_its_spans(tmp_path):
     )
     assert {"scenario.draw", "scenario.observations", "dictionary.build",
             "container.write"} <= synth
+    (tmp_path / "em.json").write_text(json.dumps({"max_iters": 3}), encoding="utf-8")
+    fit = traced_stage(
+        tmp_path, "fit", "fit", "data", "--K", "2", "--variance-form", "kronecker",
+        "--config", "em.json", "--out", "model",
+    )
+    assert FIT_SPANS <= fit
