@@ -30,15 +30,12 @@ EXIT_DIAGNOSTIC = 3
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-_EM_OPTION_FIELDS = {
-    "max_iters": "integer",
-    "rel_tol": "number",
-    "clip_floor": "number",
-    "kron_sweeps": "integer",
-}
+_EM_OPTION_FIELDS = {"max_iters": "integer", "rel_tol": "number"}
 
 
 def _configure_threads(threads: int | None) -> None:
+    if threads is not None and threads < 1:
+        raise InvalidArgumentError("--threads must be >= 1")
     if threads is None or "numpy" in sys.modules:
         return  # no cap, or pools already started; the cap only works at first import
     for var in _THREAD_VARS:
@@ -271,24 +268,20 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def _selfcheck_registry():
     import numpy as np
 
-    from . import (
+    from .dictionary import (
         AngleGrid,
         DelayDopplerGrid,
-        SbgmModel,
         SystemConfig,
         build_ofdm_dictionary,
         build_simo_dictionary,
-        conditional_covariance,
-        csgmm_fit,
-        csvae_elbo_terms,
-        evaluate_ofdm_channel,
-        limit_paths,
-        make_observations,
-        posterior_moments,
         swap_system_config,
-        toeplitz_deviation,
         vectorize_channel,
     )
+    from .em import SbgmModel, csgmm_fit
+    from .generation import conditional_covariance, limit_paths
+    from .metrics import toeplitz_deviation
+    from .posterior import csvae_elbo_terms, posterior_moments
+    from .scenario import evaluate_ofdm_channel, make_observations
     from .utils import complex_standard_normal
 
     def dictionary_unit_modulus():
@@ -460,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _configure_threads(args.threads)
     try:
+        _configure_threads(args.threads)
         return args.run(args)
     except (OSError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -416,10 +416,11 @@ def total_log_likelihood(
 
 
 def _em_steps(
-    model: SbgmModel, w: np.ndarray, obs: ObservationSet, clip_floor: float, kron_sweeps: int
+    model: SbgmModel, w: np.ndarray, obs: ObservationSet
 ) -> Iterator[tuple[float, SbgmModel]]:
     """EM from ``model``: yields the total log-likelihood of ``model`` and
-    ``model`` itself, then the same for each EM update of it.
+    ``model`` itself, then the same for each EM update of it. Variances are
+    clipped at :data:`GAMMA_FLOOR`; a Kronecker update runs three sweeps.
 
     Each item costs one E-step; the M-step that makes the next model runs
     only when the next item is asked for, so a driver that stops discards
@@ -437,7 +438,7 @@ def _em_steps(
             raise NumericError(f"EM iteration {iteration} failed: {exc}") from exc
         yield float(np.sum(norm)), model
         totals, sums = _component_sums(resp, lambda k, r: caches[k].moment_sum(r))
-        model = _m_step(totals, sums, clip_floor, model.factors, kron_sweeps)
+        model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
 
 
 def _init_variances(
@@ -445,7 +446,6 @@ def _init_variances(
     w: np.ndarray,
     n_components: int,
     rng: np.random.Generator,
-    clip_floor: float,
 ) -> np.ndarray:
     """Seeded starting variances, shape (K, S).
 
@@ -471,7 +471,7 @@ def _init_variances(
             continue
         sharp = spectrum**4
         gammas[k] = sharp * (total / sharp.sum())
-    return np.maximum(gammas, clip_floor)
+    return np.maximum(gammas, GAMMA_FLOOR)
 
 
 def csgmm_fit(
@@ -483,8 +483,6 @@ def csgmm_fit(
     max_iters: int = 500,
     rel_tol: float = 1e-6,
     seed: int = 0,
-    clip_floor: float = GAMMA_FLOOR,
-    kron_sweeps: int = 3,
 ) -> tuple[SbgmModel, EmTrace]:
     """Fit the mixture by EM until the relative log-likelihood change
     drops below ``rel_tol`` or ``max_iters`` is reached.
@@ -497,42 +495,37 @@ def csgmm_fit(
     """
     if n_components < 1:
         raise InvalidArgumentError("n_components must be >= 1")
-    if max_iters < 1 or kron_sweeps < 1:
-        raise InvalidArgumentError("max_iters and kron_sweeps must be >= 1")
-    if not (rel_tol > 0 and clip_floor > 0):
-        raise InvalidArgumentError("rel_tol and clip_floor must be > 0")
+    if max_iters < 1:
+        raise InvalidArgumentError("max_iters must be >= 1")
+    if not rel_tol > 0:
+        raise InvalidArgumentError("rel_tol must be > 0")
     w = obs.observed_rows(dictionary.matrix)
     rng = np.random.default_rng(seed)
 
-    init_gammas = _init_variances(obs, w, n_components, rng, clip_floor)
+    init_gammas = _init_variances(obs, w, n_components, rng)
     if variance_form == KRONECKER:
         if not isinstance(dictionary.grid, DelayDopplerGrid):
             raise InvalidArgumentError("kronecker variances need a delay-Doppler dictionary")
         # nearest Kronecker factors of the init: row/column energy profiles
         grid = dictionary.grid
         tables = init_gammas.reshape(n_components, grid.doppler_size, grid.delay_size)
-        scale = np.maximum(init_gammas.mean(axis=1), clip_floor)[:, None]
+        scale = np.maximum(init_gammas.mean(axis=1), GAMMA_FLOOR)[:, None]
         factors = {
-            "doppler_variances": np.maximum(tables.mean(axis=2), clip_floor),
-            "delay_variances": np.maximum(tables.mean(axis=1) / scale, clip_floor),
+            "doppler_variances": np.maximum(tables.mean(axis=2), GAMMA_FLOOR),
+            "delay_variances": np.maximum(tables.mean(axis=1) / scale, GAMMA_FLOOR),
         }
     else:  # SbgmModel rejects an unknown variance form
         factors = {"variances": init_gammas}
     weights = np.full(n_components, 1.0 / n_components)
-    model = SbgmModel(weights, variance_form, clip_floor=clip_floor, **factors)
+    model = SbgmModel(weights, variance_form, **factors)
 
     logliks: list[float] = []
-    for loglik, model in _em_steps(model, w, obs, clip_floor, kron_sweeps):
+    for loglik, model in _em_steps(model, w, obs):
         prev = logliks[-1] if logliks else None
         logliks.append(loglik)
         converged = prev is not None and abs(loglik - prev) <= rel_tol * max(abs(prev), 1e-12)
         if converged or len(logliks) == max_iters:
             return model, EmTrace(np.array(logliks), converged)
-
-
-def msbl_fit(obs: ObservationSet, dictionary: Dictionary, **options) -> tuple[SbgmModel, EmTrace]:
-    """Sparse Bayesian learning fit: the single-component mixture."""
-    return csgmm_fit(obs, dictionary, 1, **options)
 
 
 def _describe(model: SbgmModel) -> dict:

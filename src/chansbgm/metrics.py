@@ -135,19 +135,16 @@ def spread_histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts / counts.sum()
 
 
-def histogram_w1(a, b, bins: int | np.ndarray = SPREAD_HIST_BINS) -> float:
+def histogram_w1(a, b) -> float:
     """1-Wasserstein distance between binned empirical distributions
-    (:func:`spread_histogram`); zero exactly when the two histograms
-    coincide. An integer ``bins`` splits ``SPREAD_HIST_RANGE`` evenly.
+    (:func:`spread_histogram` over ``SPREAD_HIST_BINS`` even bins of
+    ``SPREAD_HIST_RANGE``); zero exactly when the two histograms coincide.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise InvalidArgumentError("both value lists must be nonempty")
-    if np.ndim(bins):
-        edges = np.asarray(bins, dtype=float)
-    else:
-        edges = np.linspace(*SPREAD_HIST_RANGE, int(bins) + 1)
+    edges = np.linspace(*SPREAD_HIST_RANGE, SPREAD_HIST_BINS + 1)
     p = spread_histogram(a, edges)
     q = spread_histogram(b, edges)
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -13,30 +13,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chansbgm import (
+from chansbgm.cli import EXIT_OK, main
+from chansbgm.dictionary import (
     AngleGrid,
-    AngleProfile,
     DelayDopplerGrid,
-    SbgmModel,
     SystemConfig,
     build_ofdm_dictionary,
     build_simo_dictionary,
-    conditional_covariance,
-    csgmm_fit,
-    csvae_elbo_terms,
-    kronecker_m_step,
-    kronecker_q_objective,
+)
+from chansbgm.em import SbgmModel, csgmm_fit, kronecker_m_step, kronecker_q_objective
+from chansbgm.generation import conditional_covariance, load_batch, sample_parameters
+from chansbgm.metrics import (
     batch_angular_spreads,
-    load_batch,
-    make_observations,
-    posterior_moments,
     power_angular_profile,
     profile_support_leakage,
-    sample_parameters,
-    simo_ground_truth,
     toeplitz_deviation,
 )
-from chansbgm.cli import EXIT_OK, main
+from chansbgm.posterior import csvae_elbo_terms, posterior_moments
+from chansbgm.scenario import AngleProfile, make_observations, simo_ground_truth
 from chansbgm.utils import complex_standard_normal
 
 

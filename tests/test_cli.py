@@ -255,8 +255,10 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "options",
-        [{"max_iters": 0}, {"rel_tol": 0}, {"kron_sweeps": 1.5}, {"max_iter": 10}],
-        ids=["max_iters-0", "rel_tol-0", "kron_sweeps-1.5", "unknown-key"],
+        [{"max_iters": 0}, {"rel_tol": 0}, {"kron_sweeps": 1.5}, {"max_iter": 10},
+         {"kron_sweeps": 3}, {"clip_floor": 1e-7}],
+        ids=["max_iters-0", "rel_tol-0", "kron_sweeps-1.5", "unknown-key",
+             "retired-kron_sweeps", "retired-clip_floor"],
     )
     def test_malformed_em_options_rejected(self, simo_dataset, tmp_path, options):
         em = write_config(tmp_path, options, "em.json")
@@ -690,9 +692,10 @@ def test_kronecker_model_on_a_grid_of_another_shape_rejected(tmp_path):
 
 
 class TestCsvBytes:
-    """The CSV files and fit documents of tiny seeded runs, pinned byte for
-    byte: every value is written as the ``repr`` of a Python int or float,
-    and ``model.json``'s ``model_id`` hashes the fitted arrays. The fits
+    """The CSV files, fit documents, a batch document and the reports of
+    tiny seeded runs, pinned byte for byte: every value is written as the
+    ``repr`` of a Python int or float, and ``model.json``'s ``model_id``
+    hashes the fitted arrays. The fits
     cover both variance forms, the iteration cap and a stop on ``rel_tol``.
     The digests hold for one numpy build and platform; the EM and metrics
     arithmetic behind them may round differently elsewhere."""
@@ -728,6 +731,14 @@ class TestCsvBytes:
             "d70fdf875a7ff826470b10c227a393529e95e690cae182db17820ce1209a964a",
         "simo_tol_model/model.json":
             "10e59082c5c8e932c6e71044d40a2ad389f573f384c368be575bba568e35e4af",
+        "simo_batch/batch.json":
+            "7674f418500ef1f8da9596fc39995cae16bafe86a7b511fef16ced88c9f31398",
+        "simo_report/report.json":
+            "37709e9ff8ed74209408aa51445158002675fb3c68ec24c458f57798e4816901",
+        "ofdm_report/report.json":
+            "20027ba97bfd39448cd16f39907349b183a2bb62f5e16e9432d0aa7609e681fc",
+        "simo_ref_report/report.json":
+            "42eacf1b20fd7c8bf14c55ef8f3c4c18fad1079ed9dccb5fa4edea10fe6deeef",
     }
 
     def test_csv_files_byte_identical(self, tmp_path):
@@ -752,6 +763,11 @@ class TestCsvBytes:
                      "--config", em_tol, "--out", str(tmp_path / "simo_tol_model")]) == EXIT_OK
         fit = json.loads((tmp_path / "simo_tol_model" / "fit.json").read_text(encoding="utf-8"))
         assert fit["converged"] and fit["n_iterations"] < 300
+        # a report against a reference batch: leakage and spread W1 vs the reference
+        assert main(["generate", str(tmp_path / "simo_model"), "-n", "40", "--seed", "4",
+                     "--out", str(tmp_path / "simo_batch4")]) == EXIT_OK
+        assert main(["metrics", str(tmp_path / "simo_batch"), str(tmp_path / "simo_batch4"),
+                     "--out", str(tmp_path / "simo_ref_report")]) == EXIT_OK
         for name, digest in self.DIGESTS.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
@@ -952,6 +968,14 @@ class TestDiagnosticsAndDefaults:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "3 3"
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_below_one_rejected(self, capsys, threads):
+        # checked before the cap's numpy-already-imported early return
+        assert main(["--threads", threads, "selfcheck"]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert "error: --threads must be >= 1" in captured.err
+        assert captured.out == ""
 
     def test_numeric_error_is_not_bad_input(self, simo_dataset, tmp_path, monkeypatch):
         import chansbgm.em as em_module

@@ -5,7 +5,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from chansbgm import OfdmScenario
 from chansbgm.dataset import (
     _PATHS_FIELDS,
     check_synth_config,
@@ -15,6 +14,7 @@ from chansbgm.dataset import (
     save_dataset,
     synthesize,
 )
+from chansbgm.scenario import OfdmScenario
 
 SIMO = {
     "scenario": "simo",

@@ -4,19 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from chansbgm import (
+from chansbgm.dictionary import (
     AngleGrid,
     DelayDopplerGrid,
     SystemConfig,
     build_ofdm_dictionary,
     build_simo_dictionary,
+    grid_from_json,
+    grid_to_json,
     load_dictionary,
     steering_vector_ula,
     swap_system_config,
     unvectorize_channel,
     vectorize_channel,
 )
-from chansbgm.dictionary import grid_from_json, grid_to_json
 from chansbgm.errors import InvalidArgumentError
 
 
@@ -117,7 +118,7 @@ class TestOfdmDictionary:
         )
 
     def test_on_grid_path_renders_its_column(self):
-        from chansbgm import evaluate_ofdm_channel
+        from chansbgm.scenario import evaluate_ofdm_channel
 
         grid, config = small_ofdm_setup()
         d = build_ofdm_dictionary(grid, config)
@@ -220,7 +221,7 @@ class TestSwapSystemConfig:
 
 class TestCovarianceStructure:
     def test_simo_covariance_is_toeplitz(self):
-        from chansbgm import toeplitz_deviation
+        from chansbgm.metrics import toeplitz_deviation
 
         rng = np.random.default_rng(7)
         d = build_simo_dictionary(AngleGrid(64), SystemConfig.simo(12))
@@ -229,7 +230,7 @@ class TestCovarianceStructure:
         assert toeplitz_deviation(cov) < 1e-10 * np.abs(cov).max()
 
     def test_kron_variances_factor_the_covariance(self):
-        from chansbgm import toeplitz_deviation
+        from chansbgm.metrics import toeplitz_deviation
 
         rng = np.random.default_rng(8)
         grid, config = small_ofdm_setup()

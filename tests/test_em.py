@@ -5,36 +5,34 @@ import math
 import numpy as np
 import pytest
 
-from chansbgm import (
+from chansbgm.dictionary import (
     AngleGrid,
     DelayDopplerGrid,
-    ObservationSet,
-    SbgmModel,
     SystemConfig,
     build_ofdm_dictionary,
     build_simo_dictionary,
+)
+from chansbgm.em import (
+    GAMMA_FLOOR,
+    SbgmModel,
+    _component_sums,
+    _ComponentCache,
+    _e_step,
+    _em_steps,
+    _log_sum_exp,
     csgmm_e_step,
     csgmm_fit,
     csgmm_m_step,
     kronecker_m_step,
     kronecker_q_objective,
     load_model,
-    make_observations,
-    msbl_fit,
-    posterior_moments,
-    sample_parameters,
     save_model,
     total_log_likelihood,
 )
-from chansbgm.em import (
-    GAMMA_FLOOR,
-    _component_sums,
-    _ComponentCache,
-    _e_step,
-    _em_steps,
-    _log_sum_exp,
-)
 from chansbgm.errors import InvalidArgumentError, NumericError
+from chansbgm.generation import sample_parameters
+from chansbgm.posterior import posterior_moments
+from chansbgm.scenario import ObservationSet, make_observations
 from chansbgm.utils import complex_standard_normal
 
 
@@ -305,15 +303,6 @@ class TestFit:
         assert not trace.converged
         assert final == pytest.approx(trace.log_likelihoods[-1], rel=1e-12)
 
-    def test_msbl_is_single_component_fit(self):
-        d = simo_setup()
-        obs = synthetic_observations(d, 40, seed=12)
-        m1, t1 = msbl_fit(obs, d, max_iters=25, seed=3)
-        m2, t2 = csgmm_fit(obs, d, 1, max_iters=25, seed=3)
-        np.testing.assert_array_equal(m1.variances, m2.variances)
-        np.testing.assert_array_equal(m1.weights, m2.weights)
-        np.testing.assert_array_equal(t1.log_likelihoods, t2.log_likelihoods)
-
     def test_refit_is_deterministic(self):
         d = simo_setup()
         obs = synthetic_observations(d, 20, seed=13)
@@ -341,7 +330,7 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("max_iters", 0), ("kron_sweeps", 0), ("rel_tol", 0.0), ("clip_floor", 0.0)],
+        [("max_iters", 0), ("rel_tol", 0.0)],
     )
     def test_out_of_range_option_rejected(self, option, value):
         d = simo_setup()
@@ -374,7 +363,7 @@ class TestFit:
         n, options = 6, {"variance_form": form, "rel_tol": 1e-12, "seed": 5}
         model, trace = csgmm_fit(obs, d, k, max_iters=n, **options)
         init, _ = csgmm_fit(obs, d, k, max_iters=1, **options)
-        steps = _em_steps(init, obs.observed_rows(d.matrix), obs, GAMMA_FLOOR, 3)
+        steps = _em_steps(init, obs.observed_rows(d.matrix), obs)
         logliks, models = zip(*itertools.islice(steps, n))
         assert models[0] is init
         assert not trace.converged and trace.n_iterations == n

@@ -3,24 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from chansbgm import (
-    AngleGrid,
-    SbgmModel,
-    SystemConfig,
-    build_simo_dictionary,
+import chansbgm.utils as utils_module
+from chansbgm.dictionary import AngleGrid, SystemConfig, build_simo_dictionary, swap_system_config
+from chansbgm.em import SbgmModel
+from chansbgm.errors import InvalidArgumentError
+from chansbgm.generation import (
     conditional_covariance,
     limit_batch_paths,
     limit_paths,
     load_batch,
     render_channels,
+    sample_blocks,
     sample_parameters,
     save_batch,
-    swap_system_config,
-    toeplitz_deviation,
 )
-from chansbgm import utils as utils_module
-from chansbgm.errors import InvalidArgumentError
-from chansbgm.generation import sample_blocks
+from chansbgm.metrics import toeplitz_deviation
 from chansbgm.utils import complex_standard_normal
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
-from chansbgm import (
-    AngleGrid,
+from chansbgm.dictionary import AngleGrid
+from chansbgm.errors import InvalidArgumentError
+from chansbgm.metrics import (
+    PowerProfile,
     angular_spread,
     batch_angular_spreads,
     cosine_similarity,
@@ -13,10 +15,9 @@ from chansbgm import (
     nmse,
     power_angular_profile,
     profile_support_leakage,
+    spread_histogram,
     toeplitz_deviation,
 )
-from chansbgm.errors import InvalidArgumentError
-from chansbgm.metrics import PowerProfile, spread_histogram
 
 
 class TestPowerAngularProfile:
@@ -182,8 +183,10 @@ class TestHistogramW1:
         a = rng.uniform(0, 1.2, 100)
         assert histogram_w1(a, a.copy()) == 0.0
 
-    def test_point_masses_unit_bins(self):
-        assert histogram_w1([0.0], [1.0], bins=np.array([0.0, 1.0, 2.0])) == pytest.approx(1.0)
+    def test_point_masses_in_adjacent_bins(self):
+        # the default bins are pi/128 wide: masses in bins 0 and 1 lie one width apart
+        width = math.pi / 128
+        assert histogram_w1([0.0], [1.5 * width]) == pytest.approx(width)
 
     def test_histogram_clips_into_end_bins(self):
         values = np.array([-5.0, 0.5, 1.5, 1.7, 9.0])
@@ -199,7 +202,7 @@ class TestHistogramW1:
         pa, _ = np.histogram(a, bins=edges)
         pb, _ = np.histogram(b, bins=edges)
         oracle = wasserstein_distance(centers, centers, pa, pb)
-        assert histogram_w1(a, b, bins=64) == pytest.approx(oracle, abs=1e-9)
+        assert histogram_w1(a, b) == pytest.approx(oracle, abs=1e-9)
 
     def test_symmetric(self):
         rng = np.random.default_rng(11)

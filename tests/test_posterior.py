@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from chansbgm import (
-    AngleGrid,
-    SystemConfig,
-    build_simo_dictionary,
-    csvae_elbo_terms,
-    marginal_cov_factor,
-    posterior_moments,
-)
+from chansbgm.dictionary import AngleGrid, SystemConfig, build_simo_dictionary
 from chansbgm.errors import InvalidArgumentError
+from chansbgm.posterior import csvae_elbo_terms, marginal_cov_factor, posterior_moments
 from chansbgm.utils import complex_standard_normal
 
 

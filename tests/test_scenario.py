@@ -3,14 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from chansbgm import (
-    AngleComponent,
-    AngleProfile,
+from chansbgm.dictionary import (
+    AngleGrid,
     DelayDopplerGrid,
-    ObservationSet,
-    OfdmScenario,
     SystemConfig,
     build_ofdm_dictionary,
+    steering_vector_ula,
+    ula_matrix,
+    vectorize_channel,
+)
+from chansbgm.errors import InvalidArgumentError, NumericError
+from chansbgm.scenario import (
+    AngleComponent,
+    AngleProfile,
+    ObservationSet,
+    OfdmScenario,
+    _laplacian_nodes,
     draw_ofdm_channel,
     draw_simo_channel,
     evaluate_ofdm_channel,
@@ -21,13 +29,7 @@ from chansbgm import (
     sample_angle,
     simo_channels,
     simo_ground_truth,
-    steering_vector_ula,
-    ula_matrix,
-    vectorize_channel,
 )
-from chansbgm.dictionary import AngleGrid
-from chansbgm.errors import InvalidArgumentError, NumericError
-from chansbgm.scenario import _laplacian_nodes
 from chansbgm.utils import complex_standard_normal
 
 STD = math.radians(2.0)

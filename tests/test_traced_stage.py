@@ -2,7 +2,8 @@
 
 ``benchmarks/traced_stage.py`` wraps program functions by name; if one is
 renamed, ``run.py --trace 1`` loses its span without failing. This runs
-the tracer on tiny synths and fits and checks the spans it records.
+the tracer on each stage of tiny pipelines and checks the spans it
+records.
 """
 
 import json
@@ -79,3 +80,40 @@ def test_traced_ofdm_synth_and_kronecker_fit_record_their_spans(tmp_path):
         "--config", "em.json", "--out", "model",
     )
     assert FIT_SPANS <= fit
+
+
+def test_traced_generate_and_metrics_record_their_spans(tmp_path):
+    from chansbgm.cli import main
+
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({
+        "scenario": "simo",
+        "n_train": 20,
+        "snr_range_db": [0.0, 20.0],
+        "system": {"variant": "simo", "n_antennas": 4},
+        "grid_size": 16,
+        "quadrature_points": 128,
+    }), encoding="utf-8")
+    (tmp_path / "em.json").write_text(json.dumps({"max_iters": 3}), encoding="utf-8")
+    (tmp_path / "swap.json").write_text(
+        json.dumps({"variant": "simo", "n_antennas": 6}), encoding="utf-8"
+    )
+    data, model = str(tmp_path / "data"), str(tmp_path / "model")
+    assert main(["synth", "--config", str(config), "--seed", "3", "--out", data]) == 0
+    assert main(["fit", data, "--K", "2", "--config", str(tmp_path / "em.json"),
+                 "--out", model]) == 0
+    render = ["--render", "--swap-config", str(tmp_path / "swap.json")]
+    assert main(["generate", model, "-n", "30", "--seed", "1", *render,
+                 "--out", str(tmp_path / "uncapped")]) == 0
+    generate = traced_stage(
+        tmp_path, "generate", "generate", model, "-n", "30", "--seed", "1", "--p-max", "2",
+        *render, "--out", "capped",
+    )
+    # the per-layer em.load_s, dictionary.build_s and generation.* read these spans
+    assert {"em.load", "dictionary.build", "generation.limit", "generation.render",
+            "generation.save"} <= generate
+    metrics = traced_stage(
+        tmp_path, "metrics", "metrics", "capped", "uncapped", "--channel-metrics",
+        "--out", "report",
+    )
+    assert {"metrics.spread", "metrics.w1"} <= metrics
