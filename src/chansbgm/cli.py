@@ -288,14 +288,24 @@ def _selfcheck_registry():
         d = build_simo_dictionary(AngleGrid(32), SystemConfig.simo(8))
         assert np.abs(np.abs(d.matrix) - 1).max() < 1e-12
 
+    ofdm_grid = DelayDopplerGrid(4, 6, doppler_bound=200.0, delay_bound=4e-6)
+    ofdm_config = SystemConfig.ofdm(5, 3, 15e3, 1e-3 / 14)
+
     def ofdm_column_convention():
         # one path on grid point (q, p), vectorized, is its gain times column q * S_f + p
-        grid = DelayDopplerGrid(4, 6, doppler_bound=200.0, delay_bound=4e-6)
-        config = SystemConfig.ofdm(5, 3, 15e3, 1e-3 / 14)
-        q, p, gain = 1, 4, 0.6 - 0.8j
-        h = evaluate_ofdm_channel(config, [gain], grid.doppler_points[[q]], grid.delay_points[[p]])
-        column = build_ofdm_dictionary(grid, config).matrix[:, q * grid.delay_size + p]
+        grid, q, p, gain = ofdm_grid, 1, 4, 0.6 - 0.8j
+        h = evaluate_ofdm_channel(
+            ofdm_config, [gain], grid.doppler_points[[q]], grid.delay_points[[p]]
+        )
+        column = build_ofdm_dictionary(grid, ofdm_config).matrix[:, q * grid.delay_size + p]
         assert np.abs(vectorize_channel(h) - gain * column).max() < 1e-12
+
+    def ofdm_factored_render():
+        # D_t S D_f^T through the factors is the dense product D s
+        d = build_ofdm_dictionary(ofdm_grid, ofdm_config)
+        s = complex_standard_normal(np.random.default_rng(7), (9, d.n_columns))
+        dense = s @ d.matrix.T
+        assert np.abs(d.apply(s) - dense).max() < 1e-12 * np.abs(dense).max()
 
     def swap_round_trip():
         d = build_simo_dictionary(AngleGrid(16), SystemConfig.simo(4))
@@ -376,6 +386,7 @@ def _selfcheck_registry():
     return [
         ("dictionary-unit-modulus", dictionary_unit_modulus),
         ("ofdm-column-convention", ofdm_column_convention),
+        ("ofdm-factored-render", ofdm_factored_render),
         ("swap-round-trip", swap_round_trip),
         ("posterior-dense-oracle", posterior_dense_oracle),
         ("elbo-cancellation", elbo_cancellation),

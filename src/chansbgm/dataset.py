@@ -239,7 +239,7 @@ def load_dataset(directory: str | Path) -> tuple[ObservationSet, Dictionary, dic
     noise_vars, _ = read_array(directory / "noise_vars")
     selection, _ = read_array(directory / "selection")
     snr_db, _ = read_array(directory / "snr_db")
-    pilots = _selection_pilots(selection, len(dictionary.matrix))
+    pilots = _selection_pilots(selection, dictionary.config.channel_dim)
     obs = ObservationSet(samples=samples, noise_vars=noise_vars, pilots=pilots, snr_db=snr_db)
     return obs, dictionary, meta
 

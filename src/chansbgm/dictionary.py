@@ -6,7 +6,14 @@ Two system families are supported:
   dictionary columns are array steering vectors on a uniform angle grid.
 * OFDM: time/frequency sampling of a doubly dispersive channel; dictionary
   columns are outer products of Doppler and delay steering vectors on a
-  uniform delay-Doppler grid, stored as a Kronecker product.
+  uniform delay-Doppler grid, the Kronecker product D_t kron D_f.
+
+A dictionary keeps its steering factors, ``(D,)`` for SIMO and
+``(D_t, D_f)`` for OFDM, not the product: rendering channels
+(:meth:`Dictionary.apply`) and gathering the rows observed at pilots
+(:meth:`Dictionary.rows`) go through the factors, so no stage forms the
+(channel_dim, grid size) OFDM matrix. ``Dictionary.matrix`` forms it on
+request.
 
 Grids are stored as integer sizes plus bounds (points are derived on
 demand), so value equality of grids never depends on floating-point
@@ -62,7 +69,9 @@ _SYSTEM_FIELDS = {
 
 
 def _check_columns(size: int) -> None:
-    """A grid point is a dictionary column; the dictionary is formed whole."""
+    """A grid point is a dictionary column and a coefficient. The cap bounds
+    what grows with the grid: coefficient blocks, the fit's effective
+    dictionary and variances, and ``Dictionary.matrix`` when it is formed."""
     if size > MAX_DICTIONARY_COLUMNS:
         raise InvalidArgumentError(
             f"grid has {size} columns, exceeding the limit of {MAX_DICTIONARY_COLUMNS}"
@@ -183,33 +192,79 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Dense steering-vector dictionary over a parameter grid.
+    """Steering-vector dictionary over a parameter grid, kept as its factors.
 
-    ``matrix`` has shape (channel_dim, grid size); every entry is
-    unit-modulus. For OFDM the Doppler and delay factors are kept so the
-    Kronecker structure stays available to structured algorithms.
+    ``factors`` is ``(D,)`` for SIMO, the (n_antennas, size) ULA steering
+    matrix, and ``(D_t, D_f)`` for OFDM, the (n_symbols, doppler_size)
+    Doppler and (n_subcarriers, delay_size) delay steering matrices. The
+    dictionary is the Kronecker product of its factors, of shape
+    (channel_dim, grid size), and every entry is unit-modulus.
+    :meth:`apply` and :meth:`rows` work through the factors; only
+    ``matrix`` forms the product, when it is first read.
     """
 
-    matrix: np.ndarray
+    factors: tuple[np.ndarray, ...]
     grid: AngleGrid | DelayDopplerGrid
     config: SystemConfig
-    doppler_factor: np.ndarray | None = None
-    delay_factor: np.ndarray | None = None
 
     def __post_init__(self):
-        self.matrix.flags.writeable = False
-        if self.doppler_factor is not None:
-            self.doppler_factor.flags.writeable = False
-        if self.delay_factor is not None:
-            self.delay_factor.flags.writeable = False
+        for factor in self.factors:
+            factor.flags.writeable = False
 
     @property
     def n_columns(self) -> int:
-        return self.matrix.shape[1]
+        return math.prod(factor.shape[1] for factor in self.factors)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (channel_dim, n_columns) matrix, formed on first use."""
+        matrix = np.kron(*self.factors) if len(self.factors) == 2 else self.factors[0]
+        matrix.flags.writeable = False
+        return matrix
 
     @cached_property
     def content_id(self) -> str:
-        return content_id(self.matrix.tobytes())
+        """Hash of ``matrix``'s bytes, taken one Doppler row's block of rows
+        at a time so the product is never formed whole."""
+        if len(self.factors) == 1:
+            return content_id([self.factors[0].tobytes()])
+        d_t, d_f = self.factors
+        return content_id(np.kron(d_t[t : t + 1], d_f).tobytes() for t in range(len(d_t)))
+
+    def apply(self, s: np.ndarray) -> np.ndarray:
+        """Channels D s of the coefficient rows ``s`` (n, n_columns), as an
+        (n, channel_dim) array.
+
+        For OFDM each row is reshaped to S of shape (doppler_size,
+        delay_size) and rendered as D_t S D_f^T, Doppler factor first; the
+        rows of the result depend only on the rows of ``s`` they come from.
+        """
+        if len(self.factors) == 1:
+            return s @ self.factors[0].T
+        d_t, d_f = self.factors
+        n = len(s)
+        doppler = d_t @ s.reshape(n, d_t.shape[1], d_f.shape[1])
+        return (doppler.reshape(-1, d_f.shape[1]) @ d_f.T).reshape(n, -1)
+
+    def rows(self, pilots) -> np.ndarray:
+        """The dictionary rows at channel entries ``pilots``: the effective
+        dictionary W = A D of observations at those pilots.
+
+        Row t * n_subcarriers + f of an OFDM dictionary is D_t[t] kron
+        D_f[f], formed by the same products as ``np.kron``, so the rows
+        equal those of ``matrix`` bit for bit.
+        """
+        pilots = np.asarray(pilots)
+        n_entries = self.config.channel_dim
+        if pilots.ndim != 1 or pilots.dtype.kind not in "iu":
+            raise InvalidArgumentError("pilots must be a 1-D integer index vector")
+        if np.any(pilots < 0) or np.any(pilots >= n_entries):
+            raise InvalidArgumentError(f"pilots must be below the {n_entries} channel entries")
+        if len(self.factors) == 1:
+            return self.factors[0][pilots]
+        d_t, d_f = self.factors
+        t, f = np.divmod(pilots, len(d_f))
+        return (d_t[t][:, :, None] * d_f[f][:, None, :]).reshape(len(pilots), -1)
 
 
 def steering_vector_ula(theta: float, n_antennas: int) -> np.ndarray:
@@ -260,27 +315,21 @@ def check_pairing(grid: AngleGrid | DelayDopplerGrid, config: SystemConfig) -> N
 def build_simo_dictionary(grid: AngleGrid, config: SystemConfig) -> Dictionary:
     """Columns are ULA steering vectors at the grid angles; shape (N, size)."""
     check_pairing(grid, config)
-    return Dictionary(matrix=ula_matrix(grid.points, config.n_antennas), grid=grid, config=config)
+    d = ula_matrix(grid.points, config.n_antennas)
+    return Dictionary(factors=(d,), grid=grid, config=config)
 
 
 def build_ofdm_dictionary(grid: DelayDopplerGrid, config: SystemConfig) -> Dictionary:
     """Kronecker dictionary D_t kron D_f over the delay-Doppler grid.
 
     D_t has shape (n_symbols, doppler_size), D_f (n_subcarriers,
-    delay_size); the full matrix has shape (n_symbols*n_subcarriers,
-    doppler_size*delay_size).
+    delay_size); the dictionary keeps both, and its product has shape
+    (n_symbols*n_subcarriers, doppler_size*delay_size).
     """
     check_pairing(grid, config)
     d_t = doppler_matrix(grid.doppler_points, config.n_symbols, config.symbol_duration)
     d_f = delay_matrix(grid.delay_points, config.n_subcarriers, config.subcarrier_spacing)
-    matrix = np.kron(d_t, d_f)
-    return Dictionary(
-        matrix=matrix,
-        grid=grid,
-        config=config,
-        doppler_factor=d_t,
-        delay_factor=d_f,
-    )
+    return Dictionary(factors=(d_t, d_f), grid=grid, config=config)
 
 
 def build_dictionary(grid: AngleGrid | DelayDopplerGrid, config: SystemConfig) -> Dictionary:

@@ -3,8 +3,8 @@
 The model is a K-component zero-mean complex Gaussian mixture with
 diagonal per-component covariances diag(gamma_k) on the coefficient
 vector s, observed only through y = W s + n with W = A D: the rows of
-the dictionary D at the observed pilots, gathered by
-:meth:`ObservationSet.observed_rows`. The E-step gives every sample's
+the dictionary D at the observed pilots, gathered from the dictionary's
+factors by :meth:`Dictionary.rows`. The E-step gives every sample's
 responsibilities r_ik; the M-step needs per component only the total
 R_k = sum_i r_ik and the weighted posterior second moment
 T_k = sum_i r_ik (|mu_ik|^2 + diag C_ik).
@@ -143,7 +143,7 @@ class SbgmModel:
 
     @property
     def content_id(self) -> str:
-        return content_id(self.weights.tobytes(), *(f.tobytes() for f in self.factors))
+        return content_id([self.weights.tobytes(), *(f.tobytes() for f in self.factors)])
 
     def check_grid(self, grid: AngleGrid | DelayDopplerGrid) -> None:
         """Reject a grid whose points are not this model's coefficients: one
@@ -265,7 +265,7 @@ def csgmm_e_step(
     |mu_ik|^2 + diag(C_ik) whose weighted sums the M-step needs.
     Responsibilities are normalized in the log domain.
     """
-    caches, resp, _ = _e_step(model, obs.observed_rows(dictionary.matrix), obs)
+    caches, resp, _ = _e_step(model, dictionary.rows(obs.pilots), obs)
     return resp, np.stack([c.moment_stats() for c in caches])
 
 
@@ -411,7 +411,7 @@ def total_log_likelihood(
     model: SbgmModel, obs: ObservationSet, dictionary: Dictionary
 ) -> float:
     """Sum over samples of log sum_k rho_k CN(y_i; 0, C_ik)."""
-    _, _, norm = _e_step(model, obs.observed_rows(dictionary.matrix), obs)
+    _, _, norm = _e_step(model, dictionary.rows(obs.pilots), obs)
     return float(np.sum(norm))
 
 
@@ -499,7 +499,7 @@ def csgmm_fit(
         raise InvalidArgumentError("max_iters must be >= 1")
     if not rel_tol > 0:
         raise InvalidArgumentError("rel_tol must be > 0")
-    w = obs.observed_rows(dictionary.matrix)
+    w = dictionary.rows(obs.pilots)
     rng = np.random.default_rng(seed)
 
     init_gammas = _init_variances(obs, w, n_components, rng)

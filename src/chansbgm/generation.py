@@ -106,7 +106,8 @@ def sample_parameters(
 
 
 def render_channels(batch: GeneratedBatch, dictionary: Dictionary) -> GeneratedBatch:
-    """Return a copy of the batch with channels D s attached.
+    """Return a copy of the batch with channels D s attached, rendered
+    through the dictionary's factors (:meth:`Dictionary.apply`).
 
     Any dictionary over the training grid is accepted; only the column
     count has to match the coefficient dimension.
@@ -116,7 +117,7 @@ def render_channels(batch: GeneratedBatch, dictionary: Dictionary) -> GeneratedB
             f"dictionary has {dictionary.n_columns} columns but the batch has "
             f"{batch.n_coefficients} coefficients"
         )
-    channels = batch.sparse @ dictionary.matrix.T
+    channels = dictionary.apply(batch.sparse)
     provenance = dict(batch.provenance or {})
     provenance["dictionary_id"] = dictionary.content_id
     return replace(batch, channels=channels, provenance=provenance)

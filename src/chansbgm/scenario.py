@@ -439,11 +439,6 @@ class ObservationSet:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def observed_rows(self, matrix: np.ndarray) -> np.ndarray:
-        """The rows of ``matrix`` at the pilots; for a dictionary matrix D
-        this is the effective dictionary W = A D."""
-        return matrix[_check_pilots(self.pilots, len(matrix))]
-
 
 def make_observations(
     channels: np.ndarray,

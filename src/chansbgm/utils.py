@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
 import numpy as np
 
@@ -101,8 +102,9 @@ def complex_standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return pair.view(np.complex128)[..., 0]
 
 
-def content_id(*chunks: bytes) -> str:
-    """Short stable identifier for binary content (used in provenance)."""
+def content_id(chunks: Iterable[bytes]) -> str:
+    """Short stable identifier for binary content given as consecutive
+    chunks (used in provenance); only the joined bytes count."""
     h = hashlib.sha256()
     for chunk in chunks:
         h.update(chunk)

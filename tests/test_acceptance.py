@@ -432,13 +432,10 @@ def test_criterion_8_generalizability(tmp_path):
     grid = DelayDopplerGrid(40, 40, doppler_bound=250.0, delay_bound=6e-6)
     dict_b = build_ofdm_dictionary(grid, SystemConfig.from_json(swapped_system))
     factor_worst = 0.0
+    d_t, d_f = dict_b.factors
     for k in range(model.n_components):
-        cov_t = (dict_b.doppler_factor * model.doppler_variances[k][None, :]) @ (
-            dict_b.doppler_factor.conj().T
-        )
-        cov_f = (dict_b.delay_factor * model.delay_variances[k][None, :]) @ (
-            dict_b.delay_factor.conj().T
-        )
+        cov_t = (d_t * model.doppler_variances[k][None, :]) @ d_t.conj().T
+        cov_f = (d_f * model.delay_variances[k][None, :]) @ d_f.conj().T
         factor_worst = max(
             factor_worst,
             toeplitz_deviation(cov_t) / np.abs(cov_t).max(),

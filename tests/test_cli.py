@@ -691,6 +691,30 @@ def test_kronecker_model_on_a_grid_of_another_shape_rejected(tmp_path):
     assert not out.exists()
 
 
+def test_ofdm_stages_never_form_the_dense_dictionary(tmp_path, monkeypatch):
+    """synth, both fits and a capped, swapped generate --render work through
+    the dictionary's factors; reading ``Dictionary.matrix`` fails the stage."""
+    from chansbgm.dictionary import Dictionary
+
+    def formed(dictionary):
+        raise AssertionError("the dense dictionary was formed")
+
+    monkeypatch.setattr(Dictionary, "matrix", property(formed))
+    cfg = write_config(tmp_path, small_ofdm_config(), "ofdm.json")
+    em = write_config(tmp_path, {"max_iters": 3}, "em.json")
+    swap = small_ofdm_config()["system"] | {"n_subcarriers": 5, "n_symbols": 7}
+    swap = write_config(tmp_path, swap, "swap.json")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", cfg, "--seed", "3", "--out", str(data)]) == EXIT_OK
+    for form in ("full", "kronecker"):
+        model = tmp_path / form
+        assert main(["fit", str(data), "--K", "2", "--variance-form", form,
+                     "--config", em, "--out", str(model)]) == EXIT_OK
+        assert main(["generate", str(model), "-n", "70", "--seed", "0", "--render",
+                     "--p-max", "3", "--swap-config", swap,
+                     "--out", str(tmp_path / f"{form}_batch")]) == EXIT_OK
+
+
 class TestCsvBytes:
     """The CSV files, fit documents, a batch document and the reports of
     tiny seeded runs, pinned byte for byte: every value is written as the

@@ -19,6 +19,7 @@ from chansbgm.dictionary import (
     vectorize_channel,
 )
 from chansbgm.errors import InvalidArgumentError
+from chansbgm.utils import complex_standard_normal, content_id
 
 
 def small_ofdm_setup():
@@ -107,15 +108,14 @@ class TestOfdmDictionary:
         config = SystemConfig.ofdm(24, 14, 15e3, 1e-3 / 14)
         d = build_ofdm_dictionary(grid, config)
         assert d.matrix.shape == (336, 1600)
-        assert d.doppler_factor.shape == (14, 40)
-        assert d.delay_factor.shape == (24, 40)
+        d_t, d_f = d.factors
+        assert d_t.shape == (14, 40)
+        assert d_f.shape == (24, 40)
 
     def test_matrix_is_kron_of_factors(self):
         grid, config = small_ofdm_setup()
         d = build_ofdm_dictionary(grid, config)
-        np.testing.assert_allclose(
-            d.matrix, np.kron(d.doppler_factor, d.delay_factor), atol=1e-12
-        )
+        np.testing.assert_allclose(d.matrix, np.kron(*d.factors), atol=1e-12)
 
     def test_on_grid_path_renders_its_column(self):
         from chansbgm.scenario import evaluate_ofdm_channel
@@ -175,6 +175,66 @@ class TestOfdmDictionary:
         DelayDopplerGrid(256, 256, doppler_bound=250.0, delay_bound=6e-6)
         with pytest.raises(InvalidArgumentError, match="exceeding the limit of 65536"):
             DelayDopplerGrid(256, 512, doppler_bound=250.0, delay_bound=6e-6)
+
+
+PAPER_GRID = DelayDopplerGrid(40, 40, doppler_bound=250.0, delay_bound=6e-6)
+# the default OFDM numerology and criterion 8's swapped one
+PAPER_OFDM = SystemConfig.ofdm(24, 14, 15e3, 1e-3 / 14)
+SWAPPED_OFDM = SystemConfig.ofdm(20, 18, 60e3, 1e-3 / 3.5)
+
+
+class TestFactoredDictionary:
+    @pytest.mark.parametrize("config", [PAPER_OFDM, SWAPPED_OFDM], ids=["default", "swapped"])
+    def test_ofdm_apply_matches_the_dense_product(self, config):
+        d = build_ofdm_dictionary(PAPER_GRID, config)
+        s = complex_standard_normal(np.random.default_rng(0), (200, d.n_columns))
+        dense = s @ d.matrix.T
+        np.testing.assert_allclose(d.apply(s), dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+
+    def test_simo_apply_is_the_dense_product(self):
+        d = build_simo_dictionary(AngleGrid(128), SystemConfig.simo(16))
+        s = complex_standard_normal(np.random.default_rng(1), (300, 128))
+        assert d.apply(s).tobytes() == (s @ d.matrix.T).tobytes()
+
+    def test_apply_leading_rows_equal_the_whole_product(self):
+        # the row-block contract of chansbgm.utils.row_blocks: a block's
+        # rendered rows do not depend on where the block ends
+        d = build_ofdm_dictionary(PAPER_GRID, PAPER_OFDM)
+        s = complex_standard_normal(np.random.default_rng(2), (700, d.n_columns))
+        whole = d.apply(s)
+        for n in (1, 2, 63, 65, 655):
+            assert d.apply(s[:n]).tobytes() == whole[:n].tobytes(), n
+
+    @pytest.mark.parametrize("variant", ["simo", "ofdm"])
+    def test_rows_are_the_matrix_rows(self, variant):
+        if variant == "simo":
+            d = build_simo_dictionary(AngleGrid(64), SystemConfig.simo(12))
+        else:
+            d = build_ofdm_dictionary(PAPER_GRID, PAPER_OFDM)
+        pilots = np.random.default_rng(3).choice(d.config.channel_dim, 10, replace=False)
+        assert d.rows(pilots).tobytes() == d.matrix[pilots].tobytes()
+
+    @pytest.mark.parametrize(
+        "pilots", [[0, 336], [-1, 2], [0.0, 1.0], [[0, 1]]],
+        ids=["past-last-entry", "negative", "float", "2-D"],
+    )
+    def test_rows_reject_malformed_pilots(self, pilots):
+        d = build_ofdm_dictionary(PAPER_GRID, PAPER_OFDM)
+        with pytest.raises(InvalidArgumentError, match="pilots must be"):
+            d.rows(pilots)
+
+    @pytest.mark.parametrize("config", [PAPER_OFDM, SWAPPED_OFDM], ids=["default", "swapped"])
+    def test_content_id_hashes_the_kronecker_product(self, config):
+        d = build_ofdm_dictionary(PAPER_GRID, config)
+        d_t, d_f = d.factors
+        assert d.content_id == content_id([np.kron(d_t, d_f).tobytes()])
+        assert "matrix" not in vars(d)
+
+    def test_matrix_is_formed_once_and_read_only(self):
+        d = build_ofdm_dictionary(*small_ofdm_setup())
+        assert d.matrix is d.matrix
+        assert not d.matrix.flags.writeable
+        assert all(not factor.flags.writeable for factor in d.factors)
 
 
 class TestSwapSystemConfig:
@@ -239,8 +299,9 @@ class TestCovarianceStructure:
         gf = rng.uniform(0.1, 2.0, grid.delay_size)
         gamma = np.kron(gt, gf)
         cov = (d.matrix * gamma[None, :]) @ d.matrix.conj().T
-        cov_t = (d.doppler_factor * gt[None, :]) @ d.doppler_factor.conj().T
-        cov_f = (d.delay_factor * gf[None, :]) @ d.delay_factor.conj().T
+        d_t, d_f = d.factors
+        cov_t = (d_t * gt[None, :]) @ d_t.conj().T
+        cov_f = (d_f * gf[None, :]) @ d_f.conj().T
         np.testing.assert_allclose(cov, np.kron(cov_t, cov_f), atol=1e-10)
         assert toeplitz_deviation(cov_t) < 1e-10 * np.abs(cov_t).max()
         assert toeplitz_deviation(cov_f) < 1e-10 * np.abs(cov_f).max()
@@ -266,8 +327,8 @@ class TestSerialization:
         d = build_ofdm_dictionary(grid, config)
         loaded = load_dictionary(through_json(grid_to_json(grid)), through_json(config.to_json()))
         np.testing.assert_array_equal(loaded.matrix, d.matrix)
-        np.testing.assert_array_equal(loaded.doppler_factor, d.doppler_factor)
-        np.testing.assert_array_equal(loaded.delay_factor, d.delay_factor)
+        for loaded_factor, factor in zip(loaded.factors, d.factors, strict=True):
+            np.testing.assert_array_equal(loaded_factor, factor)
         assert loaded.grid == d.grid
         assert loaded.config == d.config
 

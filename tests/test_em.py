@@ -79,7 +79,7 @@ def ofdm_problem(seed):
 
 def fit_loop_sums(model, obs, dictionary, resp=None):
     """The totals and statistic sums the EM loop feeds its M-step."""
-    caches, e_resp, _ = _e_step(model, obs.observed_rows(dictionary.matrix), obs)
+    caches, e_resp, _ = _e_step(model, dictionary.rows(obs.pilots), obs)
     resp = e_resp if resp is None else resp
     return _component_sums(resp, lambda k, r: caches[k].moment_sum(r))
 
@@ -286,6 +286,15 @@ class TestKroneckerMStep:
 
 
 class TestFit:
+    @pytest.mark.parametrize("form", ["full", "kronecker"])
+    def test_ofdm_fit_never_forms_the_dense_matrix(self, form):
+        d, obs = ofdm_problem(20)
+        factored = build_ofdm_dictionary(d.grid, d.config)
+        model, _ = csgmm_fit(obs, factored, 2, max_iters=3, variance_form=form, seed=0)
+        total_log_likelihood(model, obs, factored)
+        assert "matrix" not in vars(factored)
+        assert factored.rows(obs.pilots).tobytes() == d.matrix[obs.pilots].tobytes()
+
     def test_loglik_trace_monotone(self):
         d = simo_setup(s=24, n_antennas=8)
         obs = synthetic_observations(d, 60, seed=10)
@@ -363,7 +372,7 @@ class TestFit:
         n, options = 6, {"variance_form": form, "rel_tol": 1e-12, "seed": 5}
         model, trace = csgmm_fit(obs, d, k, max_iters=n, **options)
         init, _ = csgmm_fit(obs, d, k, max_iters=1, **options)
-        steps = _em_steps(init, obs.observed_rows(d.matrix), obs)
+        steps = _em_steps(init, d.rows(obs.pilots), obs)
         logliks, models = zip(*itertools.islice(steps, n))
         assert models[0] is init
         assert not trace.converged and trace.n_iterations == n
@@ -400,7 +409,7 @@ class TestTotalLogLikelihood:
         model = random_model(np.random.default_rng(18), 3, d.n_columns)
         from scipy.special import logsumexp
 
-        w = obs.observed_rows(d.matrix)
+        w = d.rows(obs.pilots)
         log_marg = np.column_stack(
             [
                 _ComponentCache(model.variances[k], w).log_marginals(

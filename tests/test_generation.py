@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import chansbgm.utils as utils_module
-from chansbgm.dictionary import AngleGrid, SystemConfig, build_simo_dictionary, swap_system_config
+from chansbgm.dictionary import (
+    AngleGrid,
+    DelayDopplerGrid,
+    SystemConfig,
+    build_ofdm_dictionary,
+    build_simo_dictionary,
+    swap_system_config,
+)
 from chansbgm.em import SbgmModel
 from chansbgm.errors import InvalidArgumentError
 from chansbgm.generation import (
@@ -114,6 +121,13 @@ class TestRenderChannels:
         assert r1.channels.shape == (30, 4)
         assert r2.channels.shape == (30, 6)
         np.testing.assert_allclose(r2.channels[:, :4], r1.channels, atol=1e-12)
+
+    def test_ofdm_render_never_forms_the_dense_matrix(self):
+        grid = DelayDopplerGrid(4, 6, doppler_bound=200.0, delay_bound=4e-6)
+        d = build_ofdm_dictionary(grid, SystemConfig.ofdm(5, 3, 15e3, 1e-3 / 14))
+        batch = render_channels(sample_parameters(one_component_model(np.ones(24)), 40, 8), d)
+        assert "matrix" not in vars(d)
+        np.testing.assert_allclose(batch.channels, batch.sparse @ d.matrix.T, atol=1e-12)
 
 
 class TestLimitPaths:

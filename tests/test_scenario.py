@@ -387,14 +387,6 @@ class TestObservations:
         with pytest.raises(InvalidArgumentError):
             make_observations(np.ones((3, 4), dtype=complex), pilots, (0.0, 10.0), rng)
 
-    def test_observed_rows_gathers_pilot_rows(self):
-        rng = np.random.default_rng(6)
-        obs = make_observations(np.ones((3, 4), dtype=complex), [3, 1], (0.0, 10.0), rng)
-        matrix = np.arange(12.0).reshape(4, 3)
-        np.testing.assert_array_equal(obs.observed_rows(matrix), matrix[[3, 1]])
-        with pytest.raises(InvalidArgumentError):
-            obs.observed_rows(matrix[:3])
-
     @pytest.mark.parametrize(
         "snr_db", [[1.0, 2.0], [1.0, np.nan, 2.0], [[1.0, 2.0, 3.0]]],
         ids=["short", "nan", "2-D"],
