@@ -125,7 +125,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     from .container import output_directory, read_json
-    from .dictionary import SystemConfig, build_dictionary, check_pairing, grid_from_json
+    from .dictionary import SystemConfig, build_dictionary, grid_from_json
     from .em import load_model
     from .generation import limit_batch_paths, render_channels, sample_blocks, save_batch
 
@@ -135,14 +135,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     # the batch records both even when nothing is rendered
     grid, system = grid_from_json(grid_doc), SystemConfig.from_json(system_doc)
     model.check_grid(grid)
-    check_pairing(grid, system)
+    dictionary = build_dictionary(grid, system)  # checks that grid and system pair
     with output_directory(args.out, "batch.json", reads=[args.model, args.swap_config]) as out_dir:
-        dictionary = build_dictionary(grid, system) if args.render else None
         # one row block at a time: drawn, capped, rendered, appended
         blocks = sample_blocks(model, args.n, args.seed)
         if args.p_max is not None:
             blocks = (limit_batch_paths(block, args.p_max) for block in blocks)
-        if dictionary is not None:
+        if args.render:
             blocks = (render_channels(block, dictionary) for block in blocks)
         save_batch(
             blocks,
@@ -189,8 +188,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from .dictionary import AngleGrid, grid_from_json
     from .generation import open_batch
     from .metrics import (
-        SPREAD_HIST_BINS,
-        SPREAD_HIST_RANGE,
+        SPREAD_HIST_EDGES,
         histogram_w1,
         profile_support_leakage,
         sample_cosines,
@@ -231,9 +229,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         if angular:
             rows = zip(indices, grid.points.tolist(), profile.tolist())
             _write_csv(out_dir / "profile.csv", "grid_index,angle_rad,mass", rows)
-            edges = np.linspace(*SPREAD_HIST_RANGE, SPREAD_HIST_BINS + 1)
-            hist = spread_histogram(spreads, edges)
-            rows = zip(edges[:-1].tolist(), edges[1:].tolist(), hist.tolist())
+            hist = spread_histogram(spreads, SPREAD_HIST_EDGES)
+            edges = SPREAD_HIST_EDGES.tolist()
+            rows = zip(edges[:-1], edges[1:], hist.tolist())
             _write_csv(out_dir / "spread_hist.csv", "bin_lo,bin_hi,mass", rows)
             report["mean_angular_spread"] = float(np.mean(spreads))
         else:

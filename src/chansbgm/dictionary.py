@@ -12,8 +12,8 @@ A dictionary keeps its steering factors, ``(D,)`` for SIMO and
 ``(D_t, D_f)`` for OFDM, not the product: rendering channels
 (:meth:`Dictionary.apply`) and gathering the rows observed at pilots
 (:meth:`Dictionary.rows`) go through the factors, so no stage forms the
-(channel_dim, grid size) OFDM matrix. ``Dictionary.matrix`` forms it on
-request.
+(channel_dim, grid size) OFDM matrix. ``rows`` forms every row of the
+product, those of ``Dictionary.matrix`` and of its hash included.
 
 Grids are stored as integer sizes plus bounds (points are derived on
 demand), so value equality of grids never depends on floating-point
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -218,18 +218,17 @@ class Dictionary:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense (channel_dim, n_columns) matrix, formed on first use."""
-        matrix = np.kron(*self.factors) if len(self.factors) == 2 else self.factors[0]
+        matrix = self.rows(np.arange(self.config.channel_dim))
         matrix.flags.writeable = False
         return matrix
 
     @cached_property
     def content_id(self) -> str:
-        """Hash of ``matrix``'s bytes, taken one Doppler row's block of rows
-        at a time so the product is never formed whole."""
-        if len(self.factors) == 1:
-            return content_id([self.factors[0].tobytes()])
-        d_t, d_f = self.factors
-        return content_id(np.kron(d_t[t : t + 1], d_f).tobytes() for t in range(len(d_t)))
+        """Hash of ``matrix``'s bytes, taken ``len(factors[-1])`` rows at a
+        time (one Doppler row for OFDM) so the product is never formed whole."""
+        block = len(self.factors[-1])
+        starts = range(0, self.config.channel_dim, block)
+        return content_id(self.rows(np.arange(i, i + block)).tobytes() for i in starts)
 
     def apply(self, s: np.ndarray) -> np.ndarray:
         """Channels D s of the coefficient rows ``s`` (n, n_columns), as an
@@ -250,21 +249,32 @@ class Dictionary:
         """The dictionary rows at channel entries ``pilots``: the effective
         dictionary W = A D of observations at those pilots.
 
-        Row t * n_subcarriers + f of an OFDM dictionary is D_t[t] kron
-        D_f[f], formed by the same products as ``np.kron``, so the rows
-        equal those of ``matrix`` bit for bit.
+        Row t * n_subcarriers + f of an OFDM dictionary is
+        ``kron_rows(D_t[[t]], D_f[[f]])``, the products ``np.kron`` forms,
+        so every row equals that of ``np.kron(D_t, D_f)`` bit for bit.
         """
-        pilots = np.asarray(pilots)
-        n_entries = self.config.channel_dim
-        if pilots.ndim != 1 or pilots.dtype.kind not in "iu":
-            raise InvalidArgumentError("pilots must be a 1-D integer index vector")
-        if np.any(pilots < 0) or np.any(pilots >= n_entries):
-            raise InvalidArgumentError(f"pilots must be below the {n_entries} channel entries")
-        if len(self.factors) == 1:
-            return self.factors[0][pilots]
-        d_t, d_f = self.factors
-        t, f = np.divmod(pilots, len(d_f))
-        return (d_t[t][:, :, None] * d_f[f][:, None, :]).reshape(len(pilots), -1)
+        pilots = check_pilots(pilots, self.config.channel_dim)
+        indices = np.unravel_index(pilots, tuple(len(factor) for factor in self.factors))
+        return reduce(kron_rows, (factor[i] for factor, i in zip(self.factors, indices)))
+
+
+def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product: row i is ``np.kron(a[i], b[i])``, from
+    the same products, for ``a`` of shape (n, p) and ``b`` (n, q)."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
+def check_pilots(pilots, n_entries: int | None = None) -> np.ndarray:
+    """``pilots`` as a 1-D array of distinct non-negative integers, each
+    below ``n_entries`` when that is given."""
+    pilots = np.asarray(pilots)
+    if pilots.ndim != 1 or pilots.dtype.kind not in "iu":
+        raise InvalidArgumentError("pilots must be a 1-D integer index vector")
+    if np.any(pilots < 0) or len(np.unique(pilots)) != len(pilots):
+        raise InvalidArgumentError("pilots must be distinct non-negative indices")
+    if n_entries is not None and np.any(pilots >= n_entries):
+        raise InvalidArgumentError(f"pilots must be below the {n_entries} channel entries")
+    return pilots
 
 
 def steering_vector_ula(theta: float, n_antennas: int) -> np.ndarray:
@@ -360,13 +370,6 @@ def vectorize_channel(channel_matrix: np.ndarray) -> np.ndarray:
     Kronecker column convention of :func:`build_ofdm_dictionary`.
     """
     return np.asarray(channel_matrix).flatten(order="F")
-
-
-def unvectorize_channel(h: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Inverse of :func:`vectorize_channel`."""
-    if config.variant != OFDM:
-        raise InvalidArgumentError("unvectorize_channel requires an OFDM config")
-    return np.asarray(h).reshape((config.n_subcarriers, config.n_symbols), order="F")
 
 
 def grid_to_json(grid: AngleGrid | DelayDopplerGrid) -> dict:

@@ -57,7 +57,7 @@ from typing import Iterator
 import numpy as np
 
 from .container import read_array, read_json, write_array, write_json
-from .dictionary import AngleGrid, DelayDopplerGrid, Dictionary
+from .dictionary import AngleGrid, DelayDopplerGrid, Dictionary, kron_rows
 from .errors import InvalidArgumentError, NumericError
 from .scenario import ObservationSet
 from .utils import check_tagged_document, content_id
@@ -135,11 +135,10 @@ class SbgmModel:
     def n_coefficients(self) -> int:
         return math.prod(factor.shape[1] for factor in self.factors)
 
-    def component_variances(self, k: int) -> np.ndarray:
-        return functools.reduce(np.kron, [factor[k] for factor in self.factors])
-
     def expanded_variances(self) -> np.ndarray:
-        return np.stack([self.component_variances(k) for k in range(self.n_components)])
+        """The (K, S) coefficient variances: row k is gamma_k, for the
+        Kronecker form ``kron_rows`` of the factors' rows k."""
+        return functools.reduce(kron_rows, self.factors)
 
     @property
     def content_id(self) -> str:
@@ -246,7 +245,7 @@ def _e_step(
 ) -> tuple[list[_ComponentCache], np.ndarray, np.ndarray]:
     """Per-component caches, responsibilities (n, K) normalized in the log
     domain, and per-sample log-likelihoods (n,)."""
-    caches = [_ComponentCache(model.component_variances(k), w) for k in range(model.n_components)]
+    caches = [_ComponentCache(gamma, w) for gamma in model.expanded_variances()]
     log_post = np.column_stack(
         [c.log_marginals(obs.samples, obs.noise_vars) for c in caches]
     ) + _log_weights(model.weights)[None, :]

@@ -179,7 +179,7 @@ def conditional_covariance(model: SbgmModel, k: int, dictionary: Dictionary) -> 
     """Channel covariance D diag(gamma_k) D^H of component ``k``."""
     if not 0 <= k < model.n_components:
         raise InvalidArgumentError("component index out of range")
-    gamma = model.component_variances(k)
+    gamma = model.expanded_variances()[k]
     if dictionary.n_columns != len(gamma):
         raise InvalidArgumentError("dictionary and model dimensions do not match")
     d = dictionary.matrix

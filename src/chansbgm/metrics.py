@@ -10,8 +10,9 @@ from .dictionary import AngleGrid
 from .errors import InvalidArgumentError
 from .utils import row_blocks
 
-SPREAD_HIST_BINS = 64
-SPREAD_HIST_RANGE = (0.0, math.pi / 2)
+# edges of the 64 even bins of angular spread (radians) in every spread histogram
+SPREAD_HIST_EDGES = np.linspace(0.0, math.pi / 2, 65)
+SPREAD_HIST_EDGES.flags.writeable = False
 
 
 class PowerProfile:
@@ -137,17 +138,16 @@ def spread_histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 def histogram_w1(a, b) -> float:
     """1-Wasserstein distance between binned empirical distributions
-    (:func:`spread_histogram` over ``SPREAD_HIST_BINS`` even bins of
-    ``SPREAD_HIST_RANGE``); zero exactly when the two histograms coincide.
+    (:func:`spread_histogram` over ``SPREAD_HIST_EDGES``); zero exactly
+    when the two histograms coincide.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise InvalidArgumentError("both value lists must be nonempty")
-    edges = np.linspace(*SPREAD_HIST_RANGE, SPREAD_HIST_BINS + 1)
-    p = spread_histogram(a, edges)
-    q = spread_histogram(b, edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    p = spread_histogram(a, SPREAD_HIST_EDGES)
+    q = spread_histogram(b, SPREAD_HIST_EDGES)
+    centers = 0.5 * (SPREAD_HIST_EDGES[:-1] + SPREAD_HIST_EDGES[1:])
     gaps = np.diff(centers)
     cdf_diff = np.cumsum(p - q)[:-1]
     return float(np.sum(np.abs(cdf_diff) * gaps))

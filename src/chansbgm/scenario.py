@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dictionary import SystemConfig, delay_matrix, doppler_matrix
+from .dictionary import SystemConfig, check_pilots, delay_matrix, doppler_matrix
 from .errors import InvalidArgumentError, NumericError
 from .utils import complex_standard_normal
 
@@ -388,19 +388,6 @@ def random_pilots(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(n, size=m, replace=False)
 
 
-def _check_pilots(pilots, n_entries: int | None = None) -> np.ndarray:
-    """``pilots`` as a 1-D array of distinct non-negative integers, each
-    below ``n_entries`` when that is given."""
-    pilots = np.asarray(pilots)
-    if pilots.ndim != 1 or pilots.dtype.kind not in "iu":
-        raise InvalidArgumentError("pilots must be a 1-D integer index vector")
-    if np.any(pilots < 0) or len(np.unique(pilots)) != len(pilots):
-        raise InvalidArgumentError("pilots must be distinct non-negative indices")
-    if n_entries is not None and np.any(pilots >= n_entries):
-        raise InvalidArgumentError(f"pilots must be below the {n_entries} channel entries")
-    return pilots
-
-
 @dataclass
 class ObservationSet:
     """Noisy compressed samples with the channel entries they observe.
@@ -420,7 +407,7 @@ class ObservationSet:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
         self.noise_vars = np.asarray(self.noise_vars, dtype=float)
-        self.pilots = _check_pilots(self.pilots)
+        self.pilots = check_pilots(self.pilots)
         if self.samples.ndim != 2 or len(self.samples) == 0:
             raise InvalidArgumentError("samples must be a nonempty 2-D array (n, M)")
         if self.noise_vars.shape != (len(self.samples),):
@@ -459,7 +446,7 @@ def make_observations(
     lo, hi = snr_range_db
     if lo > hi:
         raise InvalidArgumentError("snr_range_db must satisfy lo <= hi")
-    pilots = _check_pilots(pilots, channels.shape[1])
+    pilots = check_pilots(pilots, channels.shape[1])
     # take keeps the rows contiguous (channels[:, pilots] is column-major),
     # so the row sums below round as over the rows of a matrix product
     compressed = channels.take(pilots, axis=1)

@@ -148,7 +148,7 @@ class TestEStep:
                 np.testing.assert_allclose(sums[k], resp[:, k] @ stats[k], rtol=1e-10)
                 for i in range(len(obs)):
                     moments = posterior_moments(
-                        model.component_variances(k),
+                        model.expanded_variances()[k],
                         obs.samples[i],
                         np.eye(len(d.matrix))[obs.pilots],
                         d.matrix,
@@ -472,6 +472,15 @@ class TestModelSerialization:
         np.testing.assert_array_equal(loaded.weights, model.weights)
         np.testing.assert_array_equal(loaded.variances, model.variances)
         assert meta["variance_form"] == "full"
+
+    def test_kronecker_variances_expand_to_the_kron_of_the_factors(self):
+        model = random_kronecker_model(np.random.default_rng(21), 3, 4, 5)
+        expanded = model.expanded_variances()
+        assert expanded.shape == (3, 20)
+        for k in range(3):
+            np.testing.assert_array_equal(
+                expanded[k], np.kron(model.doppler_variances[k], model.delay_variances[k])
+            )
 
     def test_kronecker_round_trip(self, tmp_path):
         rng = np.random.default_rng(20)
