@@ -110,12 +110,15 @@ def default_ofdm_synth_config() -> dict:
 
 
 def check_synth_config(document) -> dict:
-    """Check a synth config with its angle_profile entries and paths."""
+    """Check a synth config with its system, angle_profile entries and paths."""
     config = check_tagged_document(
         document, "scenario", _SYNTH_FIELDS, "synth config", _SYNTH_OPTIONAL
     )
     if config["n_train"] < 1:
         raise InvalidArgumentError("n_train must be >= 1")
+    scenario, variant = config["scenario"], SystemConfig.from_json(config["system"]).variant
+    if variant != scenario:
+        raise InvalidArgumentError(f"a {scenario} scenario cannot take a {variant} system")
     for entry in config.get("angle_profile", ()):
         check_document(
             entry, _ANGLE_COMPONENT_FIELDS, _ANGLE_COMPONENT_FIELDS, "angle_profile entry"

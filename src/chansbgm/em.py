@@ -137,7 +137,8 @@ class SbgmModel:
 
     def expanded_variances(self) -> np.ndarray:
         """The (K, S) coefficient variances: row k is gamma_k, for the
-        Kronecker form ``kron_rows`` of the factors' rows k."""
+        Kronecker form ``kron_rows`` of the factors' rows k (for the full
+        form, ``variances`` itself)."""
         return functools.reduce(kron_rows, self.factors)
 
     @property
@@ -170,8 +171,6 @@ class EmTrace:
 
     def is_monotone(self) -> bool:
         ll = self.log_likelihoods
-        if len(ll) < 2:
-            return True
         floor = ll[:-1] - _MONOTONE_REL_SLACK * np.abs(ll[:-1])
         return bool(np.all(ll[1:] >= floor))
 

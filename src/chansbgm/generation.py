@@ -246,8 +246,8 @@ class StoredBatch:
 
 
 def open_batch(directory: str | Path) -> StoredBatch:
-    """Open a batch directory and check its payloads against each other
-    and their sidecars, without reading any rows."""
+    """Open a batch directory and check its payloads against each other,
+    their sidecars and the counts in ``batch.json``, without reading any rows."""
     directory = Path(directory)
     meta = read_json(directory / "batch.json")
     sparse = ArrayReader(directory / "sparse")
@@ -257,6 +257,8 @@ def open_batch(directory: str | Path) -> StoredBatch:
         raise InvalidArgumentError(f"{directory}: sparse must be a 2-D (n, S) array")
     if len(labels) != len(sparse) or (channels is not None and len(channels) != len(sparse)):
         raise InvalidArgumentError(f"{directory}: sparse, labels and channels differ in length")
+    if [meta.get("n_samples"), meta.get("n_coefficients")] != list(sparse.shape):
+        raise InvalidArgumentError(f"{directory}: batch.json miscounts sparse's rows or columns")
     return StoredBatch(meta=meta, sparse=sparse, labels=labels, channels=channels)
 
 

@@ -55,7 +55,10 @@ class AngleProfile:
     def __post_init__(self):
         if not self.components:
             raise InvalidArgumentError("profile needs at least one component")
-        weights = np.array([c.weight for c in self.components])
+        values = np.array([(c.center, c.half_width, c.weight) for c in self.components])
+        if not np.isfinite(values).all():
+            raise InvalidArgumentError("component centers, widths and weights must be finite")
+        weights = values[:, 2]
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise InvalidArgumentError("component weights must be nonnegative and sum to 1")
         for c in self.components:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Iterable
 
 import numpy as np
@@ -35,7 +36,9 @@ def row_blocks(n: int, row_size: int) -> list[slice]:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, float):
+        return math.isfinite(value)  # JSON's NaN and Infinity parse as floats
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # JSON value types a field table may name
@@ -56,7 +59,8 @@ def check_document(doc, fields: dict[str, str], required=(), what: str = "docume
     ``fields`` maps every known key to the JSON type of its value (a key
     of ``_JSON_TYPES``); ``required`` lists the keys that must be present.
     An integer may be written as a float without a fractional part and
-    comes back as an ``int``; booleans are neither integers nor numbers.
+    comes back as an ``int``; booleans are neither integers nor numbers,
+    and ``NaN`` and ``Infinity`` are neither.
     Ranges are left to the constructors that take the values.
     """
     if not isinstance(doc, dict):

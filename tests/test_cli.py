@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,67 @@ class TestSynth:
         assert main(["synth", "--config", path, "--seed", "0", "--out", str(out)]) == (
             EXIT_BAD_CONFIG
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda c: c.update(snr_range_db=[float("nan"), 20.0]), "snr_range_db"),
+            (lambda c: c.update(snr_range_db=[0.0, float("inf")]), "snr_range_db"),
+            (lambda c: c.update(angle_profile=[
+                {"center_deg": 0.0, "half_width_deg": 5.0, "weight": float("nan")}]), "weight"),
+            (lambda c: c.update(laplacian_std_deg=float("inf")), "laplacian_std_deg"),
+        ],
+        ids=["snr-nan", "snr-infinity", "profile-weight-nan", "laplacian-std-infinity"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, edit, field):
+        config = small_simo_config()
+        edit(config)
+        path = write_config(tmp_path, config)  # json writes NaN and Infinity
+        out = tmp_path / "x"
+        assert main(["synth", "--config", path, "--seed", "0", "--out", str(out)]) == (
+            EXIT_BAD_CONFIG
+        )
+        assert f"{field!r} must be number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_profile_center_rejected_without_hanging(self, tmp_path):
+        # a NaN center never passes the truncation test of sample_angle's
+        # rejection loop, so the check must come first; a separate process
+        # with a timeout fails the test if the loop is ever reached again
+        import subprocess
+        import sys
+
+        config = small_simo_config()
+        config["angle_profile"] = [
+            {"center_deg": float("nan"), "half_width_deg": 5.0, "weight": 1.0}
+        ]
+        path = write_config(tmp_path, config)
+        out = tmp_path / "x"
+        done = subprocess.run(
+            [sys.executable, "-m", "chansbgm.cli", "synth", "--config", path,
+             "--seed", "0", "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert done.returncode == EXIT_BAD_CONFIG
+        assert "'center_deg' must be number" in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["simo", "ofdm"])
+    def test_system_of_another_variant_rejected_before_drawing(
+        self, tmp_path, capsys, scenario
+    ):
+        config, other = small_simo_config(), small_ofdm_config()
+        if scenario == "ofdm":
+            config, other = other, config
+        config["system"] = other["system"]
+        path = write_config(tmp_path, config)
+        out = tmp_path / "x"
+        assert main(["synth", "--config", path, "--seed", "0", "--out", str(out)]) == (
+            EXIT_BAD_CONFIG
+        )
+        assert f"a {scenario} scenario cannot take a" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_floats_accepted_as_integers(self, tmp_path):
@@ -593,6 +655,20 @@ class TestGenerateAndMetrics:
             (batch / "channels.bin").unlink()
         code = main(["metrics", str(batch), "--out", str(tmp_path / "r")])
         assert code == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("counts", [(7, 24), (30, 5), (7, 5)])
+    def test_batch_json_counts_not_matching_payloads_rejected(
+        self, fitted_model, tmp_path, counts
+    ):
+        batch = tmp_path / "batch"
+        assert main(["generate", str(fitted_model), "-n", "30", "--seed", "5",
+                     "--out", str(batch)]) == EXIT_OK
+        meta = json.loads((batch / "batch.json").read_text())
+        meta["n_samples"], meta["n_coefficients"] = counts  # sparse is (30, 24)
+        (batch / "batch.json").write_text(json.dumps(meta))
+        report = tmp_path / "r"
+        assert main(["metrics", str(batch), "--out", str(report)]) == EXIT_BAD_CONFIG
+        assert not report.exists()
 
     def test_failed_generate_leaves_no_partial_payload(
         self, fitted_model, tmp_path, monkeypatch

@@ -14,6 +14,7 @@ from chansbgm.dataset import (
     save_dataset,
     synthesize,
 )
+from chansbgm.errors import InvalidArgumentError
 from chansbgm.scenario import OfdmScenario
 
 SIMO = {
@@ -55,3 +56,18 @@ def test_every_paths_field_sets_an_ofdm_scenario_argument():
     arguments = {f.name for f in fields(OfdmScenario)}
     assert {argument for _, argument in _PATHS_FIELDS.values()} <= arguments
 
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"doppler_bound_hz": float("inf")},
+        {"paths": {"gain_decay_rate": float("nan")}},
+        {"paths": {"delay_range_s": [0.0, float("inf")]}},
+        {"system": dict(OFDM["system"], subcarrier_spacing=float("nan"))},
+    ],
+    ids=["field", "paths-number", "paths-number-pair", "system"],
+)
+def test_non_finite_numbers_rejected(edit):
+    with pytest.raises(InvalidArgumentError, match="must be number"):
+        check_synth_config(dict(OFDM, **edit))

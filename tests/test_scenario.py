@@ -64,6 +64,18 @@ class TestAngleProfile:
         with pytest.raises(InvalidArgumentError):
             AngleProfile((AngleComponent(0.0, 0.1, 0.5),))
 
+    @pytest.mark.parametrize(
+        "component",
+        [(math.nan, 0.1, 1.0), (0.0, math.inf, 1.0), (0.0, 0.1, math.nan),
+         (math.nan, 0.0, 1.0)],
+        ids=["nan-center", "infinite-width", "nan-weight", "nan-point-mass"],
+    )
+    def test_non_finite_component_rejected(self, component):
+        # a NaN center would pass the support test and then never leave
+        # sample_angle's rejection loop
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            AngleProfile((AngleComponent(*component),))
+
 
 class TestLaplacianCovariance:
     def test_hermitian_and_psd(self):
