@@ -313,13 +313,11 @@ def _selfcheck_registry():
     def posterior_dense_oracle():
         rng = np.random.default_rng(0)
         m, s = 6, 24
-        a = np.eye(m)
-        dmat = np.exp(1j * rng.uniform(0, 2 * math.pi, (m, s)))
+        w = np.exp(1j * rng.uniform(0, 2 * math.pi, (m, s)))
         gamma = rng.uniform(0, 2, s)
         sigma2 = 0.3
         y = complex_standard_normal(rng, m)
-        mom = posterior_moments(gamma, y, a, dmat, sigma2)
-        w = a @ dmat
+        mom = posterior_moments(gamma, y, w, sigma2)
         c_y = w @ np.diag(gamma) @ w.conj().T + sigma2 * np.eye(m)
         inv = np.linalg.inv(c_y)
         mean = np.diag(gamma) @ w.conj().T @ inv @ y
@@ -328,12 +326,10 @@ def _selfcheck_registry():
     def elbo_cancellation():
         rng = np.random.default_rng(1)
         m, s = 5, 16
-        dmat = np.exp(1j * rng.uniform(0, 2 * math.pi, (m, s)))
+        w = np.exp(1j * rng.uniform(0, 2 * math.pi, (m, s)))
         gamma = rng.uniform(1e-7, 1.5, s)
         y = complex_standard_normal(rng, m)
-        terms = csvae_elbo_terms(
-            gamma, y, np.eye(m), dmat, 0.5, rng.standard_normal(3), rng.uniform(0.5, 2, 3)
-        )
+        terms = csvae_elbo_terms(gamma, y, w, 0.5, rng.standard_normal(3), rng.uniform(0.5, 2, 3))
         assert abs(terms.reconstruction - terms.posterior_kl - terms.combined) < 1e-8 * abs(
             terms.combined
         )

@@ -28,6 +28,7 @@ from .dictionary import (
 )
 from .errors import InvalidArgumentError
 from .scenario import (
+    QUADRATURE_POINTS,
     AngleComponent,
     AngleProfile,
     ObservationSet,
@@ -160,7 +161,7 @@ def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dic
         grid = AngleGrid(config["grid_size"])
         profile = _angle_profile(config.get("angle_profile"))
         std = math.radians(config.get("laplacian_std_deg", 2.0))
-        quad = config.get("quadrature_points", 2048)
+        quad = config.get("quadrature_points", QUADRATURE_POINTS)
         channels = simo_channels(profile, std, system.n_antennas, n_train, rng, quad)
         pilots = np.arange(system.n_antennas)
     else:

@@ -64,6 +64,9 @@ from .utils import check_tagged_document, content_id
 
 GAMMA_FLOOR = 1e-7
 
+# coordinate sweeps per Kronecker M-step
+KRON_SWEEPS = 3
+
 _DEAD_RESPONSIBILITY = 1e-300
 
 # a log-likelihood may fall by this fraction of its size and still count as monotone
@@ -292,7 +295,7 @@ def _m_step(
     sums: np.ndarray,
     clip_floor: float,
     factors: tuple[np.ndarray, ...] = (),
-    coord_iters: int = 3,
+    coord_iters: int = KRON_SWEEPS,
 ) -> SbgmModel:
     """M-step from totals R (K,) and statistic sums T (K, S).
 
@@ -342,37 +345,21 @@ def csgmm_m_step(
     return _m_step(*_sample_sums(resp, stats), clip_floor)
 
 
-def kronecker_q_objective(
-    resp: np.ndarray,
-    stats: np.ndarray,
-    weights: np.ndarray,
-    doppler_factors: np.ndarray,
-    delay_factors: np.ndarray,
-) -> float:
-    """Expected complete-data log-likelihood under Kronecker variances.
+def q_objective(resp: np.ndarray, stats: np.ndarray, model: SbgmModel) -> float:
+    """Expected complete-data log-likelihood of ``model`` given
+    responsibilities r (n, K) and posterior statistics (K, n, S):
+    sum_k R_k (log w_k - sum_s log(pi gamma_ks)) - sum_k,s T_ks / gamma_ks,
+    with R_k = sum_i r_ik and T_k = sum_i r_ik stats_ki.
 
-    Used to verify that the coordinate updates never decrease the
-    objective they maximize.
+    Either variance form is scored through its expanded variances; the
+    tests use it to check that an M-step never lowers what it maximizes.
     """
-    n, k = resp.shape
-    s_t = doppler_factors.shape[1]
-    s_f = delay_factors.shape[1]
-    s = s_t * s_f
-    total = 0.0
-    log_w = _log_weights(np.asarray(weights, dtype=float))
-    for j in range(k):
-        r_j = resp[:, j].sum()
-        t_j = (resp[:, j] @ stats[j]).reshape(s_t, s_f)
-        gt = doppler_factors[j]
-        gf = delay_factors[j]
-        total += (
-            -r_j * s * math.log(math.pi)
-            - r_j * s_f * float(np.sum(np.log(gt)))
-            - r_j * s_t * float(np.sum(np.log(gf)))
-            - float(np.sum(t_j / np.outer(gt, gf)))
-            + r_j * log_w[j]
-        )
-    return total
+    resp = np.asarray(resp, dtype=float)
+    totals = resp.sum(axis=0)
+    sums = np.einsum("ik,kis->ks", resp, np.asarray(stats, dtype=float))
+    gamma = model.expanded_variances()
+    per_component = _log_weights(model.weights) - np.log(math.pi * gamma).sum(axis=1)
+    return float(totals @ per_component - np.sum(sums / gamma))
 
 
 def kronecker_m_step(
@@ -380,7 +367,7 @@ def kronecker_m_step(
     stats: np.ndarray,
     doppler_size: int,
     delay_size: int,
-    coord_iters: int = 3,
+    coord_iters: int = KRON_SWEEPS,
     clip_floor: float = GAMMA_FLOOR,
     init_doppler: np.ndarray | None = None,
     init_delay: np.ndarray | None = None,
@@ -390,7 +377,7 @@ def kronecker_m_step(
     Each sweep updates the Doppler factor given the delay factor and then
     vice versa; both half-steps are constrained global maximizers over
     [clip_floor, inf), so the objective of
-    :func:`kronecker_q_objective` never decreases. Pass the previous
+    :func:`q_objective` never decreases. Pass the previous
     factors as init to warm-start inside an EM loop (required for EM-level
     monotonicity); the default all-ones init recovers exactly Kronecker
     statistics in a single sweep.
@@ -418,7 +405,8 @@ def _em_steps(
 ) -> Iterator[tuple[float, SbgmModel]]:
     """EM from ``model``: yields the total log-likelihood of ``model`` and
     ``model`` itself, then the same for each EM update of it. Variances are
-    clipped at :data:`GAMMA_FLOOR`; a Kronecker update runs three sweeps.
+    clipped at :data:`GAMMA_FLOOR`; a Kronecker update runs
+    :data:`KRON_SWEEPS` sweeps.
 
     Each item costs one E-step; the M-step that makes the next model runs
     only when the next item is asked for, so a driver that stops discards

@@ -14,7 +14,8 @@ All inverses are applied through the Cholesky factor of C_y by linear
 solves with that factor; C_y is never inverted explicitly, nor formed:
 the factor comes from a QR decomposition of its square-root form. These
 per-sample routes are the reference the EM code is tested against, so
-they take the measurement A as a matrix.
+they take W as the fit holds it: the dictionary rows at the observed
+pilots, ``Dictionary.rows(pilots)``.
 """
 
 from __future__ import annotations
@@ -52,23 +53,10 @@ class ElboBreakdown:
     combined: float
 
 
-def _effective_matrix(measurement: np.ndarray, dict_matrix: np.ndarray) -> np.ndarray:
-    """W = A D: the measurement matrix applied to the dictionary matrix."""
-    try:
-        return np.asarray(measurement) @ np.asarray(dict_matrix)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"measurement and dictionary do not chain: {exc}") from exc
+def marginal_cov_factor(gamma: np.ndarray, w: np.ndarray, sigma2: float) -> np.ndarray:
+    """Cholesky factor L with L L^H = W diag(gamma) W^H + sigma2 I.
 
-
-def marginal_cov_factor(
-    gamma: np.ndarray,
-    measurement: np.ndarray,
-    dict_matrix: np.ndarray,
-    sigma2: float,
-) -> np.ndarray:
-    """Cholesky factor L with L L^H = A D diag(gamma) D^H A^H + sigma2 I.
-
-    L is R^H for the QR factor R of [diag(sqrt(gamma)) (A D)^H; sqrt(sigma2) I],
+    L is R^H for the QR factor R of [diag(sqrt(gamma)) W^H; sqrt(sigma2) I],
     its rows scaled to a positive diagonal. The covariance is never formed,
     so L stays accurate when gamma spans many decades.
     """
@@ -77,9 +65,9 @@ def marginal_cov_factor(
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0):
         raise InvalidArgumentError("gamma must be nonnegative")
-    w = _effective_matrix(measurement, dict_matrix)
-    if w.shape[1] != gamma.shape[0]:
-        raise InvalidArgumentError("gamma length must match the dictionary column count")
+    w = np.asarray(w)
+    if w.ndim != 2 or w.shape[1] != gamma.shape[0]:
+        raise InvalidArgumentError("W must be a matrix with one column per gamma entry")
     root = np.vstack([np.sqrt(gamma)[:, None] * w.conj().T, math.sqrt(sigma2) * np.eye(len(w))])
     r = np.linalg.qr(root, mode="r")
     diag = np.diag(r)
@@ -89,8 +77,7 @@ def marginal_cov_factor(
 def posterior_moments(
     gamma: np.ndarray,
     y: np.ndarray,
-    measurement: np.ndarray,
-    dict_matrix: np.ndarray,
+    w: np.ndarray,
     sigma2: float,
     want_full_cov: bool = False,
 ) -> PosteriorMoments:
@@ -102,11 +89,11 @@ def posterior_moments(
     """
     gamma = np.asarray(gamma, dtype=float)
     y = np.asarray(y, dtype=complex)
-    w = _effective_matrix(measurement, dict_matrix)
+    factor = marginal_cov_factor(gamma, w, sigma2)
+    w = np.asarray(w)
     m = w.shape[0]
     if y.shape != (m,):
         raise InvalidArgumentError(f"y must have shape ({m},)")
-    factor = marginal_cov_factor(gamma, measurement, dict_matrix, sigma2)
 
     u = np.linalg.solve(factor, y)
     ciy = np.linalg.solve(factor.conj().T, u)
@@ -131,8 +118,7 @@ def posterior_moments(
 def csvae_elbo_terms(
     gamma: np.ndarray,
     y: np.ndarray,
-    measurement: np.ndarray,
-    dict_matrix: np.ndarray,
+    w: np.ndarray,
     sigma2: float,
     enc_mean: np.ndarray,
     enc_var: np.ndarray,
@@ -152,9 +138,9 @@ def csvae_elbo_terms(
     if np.any(gamma <= 0):
         raise InvalidArgumentError("gamma must be strictly positive (floor-clipped)")
 
-    w = _effective_matrix(measurement, dict_matrix)
+    moments = posterior_moments(gamma, y, w, sigma2, want_full_cov=True)
+    w = np.asarray(w)
     m, s = w.shape
-    moments = posterior_moments(gamma, y, measurement, dict_matrix, sigma2, want_full_cov=True)
     mean, cov = moments.mean, moments.full_cov
 
     residual = y - w @ mean
@@ -177,7 +163,7 @@ def csvae_elbo_terms(
         + prior_quad
     )
 
-    factor = marginal_cov_factor(gamma, measurement, dict_matrix, sigma2)
+    factor = marginal_cov_factor(gamma, w, sigma2)
     log_det_cy = 2.0 * float(np.sum(np.log(np.diag(factor).real)))
     combined = -(
         m * math.log(math.pi * sigma2) + np.sum(np.abs(residual) ** 2) / sigma2

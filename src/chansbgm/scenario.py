@@ -34,6 +34,9 @@ from .dictionary import SystemConfig, check_pilots, delay_matrix, doppler_matrix
 from .errors import InvalidArgumentError, NumericError
 from .utils import complex_standard_normal
 
+# default node count of the SIMO covariance quadrature
+QUADRATURE_POINTS = 2048
+
 
 @dataclass(frozen=True)
 class AngleComponent:
@@ -131,7 +134,8 @@ def _gauss_legendre_nodes(lo, hi, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _laplacian_nodes(centers, std_dev: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and density-weighted weights, each of shape
-    (len(centers), count), for Laplacian angle densities around ``centers``.
+    (len(centers), count), for Laplacian angle densities around ``centers``;
+    ``count`` must be at least 64.
 
     Each window [center - 10 std, center + 10 std], clipped to [-pi, pi],
     is split at the density's kink and each half uses Gauss-Legendre
@@ -139,6 +143,8 @@ def _laplacian_nodes(centers, std_dev: float, count: int) -> tuple[np.ndarray, n
     composite trapezoid rule stalls around 1e-5 because of the kink). The
     truncated tail mass is exp(-10 sqrt(2)), below 1e-6.
     """
+    if count < 64:
+        raise InvalidArgumentError("quadrature_points must be >= 64")
     centers = np.asarray(centers, dtype=float)[:, None]
     lo = np.maximum(centers - 10.0 * std_dev, -math.pi)
     hi = np.minimum(centers + 10.0 * std_dev, math.pi)
@@ -175,7 +181,8 @@ _NODE_BLOCK = 1 << 17
 
 
 def _node_blocks(n: int, count: int) -> list[slice]:
-    step = max(1, _NODE_BLOCK // count)
+    # _laplacian_nodes rejects a count below 64; until then none may divide
+    step = max(1, _NODE_BLOCK // max(count, 1))
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
@@ -183,7 +190,7 @@ def laplacian_local_covariance(
     center,
     std_dev: float,
     n_antennas: int,
-    quadrature_points: int = 2048,
+    quadrature_points: int = QUADRATURE_POINTS,
 ) -> np.ndarray:
     """Channel covariance for a Laplacian angle density around ``center``.
 
@@ -202,8 +209,6 @@ def laplacian_local_covariance(
     """
     if std_dev <= 0:
         raise InvalidArgumentError("std_dev must be positive")
-    if quadrature_points < 64:
-        raise InvalidArgumentError("quadrature_points must be >= 64")
     centers = np.asarray(center, dtype=float)
     if centers.ndim > 1:
         raise InvalidArgumentError("center must be a scalar or a 1-D array")
@@ -256,7 +261,7 @@ def simo_channels(
     n_antennas: int,
     n_samples: int,
     rng: np.random.Generator,
-    quadrature_points: int = 2048,
+    quadrature_points: int = QUADRATURE_POINTS,
 ) -> np.ndarray:
     """Draw ``n_samples`` path angles from ``profile``, then one channel per
     angle from the Laplacian local covariance around it; shape

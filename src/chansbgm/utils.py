@@ -43,7 +43,8 @@ def _is_number(value) -> bool:
 
 # JSON value types a field table may name
 _JSON_TYPES = {
-    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+    # an int64, written as a JSON integer or as an integral float
+    "integer": lambda v: _is_number(v) and int(v) == v and -(2**63) <= v < 2**63,
     "number": _is_number,
     "boolean": lambda v: isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
@@ -58,9 +59,9 @@ def check_document(doc, fields: dict[str, str], required=(), what: str = "docume
 
     ``fields`` maps every known key to the JSON type of its value (a key
     of ``_JSON_TYPES``); ``required`` lists the keys that must be present.
-    An integer may be written as a float without a fractional part and
-    comes back as an ``int``; booleans are neither integers nor numbers,
-    and ``NaN`` and ``Infinity`` are neither.
+    An integer must fit in 64 bits; it may be written as a float without a
+    fractional part and comes back as an ``int``. Booleans are neither
+    integers nor numbers, and ``NaN`` and ``Infinity`` are neither.
     Ranges are left to the constructors that take the values.
     """
     if not isinstance(doc, dict):

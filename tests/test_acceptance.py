@@ -21,7 +21,7 @@ from chansbgm.dictionary import (
     build_ofdm_dictionary,
     build_simo_dictionary,
 )
-from chansbgm.em import SbgmModel, csgmm_fit, kronecker_m_step, kronecker_q_objective
+from chansbgm.em import SbgmModel, csgmm_fit, kronecker_m_step, q_objective
 from chansbgm.generation import conditional_covariance, load_batch, sample_parameters
 from chansbgm.metrics import (
     batch_angular_spreads,
@@ -186,7 +186,7 @@ def test_criterion_1_posterior_oracle_equivalence():
         sigma2 = float(rng.uniform(1e-3, 1.0))
         y = complex_standard_normal(rng, m)
 
-        moments = posterior_moments(gamma, y, a, d, sigma2, want_full_cov=True)
+        moments = posterior_moments(gamma, y, a @ d, sigma2, want_full_cov=True)
         w = a @ d
         c_y = w @ np.diag(gamma) @ w.conj().T + sigma2 * np.eye(m)
         inv = np.linalg.inv(c_y)
@@ -236,7 +236,7 @@ def test_criterion_3_elbo_identity():
         y = complex_standard_normal(rng, m)
         enc_mean = rng.standard_normal(6)
         enc_var = rng.uniform(0.2, 3.0, 6)
-        terms = csvae_elbo_terms(gamma, y, a, d, sigma2, enc_mean, enc_var)
+        terms = csvae_elbo_terms(gamma, y, a @ d, sigma2, enc_mean, enc_var)
         rel = abs((terms.reconstruction - terms.posterior_kl) - terms.combined) / abs(
             terms.combined
         )
@@ -316,9 +316,7 @@ def test_criterion_6_kronecker_m_step():
             )
             init_t = model.doppler_variances
             init_f = model.delay_variances
-            values.append(
-                kronecker_q_objective(resp, stats, model.weights, init_t, init_f)
-            )
+            values.append(q_objective(resp, stats, model))
         diffs = np.diff(values)
         if not np.all(diffs >= -1e-8 * np.abs(np.array(values[:-1]))):
             monotone_ok = False

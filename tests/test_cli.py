@@ -117,12 +117,17 @@ class TestSynth:
             (small_ofdm_config, lambda c: c.update(grid_size=1)),
             (small_simo_config, lambda c: c.update(system=small_ofdm_config()["system"])),
             (small_simo_config, lambda c: c.update(grid_size=131072)),
+            (small_simo_config, lambda c: c.update(quadrature_points=0)),
+            (small_simo_config, lambda c: c.update(n_train=10**30)),
+            (small_simo_config, lambda c: c.update(n_train=1e30)),
+            (small_simo_config, lambda c: c.update(n_train=2**63)),
         ],
         ids=["n_train-string", "ofdm-n_train-0", "snr-three-items", "unknown-key",
              "profile-entry-without-weight", "negative-gain-decay", "paths-unknown-key",
              "normalize-string",
              "scenario-mimo", "simo-field-in-ofdm", "system-of-other-variant",
-             "simo-grid-above-the-column-cap"],
+             "simo-grid-above-the-column-cap", "quadrature-points-0",
+             "n_train-1e30-integer", "n_train-1e30-float", "n_train-int64-max-plus-one"],
     )
     def test_malformed_config_rejected(self, tmp_path, make, edit):
         config = make()

@@ -71,3 +71,17 @@ def test_every_paths_field_sets_an_ofdm_scenario_argument():
 def test_non_finite_numbers_rejected(edit):
     with pytest.raises(InvalidArgumentError, match="must be number"):
         check_synth_config(dict(OFDM, **edit))
+
+
+@pytest.mark.parametrize(
+    "value, accepted",
+    [(2**63 - 1, True), (-(2**63), True), (-float(2**63), True),
+     (2**63, False), (float(2**63), False), (-(2**63) - 1, False)],
+)
+def test_integer_fields_hold_64_bits(value, accepted):
+    config = dict(OFDM, n_pilots=value)  # ranges are left to the constructors
+    if accepted:
+        assert check_synth_config(config)["n_pilots"] == value
+    else:
+        with pytest.raises(InvalidArgumentError, match="'n_pilots' must be integer"):
+            check_synth_config(config)

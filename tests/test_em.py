@@ -24,8 +24,8 @@ from chansbgm.em import (
     csgmm_fit,
     csgmm_m_step,
     kronecker_m_step,
-    kronecker_q_objective,
     load_model,
+    q_objective,
     save_model,
     total_log_likelihood,
 )
@@ -124,8 +124,7 @@ class TestEStep:
                     + posterior_moments(
                         model.variances[k],
                         obs.samples[i],
-                        np.eye(len(d.matrix))[obs.pilots],
-                        d.matrix,
+                        d.rows(obs.pilots),
                         obs.noise_vars[i],
                     ).log_marginal
                     for k in range(2)
@@ -150,8 +149,7 @@ class TestEStep:
                     moments = posterior_moments(
                         model.expanded_variances()[k],
                         obs.samples[i],
-                        np.eye(len(d.matrix))[obs.pilots],
-                        d.matrix,
+                        d.rows(obs.pilots),
                         obs.noise_vars[i],
                     )
                     expected = np.abs(moments.mean) ** 2 + moments.cov_diag
@@ -214,6 +212,41 @@ class TestMStep:
         assert not np.array_equal(model.variances[1], model.variances[2])
         np.testing.assert_allclose(model.weights, [0.8, 0.1, 0.1])
 
+    def test_q_objective_of_full_model_matches_naive_evaluation(self):
+        rng = np.random.default_rng(5)
+        resp = rng.dirichlet(np.ones(3), size=9)
+        stats = rng.uniform(0.05, 2.0, (3, 9, 5))
+        model = csgmm_m_step(resp, stats)
+        naive = 0.0
+        for i in range(9):
+            for k in range(3):
+                gamma = model.variances[k]
+                naive += resp[i, k] * (
+                    -5 * math.log(math.pi)
+                    - np.sum(np.log(gamma))
+                    - np.sum(stats[k, i] / gamma)
+                    + math.log(model.weights[k])
+                )
+        assert q_objective(resp, stats, model) == pytest.approx(naive, rel=1e-12)
+
+    def test_full_m_step_maximizes_q_objective(self):
+        # statistics well above the floor: the unclipped update is the maximizer
+        rng = np.random.default_rng(6)
+        resp = rng.dirichlet(np.ones(3), size=30)
+        stats = rng.uniform(0.5, 2.0, (3, 30, 6))
+        best = csgmm_m_step(resp, stats)
+        value = q_objective(resp, stats, best)
+        for k, scale in itertools.product(range(3), (0.9, 1.1)):
+            variances = best.variances.copy()
+            variances[k] *= scale
+            weights = best.weights.copy()
+            weights[k] *= scale
+            for perturbed in (
+                SbgmModel(best.weights, variances=variances),
+                SbgmModel(weights / weights.sum(), variances=best.variances),
+            ):
+                assert q_objective(resp, stats, perturbed) < value
+
 
 class TestKroneckerMStep:
     def make_stats(self, rng, n, k, s_t, s_f):
@@ -258,9 +291,7 @@ class TestKroneckerMStep:
                 )
                 init_t = model.doppler_variances
                 init_f = model.delay_variances
-                values.append(
-                    kronecker_q_objective(resp, stats, model.weights, init_t, init_f)
-                )
+                values.append(q_objective(resp, stats, model))
             diffs = np.diff(values)
             assert np.all(diffs >= -1e-8 * np.abs(np.array(values[:-1])))
 
@@ -268,9 +299,7 @@ class TestKroneckerMStep:
         rng = np.random.default_rng(3)
         resp, stats = self.make_stats(rng, 7, 2, 3, 4)
         model = kronecker_m_step(resp, stats, 3, 4, coord_iters=2)
-        value = kronecker_q_objective(
-            resp, stats, model.weights, model.doppler_variances, model.delay_variances
-        )
+        value = q_objective(resp, stats, model)
         naive = 0.0
         s = 12
         for i in range(7):

@@ -40,13 +40,11 @@ def dense_oracle(gamma, y, a, d, sigma2):
 
 class TestMarginalCovFactor:
     def test_zero_gamma_gives_scaled_identity(self):
-        factor = marginal_cov_factor(np.zeros(6), np.eye(3), np.ones((3, 6)), 4.0)
+        factor = marginal_cov_factor(np.zeros(6), np.ones((3, 6)), 4.0)
         np.testing.assert_allclose(factor, 2.0 * np.eye(3), atol=1e-14)
 
     def test_diagonal_case(self):
-        factor = marginal_cov_factor(
-            np.array([1.0, 2.0]), np.eye(2), np.eye(2), 1.0
-        )
+        factor = marginal_cov_factor(np.array([1.0, 2.0]), np.eye(2), 1.0)
         np.testing.assert_allclose(factor @ factor.conj().T, np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_factor_reassembles_covariance(self):
@@ -54,30 +52,38 @@ class TestMarginalCovFactor:
         gamma, y, a, d, sigma2 = random_instance(rng, 8, 32)
         w = a @ d
         c_y = (w * gamma[None, :]) @ w.conj().T + sigma2 * np.eye(8)
-        factor = marginal_cov_factor(gamma, a, d, sigma2)
+        factor = marginal_cov_factor(gamma, a @ d, sigma2)
         np.testing.assert_allclose(factor @ factor.conj().T, c_y, atol=1e-10)
 
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(InvalidArgumentError):
-            marginal_cov_factor(np.ones(4), np.eye(2), np.ones((2, 4)), 0.0)
+            marginal_cov_factor(np.ones(4), np.ones((2, 4)), 0.0)
+
+    @pytest.mark.parametrize("w", [np.ones(4), np.ones((2, 2, 4)), np.ones((2, 3))],
+                             ids=["1-d", "3-d", "wrong-column-count"])
+    def test_rejects_w_that_is_not_a_matching_matrix(self, w):
+        with pytest.raises(InvalidArgumentError):
+            marginal_cov_factor(np.ones(4), w, 1.0)
+        with pytest.raises(InvalidArgumentError):
+            posterior_moments(np.ones(4), np.zeros(2, dtype=complex), w, 1.0)
 
 
 class TestPosteriorMoments:
     def test_zero_prior_collapses(self):
         rng = np.random.default_rng(1)
         _, y, a, d, sigma2 = random_instance(rng, 4, 16)
-        moments = posterior_moments(np.zeros(16), y, a, d, sigma2)
+        moments = posterior_moments(np.zeros(16), y, a @ d, sigma2)
         np.testing.assert_array_equal(moments.mean, 0.0)
         np.testing.assert_array_equal(moments.cov_diag, 0.0)
 
     def test_scalar_wiener_reduction(self):
-        # A = I, D = I: every coordinate is an independent scalar problem
+        # W = I: every coordinate is an independent scalar problem
         rng = np.random.default_rng(2)
         s = 5
         gamma = rng.uniform(0.1, 3.0, s)
         y = rng.standard_normal(s) + 1j * rng.standard_normal(s)
         sigma2 = 0.7
-        moments = posterior_moments(gamma, y, np.eye(s), np.eye(s), sigma2)
+        moments = posterior_moments(gamma, y, np.eye(s), sigma2)
         np.testing.assert_allclose(moments.mean, gamma * y / (gamma + sigma2), atol=1e-14)
         np.testing.assert_allclose(
             moments.cov_diag, gamma * sigma2 / (gamma + sigma2), atol=1e-14
@@ -87,7 +93,7 @@ class TestPosteriorMoments:
         rng = np.random.default_rng(3)
         for _ in range(20):
             gamma, y, a, d, sigma2 = random_instance(rng, 8, 32)
-            moments = posterior_moments(gamma, y, a, d, sigma2, want_full_cov=True)
+            moments = posterior_moments(gamma, y, a @ d, sigma2, want_full_cov=True)
             mean, cov, log_marginal = dense_oracle(gamma, y, a, d, sigma2)
             np.testing.assert_allclose(moments.mean, mean, atol=1e-10)
             np.testing.assert_allclose(moments.cov_diag, np.diag(cov).real, atol=1e-10)
@@ -97,14 +103,12 @@ class TestPosteriorMoments:
     def test_cov_diag_bounded_by_prior(self):
         rng = np.random.default_rng(4)
         gamma, y, a, d, sigma2 = random_instance(rng, 8, 24)
-        moments = posterior_moments(gamma, y, a, d, sigma2)
+        moments = posterior_moments(gamma, y, a @ d, sigma2)
         assert np.all(moments.cov_diag >= 0)
         assert np.all(moments.cov_diag <= gamma)
 
     def test_standard_complex_gaussian_log_marginal(self):
-        moments = posterior_moments(
-            np.zeros(1), np.zeros(1, dtype=complex), np.eye(1), np.eye(1), 1.0
-        )
+        moments = posterior_moments(np.zeros(1), np.zeros(1, dtype=complex), np.eye(1), 1.0)
         assert moments.log_marginal == pytest.approx(math.log(1 / math.pi))
 
     def test_log_marginal_with_diverged_variances(self):
@@ -136,12 +140,12 @@ class TestPosteriorMoments:
                 + np.sum(np.log(gamma[big]))
             )
             expected = -16 * math.log(math.pi) - logdet - quad
-            got = posterior_moments(gamma, y, np.eye(16), w, sigma2).log_marginal
+            got = posterior_moments(gamma, y, w, sigma2).log_marginal
             np.testing.assert_allclose(got, expected, rtol=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            posterior_moments(np.ones(4), np.zeros(3, dtype=complex), np.eye(2), np.ones((2, 4)), 1.0)
+            posterior_moments(np.ones(4), np.zeros(3, dtype=complex), np.ones((2, 4)), 1.0)
 
 
 class TestElboTerms:
@@ -155,17 +159,16 @@ class TestElboTerms:
     def test_prior_matched_encoder_has_zero_kl(self):
         rng = np.random.default_rng(5)
         gamma, y, a, d, sigma2, _, _ = self.elbo_instance(rng)
-        terms = csvae_elbo_terms(gamma, y, a, d, sigma2, np.zeros(4), np.ones(4))
+        terms = csvae_elbo_terms(gamma, y, a @ d, sigma2, np.zeros(4), np.ones(4))
         assert terms.encoder_kl == pytest.approx(0.0, abs=1e-14)
 
     def test_floor_variances_zero_observation(self):
         m, s = 4, 12
         gamma = np.full(s, 1e-7)
-        a = np.eye(m, m)
-        d = np.exp(1j * np.random.default_rng(6).uniform(0, 2 * math.pi, (m, s)))
+        w = np.exp(1j * np.random.default_rng(6).uniform(0, 2 * math.pi, (m, s)))
         sigma2 = 1.0
         terms = csvae_elbo_terms(
-            gamma, np.zeros(m, dtype=complex), a, d, sigma2, np.zeros(2), np.ones(2)
+            gamma, np.zeros(m, dtype=complex), w, sigma2, np.zeros(2), np.ones(2)
         )
         assert terms.reconstruction == pytest.approx(-m * math.log(math.pi * sigma2), rel=1e-4)
 
@@ -173,13 +176,13 @@ class TestElboTerms:
         rng = np.random.default_rng(7)
         for _ in range(25):
             gamma, y, a, d, sigma2, enc_mean, enc_var = self.elbo_instance(rng)
-            terms = csvae_elbo_terms(gamma, y, a, d, sigma2, enc_mean, enc_var)
+            terms = csvae_elbo_terms(gamma, y, a @ d, sigma2, enc_mean, enc_var)
             lhs = terms.reconstruction - terms.posterior_kl
             assert abs(lhs - terms.combined) < 1e-8 * abs(terms.combined)
 
     def test_encoder_kl_closed_form(self):
         rng = np.random.default_rng(8)
         gamma, y, a, d, sigma2, enc_mean, enc_var = self.elbo_instance(rng)
-        terms = csvae_elbo_terms(gamma, y, a, d, sigma2, enc_mean, enc_var)
+        terms = csvae_elbo_terms(gamma, y, a @ d, sigma2, enc_mean, enc_var)
         expected = 0.5 * np.sum(enc_mean**2 + enc_var - 1.0 - np.log(enc_var))
         assert terms.encoder_kl == pytest.approx(expected, rel=1e-12)

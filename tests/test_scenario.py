@@ -268,6 +268,14 @@ class TestSimoDatasets:
             channel = ula_matrix(theta, n) @ gains
             assert np.abs(channels[i] - channel).max() < 1e-13 * np.abs(channel).max()
 
+    @pytest.mark.parametrize("count", [0, -4, 63])
+    def test_too_few_quadrature_points_rejected(self, count):
+        profile, rng = AngleProfile.street_canyons(), np.random.default_rng(12)
+        with pytest.raises(InvalidArgumentError, match="quadrature_points must be >= 64"):
+            simo_channels(profile, STD, 8, 5, rng, count)
+        with pytest.raises(InvalidArgumentError, match="quadrature_points must be >= 64"):
+            simo_ground_truth(profile, STD, AngleGrid(16), 8, 5, rng, quadrature_points=count)
+
 
 class TestOfdmChannelDraws:
     def setup_method(self):
