@@ -5,8 +5,8 @@ with the same inputs on one host, BLAS build and thread count reproduces
 every output file byte for byte; across them, results agree to round-off.
 Each subcommand's parser binds its ``cmd_*`` function, which takes the
 parsed arguments and does its numeric imports itself, after thread
-configuration, so that --threads can cap the linear-algebra thread pools
-before they start.
+configuration, so that --threads (default 1) can cap the linear-algebra
+thread pools before they start.
 
 Exit codes: 0 success, 1 unexpected failure, 2 invalid configuration or
 input (``InvalidArgumentError`` or ``OSError``), 3 diagnostic failure
@@ -33,13 +33,20 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _EM_OPTION_FIELDS = {"max_iters": "integer", "rel_tol": "number"}
 
 
-def _configure_threads(threads: int | None) -> None:
-    if threads is not None and threads < 1:
+def _configure_threads(threads: int) -> None:
+    if threads < 1:
         raise InvalidArgumentError("--threads must be >= 1")
-    if threads is None or "numpy" in sys.modules:
-        return  # no cap, or pools already started; the cap only works at first import
+    if "numpy" in sys.modules:
+        return  # pools already started; the cap only works at first import
     for var in _THREAD_VARS:
         os.environ[var] = str(int(threads))
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as numpy's generators take."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -124,10 +131,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from contextlib import closing
+
     from .container import output_directory, read_json
     from .dictionary import SystemConfig, build_dictionary, grid_from_json
     from .em import load_model
     from .generation import limit_batch_paths, render_channels, sample_blocks, save_batch
+    from .utils import prefetch
 
     model, meta = load_model(args.model)
     grid_doc = meta.get("grid")
@@ -136,15 +146,23 @@ def cmd_generate(args: argparse.Namespace) -> int:
     grid, system = grid_from_json(grid_doc), SystemConfig.from_json(system_doc)
     model.check_grid(grid)
     dictionary = build_dictionary(grid, system)  # checks that grid and system pair
-    with output_directory(args.out, "batch.json", reads=[args.model, args.swap_config]) as out_dir:
-        # one row block at a time: drawn, capped, rendered, appended
-        blocks = sample_blocks(model, args.n, args.seed)
+
+    def cap_and_render(block):
         if args.p_max is not None:
-            blocks = (limit_batch_paths(block, args.p_max) for block in blocks)
+            block = limit_batch_paths(block, args.p_max)
         if args.render:
-            blocks = (render_channels(block, dictionary) for block in blocks)
+            block = render_channels(block, dictionary)
+        return block
+
+    # one row block at a time: drawn, capped, rendered, appended. The next
+    # block is drawn on a worker thread meanwhile; closing stops it before
+    # a failed run's staging directory is removed.
+    with (
+        output_directory(args.out, "batch.json", reads=[args.model, args.swap_config]) as out_dir,
+        closing(prefetch(sample_blocks(model, args.n, args.seed))) as drawn,
+    ):
         save_batch(
-            blocks,
+            map(cap_and_render, drawn),
             out_dir,
             extra_meta={"grid": grid_doc, "system": system_doc, "model_id": model.content_id},
         )
@@ -175,9 +193,11 @@ def _angular_pass(sparse, grid):
     profile = PowerProfile(sparse.shape[1])
     spreads = []
     for block in sparse.blocks():
-        profile.add(block)
+        power = np.abs(block) ** 2
+        del block  # only its powers are used
+        profile.add(power)
         if grid is not None:
-            spreads.append(batch_angular_spreads(block, grid)[0])
+            spreads.append(batch_angular_spreads(power, grid)[0])
     return profile.profile(), profile.n_skipped, np.concatenate(spreads) if spreads else None
 
 
@@ -409,12 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chansbgm",
         description="Learn and generate wireless channel parameter distributions.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap linear-algebra threads")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="linear-algebra threads (default 1)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="synthesize a training dataset")
     p_synth.add_argument("--config", required=True, help="scenario config JSON")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_seed, default=0)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(run=cmd_synth)
 
@@ -426,14 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--variance-form", choices=["full", "kronecker"], default="full"
     )
     p_fit.add_argument("--config", default=None, help="EM options JSON")
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=_seed, default=0)
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(run=cmd_fit)
 
     p_gen = sub.add_parser("generate", help="sample parameters (and channels)")
     p_gen.add_argument("model", help="model directory from fit")
     p_gen.add_argument("-n", "--n", type=int, required=True, help="sample count")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--p-max", type=int, default=None, help="path-count cap")
     p_gen.add_argument("--render", action="store_true", help="also compute channels")
     p_gen.add_argument(

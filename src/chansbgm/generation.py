@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -196,17 +195,21 @@ def save_batch(
 
     ``batch`` is a whole batch or the consecutive row blocks of one, such
     as :func:`sample_blocks` yields (then rendered or capped block by
-    block); blocks are appended to the payloads as they arrive. A failed
-    block leaves partial payloads; stage with :func:`container.output_directory`.
+    block); blocks are appended to the payloads as they arrive, and none
+    is kept once appended. A failed block leaves partial payloads; stage
+    with :func:`container.output_directory`.
     """
     blocks = iter([batch] if isinstance(batch, GeneratedBatch) else batch)
-    first = next(blocks, None)
-    if first is None:
+    block = next(blocks, None)
+    if block is None:
         raise InvalidArgumentError("a batch is written from at least one block")
+    # batch.json takes these from the first block, which is not kept
+    n_coefficients, provenance = block.n_coefficients, block.provenance or {}
+    has_channels = block.channels is not None
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     roles = {"sparse": "generated-coefficients", "labels": "component-labels"}
-    if first.channels is not None:
+    if has_channels:
         roles["channels"] = "generated-channels"
     n_samples = 0
     with ExitStack() as stack:
@@ -214,20 +217,22 @@ def save_batch(
             stem: stack.enter_context(ArrayWriter(directory / stem, role))
             for stem, role in roles.items()
         }
-        for block in chain([first], blocks):
-            if (block.channels is not None) != ("channels" in writers):
+        while block is not None:
+            if (block.channels is not None) != has_channels:
                 raise InvalidArgumentError("either every block of a batch has channels or none")
             writers["sparse"].append(block.sparse)
             writers["labels"].append(block.labels.astype(float))
-            if block.channels is not None:
+            if has_channels:
                 writers["channels"].append(block.channels)
             n_samples += len(block)
+            del block  # freed before the next block is made
+            block = next(blocks, None)
     meta = {
         "kind": "generated-batch",
         "n_samples": n_samples,
-        "n_coefficients": first.n_coefficients,
-        "has_channels": first.channels is not None,
-        "provenance": first.provenance or {},
+        "n_coefficients": n_coefficients,
+        "has_channels": has_channels,
+        "provenance": provenance,
     }
     if extra_meta:
         meta.update(extra_meta)

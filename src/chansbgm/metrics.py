@@ -15,6 +15,13 @@ SPREAD_HIST_EDGES = np.linspace(0.0, math.pi / 2, 65)
 SPREAD_HIST_EDGES.flags.writeable = False
 
 
+def _check_power(power: np.ndarray) -> np.ndarray:
+    power = np.asarray(power)
+    if np.iscomplexobj(power):
+        raise InvalidArgumentError("pass the powers |s|**2, not the coefficients s")
+    return power
+
+
 class PowerProfile:
     """Running sum of each sample's normalized power |s_q|^2 / ||s||^2.
 
@@ -29,8 +36,9 @@ class PowerProfile:
         self.n_kept = 0
         self.n_skipped = 0
 
-    def add(self, vectors: np.ndarray) -> None:
-        power = np.abs(vectors) ** 2
+    def add(self, power: np.ndarray) -> None:
+        """Add the samples whose powers ``np.abs(s) ** 2`` are the rows of ``power``."""
+        power = _check_power(power)
         norms = power.sum(axis=1)
         keep = norms > 0
         # the running total leads the block's rows, so one sum over the
@@ -62,7 +70,7 @@ def power_angular_profile(vectors: np.ndarray) -> tuple[np.ndarray, int]:
         raise InvalidArgumentError("vectors must be a nonempty (n, S) array")
     accumulator = PowerProfile(vectors.shape[1])
     for rows in row_blocks(len(vectors), vectors.shape[1]):
-        accumulator.add(vectors[rows])
+        accumulator.add(np.abs(vectors[rows]) ** 2)
     return accumulator.profile(), accumulator.n_skipped
 
 
@@ -80,10 +88,10 @@ def angular_spread(s: np.ndarray, grid: AngleGrid) -> float:
     return float(math.sqrt(np.sum((angles - mean) ** 2 * power) / total))
 
 
-def batch_angular_spreads(vectors: np.ndarray, grid: AngleGrid) -> tuple[np.ndarray, int]:
-    """Angular spread per sample; zero-norm samples are skipped and counted."""
-    vectors = np.asarray(vectors)
-    power = np.abs(vectors) ** 2
+def batch_angular_spreads(power: np.ndarray, grid: AngleGrid) -> tuple[np.ndarray, int]:
+    """Angular spread per sample, from the samples' powers ``np.abs(s) ** 2``
+    as the rows of ``power``; zero-norm samples are skipped and counted."""
+    power = _check_power(power)
     totals = power.sum(axis=1)
     keep = totals > 0
     angles = grid.points

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable
+from typing import Iterable, Iterator, TypeVar
 
 import numpy as np
 
 from .errors import InvalidArgumentError
+
+T = TypeVar("T")
+_END = object()  # marks the end of the items in prefetch
 
 # Batches are generated, written, read and scored in row blocks of about
 # this many elements, so memory depends on the block, not on the row count.
@@ -33,6 +36,29 @@ def row_blocks(n: int, row_size: int) -> list[slice]:
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def prefetch(items: Iterable[T]) -> Iterator[T]:
+    """Yield the items of ``items`` in order, taking each next one on a
+    worker thread while the caller works on the one before.
+
+    The worker keeps at most one item ahead of the caller, and it alone
+    advances ``items``. An exception raised there is raised again in the
+    caller, as the same object. Closing the generator waits for the item
+    in progress, drops it (or the exception it raised) and joins the
+    worker; use it under ``contextlib.closing`` where the worker must be
+    gone before the caller cleans up.
+    """
+    # imported here, so that only the commands that prefetch pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    iterator = iter(items)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="prefetch") as worker:
+        ahead = worker.submit(next, iterator, _END)
+        while (item := ahead.result()) is not _END:
+            ahead = worker.submit(next, iterator, _END)
+            yield item
+            del item  # not kept while the next item is awaited
 
 
 def _is_number(value) -> bool:

@@ -157,7 +157,7 @@ def street_canyon_run(tmp_path_factory):
         2000,
         np.random.default_rng(101),
     )
-    gt_spreads, _ = batch_angular_spreads(gt_coeff, grid)
+    gt_spreads, _ = batch_angular_spreads(np.abs(gt_coeff) ** 2, grid)
     return {
         "root": root,
         "paths": paths,
@@ -351,8 +351,8 @@ def test_criterion_7_street_canyon_replica(street_canyon_run):
     msbl_batch, _ = load_batch(ctx["paths"]["msbl_batch"])
     profile, _ = power_angular_profile(csgmm_batch.sparse)
     leakage = profile_support_leakage(profile, support)
-    csgmm_spreads, _ = batch_angular_spreads(csgmm_batch.sparse, grid)
-    msbl_spreads, _ = batch_angular_spreads(msbl_batch.sparse, grid)
+    csgmm_spreads, _ = batch_angular_spreads(np.abs(csgmm_batch.sparse) ** 2, grid)
+    msbl_spreads, _ = batch_angular_spreads(np.abs(msbl_batch.sparse) ** 2, grid)
     csgmm_ratio = float(csgmm_spreads.mean()) / gt_mean
     msbl_ratio = float(msbl_spreads.mean()) / gt_mean
 

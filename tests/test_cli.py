@@ -446,6 +446,53 @@ class TestGenerateAndMetrics:
         assert main([*args, "--out", str(out)]) == EXIT_BAD_CONFIG
         assert dir_bytes(out) == before
 
+    @pytest.mark.parametrize("command", ["synth", "fit", "generate"])
+    def test_negative_seed_rejected(self, fitted_model, simo_dataset, tmp_path, capsys, command):
+        # numpy's generators take no negative seed; argparse rejects it with exit 2
+        inputs = {
+            "synth": ["--config", write_config(tmp_path, small_simo_config())],
+            "fit": [str(simo_dataset), "--K", "2"],
+            "generate": [str(fitted_model), "-n", "5"],
+        }
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([command, *inputs[command], "--seed", "-1", "--out", str(out)])
+        assert info.value.code == EXIT_BAD_CONFIG
+        assert "--seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+    @pytest.mark.parametrize("good_blocks", [0, 2])
+    def test_error_on_the_draw_thread_exits_2_and_writes_nothing(
+        self, fitted_model, tmp_path, monkeypatch, good_blocks
+    ):
+        # the draw runs on a worker thread; its error still reaches main as itself
+        import threading
+
+        import chansbgm.generation as generation_module
+        import chansbgm.utils as utils_module
+        from chansbgm.errors import InvalidArgumentError
+
+        real_sample_blocks = generation_module.sample_blocks
+        caller = threading.get_ident()
+
+        def fail_after(*args):
+            assert threading.get_ident() != caller
+            blocks = real_sample_blocks(*args)
+            for _ in range(good_blocks):
+                yield next(blocks)
+            raise InvalidArgumentError("drawn badly")
+
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(generation_module, "sample_blocks", fail_after)
+        baseline = threading.active_count()
+        out = tmp_path / "batch"
+        assert main(["generate", str(fitted_model), "-n", "300", "--render",
+                     "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert not out.exists()
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+        assert threading.active_count() == baseline
+
     def test_swap_config_changes_channels_not_coefficients(self, fitted_model, tmp_path):
         swap = write_config(
             tmp_path, {"variant": "simo", "n_antennas": 9}, "swap.json"
@@ -918,6 +965,60 @@ class TestBlockSizeInvariance:
         }
 
 
+class TestPrefetchedGenerate:
+    """generate draws the next block on a worker thread; it writes the
+    bytes of the serial library path drawing, capping, rendering and
+    saving the blocks one after another."""
+
+    @pytest.fixture()
+    def model(self, simo_dataset, tmp_path):
+        em = write_config(tmp_path, {"max_iters": 10}, "em.json")
+        out = tmp_path / "model"
+        assert main(["fit", str(simo_dataset), "--K", "2", "--seed", "2", "--config", em,
+                     "--out", str(out)]) == EXIT_OK
+        return out
+
+    @staticmethod
+    def serial_batch(model_dir, n, seed, p_max, render, out):
+        from chansbgm.dictionary import load_dictionary
+        from chansbgm.em import load_model
+        from chansbgm.generation import (
+            limit_batch_paths,
+            render_channels,
+            sample_blocks,
+            save_batch,
+        )
+
+        model, meta = load_model(model_dir)
+        blocks = sample_blocks(model, n, seed)
+        if p_max is not None:
+            blocks = (limit_batch_paths(block, p_max) for block in blocks)
+        if render:
+            dictionary = load_dictionary(meta["grid"], meta["system"])
+            blocks = (render_channels(block, dictionary) for block in blocks)
+        save_batch(blocks, out, extra_meta={"grid": meta["grid"], "system": meta["system"],
+                                            "model_id": model.content_id})
+        return dir_bytes(out)
+
+    # with 64-row blocks: no rows, one row, one row past a block (which joins
+    # it) and three blocks, so the worker runs ahead
+    @pytest.mark.parametrize("n", [0, 1, 65, 130])
+    @pytest.mark.parametrize("p_max, render", [(None, False), (None, True), (3, False), (3, True)])
+    def test_bytes_equal_serial_save_batch(self, model, tmp_path, monkeypatch, n, p_max, render):
+        import chansbgm.utils as utils_module
+
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1)
+        args = ["generate", str(model), "-n", str(n), "--seed", "9", "--out", str(tmp_path / "b")]
+        if p_max is not None:
+            args += ["--p-max", str(p_max)]
+        if render:
+            args.append("--render")
+        assert main(args) == EXIT_OK
+        serial = self.serial_batch(model, n, 9, p_max, render, tmp_path / "serial")
+        assert dir_bytes(tmp_path / "b") == serial
+        assert ("channels.bin" in serial) == render
+
+
 class TestReferenceMismatch:
     """metrics compares coefficients only on one grid and channels only
     for one system."""
@@ -1073,6 +1174,28 @@ class TestDiagnosticsAndDefaults:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "3 3"
+
+    def test_one_blas_thread_by_default(self):
+        # without --threads every pool is capped at one thread; the command
+        # is replaced, so only the parsing and the cap run
+        import subprocess
+        import sys
+
+        code = (
+            "import os, sys\n"
+            "from chansbgm import cli\n"
+            "def show(args):\n"
+            "    print(*(os.environ.get(v) for v in cli._THREAD_VARS))\n"
+            "    return 0\n"
+            "cli.cmd_selfcheck = show\n"
+            "sys.exit(cli.main(['selfcheck']))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.split() == ["1", "1", "1"]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_thread_count_below_one_rejected(self, capsys, threads):

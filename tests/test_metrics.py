@@ -67,7 +67,7 @@ class TestPowerAngularProfile:
         for step in (1, 7, 64, 300):
             accumulator = PowerProfile(size)
             for start in range(0, 300, step):
-                accumulator.add(vectors[start:start + step])
+                accumulator.add(power[start:start + step])
             assert accumulator.profile().tobytes() == reference.tobytes()
             assert accumulator.n_skipped == 3
 
@@ -119,10 +119,17 @@ class TestAngularSpread:
         with pytest.raises(InvalidArgumentError, match="undefined for a zero vector"):
             angular_spread(np.zeros(8), self.grid)
 
+    def test_coefficients_in_place_of_powers_rejected(self):
+        vectors = np.ones((3, 8), dtype=complex)
+        with pytest.raises(InvalidArgumentError, match="pass the powers"):
+            batch_angular_spreads(vectors, self.grid)
+        with pytest.raises(InvalidArgumentError, match="pass the powers"):
+            PowerProfile(8).add(vectors)
+
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(4)
         vectors = rng.standard_normal((20, 8)) + 1j * rng.standard_normal((20, 8))
-        spreads, skipped = batch_angular_spreads(vectors, self.grid)
+        spreads, skipped = batch_angular_spreads(np.abs(vectors) ** 2, self.grid)
         assert skipped == 0
         for i in range(20):
             assert spreads[i] == pytest.approx(angular_spread(vectors[i], self.grid), abs=1e-12)
