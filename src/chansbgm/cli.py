@@ -1,5 +1,7 @@
 """Command-line pipeline: synth, fit, generate, metrics, selfcheck.
 
+``selfcheck`` runs the other four twice on a small case and checks the results.
+
 Every command takes a seed and writes deterministic artifacts. Re-running
 with the same inputs on one host, BLAS build and thread count reproduces
 every output file byte for byte; across them, results agree to round-off.
@@ -16,7 +18,6 @@ input (``InvalidArgumentError`` or ``OSError``), 3 diagnostic failure
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -283,144 +284,92 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _selfcheck_registry():
-    import numpy as np
+# the selfcheck's inputs and stages, "{0}" standing for the run directory
+_SELFCHECK_INPUTS = {
+    "synth.json": {"scenario": "simo", "n_train": 30, "snr_range_db": [0.0, 20.0],
+                   "system": {"variant": "simo", "n_antennas": 6}, "grid_size": 16,
+                   "laplacian_std_deg": 2.0},
+    "em.json": {"max_iters": 8},
+    "swap.json": {"variant": "simo", "n_antennas": 9},
+}
+_SELFCHECK_STAGES = (
+    "synth --config {0}/synth.json --seed 1 --out {0}/data",
+    "fit {0}/data --K 2 --config {0}/em.json --seed 2 --out {0}/model",
+    "generate {0}/model -n 40 --seed 3 --render --out {0}/trained",
+    "generate {0}/model -n 40 --seed 3 --render --swap-config {0}/swap.json --out {0}/swapped",
+    "metrics {0}/swapped {0}/trained --out {0}/report",
+)
 
-    from .dictionary import (
-        AngleGrid,
-        DelayDopplerGrid,
-        SystemConfig,
-        build_ofdm_dictionary,
-        build_simo_dictionary,
-        swap_system_config,
-        vectorize_channel,
-    )
-    from .em import SbgmModel, csgmm_fit
-    from .generation import conditional_covariance, limit_paths
-    from .metrics import toeplitz_deviation
-    from .posterior import csvae_elbo_terms, posterior_moments
-    from .scenario import evaluate_ofdm_channel, make_observations
-    from .utils import complex_standard_normal
 
-    def dictionary_unit_modulus():
-        d = build_simo_dictionary(AngleGrid(32), SystemConfig.simo(8))
-        assert np.abs(np.abs(d.matrix) - 1).max() < 1e-12
+def _selfcheck_run(root: Path) -> None:
+    """Run the selfcheck's stages in a new ``root``; AssertionError if one exits non-zero."""
+    from contextlib import redirect_stderr, redirect_stdout
+    from io import StringIO
 
-    ofdm_grid = DelayDopplerGrid(4, 6, doppler_bound=200.0, delay_bound=4e-6)
-    ofdm_config = SystemConfig.ofdm(5, 3, 15e3, 1e-3 / 14)
+    from .container import write_json
 
-    def ofdm_column_convention():
-        # one path on grid point (q, p), vectorized, is its gain times column q * S_f + p
-        grid, q, p, gain = ofdm_grid, 1, 4, 0.6 - 0.8j
-        h = evaluate_ofdm_channel(
-            ofdm_config, [gain], grid.doppler_points[[q]], grid.delay_points[[p]]
-        )
-        column = build_ofdm_dictionary(grid, ofdm_config).matrix[:, q * grid.delay_size + p]
-        assert np.abs(vectorize_channel(h) - gain * column).max() < 1e-12
-
-    def ofdm_factored_render():
-        # D_t S D_f^T through the factors is the dense product D s
-        d = build_ofdm_dictionary(ofdm_grid, ofdm_config)
-        s = complex_standard_normal(np.random.default_rng(7), (9, d.n_columns))
-        dense = s @ d.matrix.T
-        assert np.abs(d.apply(s) - dense).max() < 1e-12 * np.abs(dense).max()
-
-    def swap_round_trip():
-        d = build_simo_dictionary(AngleGrid(16), SystemConfig.simo(4))
-        back = swap_system_config(swap_system_config(d, SystemConfig.simo(9)), d.config)
-        assert np.abs(back.matrix - d.matrix).max() < 1e-12
-
-    def posterior_dense_oracle():
-        rng = np.random.default_rng(0)
-        m, s = 6, 24
-        w = np.exp(1j * rng.uniform(0, 2 * math.pi, (m, s)))
-        gamma = rng.uniform(0, 2, s)
-        sigma2 = 0.3
-        y = complex_standard_normal(rng, m)
-        mom = posterior_moments(gamma, y, w, sigma2)
-        c_y = w @ np.diag(gamma) @ w.conj().T + sigma2 * np.eye(m)
-        inv = np.linalg.inv(c_y)
-        mean = np.diag(gamma) @ w.conj().T @ inv @ y
-        assert np.abs(mom.mean - mean).max() < 1e-10
-
-    def elbo_cancellation():
-        rng = np.random.default_rng(1)
-        m, s = 5, 16
-        w = np.exp(1j * rng.uniform(0, 2 * math.pi, (m, s)))
-        gamma = rng.uniform(1e-7, 1.5, s)
-        y = complex_standard_normal(rng, m)
-        terms = csvae_elbo_terms(gamma, y, w, 0.5, rng.standard_normal(3), rng.uniform(0.5, 2, 3))
-        assert abs(terms.reconstruction - terms.posterior_kl - terms.combined) < 1e-8 * abs(
-            terms.combined
-        )
-
-    def em_monotone_micro():
-        rng = np.random.default_rng(2)
-        d = build_simo_dictionary(AngleGrid(16), SystemConfig.simo(6))
-        channels = complex_standard_normal(rng, (30, 6))
-        obs = make_observations(channels, np.arange(6), (5.0, 15.0), rng)
-        _, trace = csgmm_fit(obs, d, 2, max_iters=10, seed=0)
-        assert trace.is_monotone()
-
-    def conditional_toeplitz():
-        rng = np.random.default_rng(3)
-        d = build_simo_dictionary(AngleGrid(24), SystemConfig.simo(8))
-        model = SbgmModel(np.ones(1), variances=rng.uniform(0, 1, (1, 24)))
-        cov = conditional_covariance(model, 0, d)
-        assert toeplitz_deviation(cov) < 1e-9 * np.abs(cov).max()
-
-    def limit_paths_idempotent():
-        rng = np.random.default_rng(4)
-        s = complex_standard_normal(rng, 12)
-        once = limit_paths(s, 3)
-        assert np.array_equal(limit_paths(once, 3), once)
-
-    def streamed_round_trip():
-        import tempfile
-
-        from .container import ArrayReader, ArrayWriter, read_array, write_array
-
-        rng = np.random.default_rng(6)
-        arr = complex_standard_normal(rng, (11, 3))
-        with tempfile.TemporaryDirectory() as tmp:
-            whole, streamed = Path(tmp) / "whole", Path(tmp) / "streamed"
-            write_array(whole, arr, role="selfcheck")
-            with ArrayWriter(streamed, role="selfcheck") as writer:
-                for rows in (slice(0, 4), slice(4, 5), slice(5, 5), slice(5, 11)):
-                    writer.append(arr[rows])
-            for suffix in (".bin", ".json"):
-                written = streamed.with_suffix(suffix).read_bytes()
-                assert written == whole.with_suffix(suffix).read_bytes()
-            reader = ArrayReader(streamed)
-            parts = [reader.read(rows) for rows in (slice(0, 7), slice(7, 8), slice(8, 11))]
-            assert np.concatenate(parts).tobytes() == arr.tobytes()
-            assert b"".join(b.tobytes() for b in reader.blocks()) == arr.tobytes()
-            assert read_array(streamed)[0].tobytes() == arr.tobytes()
-
-    return [
-        ("dictionary-unit-modulus", dictionary_unit_modulus),
-        ("ofdm-column-convention", ofdm_column_convention),
-        ("ofdm-factored-render", ofdm_factored_render),
-        ("swap-round-trip", swap_round_trip),
-        ("posterior-dense-oracle", posterior_dense_oracle),
-        ("elbo-cancellation", elbo_cancellation),
-        ("em-monotone-micro", em_monotone_micro),
-        ("conditional-toeplitz", conditional_toeplitz),
-        ("limit-paths-idempotent", limit_paths_idempotent),
-        ("streamed-round-trip", streamed_round_trip),
-    ]
+    root.mkdir()
+    for name, document in _SELFCHECK_INPUTS.items():
+        write_json(root / name, document)
+    for stage in _SELFCHECK_STAGES:
+        argv = [word.format(root) for word in stage.split()]
+        args = build_parser().parse_args(argv)  # not main, which would redo the thread cap
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = args.run(args)  # an error goes on to the [FAIL] line
+        assert code == EXIT_OK, f"{root.name} {argv[0]} {Path(argv[-1]).name} exited {code}"
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    failures = 0
-    for name, check in _selfcheck_registry():
-        try:
-            check()
-        except Exception as exc:  # report every failure, keep going
-            failures += 1
-            print(f"[FAIL] {name}: {exc}")
-        else:
-            print(f"[PASS] {name}")
+    import tempfile
+
+    import numpy as np
+
+    from .container import read_json
+    from .dictionary import load_dictionary
+    from .em import load_model
+    from .generation import conditional_covariance, open_batch
+    from .metrics import toeplitz_deviation
+
+    with tempfile.TemporaryDirectory(prefix="chansbgm-selfcheck-") as tmp:
+        first, second = Path(tmp, "run1"), Path(tmp, "run2")
+
+        def stages_exit_0():
+            _selfcheck_run(first)
+            _selfcheck_run(second)
+
+        def monotone_trace():
+            assert read_json(first / "model" / "fit.json")["monotone"], "the trace fell"
+
+        def swap_keeps_coefficients():
+            batches = (first / "trained", first / "swapped")
+            sparse = [(batch / "sparse.bin").read_bytes() for batch in batches]
+            assert sparse[0] == sparse[1], "the swapped batch holds other coefficients"
+            columns = [open_batch(batch).channels.shape[1] for batch in batches]
+            assert columns == [6, 9], f"channels of {columns} columns, not [6, 9]"
+
+        def swapped_covariance_toeplitz():
+            model, meta = load_model(first / "model")
+            dictionary = load_dictionary(meta["grid"], _SELFCHECK_INPUTS["swap.json"])
+            for k in range(model.n_components):
+                cov = conditional_covariance(model, k, dictionary)
+                assert toeplitz_deviation(cov) < 1e-9 * np.abs(cov).max(), f"component {k}"
+
+        def rerun_byte_identical():
+            written = [{p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()}
+                       for run in (first, second)]
+            assert written[0] == written[1], "the second run wrote other bytes"
+
+        failures = 0
+        for check in (stages_exit_0, monotone_trace, swap_keeps_coefficients,
+                      swapped_covariance_toeplitz, rerun_byte_identical):
+            name = check.__name__.replace("_", "-")
+            try:
+                check()
+            except Exception as exc:  # report every failure, keep going
+                failures += 1
+                print(f"[FAIL] {name}: {type(exc).__name__}: {exc}")
+            else:
+                print(f"[PASS] {name}")
     return EXIT_OK if failures == 0 else EXIT_ERROR
 
 
@@ -473,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--out", required=True)
     p_met.set_defaults(run=cmd_metrics)
 
-    p_check = sub.add_parser("selfcheck", help="run bundled invariant checks")
+    p_check = sub.add_parser("selfcheck", help="run a small pipeline twice and check it")
     p_check.set_defaults(run=cmd_selfcheck)
     return parser
 

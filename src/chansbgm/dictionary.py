@@ -354,15 +354,6 @@ def build_dictionary(grid: AngleGrid | DelayDopplerGrid, config: SystemConfig) -
     return build_ofdm_dictionary(grid, config)
 
 
-def swap_system_config(dictionary: Dictionary, new_config: SystemConfig) -> Dictionary:
-    """Re-evaluate the dictionary for a new system configuration.
-
-    The parameter grid is unchanged; only the sampling of the steering
-    vectors (antenna count, or OFDM timing/grid dimensions) changes.
-    """
-    return build_dictionary(dictionary.grid, new_config)
-
-
 def vectorize_channel(channel_matrix: np.ndarray) -> np.ndarray:
     """Flatten an OFDM channel matrix (n_subcarriers, n_symbols) to a vector.
 

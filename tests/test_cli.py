@@ -83,8 +83,8 @@ class TestSynth:
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, small_ofdm_config())
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
-        main(["synth", "--config", cfg, "--seed", "5", "--out", str(out1)])
-        main(["synth", "--config", cfg, "--seed", "5", "--out", str(out2)])
+        assert main(["synth", "--config", cfg, "--seed", "5", "--out", str(out1)]) == EXIT_OK
+        assert main(["synth", "--config", cfg, "--seed", "5", "--out", str(out2)]) == EXIT_OK
         assert dir_bytes(out1) == dir_bytes(out2)
 
     def test_different_seed_changes_data(self, tmp_path):
@@ -245,18 +245,18 @@ class TestFit:
     def test_msbl_alias_is_bit_identical_to_k1(self, simo_dataset, tmp_path):
         em = write_config(tmp_path, {"max_iters": 8}, "em.json")
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
-        main(["fit", str(simo_dataset), "--model", "msbl", "--seed", "4",
-              "--out", str(out1), "--config", em])
-        main(["fit", str(simo_dataset), "--model", "csgmm", "--K", "1", "--seed", "4",
-              "--out", str(out2), "--config", em])
+        assert main(["fit", str(simo_dataset), "--model", "msbl", "--seed", "4",
+                     "--out", str(out1), "--config", em]) == EXIT_OK
+        assert main(["fit", str(simo_dataset), "--model", "csgmm", "--K", "1", "--seed", "4",
+                     "--out", str(out2), "--config", em]) == EXIT_OK
         assert dir_bytes(out1) == dir_bytes(out2)
 
     def test_refit_is_byte_identical(self, simo_dataset, tmp_path):
         em = write_config(tmp_path, {"max_iters": 6}, "em.json")
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
         for out in (out1, out2):
-            main(["fit", str(simo_dataset), "--model", "csgmm", "--K", "2", "--seed", "9",
-                  "--out", str(out), "--config", em])
+            assert main(["fit", str(simo_dataset), "--model", "csgmm", "--K", "2", "--seed", "9",
+                         "--out", str(out), "--config", em]) == EXIT_OK
         assert dir_bytes(out1) == dir_bytes(out2)
 
     @pytest.mark.parametrize("target", ["dataset", "unrelated-directory", "regular-file"])
@@ -1062,15 +1062,66 @@ class TestReferenceMismatch:
 
 
 class TestSelfcheck:
+    CHECKS = 5  # stages, trace, swap, Toeplitz covariance, rerun
+
     def test_selfcheck_passes(self, capsys):
         assert main(["selfcheck"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
-        assert out.count("[PASS]") >= 8
+        assert out.count("[PASS]") == self.CHECKS
 
+    def test_falling_trace_fails(self, capsys, monkeypatch):
+        import chansbgm.em as em_module
+        from chansbgm.cli import EXIT_ERROR
 
-    def test_runtime_imports_only_numpy(self):
-        # a fresh interpreter, so only what chansbgm itself imports is loaded
+        real_fit = em_module.csgmm_fit
+
+        def broken_fit(*args, **kwargs):
+            model, trace = real_fit(*args, **kwargs)
+            trace.log_likelihoods = np.array([0.0, -100.0])
+            return model, trace
+
+        monkeypatch.setattr(em_module, "csgmm_fit", broken_fit)
+        assert main(["selfcheck"]) == EXIT_ERROR
+        out = capsys.readouterr().out
+        assert "[FAIL] stages-exit-0: AssertionError: run1 fit model exited 3" in out
+        assert "[FAIL] monotone-trace" in out
+
+    def test_swap_drawing_other_coefficients_fails(self, capsys, monkeypatch):
+        import chansbgm.cli as cli_module
+        from chansbgm.cli import EXIT_ERROR
+
+        real_generate = cli_module.cmd_generate
+
+        def reseeded_swap(args):
+            if args.swap_config is not None:
+                args.seed += 1
+            return real_generate(args)
+
+        monkeypatch.setattr(cli_module, "cmd_generate", reseeded_swap)
+        assert main(["selfcheck"]) == EXIT_ERROR
+        out = capsys.readouterr().out
+        assert "[FAIL] swap-keeps-coefficients" in out
+        assert out.count("[PASS]") == self.CHECKS - 1
+
+    def test_stages_keep_the_outer_thread_count(self, capsys, monkeypatch):
+        # a stage run through main would apply main's default of one thread
+        import chansbgm.cli as cli_module
+
+        counts = []
+        real_configure = cli_module._configure_threads
+
+        def recorded(threads):
+            counts.append(threads)
+            real_configure(threads)
+
+        monkeypatch.setattr(cli_module, "_configure_threads", recorded)
+        assert main(["--threads", "2", "selfcheck"]) == EXIT_OK
+        assert counts == [2]
+
+    def test_runtime_imports_only_numpy(self, tmp_path):
+        # a fresh interpreter, so only what chansbgm itself imports is loaded;
+        # run in an empty directory, which the selfcheck must leave empty
         import subprocess
         import sys
 
@@ -1083,10 +1134,13 @@ class TestSelfcheck:
             "    assert main(['selfcheck']) == 0\n"
             "print(sorted(m for m in ('scipy', 'jsonschema') if m in sys.modules))\n"
         )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            cwd=tmp_path, env=env,
         )
         assert out.stdout.strip() == "[]"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFullPipelineDeterminism:
@@ -1100,12 +1154,12 @@ class TestFullPipelineDeterminism:
             model = root / "model"
             batch = root / "batch"
             report = root / "report"
-            main(["synth", "--config", cfg, "--seed", "21", "--out", str(data)])
-            main(["fit", str(data), "--model", "csgmm", "--K", "2", "--seed", "22",
-                  "--out", str(model), "--config", em])
-            main(["generate", str(model), "-n", "150", "--seed", "23", "--render",
-                  "--out", str(batch)])
-            main(["metrics", str(batch), "--out", str(report)])
+            assert main(["synth", "--config", cfg, "--seed", "21", "--out", str(data)]) == EXIT_OK
+            assert main(["fit", str(data), "--model", "csgmm", "--K", "2", "--seed", "22",
+                         "--out", str(model), "--config", em]) == EXIT_OK
+            assert main(["generate", str(model), "-n", "150", "--seed", "23", "--render",
+                         "--out", str(batch)]) == EXIT_OK
+            assert main(["metrics", str(batch), "--out", str(report)]) == EXIT_OK
             results.append(dir_bytes(root))
         assert results[0] == results[1]
 

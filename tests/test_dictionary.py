@@ -8,13 +8,13 @@ from chansbgm.dictionary import (
     AngleGrid,
     DelayDopplerGrid,
     SystemConfig,
+    build_dictionary,
     build_ofdm_dictionary,
     build_simo_dictionary,
     grid_from_json,
     grid_to_json,
     load_dictionary,
     steering_vector_ula,
-    swap_system_config,
     vectorize_channel,
 )
 from chansbgm.errors import InvalidArgumentError
@@ -237,29 +237,27 @@ class TestSwapSystemConfig:
     def test_ofdm_swap_to_larger_spacing(self):
         grid = DelayDopplerGrid(40, 40, doppler_bound=250.0, delay_bound=6e-6)
         trained = build_ofdm_dictionary(grid, SystemConfig.ofdm(24, 14, 15e3, 1e-3 / 14))
-        swapped = swap_system_config(
-            trained, SystemConfig.ofdm(20, 18, 60e3, 1e-3 / 3.5)
-        )
+        swapped = build_dictionary(trained.grid, SystemConfig.ofdm(20, 18, 60e3, 1e-3 / 3.5))
         assert swapped.matrix.shape == (360, 1600)
         assert swapped.grid == trained.grid
 
     def test_swap_to_identical_config_is_identity(self):
         grid, config = small_ofdm_setup()
         d = build_ofdm_dictionary(grid, config)
-        again = swap_system_config(d, config)
+        again = build_dictionary(d.grid, config)
         np.testing.assert_allclose(again.matrix, d.matrix, atol=1e-12)
 
     def test_simo_antenna_growth_nests(self):
         grid = AngleGrid(32)
         d16 = build_simo_dictionary(grid, SystemConfig.simo(16))
-        d32 = swap_system_config(d16, SystemConfig.simo(32))
+        d32 = build_dictionary(d16.grid, SystemConfig.simo(32))
         np.testing.assert_allclose(d32.matrix[:16], d16.matrix, atol=1e-15)
 
     def test_round_trip_swap_restores_matrix(self):
         grid, config = small_ofdm_setup()
         d = build_ofdm_dictionary(grid, config)
         other = SystemConfig.ofdm(7, 4, 60e3, 1e-3 / 3.5)
-        back = swap_system_config(swap_system_config(d, other), config)
+        back = build_dictionary(build_dictionary(d.grid, other).grid, config)
         np.testing.assert_allclose(back.matrix, d.matrix, atol=1e-12)
 
     def test_domain_mismatch_rejected(self):
@@ -272,7 +270,7 @@ class TestSwapSystemConfig:
         ]
         for d, other, message in cases:
             with pytest.raises(InvalidArgumentError, match=message):
-                swap_system_config(d, other)
+                build_dictionary(d.grid, other)
 
 
 class TestCovarianceStructure:

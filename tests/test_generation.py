@@ -8,9 +8,9 @@ from chansbgm.dictionary import (
     AngleGrid,
     DelayDopplerGrid,
     SystemConfig,
+    build_dictionary,
     build_ofdm_dictionary,
     build_simo_dictionary,
-    swap_system_config,
 )
 from chansbgm.em import SbgmModel
 from chansbgm.errors import InvalidArgumentError
@@ -114,7 +114,7 @@ class TestRenderChannels:
     def test_swapped_dictionary_same_coefficients(self):
         model = one_component_model(np.linspace(0.1, 1.0, 8))
         batch = sample_parameters(model, 30, 7)
-        bigger = swap_system_config(self.dict, SystemConfig.simo(6))
+        bigger = build_dictionary(self.dict.grid, SystemConfig.simo(6))
         r1 = render_channels(batch, self.dict)
         r2 = render_channels(batch, bigger)
         assert r1.sparse.tobytes() == r2.sparse.tobytes()
