@@ -177,13 +177,13 @@ def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dic
             delay_bound=grid.delay_bound,
             **{_PATHS_FIELDS[k][1]: v for k, v in config.get("paths", {}).items()},
         )
-        channels = np.stack(
-            [vectorize_channel(draw_ofdm_channel(scenario, rng)) for _ in range(n_train)]
-        )
+        channels = np.empty((n_train, system.channel_dim), dtype=complex)
+        for row in channels:
+            row[:] = vectorize_channel(draw_ofdm_channel(scenario, rng))
         pilots = random_pilots(config["n_pilots"], system.channel_dim, rng)
     scale = 1.0
     if config.get("normalize", config["scenario"] == "ofdm"):  # OFDM by default, SIMO on request
-        channels, scale = normalize_dataset(channels)
+        channels, scale = normalize_dataset(channels)  # in place
     obs = make_observations(channels, pilots, tuple(config["snr_range_db"]), rng)
     document = {
         "kind": "dataset",

@@ -281,11 +281,12 @@ def _component_sums(resp: np.ndarray, weighted_sum) -> tuple[np.ndarray, np.ndar
     """
     totals = resp.sum(axis=0)
     dead = totals < _DEAD_RESPONSIBILITY
-    restarts = np.zeros_like(resp)
     dead_cols = np.flatnonzero(dead)
-    worst_first = np.argsort(resp.max(axis=1), kind="stable")
-    restarts[worst_first[np.arange(len(dead_cols)) % len(resp)], dead_cols] = 1.0
-    resp = np.where(dead, restarts, resp)
+    if len(dead_cols):
+        restarts = np.zeros_like(resp)
+        worst_first = np.argsort(resp.max(axis=1), kind="stable")
+        restarts[worst_first[np.arange(len(dead_cols)) % len(resp)], dead_cols] = 1.0
+        resp = np.where(dead, restarts, resp)
     sums = np.stack([weighted_sum(k, resp[:, k]) for k in range(resp.shape[1])])
     return np.where(dead, 1.0, totals), sums
 
@@ -424,7 +425,10 @@ def _em_steps(
             raise NumericError(f"EM iteration {iteration} failed: {exc}") from exc
         yield float(np.sum(norm)), model
         totals, sums = _component_sums(resp, lambda k, r: caches[k].moment_sum(r))
-        model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
+        try:
+            model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
+        except InvalidArgumentError as exc:  # non-finite sums make no model
+            raise NumericError(f"EM iteration {iteration} made an invalid model: {exc}") from exc
 
 
 def _init_variances(
@@ -477,7 +481,9 @@ def csgmm_fit(
     :func:`_init_variances`); weights start uniform. ``n_components=1``
     is the sparse Bayesian learning special case. The returned trace
     holds one log-likelihood per E-step and is non-decreasing up to
-    round-off; its last entry scores the returned model.
+    round-off; its last entry scores the returned model. A failed
+    computation raises :class:`NumericError`: a factorization that fails,
+    or an init or M-step whose variances are not finite.
     """
     if n_components < 1:
         raise InvalidArgumentError("n_components must be >= 1")
@@ -485,6 +491,8 @@ def csgmm_fit(
         raise InvalidArgumentError("max_iters must be >= 1")
     if not rel_tol > 0:
         raise InvalidArgumentError("rel_tol must be > 0")
+    if variance_form not in _FORMS:
+        raise InvalidArgumentError(f"unknown variance form {variance_form!r}")
     w = dictionary.rows(obs.pilots)
     rng = np.random.default_rng(seed)
 
@@ -500,10 +508,13 @@ def csgmm_fit(
             "doppler_variances": np.maximum(tables.mean(axis=2), GAMMA_FLOOR),
             "delay_variances": np.maximum(tables.mean(axis=1) / scale, GAMMA_FLOOR),
         }
-    else:  # SbgmModel rejects an unknown variance form
+    else:
         factors = {"variances": init_gammas}
     weights = np.full(n_components, 1.0 / n_components)
-    model = SbgmModel(weights, variance_form, **factors)
+    try:
+        model = SbgmModel(weights, variance_form, **factors)
+    except InvalidArgumentError as exc:  # the arguments were checked: the init failed
+        raise NumericError(f"the initial model is invalid: {exc}") from exc
 
     logliks: list[float] = []
     for loglik, model in _em_steps(model, w, obs):

@@ -41,14 +41,17 @@ class PowerProfile:
         power = _check_power(power)
         norms = power.sum(axis=1)
         keep = norms > 0
+        n_skipped = int(np.sum(~keep))
+        if n_skipped:
+            power, norms = power[keep], norms[keep]
         # the running total leads the block's rows, so one sum over the
         # first axis continues the row-by-row order
-        rows = np.empty((int(np.sum(keep)) + 1, len(self.total)))
+        rows = np.empty((len(power) + 1, len(self.total)))
         rows[0] = self.total
-        np.divide(power[keep], norms[keep, None], out=rows[1:])
+        np.divide(power, norms[:, None], out=rows[1:])
         self.total = rows.sum(axis=0)
-        self.n_kept += len(rows) - 1
-        self.n_skipped += int(np.sum(~keep))
+        self.n_kept += len(power)
+        self.n_skipped += n_skipped
 
     def profile(self) -> np.ndarray:
         """Mean normalized power over the kept samples."""
@@ -94,13 +97,19 @@ def batch_angular_spreads(power: np.ndarray, grid: AngleGrid) -> tuple[np.ndarra
     power = _check_power(power)
     totals = power.sum(axis=1)
     keep = totals > 0
+    n_skipped = int(np.sum(~keep))
     angles = grid.points
     # the product runs over every row, so which rows are kept cannot move
     # the others within the kernel's row groups
-    means = (power @ angles)[keep] / totals[keep]
-    deviations = angles[None, :] - means[:, None]
-    spreads = np.sqrt(np.sum(deviations**2 * power[keep], axis=1) / totals[keep])
-    return spreads, int(np.sum(~keep))
+    weighted = power @ angles
+    if n_skipped:
+        power, totals, weighted = power[keep], totals[keep], weighted[keep]
+    # (angle - mean)**2 * power, formed in one (n, S) array
+    deviations = angles[None, :] - (weighted / totals)[:, None]
+    deviations *= deviations
+    deviations *= power
+    spreads = np.sqrt(deviations.sum(axis=1) / totals)
+    return spreads, n_skipped
 
 
 def _paired(estimates: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

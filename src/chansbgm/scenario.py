@@ -476,7 +476,9 @@ def make_observations(
 def normalize_dataset(channels: np.ndarray) -> tuple[np.ndarray, float]:
     """Scale channels so the mean squared norm equals the channel dimension.
 
-    Returns the scaled channels and the applied scale factor.
+    Returns the scaled channels and the applied scale factor. A complex128
+    array is scaled in place and returned; any other input is first
+    converted to a new complex128 array.
     """
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 2 or len(channels) == 0:
@@ -485,4 +487,5 @@ def normalize_dataset(channels: np.ndarray) -> tuple[np.ndarray, float]:
     if mean_energy == 0.0:
         raise InvalidArgumentError("cannot normalize an all-zero dataset")
     scale = math.sqrt(channels.shape[1] / mean_energy)
-    return channels * scale, scale
+    channels *= scale
+    return channels, scale

@@ -15,7 +15,9 @@ _END = object()  # marks the end of the items in prefetch
 
 # Batches are generated, written, read and scored in row blocks of about
 # this many elements, so memory depends on the block, not on the row count.
-BLOCK_ELEMENTS = 1 << 20
+# A complex block is then 2 MB, so each stage's few block-sized
+# temporaries together stay near the size of a per-core L2 cache.
+BLOCK_ELEMENTS = 1 << 17
 # Block lengths are multiples of this. BLAS kernels compute a product's rows
 # in small groups, so a block boundary inside a group would change the last
 # bits of the rows around it; at a multiple of the group the rows of a

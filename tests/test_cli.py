@@ -949,6 +949,25 @@ class TestBlockSizeInvariance:
             if name.startswith("capped/")
         }
 
+    def test_default_block_size_writes_the_bytes_of_1_shl_20(self, simo_dataset, tmp_path,
+                                                             monkeypatch):
+        # several blocks of sparse and of channels and a lone last row at the
+        # default size; one block at 2**20
+        import chansbgm.utils as utils_module
+
+        em = write_config(tmp_path, {"max_iters": 10}, "em.json")
+        model = tmp_path / "model"
+        assert main(["fit", str(simo_dataset), "--K", "2", "--seed", "2", "--config", em,
+                     "--out", str(model)]) == EXIT_OK
+        rows = utils_module.row_blocks(10**6, 24)[0].stop
+        n = 5 * rows + 1
+        assert len(utils_module.row_blocks(n, 24)) == 5
+        assert len(utils_module.row_blocks(n, 6)) == 2
+        default = _generate_and_score(model, tmp_path / "default", n, ["--render"])
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1 << 20)
+        assert len(utils_module.row_blocks(n, 24)) == 1
+        assert _generate_and_score(model, tmp_path / "old", n, ["--render"]) == default
+
     def test_ofdm_rendered(self, ofdm_model, tmp_path, monkeypatch):
         import chansbgm.utils as utils_module
 
@@ -1103,6 +1122,43 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "[FAIL] swap-keeps-coefficients" in out
         assert out.count("[PASS]") == self.CHECKS - 1
+
+    RAISING_FIT = (
+        "from chansbgm.errors import InvalidArgumentError\n"
+        "def broken(args):\n"
+        "    raise InvalidArgumentError('fit broke')\n"
+        "cli.cmd_fit = broken\n"
+    )
+    FALLING_FIT = (
+        "import numpy as np, chansbgm.em as em\n"
+        "real_fit = em.csgmm_fit\n"
+        "def broken(*args, **kwargs):\n"
+        "    model, trace = real_fit(*args, **kwargs)\n"
+        "    trace.log_likelihoods = np.array([0.0, -100.0])\n"
+        "    return model, trace\n"
+        "em.csgmm_fit = broken\n"
+    )
+
+    # python -O strips assert statements, and with them a check's own reads
+    @pytest.mark.parametrize("patch, failed", [
+        (RAISING_FIT, ["stages-exit-0", "monotone-trace", "rerun-byte-identical"]),
+        (FALLING_FIT, ["stages-exit-0", "monotone-trace"]),
+    ], ids=["raising-fit", "falling-trace"])
+    def test_checks_hold_under_optimized_mode(self, patch, failed):
+        import subprocess
+        import sys
+
+        from chansbgm.cli import EXIT_ERROR
+
+        code = f"import sys\nimport chansbgm.cli as cli\n{patch}sys.exit(cli.main(['selfcheck']))\n"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert out.returncode == EXIT_ERROR, out.stderr
+        for name in failed:
+            assert f"[FAIL] {name}" in out.stdout, name
 
     def test_stages_keep_the_outer_thread_count(self, capsys, monkeypatch):
         # a stage run through main would apply main's default of one thread
@@ -1270,6 +1326,18 @@ class TestDiagnosticsAndDefaults:
         # main lets it propagate, so the interpreter exits 1
         with pytest.raises(NumericError):
             main(["fit", str(simo_dataset), "--model", "msbl", "--out", str(tmp_path / "m")])
+
+    def test_model_the_fit_cannot_build_is_a_numeric_error(self, tmp_path):
+        # the init's sharpened spectrum underflows to zero, and 0 * inf is NaN
+        from chansbgm.errors import NumericError
+
+        config = dict(small_simo_config(), grid_size=16, laplacian_std_deg=1e300)
+        data, model = tmp_path / "data", tmp_path / "model"
+        assert main(["synth", "--config", write_config(tmp_path, config), "--seed", "0",
+                     "--out", str(data)]) == EXIT_OK
+        with pytest.raises(NumericError, match="the initial model is invalid"):
+            main(["fit", str(data), "--K", "2", "--out", str(model)])
+        assert not model.exists()
 
     def test_reference_scale_defaults(self):
         from chansbgm.dataset import default_ofdm_synth_config, default_simo_synth_config

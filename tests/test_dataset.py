@@ -14,8 +14,15 @@ from chansbgm.dataset import (
     save_dataset,
     synthesize,
 )
+from chansbgm.dictionary import SystemConfig, vectorize_channel
 from chansbgm.errors import InvalidArgumentError
-from chansbgm.scenario import OfdmScenario
+from chansbgm.scenario import (
+    OfdmScenario,
+    draw_ofdm_channel,
+    make_observations,
+    normalize_dataset,
+    random_pilots,
+)
 
 SIMO = {
     "scenario": "simo",
@@ -50,6 +57,25 @@ def test_save_then_load_round_trips(tmp_path, config):
     reader, opened = open_channels(tmp_path)
     assert reader.read().tobytes() == channels.tobytes()
     assert opened == document
+
+
+def test_ofdm_synthesis_equals_stacking_and_scaling_a_copy():
+    # the rows are drawn into one array and scaled in place; the reference
+    # stacks a list of rows and scales a copy
+    config = check_synth_config(dict(OFDM, n_train=200))
+    channels, obs, document = synthesize(config, seed=4)
+    system = SystemConfig.from_json(config["system"])
+    rng = np.random.default_rng(4)
+    scenario = OfdmScenario(config=system, doppler_bound=250.0, delay_bound=6e-6)
+    stacked = np.stack([vectorize_channel(draw_ofdm_channel(scenario, rng)) for _ in range(200)])
+    _, scale = normalize_dataset(stacked.copy())
+    expected = stacked * scale
+    pilots = random_pilots(config["n_pilots"], system.channel_dim, rng)
+    samples = make_observations(expected, pilots, (5.0, 20.0), rng).samples
+    assert document["normalization_scale"] == scale
+    assert (channels.dtype, channels.shape) == (expected.dtype, expected.shape)
+    assert channels.tobytes() == expected.tobytes()
+    assert obs.samples.tobytes() == samples.tobytes()
 
 
 def test_every_paths_field_sets_an_ofdm_scenario_argument():

@@ -393,6 +393,27 @@ class TestFit:
             csgmm_fit(obs, d, 2, max_iters=10, seed=0)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
+    def test_m_step_that_builds_no_model_is_a_numeric_error(self, monkeypatch):
+        import chansbgm.em as em_module
+
+        d = simo_setup()
+        obs = synthetic_observations(d, 20, seed=18)
+        real_sums = em_module._component_sums
+
+        def nan_sums(resp, weighted_sum):
+            totals, sums = real_sums(resp, weighted_sum)
+            return totals, np.full_like(sums, np.nan)
+
+        monkeypatch.setattr(em_module, "_component_sums", nan_sums)
+        with pytest.raises(NumericError, match="EM iteration 0 made an invalid model") as info:
+            csgmm_fit(obs, d, 2, max_iters=10, seed=0)
+        assert isinstance(info.value.__cause__, InvalidArgumentError)
+
+    def test_unknown_variance_form_is_bad_input(self):
+        d = simo_setup()
+        with pytest.raises(InvalidArgumentError, match="unknown variance form"):
+            csgmm_fit(synthetic_observations(d, 10, seed=17), d, 1, variance_form="diagonal")
+
     @pytest.mark.parametrize("k, form", [(1, "full"), (3, "full"), (2, "kronecker")])
     def test_fit_is_its_init_driven_by_em_steps(self, k, form):
         # the fit's model and trace, bit for bit, from its init and n steps

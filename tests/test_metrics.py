@@ -55,12 +55,17 @@ class TestPowerAngularProfile:
         profile, _ = power_angular_profile(vectors)
         assert profile.sum() == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("size", [2, 5, 64])
-    def test_blocks_give_the_bits_of_one_mean(self, size):
+    # with zero-norm rows, and without, which divides the powers unfiltered
+    @pytest.mark.parametrize("size, zero_rows", [
+        *(pytest.param(size, [3, 150, 151], id=str(size)) for size in (2, 5, 64)),
+        *(pytest.param(size, [], id=f"{size}-all-kept") for size in (2, 5, 64)),
+    ])
+    def test_blocks_give_the_bits_of_one_mean(self, size, zero_rows):
         rng = np.random.default_rng(2)
         vectors = rng.standard_normal((300, size)) + 1j * rng.standard_normal((300, size))
-        vectors[[3, 150, 151]] = 0.0
+        vectors[zero_rows] = 0.0
         power = np.abs(vectors) ** 2
+        before = power.copy()
         norms = power.sum(axis=1)
         keep = norms > 0
         reference = np.mean(power[keep] / norms[keep, None], axis=0)
@@ -69,7 +74,8 @@ class TestPowerAngularProfile:
             for start in range(0, 300, step):
                 accumulator.add(power[start:start + step])
             assert accumulator.profile().tobytes() == reference.tobytes()
-            assert accumulator.n_skipped == 3
+            assert accumulator.n_skipped == len(zero_rows)
+        assert power.tobytes() == before.tobytes()
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -125,6 +131,24 @@ class TestAngularSpread:
             batch_angular_spreads(vectors, self.grid)
         with pytest.raises(InvalidArgumentError, match="pass the powers"):
             PowerProfile(8).add(vectors)
+
+    @pytest.mark.parametrize("zero_rows", [[3, 150, 151], []], ids=["skipped", "all-kept"])
+    def test_batch_gives_the_bits_of_the_whole_array_formula(self, zero_rows):
+        rng = np.random.default_rng(6)
+        grid = AngleGrid(16)
+        vectors = rng.standard_normal((300, 16)) + 1j * rng.standard_normal((300, 16))
+        vectors[zero_rows] = 0.0
+        power = np.abs(vectors) ** 2
+        before = power.copy()
+        totals = power.sum(axis=1)
+        keep = totals > 0
+        means = (power @ grid.points)[keep] / totals[keep]
+        deviations = grid.points[None, :] - means[:, None]
+        expected = np.sqrt(np.sum(deviations**2 * power[keep], axis=1) / totals[keep])
+        spreads, skipped = batch_angular_spreads(power, grid)
+        assert spreads.tobytes() == expected.tobytes()
+        assert skipped == len(zero_rows)
+        assert power.tobytes() == before.tobytes()
 
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(4)

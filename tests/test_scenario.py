@@ -423,9 +423,20 @@ class TestNormalizeDataset:
     def test_already_normalized_gives_unit_scale(self):
         n = 6
         channels = np.eye(n, dtype=complex) * math.sqrt(n)
+        before = channels.copy()  # a complex array is scaled in place
         scaled, scale = normalize_dataset(channels)
         assert scale == pytest.approx(1.0)
-        np.testing.assert_array_equal(scaled, channels)
+        np.testing.assert_array_equal(scaled, before)
+
+    def test_complex_array_scaled_in_place(self):
+        channels = np.full((10, 4), 2.0, dtype=complex)
+        before = channels.copy()
+        scaled, scale = normalize_dataset(channels)
+        assert scaled is channels
+        assert scaled.tobytes() == (before * scale).tobytes()
+        real = np.full((10, 4), 2.0)
+        converted, _ = normalize_dataset(real)
+        assert converted.dtype == complex and (real == 2.0).all()
 
     def test_scale_arithmetic(self):
         n = 4
