@@ -184,25 +184,6 @@ def _open_reference(path: str | Path):
     return (None, *open_channels(path))
 
 
-def _angular_pass(sparse, grid):
-    """Power profile, skipped count and (on an angle grid) per-sample
-    spreads of stored coefficients, read one row block at a time."""
-    import numpy as np
-
-    from .metrics import PowerProfile, batch_angular_spreads
-
-    profile = PowerProfile(sparse.shape[1])
-    spreads = []
-    for block in sparse.blocks():
-        power = np.abs(block)
-        del block  # only its powers are used
-        power *= power  # the bits of np.abs(block) ** 2
-        profile.add(power)
-        if grid is not None:
-            spreads.append(batch_angular_spreads(power, grid)[0])
-    return profile.profile(), profile.n_skipped, np.concatenate(spreads) if spreads else None
-
-
 def cmd_metrics(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -212,6 +193,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from .metrics import (
         SPREAD_HIST_EDGES,
         histogram_w1,
+        power_angular_profile,
         profile_support_leakage,
         sample_cosines,
         sample_nmse,
@@ -224,6 +206,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     grid_doc = batch.meta.get("grid")
     grid = grid_from_json(grid_doc) if grid_doc else None
     angular = isinstance(grid, AngleGrid)
+    spread_grid = grid if angular else None  # angular spreads need an angle grid
     ref_sparse, ref_channels, ref_meta = (
         (None, None, {}) if reference is None else _open_reference(reference)
     )
@@ -244,7 +227,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             "channel metrics need a reference with channels aligned to the batch"
         )
     with output_directory(args.out, "report.json", reads=[batch_dir, reference]) as out_dir:
-        profile, skipped, spreads = _angular_pass(batch.sparse, grid if angular else None)
+        profile, skipped, spreads = power_angular_profile(batch.sparse, spread_grid)
         report: dict = {"n_samples": len(batch.sparse), "n_skipped_zero_norm": skipped}
 
         indices = range(len(profile))
@@ -260,7 +243,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             _write_csv(out_dir / "profile.csv", "grid_index,mass", zip(indices, profile.tolist()))
 
         if ref_sparse is not None:
-            ref_profile, _, ref_spreads = _angular_pass(ref_sparse, grid if angular else None)
+            ref_profile, _, ref_spreads = power_angular_profile(ref_sparse, spread_grid)
             report["leakage_vs_reference_support"] = profile_support_leakage(
                 profile, ref_profile > 1e-12
             )
@@ -275,7 +258,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             n = len(batch.channels)
             errors, cosines = np.empty(n), np.empty(n)
             for rows in row_blocks(n, batch.channels.shape[1]):
-                estimates, truths = batch.channels.read(rows), ref_channels.read(rows)
+                estimates, truths = batch.channels[rows], ref_channels[rows]
                 errors[rows] = sample_nmse(estimates, truths)
                 cosines[rows] = sample_cosines(estimates, truths)
             report["nmse"] = float(np.mean(errors))

@@ -13,9 +13,11 @@ never has to be whole in memory:
 * :class:`ArrayWriter` appends row blocks to ``<stem>.bin`` and then
   writes the sidecar, whose shape counts the rows appended.
 * :class:`ArrayReader` reads and checks the sidecar, checks the payload's
-  size against it, and then reads any range of rows with ``seek`` and
-  ``np.fromfile`` (plain reads: mapped file pages would count toward the
-  process's resident memory).
+  size against it, and is then indexed like the array: ``reader[rows]``
+  reads a step-1 slice of rows with ``seek`` and ``np.fromfile`` (plain
+  reads: mapped file pages would count toward the process's resident
+  memory). With ``len`` and ``shape`` it is a row source, like an array,
+  for the loops over :func:`~chansbgm.utils.row_blocks`.
 
 :func:`write_array` and :func:`read_array` are the whole-array forms of the
 same writer and reader; the bytes on disk do not depend on the block size.
@@ -37,7 +39,6 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .utils import row_blocks
 
 FORMAT_TAG = "chansbgm-array-v1"
 
@@ -187,8 +188,8 @@ class ArrayReader:
     def __len__(self) -> int:
         return self.shape[0]
 
-    def read(self, rows: slice = slice(None)) -> np.ndarray:
-        """Rows ``rows`` (a step-1 slice) of the array; all of it by default."""
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """Rows ``rows`` (a step-1 slice) of the array; ``reader[:]`` is all of it."""
         start, stop, _ = rows.indices(len(self))
         n_rows = max(stop - start, 0)
         count = n_rows * self._row_items
@@ -199,11 +200,6 @@ class ArrayReader:
             raise InvalidArgumentError(f"payload of {self.path} ended before row {stop}")
         return data.reshape((n_rows,) + self.shape[1:])
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The array as consecutive row blocks (:func:`row_blocks`)."""
-        for rows in row_blocks(len(self), self._row_items):
-            yield self.read(rows)
-
 
 def write_array(stem: str | Path, array: np.ndarray, role: str) -> None:
     """Write ``array`` to ``<stem>.json`` + ``<stem>.bin``.
@@ -211,15 +207,11 @@ def write_array(stem: str | Path, array: np.ndarray, role: str) -> None:
     Arrays are converted to c128/f64 before writing; integer input is
     stored as f64 (exact for the small index ranges used here).
     """
-    array = np.asarray(array)
-    if array.ndim == 0:
-        raise InvalidArgumentError("arrays are written in rows; a 0-d array has none")
     with ArrayWriter(stem, role) as writer:
-        for rows in row_blocks(len(array), math.prod(array.shape[1:])):
-            writer.append(array[rows])
+        writer.append(array)
 
 
 def read_array(stem: str | Path) -> tuple[np.ndarray, dict]:
     """Read an array written by :func:`write_array`; returns (array, sidecar)."""
     reader = ArrayReader(stem)
-    return reader.read(), reader.sidecar
+    return reader[:], reader.sidecar

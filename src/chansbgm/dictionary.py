@@ -39,7 +39,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .utils import check_tagged_document, content_id
+from .utils import check_tagged_document, content_id, row_blocks
 
 MAX_DICTIONARY_COLUMNS = 1 << 16
 
@@ -224,11 +224,10 @@ class Dictionary:
 
     @cached_property
     def content_id(self) -> str:
-        """Hash of ``matrix``'s bytes, taken ``len(factors[-1])`` rows at a
-        time (one Doppler row for OFDM) so the product is never formed whole."""
-        block = len(self.factors[-1])
-        starts = range(0, self.config.channel_dim, block)
-        return content_id(self.rows(np.arange(i, i + block)).tobytes() for i in starts)
+        """Hash of ``matrix``'s bytes, formed in row blocks
+        (:func:`~chansbgm.utils.row_blocks`) so the product is never whole."""
+        blocks = row_blocks(self.config.channel_dim, self.n_columns)
+        return content_id(self.rows(np.arange(b.start, b.stop)).tobytes() for b in blocks)
 
     def apply(self, s: np.ndarray) -> np.ndarray:
         """Channels D s of the coefficient rows ``s`` (n, n_columns), as an

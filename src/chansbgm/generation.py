@@ -270,9 +270,9 @@ def open_batch(directory: str | Path) -> StoredBatch:
 def load_batch(directory: str | Path) -> tuple[GeneratedBatch, dict]:
     stored = open_batch(directory)
     batch = GeneratedBatch(
-        sparse=stored.sparse.read(),
-        labels=stored.labels.read().astype(int),
-        channels=None if stored.channels is None else stored.channels.read(),
+        sparse=stored.sparse[:],
+        labels=stored.labels[:].astype(int),
+        channels=None if stored.channels is None else stored.channels[:],
         provenance=stored.meta.get("provenance"),
     )
     return batch, stored.meta

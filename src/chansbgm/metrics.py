@@ -62,19 +62,27 @@ class PowerProfile:
         return self.total / self.n_kept
 
 
-def power_angular_profile(vectors: np.ndarray) -> tuple[np.ndarray, int]:
-    """Mean normalized per-gridpoint power, and the skipped-sample count.
+def power_angular_profile(vectors, grid: AngleGrid | None = None):
+    """Mean normalized per-gridpoint power, the skipped-sample count and,
+    on an angle ``grid``, the per-sample angular spreads (else None).
 
     Each sample contributes |s_q|^2 / ||s||^2; samples with zero norm are
-    skipped (the ratio is undefined for them).
+    skipped (the ratio is undefined for them). ``vectors`` is an (n, S)
+    array or :class:`~chansbgm.container.ArrayReader`, read a row block at
+    a time; the block size does not change the result.
     """
-    vectors = np.asarray(vectors)
-    if vectors.ndim != 2:
+    if len(vectors.shape) != 2:
         raise InvalidArgumentError("vectors must be a nonempty (n, S) array")
     accumulator = PowerProfile(vectors.shape[1])
+    spreads = []
     for rows in row_blocks(len(vectors), vectors.shape[1]):
-        accumulator.add(np.abs(vectors[rows]) ** 2)
-    return accumulator.profile(), accumulator.n_skipped
+        power = np.abs(vectors[rows])  # the block itself is not kept
+        power *= power  # the bits of np.abs(block) ** 2
+        accumulator.add(power)
+        if grid is not None:
+            spreads.append(batch_angular_spreads(power, grid)[0])
+    profile = accumulator.profile()
+    return profile, accumulator.n_skipped, np.concatenate(spreads) if grid is not None else None
 
 
 def angular_spread(s: np.ndarray, grid: AngleGrid) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dictionary import SystemConfig, check_pilots, delay_matrix, doppler_matrix
 from .errors import InvalidArgumentError, NumericError
-from .utils import complex_standard_normal
+from .utils import complex_standard_normal, row_blocks
 
 # default node count of the SIMO covariance quadrature
 QUADRATURE_POINTS = 2048
@@ -174,18 +174,6 @@ def _steering_sums(theta: np.ndarray, coeffs: np.ndarray, n_antennas: int) -> np
     return sums
 
 
-# Samples are walked in blocks whose (rows, nodes) quadrature arrays hold
-# about this many entries (2 MB complex), so their memory depends on neither
-# the sample count nor the node count.
-_NODE_BLOCK = 1 << 17
-
-
-def _node_blocks(n: int, count: int) -> list[slice]:
-    # _laplacian_nodes rejects a count below 64; until then none may divide
-    step = max(1, _NODE_BLOCK // max(count, 1))
-    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
-
-
 def laplacian_local_covariance(
     center,
     std_dev: float,
@@ -267,7 +255,8 @@ def simo_channels(
     angle from the Laplacian local covariance around it; shape
     (n, n_antennas).
 
-    Samples go a block at a time: the block's covariance stack
+    Samples go a row block (:func:`~chansbgm.utils.row_blocks`, one
+    quadrature node per element) at a time: the block's covariance stack
     (:func:`laplacian_local_covariance`) is drawn from
     (:func:`draw_simo_channel`) before the next block is computed, so only
     one block's (rows, quadrature_points) arrays are held. Both are looked
@@ -276,7 +265,7 @@ def simo_channels(
     """
     angles = sample_angle(profile, rng, size=n_samples)
     channels = np.empty((n_samples, n_antennas), dtype=complex)
-    for rows in _node_blocks(n_samples, quadrature_points):
+    for rows in row_blocks(n_samples, quadrature_points):
         covs = laplacian_local_covariance(angles[rows], std_dev, n_antennas, quadrature_points)
         channels[rows] = draw_simo_channel(covs, rng)
     return channels
@@ -376,7 +365,7 @@ def simo_ground_truth(
     channels = np.empty((n_samples, n_antennas), dtype=complex)
     coefficients = np.zeros((n_samples, grid.size), dtype=complex)
     spacing = math.pi / grid.size
-    for rows in _node_blocks(n_samples, quadrature_points):
+    for rows in row_blocks(n_samples, quadrature_points):
         theta, weights = _laplacian_nodes(angles[rows], std_dev, quadrature_points)
         # one row of gains per sample, drawn in sample order
         gains = np.sqrt(weights) * complex_standard_normal(rng, theta.shape)

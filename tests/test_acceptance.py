@@ -349,7 +349,7 @@ def test_criterion_7_street_canyon_replica(street_canyon_run):
 
     csgmm_batch, _ = load_batch(ctx["paths"]["csgmm_batch"])
     msbl_batch, _ = load_batch(ctx["paths"]["msbl_batch"])
-    profile, _ = power_angular_profile(csgmm_batch.sparse)
+    profile, _, _ = power_angular_profile(csgmm_batch.sparse)
     leakage = profile_support_leakage(profile, support)
     csgmm_spreads, _ = batch_angular_spreads(np.abs(csgmm_batch.sparse) ** 2, grid)
     msbl_spreads, _ = batch_angular_spreads(np.abs(msbl_batch.sparse) ** 2, grid)

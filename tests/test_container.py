@@ -74,10 +74,10 @@ def test_reader_rows_match_whole(tmp_path):
     write_array(tmp_path / "x", arr, role="test")
     reader = ArrayReader(tmp_path / "x")
     assert len(reader) == 9
-    parts = [reader.read(rows) for rows in (slice(0, 2), slice(2, 2), slice(2, 9))]
+    parts = [reader[rows] for rows in (slice(0, 2), slice(2, 2), slice(2, 9))]
     assert np.concatenate(parts).tobytes() == arr.tobytes()
-    assert reader.read(slice(5, None)).tobytes() == arr[5:].tobytes()
-    assert b"".join(block.tobytes() for block in reader.blocks()) == arr.tobytes()
+    assert reader[5:].tobytes() == arr[5:].tobytes()
+    assert reader[:].tobytes() == arr.tobytes()
 
 
 def test_failed_write_leaves_final_names_untouched(tmp_path):

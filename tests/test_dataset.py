@@ -55,7 +55,7 @@ def test_save_then_load_round_trips(tmp_path, config):
     assert meta == document
     assert dictionary.content_id == document["dictionary_id"]
     reader, opened = open_channels(tmp_path)
-    assert reader.read().tobytes() == channels.tobytes()
+    assert reader[:].tobytes() == channels.tobytes()
     assert opened == document
 
 

@@ -24,7 +24,7 @@ class TestPowerAngularProfile:
     def test_single_gridpoint_batch(self):
         vectors = np.zeros((5, 8), dtype=complex)
         vectors[:, 3] = 2.0 - 1.0j
-        profile, skipped = power_angular_profile(vectors)
+        profile, skipped, _ = power_angular_profile(vectors)
         expected = np.zeros(8)
         expected[3] = 1.0
         np.testing.assert_allclose(profile, expected, atol=1e-15)
@@ -34,13 +34,13 @@ class TestPowerAngularProfile:
         vectors = np.zeros((2, 4), dtype=complex)
         vectors[0, 1] = 1.0
         vectors[1, 2] = 5.0
-        profile, _ = power_angular_profile(vectors)
+        profile, _, _ = power_angular_profile(vectors)
         np.testing.assert_allclose(profile, [0.0, 0.5, 0.5, 0.0])
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(0)
         vectors = rng.standard_normal((10, 6)) + 1j * rng.standard_normal((10, 6))
-        profile, _ = power_angular_profile(vectors)
+        profile, _, _ = power_angular_profile(vectors)
         oracle = np.zeros(6)
         for i in range(10):
             norm = sum(abs(vectors[i, g]) ** 2 for g in range(6))
@@ -52,7 +52,7 @@ class TestPowerAngularProfile:
     def test_sums_to_one(self):
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((50, 12)) * rng.uniform(0, 10, (50, 12))
-        profile, _ = power_angular_profile(vectors)
+        profile, _, _ = power_angular_profile(vectors)
         assert profile.sum() == pytest.approx(1.0, abs=1e-12)
 
     # with zero-norm rows, and without, which divides the powers unfiltered
@@ -85,7 +85,7 @@ class TestPowerAngularProfile:
         vectors = np.zeros((4, 3), dtype=complex)
         vectors[0, 1] = 1.0
         vectors[2, 2] = 1.0
-        profile, skipped = power_angular_profile(vectors)
+        profile, skipped, _ = power_angular_profile(vectors)
         assert skipped == 2
         np.testing.assert_allclose(profile, [0.0, 0.5, 0.5])
 
