@@ -190,6 +190,8 @@ class ArrayReader:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         """Rows ``rows`` (a step-1 slice) of the array; ``reader[:]`` is all of it."""
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise InvalidArgumentError(f"{self.path} is read in row slices of step 1, not {rows!r}")
         start, stop, _ = rows.indices(len(self))
         n_rows = max(stop - start, 0)
         count = n_rows * self._row_items

@@ -15,11 +15,22 @@ SPREAD_HIST_EDGES = np.linspace(0.0, math.pi / 2, 65)
 SPREAD_HIST_EDGES.flags.writeable = False
 
 
-def _check_power(power: np.ndarray) -> np.ndarray:
+def _row_powers(power: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``power`` checked, its row sums (the samples' squared norms) and
+    which of them are nonzero."""
     power = np.asarray(power)
     if np.iscomplexobj(power):
         raise InvalidArgumentError("pass the powers |s|**2, not the coefficients s")
-    return power
+    norms = power.sum(axis=1)
+    _check_finite(norms, "coefficient")
+    return power, norms, norms > 0
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Reject NaN or infinite per-sample values: a row sum or ratio is
+    finite unless a stored value is not (or its square overflows)."""
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError(f"{what} values must be finite")
 
 
 class PowerProfile:
@@ -38,9 +49,7 @@ class PowerProfile:
 
     def add(self, power: np.ndarray) -> None:
         """Add the samples whose powers ``np.abs(s) ** 2`` are the rows of ``power``."""
-        power = _check_power(power)
-        norms = power.sum(axis=1)
-        keep = norms > 0
+        power, norms, keep = _row_powers(power)
         n_skipped = int(np.sum(~keep))
         if n_skipped:
             power, norms = power[keep], norms[keep]
@@ -102,9 +111,7 @@ def angular_spread(s: np.ndarray, grid: AngleGrid) -> float:
 def batch_angular_spreads(power: np.ndarray, grid: AngleGrid) -> tuple[np.ndarray, int]:
     """Angular spread per sample, from the samples' powers ``np.abs(s) ** 2``
     as the rows of ``power``; zero-norm samples are skipped and counted."""
-    power = _check_power(power)
-    totals = power.sum(axis=1)
-    keep = totals > 0
+    power, totals, keep = _row_powers(power)
     n_skipped = int(np.sum(~keep))
     angles = grid.points
     # the product runs over every row, so which rows are kept cannot move
@@ -130,16 +137,25 @@ def _paired(estimates: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, np.n
 
 def sample_nmse(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
     """Per-sample ||estimate - truth||^2 / dimension."""
-    return np.sum(np.abs(estimates - truths) ** 2, axis=1) / estimates.shape[1]
+    power = np.abs(estimates - truths)
+    power *= power  # the bits of np.abs(estimates - truths) ** 2
+    errors = np.sum(power, axis=1) / estimates.shape[1]
+    _check_finite(errors, "channel")
+    return errors
 
 
 def sample_cosines(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
     """Per-sample absolute normalized inner product; 1 for collinear pairs."""
-    num = np.abs(np.sum(estimates.conj() * truths, axis=1))
+    products = np.conj(estimates).astype(np.result_type(estimates, truths), copy=False)
+    products *= truths  # the bits of estimates.conj() * truths
+    num = np.abs(np.sum(products, axis=1))
+    del products
     den = np.linalg.norm(estimates, axis=1) * np.linalg.norm(truths, axis=1)
     if np.any(den == 0):
         raise InvalidArgumentError("cosine similarity is undefined for zero vectors")
-    return num / den
+    cosines = num / den
+    _check_finite(cosines, "channel")
+    return cosines
 
 
 def nmse(estimates: np.ndarray, truths: np.ndarray) -> float:

@@ -625,6 +625,26 @@ class TestGenerateAndMetrics:
         assert not (tmp_path / "r").exists()
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
+    @pytest.mark.parametrize(
+        "stem, value",
+        [("sparse", np.nan), ("sparse", np.inf), ("channels", np.nan)],
+        ids=["nan-sparse", "inf-sparse", "nan-channel"],
+    )
+    def test_non_finite_stored_values_rejected(self, fitted_model, tmp_path, stem, value):
+        batch, reference = tmp_path / "batch", tmp_path / "reference"
+        for out in (batch, reference):
+            assert main(["generate", str(fitted_model), "-n", "10", "--seed", "5", "--render",
+                         "--out", str(out)]) == EXIT_OK
+        # a NaN norm is not > 0, and an infinite one gives NaN ratios
+        payload = bytearray((batch / f"{stem}.bin").read_bytes())
+        payload[16:24] = np.float64(value).tobytes()
+        (batch / f"{stem}.bin").write_bytes(bytes(payload))
+        reference = [str(reference)] if stem == "channels" else []
+        code = main(["metrics", str(batch), *reference, "--out", str(tmp_path / "r")])
+        assert code == EXIT_BAD_CONFIG
+        assert not (tmp_path / "r").exists()
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+
 
     @pytest.mark.parametrize("field, value", [("n_antennas", 16.5), ("n_rx", 2)])
     def test_render_with_malformed_model_system_rejected(

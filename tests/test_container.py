@@ -80,6 +80,15 @@ def test_reader_rows_match_whole(tmp_path):
     assert reader[:].tobytes() == arr.tobytes()
 
 
+@pytest.mark.parametrize("rows", [slice(0, 10, 2), slice(10, 0, -1), 3], ids=["2", "-1", "int"])
+def test_reader_takes_only_row_slices_of_step_1(tmp_path, rows):
+    write_array(tmp_path / "x", np.arange(12.0), role="test")
+    reader = ArrayReader(tmp_path / "x")
+    assert reader[0:12:1].tobytes() == np.arange(12.0).tobytes()
+    with pytest.raises(InvalidArgumentError, match="step 1"):
+        reader[rows]
+
+
 def test_failed_write_leaves_final_names_untouched(tmp_path):
     out = tmp_path / "out"
     with output_directory(out, "x.json") as staged:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
+import chansbgm.utils as utils
+from chansbgm.container import ArrayReader, write_array
 from chansbgm.dictionary import AngleGrid
 from chansbgm.errors import InvalidArgumentError
 from chansbgm.metrics import (
@@ -60,7 +62,7 @@ class TestPowerAngularProfile:
         *(pytest.param(size, [3, 150, 151], id=str(size)) for size in (2, 5, 64)),
         *(pytest.param(size, [], id=f"{size}-all-kept") for size in (2, 5, 64)),
     ])
-    def test_blocks_give_the_bits_of_one_mean(self, size, zero_rows):
+    def test_blocks_give_the_bits_of_one_mean(self, size, zero_rows, tmp_path, monkeypatch):
         rng = np.random.default_rng(2)
         vectors = rng.standard_normal((300, size)) + 1j * rng.standard_normal((300, size))
         vectors[zero_rows] = 0.0
@@ -76,6 +78,15 @@ class TestPowerAngularProfile:
             assert accumulator.profile().tobytes() == reference.tobytes()
             assert accumulator.n_skipped == len(zero_rows)
         assert power.tobytes() == before.tobytes()
+        # the angular pass, over the array and over its stored copy, in
+        # 64-row blocks and in the default ones
+        write_array(tmp_path / "v", vectors, role="test")
+        for block_elements in (1, utils.BLOCK_ELEMENTS):
+            monkeypatch.setattr(utils, "BLOCK_ELEMENTS", block_elements)
+            for source in (vectors, ArrayReader(tmp_path / "v")):
+                profile, skipped, spreads = power_angular_profile(source)
+                assert profile.tobytes() == reference.tobytes()
+                assert (skipped, spreads) == (len(zero_rows), None)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -133,7 +144,9 @@ class TestAngularSpread:
             PowerProfile(8).add(vectors)
 
     @pytest.mark.parametrize("zero_rows", [[3, 150, 151], []], ids=["skipped", "all-kept"])
-    def test_batch_gives_the_bits_of_the_whole_array_formula(self, zero_rows):
+    def test_batch_gives_the_bits_of_the_whole_array_formula(
+        self, zero_rows, tmp_path, monkeypatch
+    ):
         rng = np.random.default_rng(6)
         grid = AngleGrid(16)
         vectors = rng.standard_normal((300, 16)) + 1j * rng.standard_normal((300, 16))
@@ -149,6 +162,13 @@ class TestAngularSpread:
         assert spreads.tobytes() == expected.tobytes()
         assert skipped == len(zero_rows)
         assert power.tobytes() == before.tobytes()
+        write_array(tmp_path / "v", vectors, role="test")
+        for block_elements in (1, utils.BLOCK_ELEMENTS):
+            monkeypatch.setattr(utils, "BLOCK_ELEMENTS", block_elements)
+            for source in (vectors, ArrayReader(tmp_path / "v")):
+                _, skipped, spreads = power_angular_profile(source, grid)
+                assert spreads.tobytes() == expected.tobytes()
+                assert skipped == len(zero_rows)
 
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(4)

@@ -236,37 +236,42 @@ class TestSimoChannelDraws:
 
 
 class TestSimoDatasets:
+    # samples and nodes per sample: the walk crosses blocks; 129 ends on a
+    # lone row, which joins the block before it; 3000 nodes give 64-row blocks
+    SIMO_WALKS = [(150, 1024), (129, 1024), (150, 3000)]
+
     def test_channels_equal_per_sample_draws(self):
-        # more samples than one block of nodes, so the walk crosses blocks
         profile = AngleProfile.street_canyons()
-        channels = simo_channels(profile, STD, 8, 150, np.random.default_rng(10), 1024)
-        rng = np.random.default_rng(10)
-        angles = sample_angle(profile, rng, size=150)
-        expected = np.stack([
-            draw_simo_channel(laplacian_local_covariance(angle, STD, 8, 1024), rng)
-            for angle in angles
-        ])
-        assert np.array_equal(channels, expected)
+        for n_samples, q in self.SIMO_WALKS:
+            channels = simo_channels(profile, STD, 8, n_samples, np.random.default_rng(10), q)
+            rng = np.random.default_rng(10)
+            angles = sample_angle(profile, rng, size=n_samples)
+            expected = np.stack([
+                draw_simo_channel(laplacian_local_covariance(angle, STD, 8, q), rng)
+                for angle in angles
+            ])
+            assert np.array_equal(channels, expected), (n_samples, q)
 
     def test_ground_truth_matches_per_sample_reference(self):
-        profile, grid, n, q = AngleProfile.street_canyons(), AngleGrid(64), 8, 1024
-        channels, coefficients = simo_ground_truth(
-            profile, STD, grid, n, 300, np.random.default_rng(11), quadrature_points=q
-        )
-        rng = np.random.default_rng(11)
-        angles = sample_angle(profile, rng, size=300)
+        profile, grid, n = AngleProfile.street_canyons(), AngleGrid(64), 8
         spacing = math.pi / grid.size
-        for i, angle in enumerate(angles):
-            theta, weights = (a[0] for a in _laplacian_nodes([angle], STD, q))
-            gains = np.sqrt(weights) * complex_standard_normal(rng, q)
-            nearest = np.clip(
-                np.round((theta - grid.points[0]) / spacing).astype(int), 0, grid.size - 1
+        for n_samples, q in [(300, 1024), *self.SIMO_WALKS[1:]]:
+            channels, coefficients = simo_ground_truth(
+                profile, STD, grid, n, n_samples, np.random.default_rng(11), quadrature_points=q
             )
-            expected = np.zeros(grid.size, dtype=complex)
-            np.add.at(expected, nearest, gains)
-            assert np.array_equal(coefficients[i], expected)
-            channel = ula_matrix(theta, n) @ gains
-            assert np.abs(channels[i] - channel).max() < 1e-13 * np.abs(channel).max()
+            rng = np.random.default_rng(11)
+            angles = sample_angle(profile, rng, size=n_samples)
+            for i, angle in enumerate(angles):
+                theta, weights = (a[0] for a in _laplacian_nodes([angle], STD, q))
+                gains = np.sqrt(weights) * complex_standard_normal(rng, q)
+                nearest = np.clip(
+                    np.round((theta - grid.points[0]) / spacing).astype(int), 0, grid.size - 1
+                )
+                expected = np.zeros(grid.size, dtype=complex)
+                np.add.at(expected, nearest, gains)
+                assert np.array_equal(coefficients[i], expected)
+                channel = ula_matrix(theta, n) @ gains
+                assert np.abs(channels[i] - channel).max() < 1e-13 * np.abs(channel).max()
 
     @pytest.mark.parametrize("count", [0, -4, 63])
     def test_too_few_quadrature_points_rejected(self, count):
