@@ -34,6 +34,13 @@ driver over it, and :func:`csgmm_fit` is the init plus a loop with the
 stop rule. Its M-step core also serves :func:`csgmm_m_step` and
 :func:`kronecker_m_step`.
 
+A fit's memory is one E-step's arrays: the per-component projections
+U^H y_i and shifts lam + sigma_i^2, (K, n, M) each, which
+:func:`_em_steps` allocates once and every iteration overwrites. The
+M-step turns them into z_i and 1 / (lam + sigma_i^2) in place. The
+reference paths (:func:`csgmm_e_step`, :func:`total_log_likelihood`)
+run the same methods, which allocate when given no arrays.
+
 Setting K = 1 recovers multiple-measurement-vector sparse Bayesian
 learning; the CLI exposes it under the name ``msbl``.
 
@@ -183,8 +190,9 @@ class _ComponentCache:
 
     Every per-sample covariance is U diag(lam + sigma_i^2) U^H, so inverses
     and determinants reduce to the shifted values. :meth:`log_marginals`
-    keeps the projections U^H y_i and the shifts it computes; the moment
-    methods read them.
+    keeps the projections U^H y_i and the shifts lam + sigma_i^2 it
+    computes; :meth:`moment_stats` reads them, and :meth:`moment_sum`, the
+    last reader, consumes them.
     """
 
     def __init__(self, gamma: np.ndarray, w: np.ndarray):
@@ -198,12 +206,26 @@ class _ComponentCache:
         self.lam[: len(sv)] = sv**2
         self.g = w.conj().T @ self.u  # (S, M)
 
-    def log_marginals(self, samples: np.ndarray, sigma2s: np.ndarray) -> np.ndarray:
-        m = samples.shape[1]
-        self.yt = samples @ self.u.conj()
-        self.denom = self.lam[None, :] + sigma2s[:, None]
-        quad = np.sum(np.abs(self.yt) ** 2 / self.denom, axis=1)
-        return -m * math.log(math.pi) - np.sum(np.log(self.denom), axis=1) - quad
+    def log_marginals(
+        self, samples: np.ndarray, sigma2s: np.ndarray, out: tuple | None = None
+    ) -> np.ndarray:
+        """Per-sample log CN(y_i; 0, C_i), shape (n,).
+
+        ``out`` is (projections, shifts, scratch): (n, M) arrays, complex,
+        real and real, that receive U^H y_i, lam + sigma_i^2 and the terms
+        summed. The cache keeps the first two; by default all three are new.
+        """
+        n, m = samples.shape
+        if out is None:
+            out = (np.empty((n, m), complex), np.empty((n, m)), np.empty((n, m)))
+        self.yt, self.denom, t = out
+        np.matmul(samples, self.u.conj(), out=self.yt)
+        np.add(self.lam[None, :], sigma2s[:, None], out=self.denom)
+        np.abs(self.yt, out=t)
+        t *= t
+        t /= self.denom
+        quad = np.sum(t, axis=1)
+        return -m * math.log(math.pi) - np.sum(np.log(self.denom, out=t), axis=1) - quad
 
     def moment_stats(self) -> np.ndarray:
         """Per-sample |mu|^2 + diag(C) as an (n, S) array."""
@@ -213,14 +235,22 @@ class _ComponentCache:
         cov_diag = np.clip(gamma - gamma**2 * quad, 0.0, gamma)
         return np.abs(mu) ** 2 + cov_diag
 
-    def moment_sum(self, r: np.ndarray) -> np.ndarray:
-        """sum_i r_i (|mu_i|^2 + diag C_i), shape (S,), from M x M statistics."""
+    def moment_sum(self, r: np.ndarray, out: tuple | None = None) -> np.ndarray:
+        """sum_i r_i (|mu_i|^2 + diag C_i), shape (S,), from M x M statistics.
+
+        It consumes the cache: the projections become z_i and the shifts
+        their reciprocals, in place. ``out`` is two complex (n, M) arrays
+        for the factors of Q_k; by default they are new.
+        """
         gamma = self.gamma
-        z = self.yt / self.denom
-        q = (z.T * r) @ z.conj()
+        left, right = out if out is not None else (np.empty_like(self.yt), np.empty_like(self.yt))
+        z = np.divide(self.yt, self.denom, out=self.yt)
+        np.multiply(z.T, r, out=left.T)  # F-order, as z.T * r would be
+        q = left.T @ np.conjugate(z, out=right)
         mu2 = np.sum((self.g @ q) * self.g.conj(), axis=1).real
         total = r.sum()
-        cov = total * gamma - gamma**2 * ((np.abs(self.g) ** 2) @ (r @ (1.0 / self.denom)))
+        inverse = np.divide(1.0, self.denom, out=self.denom)
+        cov = total * gamma - gamma**2 * ((np.abs(self.g) ** 2) @ (r @ inverse))
         return gamma**2 * mu2 + np.clip(cov, 0.0, total * gamma)
 
 
@@ -243,13 +273,20 @@ def _log_sum_exp(a: np.ndarray) -> np.ndarray:
 
 
 def _e_step(
-    model: SbgmModel, w: np.ndarray, obs: ObservationSet
+    model: SbgmModel, w: np.ndarray, obs: ObservationSet, out: tuple | None = None
 ) -> tuple[list[_ComponentCache], np.ndarray, np.ndarray]:
     """Per-component caches, responsibilities (n, K) normalized in the log
-    domain, and per-sample log-likelihoods (n,)."""
+    domain, and per-sample log-likelihoods (n,).
+
+    ``out`` is (projections, shifts, scratch) of shapes (K, n, M), (K, n, M)
+    and (n, M): cache k writes and keeps rows k of the first two, and every
+    cache uses the scratch (see :meth:`_ComponentCache.log_marginals`). By
+    default each cache allocates its own.
+    """
     caches = [_ComponentCache(gamma, w) for gamma in model.expanded_variances()]
+    outs = itertools.repeat(None) if out is None else zip(*out[:2], itertools.repeat(out[2]))
     log_post = np.column_stack(
-        [c.log_marginals(obs.samples, obs.noise_vars) for c in caches]
+        [c.log_marginals(obs.samples, obs.noise_vars, o) for c, o in zip(caches, outs)]
     ) + _log_weights(model.weights)[None, :]
     norm = _log_sum_exp(log_post)
     resp = np.exp(log_post - norm[:, None])
@@ -411,20 +448,24 @@ def _em_steps(
 
     Each item costs one E-step; the M-step that makes the next model runs
     only when the next item is asked for, so a driver that stops discards
-    no update. An E-step's arrays are released only after the next E-step
-    has allocated its own. A step function that released them all on
-    return left them on top of the heap, where glibc hands them back to the
-    system: the K=16 street-canyon fit then took 5954 minor faults and
-    48 ms per iteration instead of 80 and 30 ms (one BLAS thread, 2-vCPU
-    x86-64 host).
+    no update. The E-step's large arrays are allocated once, before the
+    first item, and live as long as the generator: every iteration writes
+    its per-component projections and shifts, (K, n, M) each, into the
+    same two arrays, and its components share three (n, M) scratch
+    arrays. An iteration's caches hold views of them, which the M-step's
+    :meth:`_ComponentCache.moment_sum` consumes.
     """
+    n, m = obs.samples.shape
+    shape = (model.n_components, n, m)
+    arrays = (np.empty(shape, complex), np.empty(shape), np.empty((n, m)))
+    factors = (np.empty((n, m), complex), np.empty((n, m), complex))
     for iteration in itertools.count():
         try:
-            caches, resp, norm = _e_step(model, w, obs)
+            caches, resp, norm = _e_step(model, w, obs, arrays)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"EM iteration {iteration} failed: {exc}") from exc
         yield float(np.sum(norm)), model
-        totals, sums = _component_sums(resp, lambda k, r: caches[k].moment_sum(r))
+        totals, sums = _component_sums(resp, lambda k, r: caches[k].moment_sum(r, factors))
         try:
             model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
         except InvalidArgumentError as exc:  # non-finite sums make no model

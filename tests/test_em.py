@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from chansbgm.em import (
     _e_step,
     _em_steps,
     _log_sum_exp,
+    _m_step,
     csgmm_e_step,
     csgmm_fit,
     csgmm_m_step,
@@ -440,6 +442,63 @@ class TestFit:
         assert model.doppler_variances.shape == (2, 4)
         assert model.delay_variances.shape == (2, 4)
         assert trace.is_monotone()
+
+
+class TestEStepArrays:
+    """The fit writes each E-step into arrays it allocated once."""
+
+    @pytest.mark.parametrize("problem, k", [("simo", 3), ("simo", 1), ("ofdm", 2)])
+    def test_buffered_loop_keeps_every_bit(self, problem, k):
+        # six EM iterations of the fit against a loop in which every cache
+        # allocates its own arrays
+        rng = np.random.default_rng(40 + k)
+        if problem == "simo":
+            d = simo_setup(s=24, n_antennas=8)
+            obs = synthetic_observations(d, 40, seed=41)
+            model = random_model(rng, k, d.n_columns)
+        else:
+            d, obs = ofdm_problem(42)
+            model = random_kronecker_model(rng, k, 4, 4)
+        w = d.rows(obs.pilots)
+        steps = list(itertools.islice(_em_steps(model, w, obs), 6))
+        for loglik, got in steps:
+            caches, resp, norm = _e_step(model, w, obs)
+            assert loglik == float(np.sum(norm))
+            for a, b in zip((got.weights, *got.factors), (model.weights, *model.factors)):
+                assert a.tobytes() == b.tobytes()
+            totals, sums = _component_sums(resp, lambda j, r: caches[j].moment_sum(r))
+            model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
+
+    def test_log_marginals_into_given_arrays_keep_every_bit(self):
+        d = simo_setup(s=24, n_antennas=8)
+        obs = synthetic_observations(d, 30, seed=43)
+        gamma = random_model(np.random.default_rng(44), 1, d.n_columns).variances[0]
+        w = d.rows(obs.pilots)
+        fresh = _ComponentCache(gamma, w)
+        want = fresh.log_marginals(obs.samples, obs.noise_vars)
+        shape = obs.samples.shape
+        out = (np.empty(shape, complex), np.empty(shape), np.empty(shape))
+        given = _ComponentCache(gamma, w)
+        got = given.log_marginals(obs.samples, obs.noise_vars, out)
+        assert got.tobytes() == want.tobytes()
+        assert given.yt is out[0] and given.denom is out[1]
+        assert given.yt.tobytes() == fresh.yt.tobytes()
+        assert given.denom.tobytes() == fresh.denom.tobytes()
+
+    def test_fit_holds_one_e_steps_arrays(self):
+        # n=2000 samples at 16 antennas on a 128-point grid, K=16: one set
+        # of projections and shifts is K n M (16 + 8) bytes (12.3 MB); a fit
+        # that kept two sets alive would peak near twice that
+        k, n, m = 16, 2000, 16
+        d = simo_setup(s=128, n_antennas=m)
+        obs = synthetic_observations(d, n, seed=45)
+        tracemalloc.start()
+        try:
+            csgmm_fit(obs, d, k, max_iters=3, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * k * n * m * 24
 
 
 class TestTotalLogLikelihood:
