@@ -205,8 +205,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     batch = open_batch(batch_dir)
     grid_doc = batch.meta.get("grid")
     grid = grid_from_json(grid_doc) if grid_doc else None
-    angular = isinstance(grid, AngleGrid)
-    spread_grid = grid if angular else None  # angular spreads need an angle grid
+    angle_grid = grid if isinstance(grid, AngleGrid) else None  # angular spreads need one
     ref_sparse, ref_channels, ref_meta = (
         (None, None, {}) if reference is None else _open_reference(reference)
     )
@@ -227,14 +226,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             "channel metrics need a reference with channels aligned to the batch"
         )
     with output_directory(args.out, "report.json", reads=[batch_dir, reference]) as out_dir:
-        profile, skipped, spreads = power_angular_profile(batch.sparse, spread_grid)
+        profile, skipped, spreads = power_angular_profile(batch.sparse, angle_grid)
         report: dict = {"n_samples": len(batch.sparse), "n_skipped_zero_norm": skipped}
 
         indices = range(len(profile))
-        if angular:
-            rows = zip(indices, grid.points.tolist(), profile.tolist())
+        if angle_grid is not None:
+            rows = zip(indices, angle_grid.points.tolist(), profile.tolist())
             _write_csv(out_dir / "profile.csv", "grid_index,angle_rad,mass", rows)
-            hist = spread_histogram(spreads, SPREAD_HIST_EDGES)
+            hist = spread_histogram(spreads)
             edges = SPREAD_HIST_EDGES.tolist()
             rows = zip(edges[:-1], edges[1:], hist.tolist())
             _write_csv(out_dir / "spread_hist.csv", "bin_lo,bin_hi,mass", rows)
@@ -243,12 +242,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             _write_csv(out_dir / "profile.csv", "grid_index,mass", zip(indices, profile.tolist()))
 
         if ref_sparse is not None:
-            ref_profile, _, ref_spreads = power_angular_profile(ref_sparse, spread_grid)
+            ref_profile, _, ref_spreads = power_angular_profile(ref_sparse, angle_grid)
             report["leakage_vs_reference_support"] = profile_support_leakage(
                 profile, ref_profile > 1e-12
             )
-            if angular:
-                report["spread_w1_vs_reference"] = histogram_w1(spreads, ref_spreads)
+            if angle_grid is not None:
+                report["spread_w1_vs_reference"] = histogram_w1(hist, spread_histogram(ref_spreads))
         else:
             report["leakage_vs_own_support"] = profile_support_leakage(profile, profile > 1e-12)
 

@@ -34,12 +34,12 @@ driver over it, and :func:`csgmm_fit` is the init plus a loop with the
 stop rule. Its M-step core also serves :func:`csgmm_m_step` and
 :func:`kronecker_m_step`.
 
-A fit's memory is one E-step's arrays: the per-component projections
-U^H y_i and shifts lam + sigma_i^2, (K, n, M) each, which
-:func:`_em_steps` allocates once and every iteration overwrites. The
-M-step turns them into z_i and 1 / (lam + sigma_i^2) in place. The
-reference paths (:func:`csgmm_e_step`, :func:`total_log_likelihood`)
-run the same methods, which allocate when given no arrays.
+A fit's memory is one E-step's arrays (:func:`_e_step_arrays`): the
+per-component projections U^H y_i and shifts lam + sigma_i^2, (K, n, M)
+each, and three (n, M) work arrays that all components share.
+:func:`_em_steps` allocates them once and every iteration overwrites
+them; the reference paths (:func:`csgmm_e_step`,
+:func:`total_log_likelihood`) allocate one set per call.
 
 Setting K = 1 recovers multiple-measurement-vector sparse Bayesian
 learning; the CLI exposes it under the name ``msbl``.
@@ -189,43 +189,35 @@ class _ComponentCache:
     """Factorization W diag(gamma) W^H = U diag(lam) U^H, reused across all samples.
 
     Every per-sample covariance is U diag(lam + sigma_i^2) U^H, so inverses
-    and determinants reduce to the shifted values. :meth:`log_marginals`
-    keeps the projections U^H y_i and the shifts lam + sigma_i^2 it
-    computes; :meth:`moment_stats` reads them, and :meth:`moment_sum`, the
-    last reader, consumes them.
+    and determinants reduce to the shifted values. Building the cache writes
+    U^H y_i into ``yt`` and lam + sigma_i^2 into ``denom``, (n, M) each, and
+    sets ``log_marginals``, log CN(y_i; 0, C_i) per sample; ``work`` is the
+    scratch that every cache of an E-step shares. From then on the cache is
+    read-only: :meth:`moment_stats` and :meth:`moment_sum` run in either order.
     """
 
-    def __init__(self, gamma: np.ndarray, w: np.ndarray):
+    def __init__(
+        self, gamma: np.ndarray, w: np.ndarray, samples: np.ndarray, sigma2s: np.ndarray,
+        yt: np.ndarray, denom: np.ndarray, work: tuple,
+    ):
         self.gamma = gamma
         # the SVD of the triangular factor has the same singular values and
         # right basis, and its full basis spans C^M even when S < M
         r = np.linalg.qr((w * np.sqrt(gamma)[None, :]).conj().T, mode="r")
         _, sv, vh = np.linalg.svd(r)
-        self.u = vh.conj().T
-        self.lam = np.zeros(w.shape[0])
-        self.lam[: len(sv)] = sv**2
-        self.g = w.conj().T @ self.u  # (S, M)
-
-    def log_marginals(
-        self, samples: np.ndarray, sigma2s: np.ndarray, out: tuple | None = None
-    ) -> np.ndarray:
-        """Per-sample log CN(y_i; 0, C_i), shape (n,).
-
-        ``out`` is (projections, shifts, scratch): (n, M) arrays, complex,
-        real and real, that receive U^H y_i, lam + sigma_i^2 and the terms
-        summed. The cache keeps the first two; by default all three are new.
-        """
-        n, m = samples.shape
-        if out is None:
-            out = (np.empty((n, m), complex), np.empty((n, m)), np.empty((n, m)))
-        self.yt, self.denom, t = out
-        np.matmul(samples, self.u.conj(), out=self.yt)
-        np.add(self.lam[None, :], sigma2s[:, None], out=self.denom)
-        np.abs(self.yt, out=t)
+        u = vh.conj().T
+        lam = np.zeros(w.shape[0])
+        lam[: len(sv)] = sv**2
+        self.g = w.conj().T @ u  # (S, M)
+        self.yt, self.denom, t = yt, denom, work[0]
+        np.matmul(samples, u.conj(), out=yt)
+        np.add(lam[None, :], sigma2s[:, None], out=denom)
+        np.abs(yt, out=t)
         t *= t
-        t /= self.denom
+        t /= denom
         quad = np.sum(t, axis=1)
-        return -m * math.log(math.pi) - np.sum(np.log(self.denom, out=t), axis=1) - quad
+        logdet = np.sum(np.log(denom, out=t), axis=1)
+        self.log_marginals = -samples.shape[1] * math.log(math.pi) - logdet - quad
 
     def moment_stats(self) -> np.ndarray:
         """Per-sample |mu|^2 + diag(C) as an (n, S) array."""
@@ -235,21 +227,20 @@ class _ComponentCache:
         cov_diag = np.clip(gamma - gamma**2 * quad, 0.0, gamma)
         return np.abs(mu) ** 2 + cov_diag
 
-    def moment_sum(self, r: np.ndarray, out: tuple | None = None) -> np.ndarray:
+    def moment_sum(self, r: np.ndarray, work: tuple) -> np.ndarray:
         """sum_i r_i (|mu_i|^2 + diag C_i), shape (S,), from M x M statistics.
 
-        It consumes the cache: the projections become z_i and the shifts
-        their reciprocals, in place. ``out`` is two complex (n, M) arrays
-        for the factors of Q_k; by default they are new.
+        It writes 1 / (lam + sigma_i^2), z_i and r_i z_i into the real and
+        the two complex arrays of ``work``, and nothing else.
         """
         gamma = self.gamma
-        left, right = out if out is not None else (np.empty_like(self.yt), np.empty_like(self.yt))
-        z = np.divide(self.yt, self.denom, out=self.yt)
+        inverse, z, left = work
+        np.divide(self.yt, self.denom, out=z)
         np.multiply(z.T, r, out=left.T)  # F-order, as z.T * r would be
-        q = left.T @ np.conjugate(z, out=right)
+        q = left.T @ np.conjugate(z, out=z)
         mu2 = np.sum((self.g @ q) * self.g.conj(), axis=1).real
         total = r.sum()
-        inverse = np.divide(1.0, self.denom, out=self.denom)
+        np.divide(1.0, self.denom, out=inverse)
         cov = total * gamma - gamma**2 * ((np.abs(self.g) ** 2) @ (r @ inverse))
         return gamma**2 * mu2 + np.clip(cov, 0.0, total * gamma)
 
@@ -272,22 +263,29 @@ def _log_sum_exp(a: np.ndarray) -> np.ndarray:
     return (np.log1p(rest / m) + np.log(m) + top)[:, 0]
 
 
-def _e_step(
-    model: SbgmModel, w: np.ndarray, obs: ObservationSet, out: tuple | None = None
-) -> tuple[list[_ComponentCache], np.ndarray, np.ndarray]:
-    """Per-component caches, responsibilities (n, K) normalized in the log
-    domain, and per-sample log-likelihoods (n,).
+def _e_step_arrays(k: int, n: int, m: int) -> tuple:
+    """The arrays of one E-step of K components on n samples of length M:
+    projections (K, n, M) complex and shifts (K, n, M) real, whose rows k
+    cache k keeps, and the (n, M) real, complex and complex work arrays
+    that every cache shares (see :class:`_ComponentCache`)."""
+    work = (np.empty((n, m)), np.empty((n, m), complex), np.empty((n, m), complex))
+    return np.empty((k, n, m), complex), np.empty((k, n, m)), work
 
-    ``out`` is (projections, shifts, scratch) of shapes (K, n, M), (K, n, M)
-    and (n, M): cache k writes and keeps rows k of the first two, and every
-    cache uses the scratch (see :meth:`_ComponentCache.log_marginals`). By
-    default each cache allocates its own.
-    """
-    caches = [_ComponentCache(gamma, w) for gamma in model.expanded_variances()]
-    outs = itertools.repeat(None) if out is None else zip(*out[:2], itertools.repeat(out[2]))
-    log_post = np.column_stack(
-        [c.log_marginals(obs.samples, obs.noise_vars, o) for c, o in zip(caches, outs)]
-    ) + _log_weights(model.weights)[None, :]
+
+def _e_step(
+    model: SbgmModel, w: np.ndarray, obs: ObservationSet, arrays: tuple | None = None
+) -> tuple[list[_ComponentCache], np.ndarray, np.ndarray]:
+    """Per-component caches, built into ``arrays`` (by default a new
+    :func:`_e_step_arrays`), responsibilities (n, K) normalized in the log
+    domain, and per-sample log-likelihoods (n,)."""
+    if arrays is None:
+        arrays = _e_step_arrays(model.n_components, *obs.samples.shape)
+    projections, shifts, work = arrays
+    caches = [
+        _ComponentCache(gamma, w, obs.samples, obs.noise_vars, yt, denom, work)
+        for gamma, yt, denom in zip(model.expanded_variances(), projections, shifts)
+    ]
+    log_post = np.column_stack([c.log_marginals for c in caches]) + _log_weights(model.weights)
     norm = _log_sum_exp(log_post)
     resp = np.exp(log_post - norm[:, None])
     resp /= resp.sum(axis=1, keepdims=True)
@@ -448,24 +446,19 @@ def _em_steps(
 
     Each item costs one E-step; the M-step that makes the next model runs
     only when the next item is asked for, so a driver that stops discards
-    no update. The E-step's large arrays are allocated once, before the
-    first item, and live as long as the generator: every iteration writes
-    its per-component projections and shifts, (K, n, M) each, into the
-    same two arrays, and its components share three (n, M) scratch
-    arrays. An iteration's caches hold views of them, which the M-step's
-    :meth:`_ComponentCache.moment_sum` consumes.
+    no update. One set of :func:`_e_step_arrays` is allocated before the
+    first item and lives as long as the generator: every iteration's
+    caches are built into it, and its M-step writes only into the work
+    arrays.
     """
-    n, m = obs.samples.shape
-    shape = (model.n_components, n, m)
-    arrays = (np.empty(shape, complex), np.empty(shape), np.empty((n, m)))
-    factors = (np.empty((n, m), complex), np.empty((n, m), complex))
+    arrays = _e_step_arrays(model.n_components, *obs.samples.shape)
     for iteration in itertools.count():
         try:
             caches, resp, norm = _e_step(model, w, obs, arrays)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"EM iteration {iteration} failed: {exc}") from exc
         yield float(np.sum(norm)), model
-        totals, sums = _component_sums(resp, lambda k, r: caches[k].moment_sum(r, factors))
+        totals, sums = _component_sums(resp, lambda k, r: caches[k].moment_sum(r, arrays[2]))
         try:
             model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
         except InvalidArgumentError as exc:  # non-finite sums make no model

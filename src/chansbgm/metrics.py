@@ -168,26 +168,23 @@ def cosine_similarity(estimates: np.ndarray, truths: np.ndarray) -> float:
     return float(np.mean(sample_cosines(*_paired(estimates, truths))))
 
 
-def spread_histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Share of ``values`` in each bin between consecutive ``edges``.
+def spread_histogram(values: np.ndarray) -> np.ndarray:
+    """Share of ``values`` in each bin of ``SPREAD_HIST_EDGES``.
 
     Values are clipped into the bin range so every value carries mass.
     """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise InvalidArgumentError("a spread histogram needs at least one value")
+    edges = SPREAD_HIST_EDGES
     counts, _ = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)
     return counts / counts.sum()
 
 
-def histogram_w1(a, b) -> float:
-    """1-Wasserstein distance between binned empirical distributions
-    (:func:`spread_histogram` over ``SPREAD_HIST_EDGES``); zero exactly
-    when the two histograms coincide.
+def histogram_w1(p: np.ndarray, q: np.ndarray) -> float:
+    """1-Wasserstein distance between two :func:`spread_histogram` results;
+    zero exactly when the two histograms coincide.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise InvalidArgumentError("both value lists must be nonempty")
-    p = spread_histogram(a, SPREAD_HIST_EDGES)
-    q = spread_histogram(b, SPREAD_HIST_EDGES)
     centers = 0.5 * (SPREAD_HIST_EDGES[:-1] + SPREAD_HIST_EDGES[1:])
     gaps = np.diff(centers)
     cdf_diff = np.cumsum(p - q)[:-1]

@@ -19,6 +19,7 @@ from chansbgm.em import (
     _component_sums,
     _ComponentCache,
     _e_step,
+    _e_step_arrays,
     _em_steps,
     _log_sum_exp,
     _m_step,
@@ -81,9 +82,16 @@ def ofdm_problem(seed):
 
 def fit_loop_sums(model, obs, dictionary, resp=None):
     """The totals and statistic sums the EM loop feeds its M-step."""
-    caches, e_resp, _ = _e_step(model, dictionary.rows(obs.pilots), obs)
+    arrays = _e_step_arrays(model.n_components, *obs.samples.shape)
+    caches, e_resp, _ = _e_step(model, dictionary.rows(obs.pilots), obs, arrays)
     resp = e_resp if resp is None else resp
-    return _component_sums(resp, lambda k, r: caches[k].moment_sum(r))
+    return _component_sums(resp, lambda k, r: caches[k].moment_sum(r, arrays[2]))
+
+
+def fresh_cache(gamma, w, samples, sigma2s):
+    """A component cache built into arrays of its own."""
+    projections, shifts, work = _e_step_arrays(1, *samples.shape)
+    return _ComponentCache(gamma, w, samples, sigma2s, projections[0], shifts[0], work)
 
 
 class TestEStep:
@@ -449,8 +457,8 @@ class TestEStepArrays:
 
     @pytest.mark.parametrize("problem, k", [("simo", 3), ("simo", 1), ("ofdm", 2)])
     def test_buffered_loop_keeps_every_bit(self, problem, k):
-        # six EM iterations of the fit against a loop in which every cache
-        # allocates its own arrays
+        # six EM iterations of the fit against a loop that builds every
+        # E-step into arrays of its own
         rng = np.random.default_rng(40 + k)
         if problem == "simo":
             d = simo_setup(s=24, n_antennas=8)
@@ -462,28 +470,54 @@ class TestEStepArrays:
         w = d.rows(obs.pilots)
         steps = list(itertools.islice(_em_steps(model, w, obs), 6))
         for loglik, got in steps:
-            caches, resp, norm = _e_step(model, w, obs)
+            arrays = _e_step_arrays(k, *obs.samples.shape)
+            caches, resp, norm = _e_step(model, w, obs, arrays)
             assert loglik == float(np.sum(norm))
             for a, b in zip((got.weights, *got.factors), (model.weights, *model.factors)):
                 assert a.tobytes() == b.tobytes()
-            totals, sums = _component_sums(resp, lambda j, r: caches[j].moment_sum(r))
+            totals, sums = _component_sums(resp, lambda j, r: caches[j].moment_sum(r, arrays[2]))
             model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
 
-    def test_log_marginals_into_given_arrays_keep_every_bit(self):
+    def test_cache_built_over_another_e_step_keeps_every_bit(self):
+        # arrays that hold another model's E-step and M-step sums give the
+        # bits of fresh ones
         d = simo_setup(s=24, n_antennas=8)
         obs = synthetic_observations(d, 30, seed=43)
-        gamma = random_model(np.random.default_rng(44), 1, d.n_columns).variances[0]
+        rng = np.random.default_rng(44)
+        gamma = random_model(rng, 1, d.n_columns).variances[0]
+        other = random_model(rng, 2, d.n_columns)
         w = d.rows(obs.pilots)
-        fresh = _ComponentCache(gamma, w)
-        want = fresh.log_marginals(obs.samples, obs.noise_vars)
-        shape = obs.samples.shape
-        out = (np.empty(shape, complex), np.empty(shape), np.empty(shape))
-        given = _ComponentCache(gamma, w)
-        got = given.log_marginals(obs.samples, obs.noise_vars, out)
-        assert got.tobytes() == want.tobytes()
-        assert given.yt is out[0] and given.denom is out[1]
-        assert given.yt.tobytes() == fresh.yt.tobytes()
-        assert given.denom.tobytes() == fresh.denom.tobytes()
+        arrays = _e_step_arrays(2, *obs.samples.shape)
+        caches, resp, _ = _e_step(other, w, obs, arrays)
+        for k, cache in enumerate(caches):
+            cache.moment_sum(resp[:, k], arrays[2])
+        fresh = fresh_cache(gamma, w, obs.samples, obs.noise_vars)
+        yt, denom = arrays[0][1], arrays[1][1]
+        reused = _ComponentCache(gamma, w, obs.samples, obs.noise_vars, yt, denom, arrays[2])
+        assert reused.yt is yt and reused.denom is denom
+        for name in ("log_marginals", "yt", "denom"):
+            assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes()
+        r = resp[:, 0]
+        fresh_sum = fresh.moment_sum(r, _e_step_arrays(1, *obs.samples.shape)[2])
+        assert reused.moment_sum(r, arrays[2]).tobytes() == fresh_sum.tobytes()
+
+    @pytest.mark.parametrize("problem", ["simo", "ofdm"])
+    def test_moment_sum_leaves_its_cache_as_built(self, problem):
+        # moment_stats reads the same bytes after every moment_sum as before
+        rng = np.random.default_rng(46)
+        if problem == "simo":
+            d = simo_setup(s=24, n_antennas=8)
+            obs = synthetic_observations(d, 40, seed=47)
+            model = random_model(rng, 3, d.n_columns)
+        else:
+            d, obs = ofdm_problem(48)
+            model = random_kronecker_model(rng, 2, 4, 4)
+        arrays = _e_step_arrays(model.n_components, *obs.samples.shape)
+        caches, resp, _ = _e_step(model, d.rows(obs.pilots), obs, arrays)
+        before = [cache.moment_stats().tobytes() for cache in caches]
+        for k, cache in enumerate(caches):
+            cache.moment_sum(resp[:, k], arrays[2])
+        assert [cache.moment_stats().tobytes() for cache in caches] == before
 
     def test_fit_holds_one_e_steps_arrays(self):
         # n=2000 samples at 16 antennas on a 128-point grid, K=16: one set
@@ -521,9 +555,7 @@ class TestTotalLogLikelihood:
         w = d.rows(obs.pilots)
         log_marg = np.column_stack(
             [
-                _ComponentCache(model.variances[k], w).log_marginals(
-                    obs.samples, obs.noise_vars
-                )
+                fresh_cache(model.variances[k], w, obs.samples, obs.noise_vars).log_marginals
                 for k in range(3)
             ]
         )
@@ -568,7 +600,7 @@ class TestTotalLogLikelihood:
                 + np.sum(np.log(gamma[big]))
             )
             expected[i] = -16 * math.log(math.pi) - logdet - quad
-        got = _ComponentCache(gamma, w).log_marginals(samples, sigma2s)
+        got = fresh_cache(gamma, w, samples, sigma2s).log_marginals
         np.testing.assert_allclose(got, expected, rtol=1e-9)
 
 

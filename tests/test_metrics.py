@@ -228,21 +228,32 @@ class TestChannelMetrics:
             nmse(np.ones((2, 3)), np.ones((2, 4)))
 
 
+def spread_w1(a, b):
+    """The distance between the spread histograms of two value lists."""
+    return histogram_w1(spread_histogram(a), spread_histogram(b))
+
+
 class TestHistogramW1:
     def test_identical_lists_give_zero(self):
         rng = np.random.default_rng(9)
         a = rng.uniform(0, 1.2, 100)
-        assert histogram_w1(a, a.copy()) == 0.0
+        assert spread_w1(a, a.copy()) == 0.0
 
     def test_point_masses_in_adjacent_bins(self):
         # the default bins are pi/128 wide: masses in bins 0 and 1 lie one width apart
         width = math.pi / 128
-        assert histogram_w1([0.0], [1.5 * width]) == pytest.approx(width)
+        assert spread_w1([0.0], [1.5 * width]) == pytest.approx(width)
 
     def test_histogram_clips_into_end_bins(self):
-        values = np.array([-5.0, 0.5, 1.5, 1.7, 9.0])
-        shares = spread_histogram(values, np.array([0.0, 1.0, 2.0]))
-        np.testing.assert_array_equal(shares, [0.4, 0.6])
+        # the bins are pi/128 wide: 1.0 falls in bin 40
+        shares = spread_histogram(np.array([-5.0, 0.01, 1.0, math.pi / 2, 9.0]))
+        expected = np.zeros(64)
+        expected[[0, 40, 63]] = [0.4, 0.2, 0.4]
+        np.testing.assert_array_equal(shares, expected)
+
+    def test_histogram_of_no_values_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="at least one value"):
+            spread_histogram(np.array([]))
 
     def test_matches_quantile_coupling_oracle(self):
         rng = np.random.default_rng(10)
@@ -253,22 +264,22 @@ class TestHistogramW1:
         pa, _ = np.histogram(a, bins=edges)
         pb, _ = np.histogram(b, bins=edges)
         oracle = wasserstein_distance(centers, centers, pa, pb)
-        assert histogram_w1(a, b) == pytest.approx(oracle, abs=1e-9)
+        assert spread_w1(a, b) == pytest.approx(oracle, abs=1e-9)
 
     def test_symmetric(self):
         rng = np.random.default_rng(11)
         a = rng.uniform(0, 1.5, 50)
         b = rng.uniform(0, 1.5, 70)
-        assert histogram_w1(a, b) == pytest.approx(histogram_w1(b, a), abs=1e-15)
+        assert spread_w1(a, b) == pytest.approx(spread_w1(b, a), abs=1e-15)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(12)
         a = rng.uniform(0, 1.5, 60)
         b = rng.uniform(0, 1.5, 60)
         c = rng.uniform(0, 1.5, 60)
-        ab = histogram_w1(a, b)
-        bc = histogram_w1(b, c)
-        ac = histogram_w1(a, c)
+        ab = spread_w1(a, b)
+        bc = spread_w1(b, c)
+        ac = spread_w1(a, c)
         assert ac <= ab + bc + 1e-9
 
 
