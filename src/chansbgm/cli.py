@@ -213,6 +213,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if ref_sparse is not None and ref_meta.get("grid") != grid_doc:
         raise InvalidArgumentError(f"{reference} was not drawn on the grid of {batch_dir}")
     for path, sparse in ((batch_dir, batch.sparse), (reference, ref_sparse)):
+        if sparse is not None and len(sparse) == 0:
+            raise InvalidArgumentError(f"{path} holds no samples to score")
         if grid is not None and sparse is not None and sparse.shape[1] != grid.size:
             raise InvalidArgumentError(f"{path}: sparse does not hold one column per grid point")
     aligned = (

@@ -449,7 +449,8 @@ def _em_steps(
     no update. One set of :func:`_e_step_arrays` is allocated before the
     first item and lives as long as the generator: every iteration's
     caches are built into it, and its M-step writes only into the work
-    arrays.
+    arrays. The caches are dropped once the M-step's sums are taken, so
+    no two iterations' caches are alive at once.
     """
     arrays = _e_step_arrays(model.n_components, *obs.samples.shape)
     for iteration in itertools.count():
@@ -459,6 +460,7 @@ def _em_steps(
             raise NumericError(f"EM iteration {iteration} failed: {exc}") from exc
         yield float(np.sum(norm)), model
         totals, sums = _component_sums(resp, lambda k, r: caches[k].moment_sum(r, arrays[2]))
+        del caches
         try:
             model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
         except InvalidArgumentError as exc:  # non-finite sums make no model

@@ -1,4 +1,12 @@
-"""Evaluation quantities for generated coefficient vectors and channels."""
+"""Evaluation quantities for generated coefficient vectors and channels.
+
+The metrics stage reads a batch's coefficients once, a row block at a
+time, in one loop: :func:`power_angular_profile` keeps the running power
+profile and the per-sample angular spreads. The channel pass scores each
+block of paired channels with :func:`sample_nmse` and
+:func:`sample_cosines`; :func:`nmse` and :func:`cosine_similarity` are
+their means over whole arrays.
+"""
 
 from __future__ import annotations
 
@@ -33,44 +41,6 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         raise InvalidArgumentError(f"{what} values must be finite")
 
 
-class PowerProfile:
-    """Running sum of each sample's normalized power |s_q|^2 / ||s||^2.
-
-    Samples are added in order, row after row, exactly as numpy sums an
-    array over its first axis, so adding a batch in blocks of any size
-    gives the bits of adding it whole. Zero-norm samples are counted and
-    left out.
-    """
-
-    def __init__(self, n_coefficients: int):
-        self.total = np.zeros(n_coefficients)
-        self.n_kept = 0
-        self.n_skipped = 0
-
-    def add(self, power: np.ndarray) -> None:
-        """Add the samples whose powers ``np.abs(s) ** 2`` are the rows of ``power``."""
-        power, norms, keep = _row_powers(power)
-        n_skipped = int(np.sum(~keep))
-        if n_skipped:
-            power, norms = power[keep], norms[keep]
-        # the running total leads the block's rows, so one sum over the
-        # first axis continues the row-by-row order
-        rows = np.empty((len(power) + 1, len(self.total)))
-        rows[0] = self.total
-        np.divide(power, norms[:, None], out=rows[1:])
-        self.total = rows.sum(axis=0)
-        self.n_kept += len(power)
-        self.n_skipped += n_skipped
-
-    def profile(self) -> np.ndarray:
-        """Mean normalized power over the kept samples."""
-        if self.n_kept + self.n_skipped == 0:
-            raise InvalidArgumentError("vectors must be a nonempty (n, S) array")
-        if self.n_kept == 0:
-            raise InvalidArgumentError("all samples have zero norm")
-        return self.total / self.n_kept
-
-
 def power_angular_profile(vectors, grid: AngleGrid | None = None):
     """Mean normalized per-gridpoint power, the skipped-sample count and,
     on an angle ``grid``, the per-sample angular spreads (else None).
@@ -78,20 +48,29 @@ def power_angular_profile(vectors, grid: AngleGrid | None = None):
     Each sample contributes |s_q|^2 / ||s||^2; samples with zero norm are
     skipped (the ratio is undefined for them). ``vectors`` is an (n, S)
     array or :class:`~chansbgm.container.ArrayReader`, read a row block at
-    a time; the block size does not change the result.
+    a time. The running total leads each block's normalized rows in one
+    sum over the first axis, which continues numpy's row-by-row order, so
+    the block size does not change the result.
     """
-    if len(vectors.shape) != 2:
+    if len(vectors.shape) != 2 or len(vectors) == 0:
         raise InvalidArgumentError("vectors must be a nonempty (n, S) array")
-    accumulator = PowerProfile(vectors.shape[1])
-    spreads = []
+    total, n_kept, spreads = np.zeros(vectors.shape[1]), 0, []
     for rows in row_blocks(len(vectors), vectors.shape[1]):
         power = np.abs(vectors[rows])  # the block itself is not kept
         power *= power  # the bits of np.abs(block) ** 2
-        accumulator.add(power)
+        _, norms, keep = _row_powers(power)
+        kept, norms = (power, norms) if keep.all() else (power[keep], norms[keep])
+        summed = np.empty((len(kept) + 1, len(total)))
+        summed[0] = total
+        np.divide(kept, norms[:, None], out=summed[1:])
+        total = summed.sum(axis=0)
+        n_kept += len(kept)
+        del kept, norms, summed  # freed before the spreads and the next block
         if grid is not None:
             spreads.append(batch_angular_spreads(power, grid)[0])
-    profile = accumulator.profile()
-    return profile, accumulator.n_skipped, np.concatenate(spreads) if grid is not None else None
+    if n_kept == 0:
+        raise InvalidArgumentError("all samples have zero norm")
+    return total / n_kept, len(vectors) - n_kept, np.concatenate(spreads) if spreads else None
 
 
 def angular_spread(s: np.ndarray, grid: AngleGrid) -> float:

@@ -625,6 +625,19 @@ class TestGenerateAndMetrics:
         assert not (tmp_path / "r").exists()
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
+    @pytest.mark.parametrize("empty", ["batch", "reference"])
+    def test_metrics_of_an_empty_batch_names_it(self, fitted_model, tmp_path, capsys, empty):
+        batches = {"empty": tmp_path / "empty", "full": tmp_path / "full"}
+        for name, n in (("empty", "0"), ("full", "10")):
+            assert main(["generate", str(fitted_model), "-n", n, "--seed", "5",
+                         "--out", str(batches[name])]) == EXIT_OK
+        inputs = [batches["empty"]] if empty == "batch" else [batches["full"], batches["empty"]]
+        code = main(["metrics", *map(str, inputs), "--out", str(tmp_path / "r")])
+        assert code == EXIT_BAD_CONFIG
+        assert f"{batches['empty']} holds no samples" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+
     @pytest.mark.parametrize(
         "stem, value",
         [("sparse", np.nan), ("sparse", np.inf), ("channels", np.nan)],

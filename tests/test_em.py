@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -518,6 +519,24 @@ class TestEStepArrays:
         for k, cache in enumerate(caches):
             cache.moment_sum(resp[:, k], arrays[2])
         assert [cache.moment_stats().tobytes() for cache in caches] == before
+
+    def test_fit_frees_each_iterations_caches_before_the_next_e_step(self, monkeypatch):
+        # no cache of one iteration is alive when the next E-step starts
+        import chansbgm.em as em_module
+
+        d = simo_setup(s=24, n_antennas=8)
+        obs = synthetic_observations(d, 30, seed=49)
+        real_e_step, built, alive = em_module._e_step, [], []
+
+        def tracked_e_step(*args):
+            alive.append([ref() is not None for ref in built])
+            caches, resp, norm = real_e_step(*args)
+            built[:] = map(weakref.ref, caches)
+            return caches, resp, norm
+
+        monkeypatch.setattr(em_module, "_e_step", tracked_e_step)
+        csgmm_fit(obs, d, 3, max_iters=4, rel_tol=1e-12, seed=0)
+        assert alive == [[]] + [[False] * 3] * 3
 
     def test_fit_holds_one_e_steps_arrays(self):
         # n=2000 samples at 16 antennas on a 128-point grid, K=16: one set

@@ -9,7 +9,6 @@ from chansbgm.container import ArrayReader, write_array
 from chansbgm.dictionary import AngleGrid
 from chansbgm.errors import InvalidArgumentError
 from chansbgm.metrics import (
-    PowerProfile,
     angular_spread,
     batch_angular_spreads,
     cosine_similarity,
@@ -67,21 +66,13 @@ class TestPowerAngularProfile:
         vectors = rng.standard_normal((300, size)) + 1j * rng.standard_normal((300, size))
         vectors[zero_rows] = 0.0
         power = np.abs(vectors) ** 2
-        before = power.copy()
         norms = power.sum(axis=1)
         keep = norms > 0
         reference = np.mean(power[keep] / norms[keep, None], axis=0)
-        for step in (1, 7, 64, 300):
-            accumulator = PowerProfile(size)
-            for start in range(0, 300, step):
-                accumulator.add(power[start:start + step])
-            assert accumulator.profile().tobytes() == reference.tobytes()
-            assert accumulator.n_skipped == len(zero_rows)
-        assert power.tobytes() == before.tobytes()
         # the angular pass, over the array and over its stored copy, in
-        # 64-row blocks and in the default ones
+        # 64-, 128- and 192-row blocks and in the default ones
         write_array(tmp_path / "v", vectors, role="test")
-        for block_elements in (1, utils.BLOCK_ELEMENTS):
+        for block_elements in (1, 128 * size, 192 * size, utils.BLOCK_ELEMENTS):
             monkeypatch.setattr(utils, "BLOCK_ELEMENTS", block_elements)
             for source in (vectors, ArrayReader(tmp_path / "v")):
                 profile, skipped, spreads = power_angular_profile(source)
@@ -140,8 +131,6 @@ class TestAngularSpread:
         vectors = np.ones((3, 8), dtype=complex)
         with pytest.raises(InvalidArgumentError, match="pass the powers"):
             batch_angular_spreads(vectors, self.grid)
-        with pytest.raises(InvalidArgumentError, match="pass the powers"):
-            PowerProfile(8).add(vectors)
 
     @pytest.mark.parametrize("zero_rows", [[3, 150, 151], []], ids=["skipped", "all-kept"])
     def test_batch_gives_the_bits_of_the_whole_array_formula(

@@ -116,4 +116,5 @@ def test_traced_generate_and_metrics_record_their_spans(tmp_path):
         tmp_path, "metrics", "metrics", "capped", "uncapped", "--channel-metrics",
         "--out", "report",
     )
-    assert {"metrics.spread", "metrics.w1"} <= metrics
+    # the per-layer metrics.profile_s, metrics.spread_s and metrics.w1_s read these spans
+    assert {"metrics.profile", "metrics.spread", "metrics.w1"} <= metrics
