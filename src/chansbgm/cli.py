@@ -116,12 +116,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
             {
                 "converged": trace.converged,
                 "n_iterations": trace.n_iterations,
+                "n_fallbacks": trace.n_fallbacks,
                 "final_log_likelihood": float(trace.log_likelihoods[-1]),
                 "monotone": monotone,
             },
         )
     print(
-        f"fit: {trace.n_iterations} iterations, "
+        f"fit: {trace.n_iterations} iterations ({trace.n_fallbacks} EM fallbacks), "
         f"final log-likelihood {trace.log_likelihoods[-1]:.6f}, "
         f"converged={trace.converged}"
     )

@@ -1,4 +1,5 @@
-"""Mixture model on sparse coefficients, fit by expectation-maximization.
+"""Mixture model on sparse coefficients, fit by EM with a fixed-point
+variance update.
 
 The model is a K-component zero-mean complex Gaussian mixture with
 diagonal per-component covariances diag(gamma_k) on the coefficient
@@ -21,24 +22,32 @@ log-determinant and quadratic form through a few dense products.
 T_k never needs the per-sample S-vectors. With z_i = U^H y_i /
 (lam + sigma_i^2), G = W^H U and Q_k = sum_i r_ik z_i z_i^H (M x M),
 
-    sum_i r_ik |mu_ik|^2   = gamma_k^2 * Re diag(G Q_k G^H),
-    sum_i r_ik diag C_ik   = R_k gamma_k - gamma_k^2 * (|G|^2 v_k),
+    A_k = sum_i r_ik |mu_ik|^2              = gamma_k^2 * Re diag(G Q_k G^H),
+    B_k = sum_i r_ik diag(W^H C_ik^-1 W)   = |G|^2 v_k,
+    sum_i r_ik diag C_ik                   = R_k gamma_k - gamma_k^2 * B_k,
 
-with v_k = sum_i r_ik / (lam + sigma_i^2). That costs O(n M^2 + S M^2)
-per component instead of O(n M S). :func:`csgmm_e_step` keeps the
-per-sample statistics as the reference: the tests check it against the
-per-sample Cholesky route in :mod:`chansbgm.posterior`, and the sums
-against it. One EM iteration is written once, in :func:`_em_steps`,
-which yields each successive model with its log-likelihood; a fit is a
-driver over it, and :func:`csgmm_fit` is the init plus a loop with the
-stop rule. Its M-step core also serves :func:`csgmm_m_step` and
-:func:`kronecker_m_step`.
+with v_k = sum_i r_ik / (lam + sigma_i^2), and T_k = A_k + R_k gamma_k -
+gamma_k^2 B_k. That costs O(n M^2 + S M^2) per component instead of
+O(n M S). :func:`csgmm_e_step` keeps the per-sample statistics as the
+reference: the tests check it against the per-sample Cholesky route in
+:mod:`chansbgm.posterior`, and the sums against it.
+
+The fit's variance update is MacKay's fixed point, gamma_k <- A_k /
+(gamma_k B_k): the log-likelihood's gradient in gamma_k is A_k / gamma_k^2
+- B_k, so both it and the EM update T_k / R_k stop where that gradient
+vanishes, but the fixed point moves a poorly determined variance, whose
+posterior variance stays near gamma, far faster. It does not guarantee
+ascent, so the EM update is its safeguard. One iteration is written once,
+in :func:`_em_steps`, which yields each accepted model with its
+log-likelihood; a fit is a driver over it, and :func:`csgmm_fit` is the
+init plus a loop with the stop rule. The EM M-step core also serves
+:func:`csgmm_m_step` and :func:`kronecker_m_step`.
 
 A fit's memory is one E-step's arrays (:func:`_e_step_arrays`): the
 per-component projections U^H y_i and shifts lam + sigma_i^2, (K, n, M)
 each, and three (n, M) work arrays that all components share.
-:func:`_em_steps` allocates them once and every iteration overwrites
-them; the reference paths (:func:`csgmm_e_step`,
+:func:`_em_steps` allocates them once and every E-step, a candidate's
+or a fallback's, overwrites them; the reference paths (:func:`csgmm_e_step`,
 :func:`total_log_likelihood`) allocate one set per call.
 
 Setting K = 1 recovers multiple-measurement-vector sparse Bayesian
@@ -47,7 +56,8 @@ learning; the CLI exposes it under the name ``msbl``.
 The coefficient variances may optionally be constrained to a Kronecker
 product gamma_k = gamma_t_k kron gamma_f_k (Doppler factor times delay
 factor), which has no closed-form M-step; coordinate updates with
-closed-form half-steps are used instead. ``_FORMS`` states each form's
+closed-form half-steps are used instead, and the fixed point takes one
+multiplicative sweep over the two factors. ``_FORMS`` states each form's
 stored arrays once; the model, its hash, ``save_model`` and ``load_model``
 all read it.
 """
@@ -170,10 +180,12 @@ class SbgmModel:
 
 @dataclass
 class EmTrace:
-    """Per-iteration total log-likelihood of the training data."""
+    """Per-iteration total log-likelihood of the training data, and the
+    number of iterations that fell back to the EM update."""
 
     log_likelihoods: np.ndarray
     converged: bool
+    n_fallbacks: int
 
     @property
     def n_iterations(self) -> int:
@@ -228,21 +240,20 @@ class _ComponentCache:
         return np.abs(mu) ** 2 + cov_diag
 
     def moment_sum(self, r: np.ndarray, work: tuple) -> np.ndarray:
-        """sum_i r_i (|mu_i|^2 + diag C_i), shape (S,), from M x M statistics.
+        """A = sum_i r_i |mu_i|^2 and B = sum_i r_i w^H C_i^-1 w per
+        coefficient, stacked (2, S), from M x M statistics; the diagonal of
+        sum_i r_i C_i is R gamma - gamma^2 B (see :func:`_fit_sums`).
 
         It writes 1 / (lam + sigma_i^2), z_i and r_i z_i into the real and
         the two complex arrays of ``work``, and nothing else.
         """
-        gamma = self.gamma
         inverse, z, left = work
         np.divide(self.yt, self.denom, out=z)
         np.multiply(z.T, r, out=left.T)  # F-order, as z.T * r would be
         q = left.T @ np.conjugate(z, out=z)
         mu2 = np.sum((self.g @ q) * self.g.conj(), axis=1).real
-        total = r.sum()
         np.divide(1.0, self.denom, out=inverse)
-        cov = total * gamma - gamma**2 * ((np.abs(self.g) ** 2) @ (r @ inverse))
-        return gamma**2 * mu2 + np.clip(cov, 0.0, total * gamma)
+        return np.stack((self.gamma**2 * mu2, (np.abs(self.g) ** 2) @ (r @ inverse)))
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -308,7 +319,8 @@ def csgmm_e_step(
 def _component_sums(resp: np.ndarray, weighted_sum) -> tuple[np.ndarray, np.ndarray]:
     """Totals R (K,) and statistic sums T (K, S) for :func:`_m_step`.
 
-    ``weighted_sum(k, r)`` returns sum_i r_i stat_ik for component k. A
+    ``weighted_sum(k, r)`` returns sum_i r_i stat_ik for component k, an
+    (S,) array or a tuple of J of them, which gives sums (J, K, S). A
     component whose total responsibility underflows is reinitialized from
     one badly explained sample: its row is that sample's statistic, with
     total 1. The j-th such component takes the j-th worst explained
@@ -322,7 +334,7 @@ def _component_sums(resp: np.ndarray, weighted_sum) -> tuple[np.ndarray, np.ndar
         worst_first = np.argsort(resp.max(axis=1), kind="stable")
         restarts[worst_first[np.arange(len(dead_cols)) % len(resp)], dead_cols] = 1.0
         resp = np.where(dead, restarts, resp)
-    sums = np.stack([weighted_sum(k, resp[:, k]) for k in range(resp.shape[1])])
+    sums = np.stack([weighted_sum(k, resp[:, k]) for k in range(resp.shape[1])], axis=-2)
     return np.where(dead, 1.0, totals), sums
 
 
@@ -363,6 +375,57 @@ def _m_step(
         delay_variances=gf,
         clip_floor=clip_floor,
     )
+
+
+def _fit_sums(
+    caches: list[_ComponentCache], resp: np.ndarray, work: tuple
+) -> tuple[np.ndarray, ...]:
+    """Totals R (K,), the EM statistic sums T (K, S) and the fixed point's
+    terms A and B (K, S) from one E-step's caches and responsibilities.
+
+    T_k = A_k + clip(R_k gamma_k - gamma_k^2 B_k, 0, R_k gamma_k): the
+    weighted second moments, with every posterior variance in [0, gamma].
+    Dead components restart as in :func:`_component_sums`.
+    """
+
+    def sums(k, r):
+        gamma, total = caches[k].gamma, r.sum()
+        a, b = caches[k].moment_sum(r, work)
+        return a + np.clip(total * gamma - gamma**2 * b, 0.0, total * gamma), a, b
+
+    totals, (t, a, b) = _component_sums(resp, sums)
+    return totals, t, a, b
+
+
+def _rescaled(x: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """x num / den clipped at the floor, and x itself where den is 0."""
+    return np.maximum(np.divide(x * num, den, out=x.copy(), where=den != 0), GAMMA_FLOOR)
+
+
+def _fixed_point_step(
+    totals: np.ndarray, a: np.ndarray, b: np.ndarray, model: SbgmModel
+) -> SbgmModel:
+    """MacKay's fixed-point update of ``model`` from the terms A and B of
+    :func:`_fit_sums`; the weights take the EM update.
+
+    With Abar = A / gamma^2, the full form sets gamma to gamma Abar / B =
+    A / (gamma B), a multiplicative step along the log-likelihood's
+    gradient Abar - B. The Kronecker form takes one such sweep over its
+    factors, Abar and B laid out (K, S_t, S_f): t_a <- t_a sum_b f_b
+    Abar_ab / sum_b f_b B_ab, then f likewise with the new t. Variances
+    are clipped at :data:`GAMMA_FLOOR`.
+    """
+    abar = a / model.expanded_variances() ** 2
+    if model.variance_form == FULL:
+        factors = (_rescaled(model.variances, abar, b),)
+    else:
+        gt, gf = model.factors
+        abar, b = (x.reshape(len(totals), gt.shape[1], gf.shape[1]) for x in (abar, b))
+        gt = _rescaled(gt, np.einsum("kij,kj->ki", abar, gf), np.einsum("kij,kj->ki", b, gf))
+        gf = _rescaled(gf, np.einsum("ki,kij->kj", gt, abar), np.einsum("ki,kij->kj", gt, b))
+        factors = (gt, gf)
+    names = (name for name, _, _ in _FORMS[model.variance_form])
+    return SbgmModel(totals / totals.sum(), model.variance_form, **dict(zip(names, factors)))
 
 
 def _sample_sums(resp: np.ndarray, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,34 +500,64 @@ def total_log_likelihood(
 
 
 def _em_steps(
-    model: SbgmModel, w: np.ndarray, obs: ObservationSet
+    model: SbgmModel, w: np.ndarray, obs: ObservationSet, fallbacks: list[int] | None = None
 ) -> Iterator[tuple[float, SbgmModel]]:
-    """EM from ``model``: yields the total log-likelihood of ``model`` and
-    ``model`` itself, then the same for each EM update of it. Variances are
-    clipped at :data:`GAMMA_FLOOR`; a Kronecker update runs
-    :data:`KRON_SWEEPS` sweeps.
+    """EM under a fixed-point proposal from ``model``: yields the total
+    log-likelihood of ``model`` and ``model`` itself, then the same for
+    each update of it.
 
-    Each item costs one E-step; the M-step that makes the next model runs
-    only when the next item is asked for, so a driver that stops discards
-    no update. One set of :func:`_e_step_arrays` is allocated before the
-    first item and lives as long as the generator: every iteration's
-    caches are built into it, and its M-step writes only into the work
-    arrays. The caches are dropped once the M-step's sums are taken, so
-    no two iterations' caches are alive at once.
+    Each update first proposes :func:`_fixed_point_step` and scores it with
+    its E-step, which the next update needs anyway. The candidate is
+    accepted if its total is finite and no lower than the current one.
+    Otherwise (a failed factorization or an invalid model counts too) the
+    EM update is formed from the same sums and its E-step run instead, so
+    the yielded log-likelihoods rise at least as EM's would; the index of
+    each such item is appended to ``fallbacks``. Variances are clipped at
+    :data:`GAMMA_FLOOR`; an EM Kronecker update runs :data:`KRON_SWEEPS`
+    sweeps.
+
+    The update that makes the next item runs only when that item is asked
+    for, so a driver that stops discards none. One set of
+    :func:`_e_step_arrays` is allocated before the first item and lives as
+    long as the generator: every E-step's caches are built into it, and the
+    sums write only into its work arrays. Caches are dropped once their
+    sums are taken or their candidate is rejected, so no two E-steps'
+    caches are alive at once.
     """
     arrays = _e_step_arrays(model.n_components, *obs.samples.shape)
-    for iteration in itertools.count():
+
+    def e_step(candidate, iteration):
         try:
-            caches, resp, norm = _e_step(model, w, obs, arrays)
+            return _e_step(candidate, w, obs, arrays)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"EM iteration {iteration} failed: {exc}") from exc
-        yield float(np.sum(norm)), model
-        totals, sums = _component_sums(resp, lambda k, r: caches[k].moment_sum(r, arrays[2]))
+
+    caches, resp, norm = e_step(model, 0)
+    loglik = float(np.sum(norm))
+    for iteration in itertools.count():
+        yield loglik, model
+        totals, sums, a, b = _fit_sums(caches, resp, arrays[2])
         del caches
+        try:
+            candidate = _fixed_point_step(totals, a, b, model)
+            caches, resp, norm = _e_step(candidate, w, obs, arrays)
+        except (InvalidArgumentError, np.linalg.LinAlgError):
+            accepted = False
+        else:
+            candidate_loglik = float(np.sum(norm))
+            accepted = math.isfinite(candidate_loglik) and candidate_loglik >= loglik
+        if accepted:
+            model, loglik = candidate, candidate_loglik
+            continue
+        caches = None  # the rejected candidate's, if its E-step ran
         try:
             model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
         except InvalidArgumentError as exc:  # non-finite sums make no model
             raise NumericError(f"EM iteration {iteration} made an invalid model: {exc}") from exc
+        caches, resp, norm = e_step(model, iteration + 1)
+        loglik = float(np.sum(norm))
+        if fallbacks is not None:
+            fallbacks.append(iteration + 1)
 
 
 def _init_variances(
@@ -510,16 +603,18 @@ def csgmm_fit(
     rel_tol: float = 1e-6,
     seed: int = 0,
 ) -> tuple[SbgmModel, EmTrace]:
-    """Fit the mixture by EM until the relative log-likelihood change
-    drops below ``rel_tol`` or ``max_iters`` is reached.
+    """Fit the mixture by the safeguarded fixed-point iteration of
+    :func:`_em_steps` until the relative log-likelihood change drops below
+    ``rel_tol`` or ``max_iters`` is reached.
 
     Initialization is seeded and data-driven (see
     :func:`_init_variances`); weights start uniform. ``n_components=1``
     is the sparse Bayesian learning special case. The returned trace
-    holds one log-likelihood per E-step and is non-decreasing up to
-    round-off; its last entry scores the returned model. A failed
-    computation raises :class:`NumericError`: a factorization that fails,
-    or an init or M-step whose variances are not finite.
+    holds one log-likelihood per accepted model and is non-decreasing up
+    to the EM fallback's round-off; its last entry scores the returned model, and ``n_fallbacks`` counts
+    the iterations that took the EM update. A failed computation raises
+    :class:`NumericError`: an EM fallback whose factorization fails, or an
+    init or EM M-step whose variances are not finite.
     """
     if n_components < 1:
         raise InvalidArgumentError("n_components must be >= 1")
@@ -553,12 +648,13 @@ def csgmm_fit(
         raise NumericError(f"the initial model is invalid: {exc}") from exc
 
     logliks: list[float] = []
-    for loglik, model in _em_steps(model, w, obs):
+    fallbacks: list[int] = []
+    for loglik, model in _em_steps(model, w, obs, fallbacks):
         prev = logliks[-1] if logliks else None
         logliks.append(loglik)
         converged = prev is not None and abs(loglik - prev) <= rel_tol * max(abs(prev), 1e-12)
         if converged or len(logliks) == max_iters:
-            return model, EmTrace(np.array(logliks), converged)
+            return model, EmTrace(np.array(logliks), converged, len(fallbacks))
 
 
 def _describe(model: SbgmModel) -> dict:

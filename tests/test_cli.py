@@ -887,65 +887,99 @@ class TestCsvBytes:
 
     DIGESTS = {
         "simo_model/trace.csv":
-            "f62b420a8e928501899f4aa1235c85be7d7f33cbf8f8257c1a1b4a2483c398a6",
+            "74219f7a89e59064a929e1bbd9726ba68d13b97b335c673eed07bfbdcc43dce4",
         "simo_model/fit.json":
-            "e565f37762d490492203723a82b65599db5ccc3e25bb5fefdbf7cb670dc6afe9",
+            "113dc5493709c0184256a55a8a3e9b137a1d48c29c1e61e86e7d28eaedbbd8e2",
+        "simo_model/model.json":
+            "bc1c72b5ff5d5e3bc6d9dfbc0a5f1c05b0c275833d183b17e8ed9d2d0a3ce0ab",
+        "simo_report/profile.csv":
+            "58c3004c7aa191d32f00bc5a5f1dd6df4d323f4f6b39465c5502f2efe38f28f8",
+        "simo_report/spread_hist.csv":
+            "65dd4dfa99f49b89ac33ef66edcd804d4a530b08fb76f54ad98827c0878ae526",
+        "ofdm_model/trace.csv":
+            "64138ffa4c0a3cc5900b2fef510762e351da41060d6537295aeb04d7499eda41",
+        "ofdm_model/fit.json":
+            "9841e7caf05b83b8a6b0f71e034f1ee1b7eaff5a4a9a3478366846095c36775b",
+        "ofdm_model/model.json":
+            "5ba7f45181f4bcb4ab1d7ec6aa71c6e8033d147c7a2e115c9b3a8eacbc47c409",
+        "ofdm_report/profile.csv":
+            "712fc407c944bde06cfd68f397c55d8ce6ce1af759cfa17030bb6e5e5f8d4c36",
+        "ofdm_kron_model/trace.csv":
+            "8fa29e290d81ea1a1b1ec7782640f750080177b97bbbc64b322d3e47a6f00d94",
+        "ofdm_kron_model/fit.json":
+            "bf55b7e0fe763a49b71acafbd08bbe18d0e1607c7819625dbf8a170489c4b945",
+        "ofdm_kron_model/model.json":
+            "7629a490f463d237e01211eaabe01dbce5c81983706160e9d93e96a5ff53c9aa",
+        "simo_tol_model/trace.csv":
+            "82ec91bf7e5cee927e3b92a217da5e180f79b8a3cf4316153098b6b5202753a9",
+        "simo_tol_model/fit.json":
+            "a9a910cb3a9b4fdecb1c77eba7b118278da15cd514377b02af2f0ac907417a8b",
+        "simo_tol_model/model.json":
+            "5c5fe1ae4b0f0e4e4404a9ebfd73dc4bb7bd1c63590b3c708b31b11b87b48c5d",
+        "simo_batch/batch.json":
+            "b394f0b2dc0f821f3b7310bf0b73529d0b2e0e4123bf58fbd15f86d6d03245d8",
+        "simo_report/report.json":
+            "adb500532d792172f49c9d0fd700bb96e2d5b63cf86dffd2d5b131fe0d09d62f",
+        "ofdm_report/report.json":
+            "20027ba97bfd39448cd16f39907349b183a2bb62f5e16e9432d0aa7609e681fc",
+        "simo_ref_report/report.json":
+            "38eaf5ff6c21ac20bc2fb196fd3be5b2db8586a4934133d306de1c0c76d3df3a",
+    }
+
+    # the four fits' files as the plain EM wrote them, before the fixed-point
+    # update: what they write when every fixed-point candidate is rejected
+    EM_FALLBACK_DIGESTS = {
+        "simo_model/trace.csv":
+            "f62b420a8e928501899f4aa1235c85be7d7f33cbf8f8257c1a1b4a2483c398a6",
         "simo_model/model.json":
             "834341518fb053ceac21d9a404e4854c1bd62cb9d32f5b5b5da4bce6911461f6",
-        "simo_report/profile.csv":
-            "45fccbaaec492dce00dff82f81af1c165c86a6d08ad1688026ded7749665b030",
-        "simo_report/spread_hist.csv":
-            "c9d43014dfcafcd7506e24003f8cc32fe640ba1c196333c8d3b2ad38a2558095",
         "ofdm_model/trace.csv":
             "4856461fe8e1055e21eafb3f61b44c5b75ec22db66b0b58ad34b85b2e2a24f5a",
-        "ofdm_model/fit.json":
-            "54245ab9085d490e4ecf5f31310584fb632c31d7fb3dba5eea1a63954504f18b",
         "ofdm_model/model.json":
             "4b5dab13af13fa013da1ac5329505f747eaaeeaab048d39eeea6e66d6611324b",
-        "ofdm_report/profile.csv":
-            "473788e13b8c9bbf7d13caea23091ebc8a988056b29a5d10dc97d776f9cd6e10",
         "ofdm_kron_model/trace.csv":
             "cb893c96e254d4587b453ceaf77d2c95fa06595592f63f3708998d3140cccfc1",
-        "ofdm_kron_model/fit.json":
-            "6f0cd791db59bb3a88c46079b075b0883cbe903986a24f079b5424397823f22d",
         "ofdm_kron_model/model.json":
             "8157d4596f3cfd7224bc09d36b6f6abafb37044fb2e45742082d2b77207b5998",
         "simo_tol_model/trace.csv":
             "fbb5809797bf88722d029a97b0cc03af41838820e419ad2e342eb6a939621c0d",
-        "simo_tol_model/fit.json":
-            "d70fdf875a7ff826470b10c227a393529e95e690cae182db17820ce1209a964a",
         "simo_tol_model/model.json":
             "10e59082c5c8e932c6e71044d40a2ad389f573f384c368be575bba568e35e4af",
-        "simo_batch/batch.json":
-            "7674f418500ef1f8da9596fc39995cae16bafe86a7b511fef16ced88c9f31398",
-        "simo_report/report.json":
-            "37709e9ff8ed74209408aa51445158002675fb3c68ec24c458f57798e4816901",
-        "ofdm_report/report.json":
-            "20027ba97bfd39448cd16f39907349b183a2bb62f5e16e9432d0aa7609e681fc",
-        "simo_ref_report/report.json":
-            "42eacf1b20fd7c8bf14c55ef8f3c4c18fad1079ed9dccb5fa4edea10fe6deeef",
     }
 
-    def test_csv_files_byte_identical(self, tmp_path):
-        import hashlib
-
+    @staticmethod
+    def _fit_all(tmp_path):
+        """The SIMO and OFDM datasets and their four pinned fits: SIMO, OFDM
+        full and Kronecker at the 5-iteration cap, and SIMO to ``rel_tol``."""
         em = write_config(tmp_path, {"max_iters": 5}, "em.json")
+        em_tol = write_config(tmp_path, {"max_iters": 300, "rel_tol": 1e-3}, "em_tol.json")
+        fits = (("simo", "full", em, "simo_model"), ("ofdm", "full", em, "ofdm_model"),
+                ("ofdm", "kronecker", em, "ofdm_kron_model"),
+                ("simo", "full", em_tol, "simo_tol_model"))
         for name, config in (("simo", small_simo_config()), ("ofdm", small_ofdm_config())):
             cfg = write_config(tmp_path, config, f"{name}.json")
-            data, model = tmp_path / f"{name}_data", tmp_path / f"{name}_model"
+            assert main(["synth", "--config", cfg, "--seed", "11",
+                         "--out", str(tmp_path / f"{name}_data")]) == EXIT_OK
+        for data, form, config, out in fits:
+            assert main(["fit", str(tmp_path / f"{data}_data"), "--K", "2", "--seed", "2",
+                         "--variance-form", form, "--config", config,
+                         "--out", str(tmp_path / out)]) == EXIT_OK
+        return [out for *_, out in fits]
+
+    @staticmethod
+    def _check_digests(tmp_path, digests):
+        import hashlib
+
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_csv_files_byte_identical(self, tmp_path):
+        self._fit_all(tmp_path)
+        for name in ("simo", "ofdm"):
             batch, report = tmp_path / f"{name}_batch", tmp_path / f"{name}_report"
-            assert main(["synth", "--config", cfg, "--seed", "11", "--out", str(data)]) == EXIT_OK
-            assert main(["fit", str(data), "--K", "2", "--seed", "2", "--config", em,
-                         "--out", str(model)]) == EXIT_OK
-            assert main(["generate", str(model), "-n", "40", "--seed", "3",
+            assert main(["generate", str(tmp_path / f"{name}_model"), "-n", "40", "--seed", "3",
                          "--out", str(batch)]) == EXIT_OK
             assert main(["metrics", str(batch), "--out", str(report)]) == EXIT_OK
-        assert main(["fit", str(tmp_path / "ofdm_data"), "--K", "2", "--seed", "2",
-                     "--variance-form", "kronecker", "--config", em,
-                     "--out", str(tmp_path / "ofdm_kron_model")]) == EXIT_OK
-        em_tol = write_config(tmp_path, {"max_iters": 300, "rel_tol": 1e-3}, "em_tol.json")
-        assert main(["fit", str(tmp_path / "simo_data"), "--K", "2", "--seed", "2",
-                     "--config", em_tol, "--out", str(tmp_path / "simo_tol_model")]) == EXIT_OK
         fit = json.loads((tmp_path / "simo_tol_model" / "fit.json").read_text(encoding="utf-8"))
         assert fit["converged"] and fit["n_iterations"] < 300
         # a report against a reference batch: leakage and spread W1 vs the reference
@@ -953,8 +987,26 @@ class TestCsvBytes:
                      "--out", str(tmp_path / "simo_batch4")]) == EXIT_OK
         assert main(["metrics", str(tmp_path / "simo_batch"), str(tmp_path / "simo_batch4"),
                      "--out", str(tmp_path / "simo_ref_report")]) == EXIT_OK
-        for name, digest in self.DIGESTS.items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        self._check_digests(tmp_path, self.DIGESTS)
+
+    def test_rejected_fixed_point_falls_back_to_plain_em(self, tmp_path, monkeypatch):
+        # every candidate puts every variance at the floor, which scores below
+        # the model it would replace: each iteration after the first falls back
+        import chansbgm.em as em_module
+
+        fixed_point_step = em_module._fixed_point_step
+
+        def floored_step(*args):
+            candidate = fixed_point_step(*args)
+            for factor in candidate.factors:
+                factor.fill(em_module.GAMMA_FLOOR)
+            return candidate
+
+        monkeypatch.setattr(em_module, "_fixed_point_step", floored_step)
+        for out in self._fit_all(tmp_path):
+            fit = json.loads((tmp_path / out / "fit.json").read_text(encoding="utf-8"))
+            assert fit["monotone"] and fit["n_fallbacks"] == fit["n_iterations"] - 1, out
+        self._check_digests(tmp_path, self.EM_FALLBACK_DIGESTS)
 
 
 class TestBlockSizeInvariance:

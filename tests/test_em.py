@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from chansbgm.dataset import check_synth_config, synthesize
 from chansbgm.dictionary import (
     AngleGrid,
     DelayDopplerGrid,
@@ -17,11 +18,12 @@ from chansbgm.dictionary import (
 from chansbgm.em import (
     GAMMA_FLOOR,
     SbgmModel,
-    _component_sums,
     _ComponentCache,
     _e_step,
     _e_step_arrays,
     _em_steps,
+    _fit_sums,
+    _fixed_point_step,
     _log_sum_exp,
     _m_step,
     csgmm_e_step,
@@ -82,11 +84,12 @@ def ofdm_problem(seed):
 
 
 def fit_loop_sums(model, obs, dictionary, resp=None):
-    """The totals and statistic sums the EM loop feeds its M-step."""
+    """The totals, the EM statistic sums and the fixed point's terms A and
+    B that the fit loop forms from its caches."""
     arrays = _e_step_arrays(model.n_components, *obs.samples.shape)
     caches, e_resp, _ = _e_step(model, dictionary.rows(obs.pilots), obs, arrays)
     resp = e_resp if resp is None else resp
-    return _component_sums(resp, lambda k, r: caches[k].moment_sum(r, arrays[2]))
+    return _fit_sums(caches, resp, arrays[2])
 
 
 def fresh_cache(gamma, w, samples, sigma2s):
@@ -152,19 +155,26 @@ class TestEStep:
         for model in (random_model(rng, 3, d.n_columns), random_kronecker_model(rng, 3, 4, 4)):
             resp, stats = csgmm_e_step(model, obs, d)
             # the fit loop's M x M route to the weighted sums
-            totals, sums = fit_loop_sums(model, obs, d)
+            totals, sums, a, b = fit_loop_sums(model, obs, d)
             np.testing.assert_allclose(totals, resp.sum(axis=0), rtol=1e-12)
             for k in range(3):
                 np.testing.assert_allclose(sums[k], resp[:, k] @ stats[k], rtol=1e-10)
+                gamma = model.expanded_variances()[k]
+                mean2, cov = np.zeros(d.n_columns), np.zeros(d.n_columns)
                 for i in range(len(obs)):
                     moments = posterior_moments(
-                        model.expanded_variances()[k],
+                        gamma,
                         obs.samples[i],
                         d.rows(obs.pilots),
                         obs.noise_vars[i],
                     )
                     expected = np.abs(moments.mean) ** 2 + moments.cov_diag
                     np.testing.assert_allclose(stats[k, i], expected, atol=1e-10)
+                    mean2 += resp[i, k] * np.abs(moments.mean) ** 2
+                    cov += resp[i, k] * moments.cov_diag
+                # A weighs |mu|^2, and R gamma - gamma^2 B is the weighted diag C
+                np.testing.assert_allclose(a[k], mean2, rtol=1e-10)
+                np.testing.assert_allclose(totals[k] * gamma - gamma**2 * b[k], cov, atol=1e-10)
 
 
 class TestMStep:
@@ -207,7 +217,7 @@ class TestMStep:
         obs = synthetic_observations(d, 8, seed=3)
         e_model = random_model(rng, 2, d.n_columns)
         _, stats = csgmm_e_step(e_model, obs, d)
-        totals, sums = fit_loop_sums(e_model, obs, d, resp)
+        totals, sums, _, _ = fit_loop_sums(e_model, obs, d, resp)
         np.testing.assert_array_equal(totals, [8.0, 1.0])
         np.testing.assert_allclose(sums[0], resp[:, 0] @ stats[0], rtol=1e-10)
         np.testing.assert_allclose(sums[1], stats[1, worst], rtol=1e-10)
@@ -395,7 +405,9 @@ class TestFit:
 
         def svd_failing_in_iteration(*args, **kwargs):
             calls.append(None)
-            if len(calls) == 2 * iteration + 2:  # the second component's factorization
+            # from the second component's factorization on: the fixed-point
+            # candidate's E-step fails, and so does the EM fallback's
+            if len(calls) >= 2 * iteration + 2:
                 raise np.linalg.LinAlgError("SVD did not converge")
             return svd(*args, **kwargs)
 
@@ -403,6 +415,27 @@ class TestFit:
         with pytest.raises(NumericError, match=f"EM iteration {iteration} failed") as info:
             csgmm_fit(obs, d, 2, max_iters=10, seed=0)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_candidate_whose_factorization_fails_falls_back_to_em(self, monkeypatch):
+        # one failed SVD, in the third fixed-point candidate's E-step: the fit
+        # goes on from the EM update instead
+        d = simo_setup()
+        obs = synthetic_observations(d, 20, seed=18)
+        _, clean = csgmm_fit(obs, d, 2, max_iters=10, seed=0)
+        svd, calls = np.linalg.svd, []
+
+        def svd_failing_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 8:  # iteration 3's second component
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_failing_once)
+        _, trace = csgmm_fit(obs, d, 2, max_iters=10, seed=0)
+        assert clean.n_fallbacks == 0 and trace.n_fallbacks == 1
+        assert trace.is_monotone() and trace.n_iterations == 10
+        assert trace.log_likelihoods[:3].tobytes() == clean.log_likelihoods[:3].tobytes()
+        assert trace.log_likelihoods[3] != clean.log_likelihoods[3]
 
     def test_m_step_that_builds_no_model_is_a_numeric_error(self, monkeypatch):
         import chansbgm.em as em_module
@@ -458,8 +491,8 @@ class TestEStepArrays:
 
     @pytest.mark.parametrize("problem, k", [("simo", 3), ("simo", 1), ("ofdm", 2)])
     def test_buffered_loop_keeps_every_bit(self, problem, k):
-        # six EM iterations of the fit against a loop that builds every
-        # E-step into arrays of its own
+        # six iterations of the fit against a loop that builds every E-step
+        # into arrays of its own and takes the fixed point or EM by hand
         rng = np.random.default_rng(40 + k)
         if problem == "simo":
             d = simo_setup(s=24, n_antennas=8)
@@ -470,14 +503,25 @@ class TestEStepArrays:
             model = random_kronecker_model(rng, k, 4, 4)
         w = d.rows(obs.pilots)
         steps = list(itertools.islice(_em_steps(model, w, obs), 6))
-        for loglik, got in steps:
+
+        def scored(candidate):
             arrays = _e_step_arrays(k, *obs.samples.shape)
-            caches, resp, norm = _e_step(model, w, obs, arrays)
-            assert loglik == float(np.sum(norm))
+            caches, resp, norm = _e_step(candidate, w, obs, arrays)
+            return float(np.sum(norm)), (caches, resp, arrays[2])
+
+        want, e_step = scored(model)
+        for loglik, got in steps:
+            assert loglik == want
             for a, b in zip((got.weights, *got.factors), (model.weights, *model.factors)):
                 assert a.tobytes() == b.tobytes()
-            totals, sums = _component_sums(resp, lambda j, r: caches[j].moment_sum(r, arrays[2]))
-            model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
+            totals, sums, *terms = _fit_sums(*e_step)
+            candidate = _fixed_point_step(totals, *terms, model)
+            candidate_loglik, candidate_e_step = scored(candidate)
+            if candidate_loglik >= want:  # accept the fixed point, else fall back to EM
+                model, want, e_step = candidate, candidate_loglik, candidate_e_step
+            else:
+                model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
+                want, e_step = scored(model)
 
     def test_cache_built_over_another_e_step_keeps_every_bit(self):
         # arrays that hold another model's E-step and M-step sums give the
@@ -552,6 +596,54 @@ class TestEStepArrays:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * k * n * m * 24
+
+
+@pytest.fixture(scope="module")
+def street_canyon_500():
+    """A 500-sample street-canyon dataset at 16 antennas on a 128-point grid,
+    its dictionary, and the K=4 fit of 60 iterations that the tests transform."""
+    config = check_synth_config({
+        "scenario": "simo", "n_train": 500, "snr_range_db": [0.0, 20.0],
+        "system": {"variant": "simo", "n_antennas": 16}, "grid_size": 128,
+        "laplacian_std_deg": 2.0, "quadrature_points": 2048,
+    })
+    _, obs, _ = synthesize(config, 100)
+    d = build_simo_dictionary(AngleGrid(128), SystemConfig.simo(16))
+    return obs, d, fit_60(obs, d)
+
+
+def fit_60(obs, d):
+    model, _ = csgmm_fit(obs, d, 4, max_iters=60, rel_tol=1e-12, seed=1)
+    return model
+
+
+class TestFitInvariances:
+    """Transformations of the data that the fitted model must follow: each
+    test predicts the transformed fit from the original one alone."""
+
+    def test_per_sample_phase_leaves_the_fit(self, street_canyon_500):
+        # the model is circularly symmetric: a unit phase on each sample
+        # changes no likelihood, so no variance or weight
+        obs, d, model = street_canyon_500
+        phases = np.exp(2j * np.pi * np.random.default_rng(3).uniform(size=len(obs)))
+        rotated = ObservationSet(obs.samples * phases[:, None], obs.noise_vars, obs.pilots)
+        got = fit_60(rotated, d)
+        scale = model.variances.max()
+        assert np.abs(got.variances - model.variances).max() <= 1e-11 * scale
+        assert np.abs(got.weights - model.weights).max() <= 1e-11
+
+    def test_conjugated_simo_data_mirror_the_grid(self, street_canyon_500):
+        # conj a(theta) = a(-theta): grid point g moves to -g, index i to
+        # (S - i) mod S, and the point -S/2 (at -pi/2, a real steering
+        # vector) stays
+        obs, d, model = street_canyon_500
+        conjugated = ObservationSet(obs.samples.conj(), obs.noise_vars, obs.pilots)
+        got = fit_60(conjugated, d)
+        size = d.n_columns
+        mirrored = got.variances[:, (size - np.arange(size)) % size]
+        scale = model.variances.max()
+        assert np.abs(mirrored - model.variances).max() <= 1e-11 * scale
+        assert np.abs(got.weights - model.weights).max() <= 1e-11
 
 
 class TestTotalLogLikelihood:
