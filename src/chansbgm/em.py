@@ -38,10 +38,11 @@ The fit's variance update is MacKay's fixed point, gamma_k <- A_k /
 vanishes, but the fixed point moves a poorly determined variance, whose
 posterior variance stays near gamma, far faster. It does not guarantee
 ascent, so the EM update is its safeguard. One iteration is written once,
-in :func:`_em_steps`, which yields each accepted model with its
-log-likelihood; a fit is a driver over it, and :func:`csgmm_fit` is the
-init plus a loop with the stop rule. The EM M-step core also serves
-:func:`csgmm_m_step` and :func:`kronecker_m_step`.
+in :func:`_em_steps`: one loop scores the fixed-point candidate and, if it
+is rejected, the EM update, and yields the accepted model with its
+log-likelihood and whether it is EM's. A fit is a driver over it, and
+:func:`csgmm_fit` is the init plus a loop with the stop rule. The EM
+M-step core also serves :func:`csgmm_m_step` and :func:`kronecker_m_step`.
 
 A fit's memory is one E-step's arrays (:func:`_e_step_arrays`): the
 per-component projections U^H y_i and shifts lam + sigma_i^2, (K, n, M)
@@ -59,7 +60,8 @@ factor), which has no closed-form M-step; coordinate updates with
 closed-form half-steps are used instead, and the fixed point takes one
 multiplicative sweep over the two factors. ``_FORMS`` states each form's
 stored arrays once; the model, its hash, ``save_model`` and ``load_model``
-all read it.
+all read it, and :meth:`SbgmModel.from_factors` is the one constructor
+that names them.
 """
 
 from __future__ import annotations
@@ -141,6 +143,15 @@ class SbgmModel:
             if not np.all(np.isfinite(factor)) or np.any(factor < 0):
                 raise InvalidArgumentError(f"{name} must be finite and nonnegative")
             setattr(self, name, factor)
+
+    @classmethod
+    def from_factors(
+        cls, weights: np.ndarray, form: str, factors: tuple, clip_floor: float = GAMMA_FLOOR
+    ) -> SbgmModel:
+        """The model of ``form`` whose stored variance arrays are ``factors``,
+        in ``_FORMS`` order: the inverse of :attr:`factors`."""
+        names = (name for name, _, _ in _FORMS[form])
+        return cls(weights, form, clip_floor=clip_floor, **dict(zip(names, factors)))
 
     @property
     def factors(self) -> tuple[np.ndarray, ...]:
@@ -316,14 +327,12 @@ def csgmm_e_step(
     return resp, np.stack([c.moment_stats() for c in caches])
 
 
-def _component_sums(resp: np.ndarray, weighted_sum) -> tuple[np.ndarray, np.ndarray]:
-    """Totals R (K,) and statistic sums T (K, S) for :func:`_m_step`.
+def _restarted(resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Totals R (K,) and the responsibilities to sum, for :func:`_m_step`.
 
-    ``weighted_sum(k, r)`` returns sum_i r_i stat_ik for component k, an
-    (S,) array or a tuple of J of them, which gives sums (J, K, S). A
-    component whose total responsibility underflows is reinitialized from
-    one badly explained sample: its row is that sample's statistic, with
-    total 1. The j-th such component takes the j-th worst explained
+    A component whose total responsibility underflows is reinitialized from
+    one badly explained sample: its column puts all weight on that sample,
+    with total 1. The j-th such component takes the j-th worst explained
     sample, so components that die together restart apart.
     """
     totals = resp.sum(axis=0)
@@ -334,8 +343,7 @@ def _component_sums(resp: np.ndarray, weighted_sum) -> tuple[np.ndarray, np.ndar
         worst_first = np.argsort(resp.max(axis=1), kind="stable")
         restarts[worst_first[np.arange(len(dead_cols)) % len(resp)], dead_cols] = 1.0
         resp = np.where(dead, restarts, resp)
-    sums = np.stack([weighted_sum(k, resp[:, k]) for k in range(resp.shape[1])], axis=-2)
-    return np.where(dead, 1.0, totals), sums
+    return np.where(dead, 1.0, totals), resp
 
 
 def _m_step(
@@ -355,12 +363,8 @@ def _m_step(
     """
     weights = totals / totals.sum()
     if len(factors) != 2:
-        return SbgmModel(
-            weights=weights,
-            variance_form=FULL,
-            variances=np.maximum(sums / totals[:, None], clip_floor),
-            clip_floor=clip_floor,
-        )
+        gamma = np.maximum(sums / totals[:, None], clip_floor)
+        return SbgmModel.from_factors(weights, FULL, (gamma,), clip_floor)
     gt, gf = factors
     s_t, s_f = gt.shape[1], gf.shape[1]
     t = sums.reshape(len(totals), s_t, s_f)
@@ -368,13 +372,7 @@ def _m_step(
     for _ in range(coord_iters):
         gt = np.maximum(np.einsum("kij,kj->ki", t, 1.0 / gf) / (s_f * r), clip_floor)
         gf = np.maximum(np.einsum("ki,kij->kj", 1.0 / gt, t) / (s_t * r), clip_floor)
-    return SbgmModel(
-        weights=weights,
-        variance_form=KRONECKER,
-        doppler_variances=gt,
-        delay_variances=gf,
-        clip_floor=clip_floor,
-    )
+    return SbgmModel.from_factors(weights, KRONECKER, (gt, gf), clip_floor)
 
 
 def _fit_sums(
@@ -385,16 +383,14 @@ def _fit_sums(
 
     T_k = A_k + clip(R_k gamma_k - gamma_k^2 B_k, 0, R_k gamma_k): the
     weighted second moments, with every posterior variance in [0, gamma].
-    Dead components restart as in :func:`_component_sums`.
+    Dead components restart as in :func:`_restarted`.
     """
-
-    def sums(k, r):
-        gamma, total = caches[k].gamma, r.sum()
-        a, b = caches[k].moment_sum(r, work)
-        return a + np.clip(total * gamma - gamma**2 * b, 0.0, total * gamma), a, b
-
-    totals, (t, a, b) = _component_sums(resp, sums)
-    return totals, t, a, b
+    totals, resp = _restarted(resp)
+    a, b = np.stack([cache.moment_sum(r, work) for cache, r in zip(caches, resp.T)], axis=1)
+    gamma = np.stack([cache.gamma for cache in caches])
+    # R_k summed per column: resp.sum(axis=0) rounds differently
+    r = np.array([r.sum() for r in resp.T])[:, None]
+    return totals, a + np.clip(r * gamma - gamma**2 * b, 0.0, r * gamma), a, b
 
 
 def _rescaled(x: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -424,13 +420,13 @@ def _fixed_point_step(
         gt = _rescaled(gt, np.einsum("kij,kj->ki", abar, gf), np.einsum("kij,kj->ki", b, gf))
         gf = _rescaled(gf, np.einsum("ki,kij->kj", gt, abar), np.einsum("ki,kij->kj", gt, b))
         factors = (gt, gf)
-    names = (name for name, _, _ in _FORMS[model.variance_form])
-    return SbgmModel(totals / totals.sum(), model.variance_form, **dict(zip(names, factors)))
+    return SbgmModel.from_factors(totals / totals.sum(), model.variance_form, factors)
 
 
 def _sample_sums(resp: np.ndarray, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    stats = np.asarray(stats, dtype=float)
-    return _component_sums(np.asarray(resp, dtype=float), lambda k, r: r @ stats[k])
+    """Totals R (K,) and sums T (K, S) of per-sample statistics (K, n, S)."""
+    totals, resp = _restarted(np.asarray(resp, dtype=float))
+    return totals, np.stack([r @ s for r, s in zip(resp.T, np.asarray(stats, dtype=float))])
 
 
 def csgmm_m_step(
@@ -439,7 +435,7 @@ def csgmm_m_step(
     """Closed-form update: weighted means of the posterior statistics.
 
     A component whose total responsibility underflows is reinitialized
-    from a badly explained sample (see :func:`_component_sums`).
+    from a badly explained sample (see :func:`_restarted`).
     """
     return _m_step(*_sample_sums(resp, stats), clip_floor)
 
@@ -500,19 +496,22 @@ def total_log_likelihood(
 
 
 def _em_steps(
-    model: SbgmModel, w: np.ndarray, obs: ObservationSet, fallbacks: list[int] | None = None
-) -> Iterator[tuple[float, SbgmModel]]:
+    model: SbgmModel, w: np.ndarray, obs: ObservationSet
+) -> Iterator[tuple[float, SbgmModel, bool]]:
     """EM under a fixed-point proposal from ``model``: yields the total
-    log-likelihood of ``model`` and ``model`` itself, then the same for
-    each update of it.
+    log-likelihood of ``model``, ``model`` itself and False, then the same
+    for each update of it, the flag telling whether the update is EM's.
 
-    Each update first proposes :func:`_fixed_point_step` and scores it with
-    its E-step, which the next update needs anyway. The candidate is
-    accepted if its total is finite and no lower than the current one.
-    Otherwise (a failed factorization or an invalid model counts too) the
-    EM update is formed from the same sums and its E-step run instead, so
-    the yielded log-likelihoods rise at least as EM's would; the index of
-    each such item is appended to ``fallbacks``. Variances are clipped at
+    Each update tries two candidates in turn, each scored by the E-step that
+    the next update needs anyway. The first is :func:`_fixed_point_step`,
+    accepted if its total is finite and no lower than the current one. It
+    is rejected when lower, non-finite, an invalid model, or when its
+    factorization fails; then the EM update, formed from the same sums, is
+    taken instead, so the yielded log-likelihoods rise at least as EM's
+    would. The EM update is always accepted: if it makes an invalid model
+    or its factorization fails, :class:`NumericError` names the trace row
+    it would have written, "EM iteration i" (``model``'s is row 0), with
+    the cause as ``__cause__``. Variances are clipped at
     :data:`GAMMA_FLOOR`; an EM Kronecker update runs :data:`KRON_SWEEPS`
     sweeps.
 
@@ -525,39 +524,30 @@ def _em_steps(
     caches are alive at once.
     """
     arrays = _e_step_arrays(model.n_components, *obs.samples.shape)
-
-    def e_step(candidate, iteration):
-        try:
-            return _e_step(candidate, w, obs, arrays)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"EM iteration {iteration} failed: {exc}") from exc
-
-    caches, resp, norm = e_step(model, 0)
-    loglik = float(np.sum(norm))
-    for iteration in itertools.count():
-        yield loglik, model
+    # the candidates of one update in turn; the last is always accepted
+    loglik, candidates = -math.inf, (lambda: model,)
+    for row in itertools.count():
+        for took_em, propose in enumerate(candidates):
+            last = propose is candidates[-1]
+            try:
+                candidate = propose()
+                caches, resp, norm = _e_step(candidate, w, obs, arrays)
+            except (InvalidArgumentError, np.linalg.LinAlgError) as exc:
+                if last:
+                    raise NumericError(f"EM iteration {row} failed: {exc}") from exc
+                continue
+            candidate_loglik = float(np.sum(norm))
+            if last or math.isfinite(candidate_loglik) and candidate_loglik >= loglik:
+                break
+            del caches
+        model, loglik = candidate, candidate_loglik
+        yield loglik, model, bool(took_em)
         totals, sums, a, b = _fit_sums(caches, resp, arrays[2])
         del caches
-        try:
-            candidate = _fixed_point_step(totals, a, b, model)
-            caches, resp, norm = _e_step(candidate, w, obs, arrays)
-        except (InvalidArgumentError, np.linalg.LinAlgError):
-            accepted = False
-        else:
-            candidate_loglik = float(np.sum(norm))
-            accepted = math.isfinite(candidate_loglik) and candidate_loglik >= loglik
-        if accepted:
-            model, loglik = candidate, candidate_loglik
-            continue
-        caches = None  # the rejected candidate's, if its E-step ran
-        try:
-            model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
-        except InvalidArgumentError as exc:  # non-finite sums make no model
-            raise NumericError(f"EM iteration {iteration} made an invalid model: {exc}") from exc
-        caches, resp, norm = e_step(model, iteration + 1)
-        loglik = float(np.sum(norm))
-        if fallbacks is not None:
-            fallbacks.append(iteration + 1)
+        candidates = (
+            functools.partial(_fixed_point_step, totals, a, b, model),
+            functools.partial(_m_step, totals, sums, GAMMA_FLOOR, model.factors),
+        )
 
 
 def _init_variances(
@@ -635,26 +625,27 @@ def csgmm_fit(
         grid = dictionary.grid
         tables = init_gammas.reshape(n_components, grid.doppler_size, grid.delay_size)
         scale = np.maximum(init_gammas.mean(axis=1), GAMMA_FLOOR)[:, None]
-        factors = {
-            "doppler_variances": np.maximum(tables.mean(axis=2), GAMMA_FLOOR),
-            "delay_variances": np.maximum(tables.mean(axis=1) / scale, GAMMA_FLOOR),
-        }
+        factors = (
+            np.maximum(tables.mean(axis=2), GAMMA_FLOOR),
+            np.maximum(tables.mean(axis=1) / scale, GAMMA_FLOOR),
+        )
     else:
-        factors = {"variances": init_gammas}
+        factors = (init_gammas,)
     weights = np.full(n_components, 1.0 / n_components)
     try:
-        model = SbgmModel(weights, variance_form, **factors)
+        model = SbgmModel.from_factors(weights, variance_form, factors)
     except InvalidArgumentError as exc:  # the arguments were checked: the init failed
         raise NumericError(f"the initial model is invalid: {exc}") from exc
 
     logliks: list[float] = []
-    fallbacks: list[int] = []
-    for loglik, model in _em_steps(model, w, obs, fallbacks):
+    n_fallbacks = 0
+    for loglik, model, took_em in _em_steps(model, w, obs):
         prev = logliks[-1] if logliks else None
         logliks.append(loglik)
+        n_fallbacks += took_em
         converged = prev is not None and abs(loglik - prev) <= rel_tol * max(abs(prev), 1e-12)
         if converged or len(logliks) == max_iters:
-            return model, EmTrace(np.array(logliks), converged, len(fallbacks))
+            return model, EmTrace(np.array(logliks), converged, n_fallbacks)
 
 
 def _describe(model: SbgmModel) -> dict:
@@ -688,9 +679,9 @@ def load_model(directory: str | Path) -> tuple[SbgmModel, dict]:
     doc = {key: value for key, value in meta.items() if key in keys}  # the rest is the caller's
     header = check_tagged_document(doc, "variance_form", _MODEL_FIELDS, f"model document {path}")
     form = header["variance_form"]
-    factors = {stem: read_array(path.parent / stem)[0] for stem, _, _ in _FORMS[form]}
+    factors = tuple(read_array(path.parent / stem)[0] for stem, _, _ in _FORMS[form])
     weights, _ = read_array(path.parent / "weights")
-    model = SbgmModel(weights, form, clip_floor=header["clip_floor"], **factors)
+    model = SbgmModel.from_factors(weights, form, factors, header["clip_floor"])
     wrong = sorted(key for key, value in _describe(model).items() if header[key] != value)
     if wrong:
         raise InvalidArgumentError(f"{path} does not describe its arrays: {wrong} differ")

@@ -416,21 +416,43 @@ class TestFit:
             csgmm_fit(obs, d, 2, max_iters=10, seed=0)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
-    def test_candidate_whose_factorization_fails_falls_back_to_em(self, monkeypatch):
-        # one failed SVD, in the third fixed-point candidate's E-step: the fit
-        # goes on from the EM update instead
+    @pytest.mark.parametrize("fault", ["factorization", "invalid-model", "non-finite-total"])
+    def test_candidate_whose_factorization_fails_falls_back_to_em(self, monkeypatch, fault):
+        # one fault in the third fixed-point candidate, which the fit rejects
+        # and goes on from the EM update instead: a failed SVD, an infinite
+        # variance, or an E-step total of +inf that is no lower than any
+        import chansbgm.em as em_module
+
         d = simo_setup()
         obs = synthetic_observations(d, 20, seed=18)
         _, clean = csgmm_fit(obs, d, 2, max_iters=10, seed=0)
-        svd, calls = np.linalg.svd, []
 
-        def svd_failing_once(*args, **kwargs):
+        def failed_svd(real, *args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        def infinite_variance(real, totals, a, b, model):
+            return real(totals, np.full_like(a, np.inf), b, model)
+
+        def infinite_total(real, *args):
+            caches, resp, norm = real(*args)
+            norm[0] = np.inf
+            return caches, resp, norm
+
+        # the patched function, its call that makes the third candidate, the fault
+        module, name, nth, inject = {
+            "factorization": (np.linalg, "svd", 8, failed_svd),  # its second component
+            "invalid-model": (em_module, "_fixed_point_step", 3, infinite_variance),
+            "non-finite-total": (em_module, "_e_step", 4, infinite_total),
+        }[fault]
+        real, calls = getattr(module, name), []
+
+        def faulty(*args, **kwargs):
             calls.append(None)
-            if len(calls) == 8:  # iteration 3's second component
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(*args, **kwargs)
+            if len(calls) == nth:
+                return inject(real, *args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", svd_failing_once)
+        monkeypatch.setattr(module, name, faulty)
         _, trace = csgmm_fit(obs, d, 2, max_iters=10, seed=0)
         assert clean.n_fallbacks == 0 and trace.n_fallbacks == 1
         assert trace.is_monotone() and trace.n_iterations == 10
@@ -438,18 +460,20 @@ class TestFit:
         assert trace.log_likelihoods[3] != clean.log_likelihoods[3]
 
     def test_m_step_that_builds_no_model_is_a_numeric_error(self, monkeypatch):
+        # NaN sums make the first update's fixed-point candidate and its EM
+        # update invalid: the error names trace row 1, which it would have written
         import chansbgm.em as em_module
 
         d = simo_setup()
         obs = synthetic_observations(d, 20, seed=18)
-        real_sums = em_module._component_sums
+        real_sums = em_module._fit_sums
 
-        def nan_sums(resp, weighted_sum):
-            totals, sums = real_sums(resp, weighted_sum)
-            return totals, np.full_like(sums, np.nan)
+        def nan_sums(*args):
+            totals, *sums = real_sums(*args)
+            return totals, *(np.full_like(x, np.nan) for x in sums)
 
-        monkeypatch.setattr(em_module, "_component_sums", nan_sums)
-        with pytest.raises(NumericError, match="EM iteration 0 made an invalid model") as info:
+        monkeypatch.setattr(em_module, "_fit_sums", nan_sums)
+        with pytest.raises(NumericError, match="EM iteration 1 failed") as info:
             csgmm_fit(obs, d, 2, max_iters=10, seed=0)
         assert isinstance(info.value.__cause__, InvalidArgumentError)
 
@@ -467,7 +491,7 @@ class TestFit:
         model, trace = csgmm_fit(obs, d, k, max_iters=n, **options)
         init, _ = csgmm_fit(obs, d, k, max_iters=1, **options)
         steps = _em_steps(init, d.rows(obs.pilots), obs)
-        logliks, models = zip(*itertools.islice(steps, n))
+        logliks, models, _ = zip(*itertools.islice(steps, n))
         assert models[0] is init
         assert not trace.converged and trace.n_iterations == n
         assert trace.log_likelihoods.tobytes() == np.array(logliks).tobytes()
@@ -509,15 +533,16 @@ class TestEStepArrays:
             caches, resp, norm = _e_step(candidate, w, obs, arrays)
             return float(np.sum(norm)), (caches, resp, arrays[2])
 
-        want, e_step = scored(model)
-        for loglik, got in steps:
-            assert loglik == want
+        (want, e_step), fell_back = scored(model), False
+        for loglik, got, took_em in steps:
+            assert loglik == want and took_em == fell_back
             for a, b in zip((got.weights, *got.factors), (model.weights, *model.factors)):
                 assert a.tobytes() == b.tobytes()
             totals, sums, *terms = _fit_sums(*e_step)
             candidate = _fixed_point_step(totals, *terms, model)
             candidate_loglik, candidate_e_step = scored(candidate)
-            if candidate_loglik >= want:  # accept the fixed point, else fall back to EM
+            fell_back = not candidate_loglik >= want  # accept the fixed point, else fall back to EM
+            if not fell_back:
                 model, want, e_step = candidate, candidate_loglik, candidate_e_step
             else:
                 model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
@@ -565,7 +590,8 @@ class TestEStepArrays:
         assert [cache.moment_stats().tobytes() for cache in caches] == before
 
     def test_fit_frees_each_iterations_caches_before_the_next_e_step(self, monkeypatch):
-        # no cache of one iteration is alive when the next E-step starts
+        # no cache of one iteration is alive when the next E-step starts, nor
+        # a rejected candidate's when its EM fallback's E-step starts
         import chansbgm.em as em_module
 
         d = simo_setup(s=24, n_antennas=8)
@@ -579,8 +605,24 @@ class TestEStepArrays:
             return caches, resp, norm
 
         monkeypatch.setattr(em_module, "_e_step", tracked_e_step)
-        csgmm_fit(obs, d, 3, max_iters=4, rel_tol=1e-12, seed=0)
-        assert alive == [[]] + [[False] * 3] * 3
+        _, trace = csgmm_fit(obs, d, 3, max_iters=4, rel_tol=1e-12, seed=0)
+        assert trace.n_fallbacks == 0 and alive == [[]] + [[False] * 3] * 3
+
+        # every candidate floored, as in TestCsvBytes, scores lower: each
+        # update runs the candidate's E-step and then the fallback's
+        fixed_point_step = em_module._fixed_point_step
+
+        def floored_step(*args):
+            candidate = fixed_point_step(*args)
+            for factor in candidate.factors:
+                factor.fill(GAMMA_FLOOR)
+            return candidate
+
+        monkeypatch.setattr(em_module, "_fixed_point_step", floored_step)
+        built.clear()
+        alive.clear()
+        _, trace = csgmm_fit(obs, d, 3, max_iters=4, rel_tol=1e-12, seed=0)
+        assert trace.n_fallbacks == 3 and alive == [[]] + [[False] * 3] * 6
 
     def test_fit_holds_one_e_steps_arrays(self):
         # n=2000 samples at 16 antennas on a 128-point grid, K=16: one set
