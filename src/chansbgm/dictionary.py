@@ -269,7 +269,8 @@ def check_pilots(pilots, n_entries: int | None = None) -> np.ndarray:
     pilots = np.asarray(pilots)
     if pilots.ndim != 1 or pilots.dtype.kind not in "iu":
         raise InvalidArgumentError("pilots must be a 1-D integer index vector")
-    if np.any(pilots < 0) or len(np.unique(pilots)) != len(pilots):
+    ordered = np.sort(pilots)  # not np.unique, whose first call imports numpy.ma
+    if np.any(pilots < 0) or np.any(ordered[1:] == ordered[:-1]):
         raise InvalidArgumentError("pilots must be distinct non-negative indices")
     if n_entries is not None and np.any(pilots >= n_entries):
         raise InvalidArgumentError(f"pilots must be below the {n_entries} channel entries")

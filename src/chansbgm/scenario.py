@@ -116,20 +116,60 @@ def sample_angle(profile: AngleProfile, rng: np.random.Generator, size: int) -> 
     return out
 
 
+# Newton steps below this size leave the reference nodes at round-off: the
+# next step would be about (step size)^2 * count^2, far under one ulp
+_NEWTON_STEP = 1e-12
+# Tricomi's guesses reach _NEWTON_STEP in 3-4 steps for every count >= 32
+_NEWTON_ITERATIONS = 10
+# rows of a block that _steering_sums takes at a time: a group's phasors and
+# powers at 2048 nodes are 512 kB each, so a group's arrays stay in L2
+_STEERING_GROUP_ROWS = 16
+
+
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_(n-1)(x) by the three-term recurrence, for n >= 1."""
+    previous, current, following = np.ones_like(x), x.copy(), np.empty_like(x)
+    for j in range(2, n + 1):
+        # P_j = ((2j - 1) x P_(j-1) - (j - 1) P_(j-2)) / j, in place
+        np.multiply(2 * j - 1, x, out=following)
+        following *= current
+        previous *= j - 1
+        following -= previous
+        following /= j
+        previous, current, following = current, following, previous
+    return current, previous
+
+
 @lru_cache(maxsize=8)
 def _reference_gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
-    # leggauss solves an eigenproblem of size `count`; cache the reference
-    # nodes since they are reused for every sample drawn
-    x, w = np.polynomial.legendre.leggauss(count)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence, from Tricomi's guesses
+    cos(pi (4k - 1) / (4 count + 2)), finds the count // 2 positive nodes
+    (and 0 for an odd count); the rest follow by symmetry. The weights
+    2 (1 - x^2) / (count P_(count-1)(x))^2 are taken at the converged
+    nodes. Cached, since every sample reuses them.
+    """
+    n = count
+    k = np.arange(1, n // 2 + 1)
+    x = np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x = np.append(x, 0.0)
+    for _ in range(_NEWTON_ITERATIONS):
+        p, q = _legendre_pair(n, x)
+        # P_n' = n (x P_n - P_(n-1)) / (x^2 - 1) holds off the roots too
+        step = p * (x * x - 1.0) / (n * (x * p - q))
+        x -= step
+        if np.abs(step).max() < _NEWTON_STEP:
+            break
+    _, q = _legendre_pair(n, x)
+    w = 2.0 * (1.0 - x * x) / (n * q) ** 2
+    positive = slice(n // 2 - 1, None, -1)  # the positive nodes, ascending
+    x = np.concatenate([-x[: n // 2], x[n // 2 :], x[positive]])
+    w = np.concatenate([w[: n // 2], w[n // 2 :], w[positive]])
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
-
-
-def _gauss_legendre_nodes(lo, hi, count: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _reference_gauss_legendre(count)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
 
 
 def _laplacian_nodes(centers, std_dev: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,37 +181,77 @@ def _laplacian_nodes(centers, std_dev: float, count: int) -> tuple[np.ndarray, n
     is split at the density's kink and each half uses Gauss-Legendre
     quadrature, so smooth integrands converge to near machine precision (a
     composite trapezoid rule stalls around 1e-5 because of the kink). The
-    truncated tail mass is exp(-10 sqrt(2)), below 1e-6.
+    truncated tail mass is exp(-10 sqrt(2)), below 1e-6. The nodes, weights
+    and density are written in place, into three (rows, count) arrays.
     """
     if count < 64:
         raise InvalidArgumentError("quadrature_points must be >= 64")
     centers = np.asarray(centers, dtype=float)[:, None]
     lo = np.maximum(centers - 10.0 * std_dev, -math.pi)
     hi = np.minimum(centers + 10.0 * std_dev, math.pi)
-    t_lo, w_lo = _gauss_legendre_nodes(lo, centers, count // 2)
-    t_hi, w_hi = _gauss_legendre_nodes(centers, hi, count - count // 2)
-    theta = np.concatenate([t_lo, t_hi], axis=1)
-    w = np.concatenate([w_lo, w_hi], axis=1)
+    theta = np.empty((len(centers), count))
+    weights = np.empty_like(theta)
+    split = count // 2
+    halves = ((lo, centers, theta[:, :split], weights[:, :split]),
+              (centers, hi, theta[:, split:], weights[:, split:]))
+    for a, b, nodes, node_weights in halves:
+        x, w = _reference_gauss_legendre(nodes.shape[1])
+        half = 0.5 * (b - a)
+        np.multiply(half, x, out=nodes)
+        nodes += 0.5 * (b + a)
+        np.multiply(half, w, out=node_weights)
     scale = std_dev / math.sqrt(2.0)
-    density = np.exp(-np.abs(theta - centers) / scale) / (2.0 * scale)
-    return theta, w * density
+    density = np.subtract(theta, centers)
+    np.abs(density, out=density)
+    density /= -scale
+    np.exp(density, out=density)
+    density /= 2.0 * scale
+    weights *= density
+    return theta, weights
 
 
 def _steering_sums(theta: np.ndarray, coeffs: np.ndarray, n_antennas: int) -> np.ndarray:
     """Rows of sum_j coeffs[:, j] z_j^m for m < ``n_antennas``, with
     z_j = exp(-j pi sin theta[:, j]): the ULA steering vectors toward the
-    nodes ``theta`` weighted by ``coeffs``. The powers come from a running
+    nodes ``theta`` weighted by real or complex ``coeffs``.
+
+    The rows go ``_STEERING_GROUP_ROWS`` at a time. A group's phasors are
+    the cos and sin of the real phase, and the powers come from a running
     product, so no (n_antennas, nodes) steering matrix is formed; power m
-    carries about m roundings more than ``ula_matrix`` would.
+    carries about m roundings more than ``ula_matrix`` would. Each power's
+    sum is one real product per row on the power's (nodes, 2) float view,
+    with each real weight row: complex ``coeffs`` are two such rows, the
+    real and the imaginary parts, whose sums combine as a + 1j b.
     """
-    z = np.exp(-1j * math.pi * np.sin(theta))
-    power = np.ones_like(z)
-    coeffs = coeffs.astype(complex)[:, :, None]
-    sums = np.empty((len(theta), n_antennas), dtype=complex)
-    for m in range(n_antennas):
-        sums[:, m] = (power[:, None, :] @ coeffs)[:, 0, 0]  # one dot product per row
-        power *= z
-    return sums
+    rows, count = theta.shape
+    if np.iscomplexobj(coeffs):
+        parts = np.stack([coeffs.real, coeffs.imag], axis=1)
+    else:
+        parts = coeffs[:, None, :]
+    # pairs[r, m, k] holds the real and imaginary parts of part k's sum m
+    pairs = np.empty((rows, n_antennas, parts.shape[1], 2))
+    np.sum(parts, axis=2, out=pairs[:, 0, :, 0])
+    pairs[:, 0, :, 1] = 0.0
+    phase = np.empty((min(rows, _STEERING_GROUP_ROWS), count))
+    z = np.empty(phase.shape, dtype=complex)
+    power = np.empty_like(z)
+    for start in range(0, rows, _STEERING_GROUP_ROWS):
+        g = slice(start, min(start + _STEERING_GROUP_ROWS, rows))
+        size = g.stop - start
+        ph, zg, pg = phase[:size], z[:size], power[:size]
+        np.sin(theta[g], out=ph)
+        ph *= -math.pi
+        z_pairs = zg.view(float).reshape(size, count, 2)
+        np.cos(ph, out=z_pairs[..., 0])
+        np.sin(ph, out=z_pairs[..., 1])
+        current = zg
+        for m in range(1, n_antennas):
+            np.matmul(parts[g], current.view(float).reshape(size, count, 2), out=pairs[g, m])
+            if m + 1 < n_antennas:
+                np.multiply(current, zg, out=pg)
+                current = pg
+    sums = pairs.view(complex)[..., 0]
+    return sums[..., 0] + 1j * sums[..., 1] if sums.shape[2] == 2 else sums[..., 0]
 
 
 def laplacian_local_covariance(

@@ -882,18 +882,21 @@ class TestCsvBytes:
     ``repr`` of a Python int or float, and ``model.json``'s ``model_id``
     hashes the fitted arrays. The fits
     cover both variance forms, the iteration cap and a stop on ``rel_tol``.
-    The digests hold for one numpy build and platform; the EM and metrics
-    arithmetic behind them may round differently elsewhere."""
+    The digests hold for one numpy build and platform: numpy 2.4.6 with
+    its bundled OpenBLAS 0.3.31 on the ``SkylakeX`` kernel, and numpy's
+    SIMD dispatch up to ``AVX512_SPR`` (x86-64, Python 3.11). The
+    quadrature, EM and metrics arithmetic behind them may round
+    differently under another build, kernel or dispatch level."""
 
     DIGESTS = {
         "simo_model/trace.csv":
-            "74219f7a89e59064a929e1bbd9726ba68d13b97b335c673eed07bfbdcc43dce4",
+            "7c3ecda8696b60607cc96083d95e63c892f274729bca189f014b33d0cc003d17",
         "simo_model/fit.json":
-            "113dc5493709c0184256a55a8a3e9b137a1d48c29c1e61e86e7d28eaedbbd8e2",
+            "b871170caa18c7741acd42343d6e0d3bdcaf07fce4332e553d9908729c4b3fee",
         "simo_model/model.json":
-            "bc1c72b5ff5d5e3bc6d9dfbc0a5f1c05b0c275833d183b17e8ed9d2d0a3ce0ab",
+            "7bf4cdb18c595abd1ab44012738e6b706913a8c735b9dcfbf45b27f10c269107",
         "simo_report/profile.csv":
-            "58c3004c7aa191d32f00bc5a5f1dd6df4d323f4f6b39465c5502f2efe38f28f8",
+            "6f21015f7fb949c63a97d58f1c2c4a8cde52902aea6930852f30a97251adbb2b",
         "simo_report/spread_hist.csv":
             "65dd4dfa99f49b89ac33ef66edcd804d4a530b08fb76f54ad98827c0878ae526",
         "ofdm_model/trace.csv":
@@ -911,28 +914,28 @@ class TestCsvBytes:
         "ofdm_kron_model/model.json":
             "7629a490f463d237e01211eaabe01dbce5c81983706160e9d93e96a5ff53c9aa",
         "simo_tol_model/trace.csv":
-            "82ec91bf7e5cee927e3b92a217da5e180f79b8a3cf4316153098b6b5202753a9",
+            "d52468c3ff32a48ed7cba1227bd468dd8a852b932ba104e5fffb8703e1ecb897",
         "simo_tol_model/fit.json":
-            "a9a910cb3a9b4fdecb1c77eba7b118278da15cd514377b02af2f0ac907417a8b",
+            "b51ad189c8567962d020b34acf2e3a3fad07b2331cd02cc0bb746c860c9309fd",
         "simo_tol_model/model.json":
-            "5c5fe1ae4b0f0e4e4404a9ebfd73dc4bb7bd1c63590b3c708b31b11b87b48c5d",
+            "78429c9e2666044e8fb5f39aa83bfe25fec9f48309154c535ddaef8d58ebd752",
         "simo_batch/batch.json":
-            "b394f0b2dc0f821f3b7310bf0b73529d0b2e0e4123bf58fbd15f86d6d03245d8",
+            "0f873009c8d9684a20f1f1813784ea22eead38b3b96aaf53c2dde62d837ba618",
         "simo_report/report.json":
-            "adb500532d792172f49c9d0fd700bb96e2d5b63cf86dffd2d5b131fe0d09d62f",
+            "bd3fe6aa1bfd019a269ef85cb190203fdf0f7d9235277b7a7d39192378b9c397",
         "ofdm_report/report.json":
             "20027ba97bfd39448cd16f39907349b183a2bb62f5e16e9432d0aa7609e681fc",
         "simo_ref_report/report.json":
-            "38eaf5ff6c21ac20bc2fb196fd3be5b2db8586a4934133d306de1c0c76d3df3a",
+            "4b6d805b256681bffec5d86ae379f964e4977e9d1b006184aa834e7dccdeadba",
     }
 
     # the four fits' files as the plain EM wrote them, before the fixed-point
     # update: what they write when every fixed-point candidate is rejected
     EM_FALLBACK_DIGESTS = {
         "simo_model/trace.csv":
-            "f62b420a8e928501899f4aa1235c85be7d7f33cbf8f8257c1a1b4a2483c398a6",
+            "e44120254f8a0ec4ebc00003d4332a001d285983774a1ba0110f049a4226d070",
         "simo_model/model.json":
-            "834341518fb053ceac21d9a404e4854c1bd62cb9d32f5b5b5da4bce6911461f6",
+            "4f85bd2b8a4a2212b8d286a84f4301a302cbed81da075bbf52e9a07bd4c59d54",
         "ofdm_model/trace.csv":
             "4856461fe8e1055e21eafb3f61b44c5b75ec22db66b0b58ad34b85b2e2a24f5a",
         "ofdm_model/model.json":
@@ -942,9 +945,9 @@ class TestCsvBytes:
         "ofdm_kron_model/model.json":
             "8157d4596f3cfd7224bc09d36b6f6abafb37044fb2e45742082d2b77207b5998",
         "simo_tol_model/trace.csv":
-            "fbb5809797bf88722d029a97b0cc03af41838820e419ad2e342eb6a939621c0d",
+            "e49a158ea8616a071bd86fdb3ac08a49f7a90ab8b4fa74ef32afa07d1c82d966",
         "simo_tol_model/model.json":
-            "10e59082c5c8e932c6e71044d40a2ad389f573f384c368be575bba568e35e4af",
+            "ca40260575f1b53e051fa9b85855d2fa5c8692c6d50d2c021ce7cc8695b8d072",
     }
 
     @staticmethod
@@ -1262,7 +1265,9 @@ class TestSelfcheck:
 
     def test_runtime_imports_only_numpy(self, tmp_path):
         # a fresh interpreter, so only what chansbgm itself imports is loaded;
-        # run in an empty directory, which the selfcheck must leave empty
+        # run in an empty directory, which the selfcheck must leave empty.
+        # numpy.ma (np.unique's first call) and numpy.polynomial (leggauss)
+        # cost every stage their import time
         import subprocess
         import sys
 
@@ -1273,7 +1278,8 @@ class TestSelfcheck:
             "from chansbgm.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert main(['selfcheck']) == 0\n"
-            "print(sorted(m for m in ('scipy', 'jsonschema') if m in sys.modules))\n"
+            "unwanted = ('scipy', 'jsonschema', 'numpy.ma', 'numpy.polynomial')\n"
+            "print(sorted(m for m in unwanted if m in sys.modules))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         out = subprocess.run(

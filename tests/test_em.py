@@ -513,10 +513,11 @@ class TestFit:
 class TestEStepArrays:
     """The fit writes each E-step into arrays it allocated once."""
 
-    @pytest.mark.parametrize("problem, k", [("simo", 3), ("simo", 1), ("ofdm", 2)])
-    def test_buffered_loop_keeps_every_bit(self, problem, k):
-        # six iterations of the fit against a loop that builds every E-step
-        # into arrays of its own and takes the fixed point or EM by hand
+    @staticmethod
+    def _buffered_loop_took_em(problem, k, fixed_point_step=_fixed_point_step):
+        """Six iterations of the fit against a loop that builds every E-step
+        into arrays of its own and takes the fixed point or EM by hand, bit
+        for bit; returns the fit's ``took_em`` flags."""
         rng = np.random.default_rng(40 + k)
         if problem == "simo":
             d = simo_setup(s=24, n_antennas=8)
@@ -539,7 +540,7 @@ class TestEStepArrays:
             for a, b in zip((got.weights, *got.factors), (model.weights, *model.factors)):
                 assert a.tobytes() == b.tobytes()
             totals, sums, *terms = _fit_sums(*e_step)
-            candidate = _fixed_point_step(totals, *terms, model)
+            candidate = fixed_point_step(totals, *terms, model)
             candidate_loglik, candidate_e_step = scored(candidate)
             fell_back = not candidate_loglik >= want  # accept the fixed point, else fall back to EM
             if not fell_back:
@@ -547,6 +548,27 @@ class TestEStepArrays:
             else:
                 model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
                 want, e_step = scored(model)
+        return [took_em for *_, took_em in steps]
+
+    @pytest.mark.parametrize("problem, k", [("simo", 3), ("simo", 1), ("ofdm", 2)])
+    def test_buffered_loop_keeps_every_bit(self, problem, k):
+        self._buffered_loop_took_em(problem, k)
+
+    @pytest.mark.parametrize("problem, k", [("simo", 3), ("ofdm", 2)])
+    def test_buffered_loop_keeps_every_bit_on_the_em_path(self, problem, k, monkeypatch):
+        # every candidate puts every variance at the floor, which scores below
+        # the model it would replace: each update falls back to EM
+        import chansbgm.em as em_module
+
+        def floored_step(*args):
+            candidate = _fixed_point_step(*args)
+            for factor in candidate.factors:
+                factor.fill(GAMMA_FLOOR)
+            return candidate
+
+        monkeypatch.setattr(em_module, "_fixed_point_step", floored_step)
+        took_em = self._buffered_loop_took_em(problem, k, floored_step)
+        assert took_em == [False] + [True] * 5
 
     def test_cache_built_over_another_e_step_keeps_every_bit(self):
         # arrays that hold another model's E-step and M-step sums give the

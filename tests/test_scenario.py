@@ -19,6 +19,7 @@ from chansbgm.scenario import (
     ObservationSet,
     OfdmScenario,
     _laplacian_nodes,
+    _reference_gauss_legendre,
     draw_ofdm_channel,
     draw_simo_channel,
     evaluate_ofdm_channel,
@@ -75,6 +76,39 @@ class TestAngleProfile:
         # sample_angle's rejection loop
         with pytest.raises(InvalidArgumentError, match="must be finite"):
             AngleProfile((AngleComponent(*component),))
+
+
+class TestGaussLegendreNodes:
+    # counts of both parities; _laplacian_nodes takes count // 2 >= 32
+    COUNTS = [32, 33, 64, 65, 512, 1023, 1024]
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_matches_leggauss(self, count):
+        # measured: nodes within 1.1e-16 at every count; weights within
+        # 1.7e-12 relative up to 65 and 2.8e-9 (at 1023) above. leggauss
+        # errs as much at the endpoint weights, so this is agreement, not
+        # accuracy
+        x, w = _reference_gauss_legendre(count)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(count)
+        assert np.abs(x - x_ref).max() <= 4.4e-16
+        assert (np.abs(w - w_ref) / w_ref).max() <= (1e-11 if count <= 65 else 1e-8)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_integrates_polynomials_exactly(self, count):
+        # sum_j w_j x_j^k = 2 / (k + 1) for even k < 2 count and 0 for odd k;
+        # measured error at most 4.0e-14
+        x, w = _reference_gauss_legendre(count)
+        k = np.arange(2 * count)
+        exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+        assert np.abs(w @ np.vander(x, 2 * count, increasing=True) - exact).max() <= 1e-13
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_symmetric_ascending_and_weights_sum_to_two(self, count):
+        # measured: the weights sum to 2 within 4.0e-14
+        x, w = _reference_gauss_legendre(count)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        assert abs(w.sum() - 2.0) <= 1e-13
 
 
 class TestLaplacianCovariance:
@@ -272,6 +306,34 @@ class TestSimoDatasets:
                 assert np.array_equal(coefficients[i], expected)
                 channel = ula_matrix(theta, n) @ gains
                 assert np.abs(channels[i] - channel).max() < 1e-13 * np.abs(channel).max()
+
+    @pytest.mark.parametrize("block_elements, group_rows", [(1, 16), (1 << 20, 16), (1 << 17, 5)])
+    def test_bytes_independent_of_block_and_group_size(self, monkeypatch, block_elements,
+                                                       group_rows):
+        # 300 samples at 1024 nodes: blocks of 128 rows by default, 64 at the
+        # smallest block, one block at 2**20; groups of 16 rows or of 5
+        import chansbgm.scenario as scenario_module
+        import chansbgm.utils as utils_module
+
+        profile, grid = AngleProfile.street_canyons(), AngleGrid(64)
+
+        def draws():
+            channels = simo_channels(profile, STD, 8, 300, np.random.default_rng(13), 1024)
+            truth = simo_ground_truth(profile, STD, grid, 8, 300, np.random.default_rng(14))
+            return [a.tobytes() for a in (channels, *truth)]
+
+        default = draws()
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", block_elements)
+        monkeypatch.setattr(scenario_module, "_STEERING_GROUP_ROWS", group_rows)
+        assert len(utils_module.row_blocks(300, 1024)) == {1: 5, 1 << 20: 1, 1 << 17: 3}[
+            block_elements]
+        assert draws() == default
+
+    def test_no_samples_give_empty_arrays(self):
+        profile, rng = AngleProfile.street_canyons(), np.random.default_rng(15)
+        assert simo_channels(profile, STD, 8, 0, rng, 256).shape == (0, 8)
+        channels, coefficients = simo_ground_truth(profile, STD, AngleGrid(16), 8, 0, rng)
+        assert channels.shape == (0, 8) and coefficients.shape == (0, 16)
 
     @pytest.mark.parametrize("count", [0, -4, 63])
     def test_too_few_quadrature_points_rejected(self, count):
