@@ -13,7 +13,7 @@ T_k = sum_i r_ik (|mu_ik|^2 + diag C_ik).
 Because the noise variance differs per sample, the observation covariance
 C_y = W diag(gamma_k) W^H + sigma_i^2 I cannot be factorized once per
 component. Instead the sigma-independent part is factorized once per
-component per iteration, as U diag(lam) U^H from the SVD of
+component per scored model, as U diag(lam) U^H from the SVD of
 (W diag(sqrt(gamma_k)))^H, taken through its triangular QR factor. Unlike
 an eigendecomposition of the formed product, the SVD keeps lam >= 0 and
 accurate when gamma spans many decades. Shifting lam by sigma_i^2 then gives every per-sample inverse,
@@ -44,12 +44,11 @@ log-likelihood and whether it is EM's. A fit is a driver over it, and
 :func:`csgmm_fit` is the init plus a loop with the stop rule. The EM
 M-step core also serves :func:`csgmm_m_step` and :func:`kronecker_m_step`.
 
-A fit's memory is one E-step's arrays (:func:`_e_step_arrays`): the
-per-component projections U^H y_i and shifts lam + sigma_i^2, (K, n, M)
-each, and three (n, M) work arrays that all components share.
-:func:`_em_steps` allocates them once and every E-step, a candidate's
-or a fallback's, overwrites them; the reference paths (:func:`csgmm_e_step`,
-:func:`total_log_likelihood`) allocate one set per call.
+A fit's memory does not grow with n beyond a few numbers per sample. Each
+scored candidate is one pass (:func:`_scored`) that factorizes every
+component once and walks the samples in row blocks: only one block's K
+projections and shifts, :data:`_FIT_BLOCK_ELEMENTS` elements of 24 bytes,
+are alive at a time. :func:`csgmm_e_step` takes all samples as one block.
 
 Setting K = 1 recovers multiple-measurement-vector sparse Bayesian
 learning; the CLI exposes it under the name ``msbl``.
@@ -79,7 +78,7 @@ from .container import read_array, read_json, write_array, write_json
 from .dictionary import AngleGrid, DelayDopplerGrid, Dictionary, kron_rows
 from .errors import InvalidArgumentError, NumericError
 from .scenario import ObservationSet
-from .utils import check_tagged_document, content_id
+from .utils import aligned_blocks, check_tagged_document, content_id
 
 GAMMA_FLOOR = 1e-7
 
@@ -87,6 +86,10 @@ GAMMA_FLOOR = 1e-7
 KRON_SWEEPS = 3
 
 _DEAD_RESPONSIBILITY = 1e-300
+
+# one row block of the fit holds this many elements of the K (rows, M)
+# projections, rows aligned to ROW_ALIGN; of 2**14 to 2**17, 2**15 timed fastest
+_FIT_BLOCK_ELEMENTS = 1 << 15
 
 # a log-likelihood may fall by this fraction of its size and still count as monotone
 _MONOTONE_REL_SLACK = 1e-8
@@ -208,63 +211,76 @@ class EmTrace:
         return bool(np.all(ll[1:] >= floor))
 
 
-class _ComponentCache:
-    """Factorization W diag(gamma) W^H = U diag(lam) U^H, reused across all samples.
+class _Components:
+    """The K components' factorizations W diag(gamma_k) W^H = U_k diag(lam_k)
+    U_k^H, stacked: ``uh`` holds U_k^H (K, M, M), ``lam`` (K, M), and ``g``
+    G_k = W^H U_k (K, S, M); every block of samples shares them."""
 
-    Every per-sample covariance is U diag(lam + sigma_i^2) U^H, so inverses
-    and determinants reduce to the shifted values. Building the cache writes
-    U^H y_i into ``yt`` and lam + sigma_i^2 into ``denom``, (n, M) each, and
-    sets ``log_marginals``, log CN(y_i; 0, C_i) per sample; ``work`` is the
-    scratch that every cache of an E-step shares. From then on the cache is
-    read-only: :meth:`moment_stats` and :meth:`moment_sum` run in either order.
-    """
+    def __init__(self, gammas: np.ndarray, w: np.ndarray):
+        self.gamma = gammas
+        self.uh = np.empty((len(gammas), w.shape[0], w.shape[0]), complex)
+        self.lam = np.zeros((len(gammas), w.shape[0]))
+        for gamma, uh, lam in zip(gammas, self.uh, self.lam):
+            # the SVD of the triangular factor has the same singular values and
+            # right basis, and its full basis spans C^M even when S < M
+            r = np.linalg.qr((w * np.sqrt(gamma)[None, :]).conj().T, mode="r")
+            _, sv, uh[...] = np.linalg.svd(r)
+            lam[: len(sv)] = sv**2
+        self.g = w.conj().T @ self.uh.conj().transpose(0, 2, 1)
 
-    def __init__(
-        self, gamma: np.ndarray, w: np.ndarray, samples: np.ndarray, sigma2s: np.ndarray,
-        yt: np.ndarray, denom: np.ndarray, work: tuple,
-    ):
-        self.gamma = gamma
-        # the SVD of the triangular factor has the same singular values and
-        # right basis, and its full basis spans C^M even when S < M
-        r = np.linalg.qr((w * np.sqrt(gamma)[None, :]).conj().T, mode="r")
-        _, sv, vh = np.linalg.svd(r)
-        u = vh.conj().T
-        lam = np.zeros(w.shape[0])
-        lam[: len(sv)] = sv**2
-        self.g = w.conj().T @ u  # (S, M)
-        self.yt, self.denom, t = yt, denom, work[0]
-        np.matmul(samples, u.conj(), out=yt)
-        np.add(lam[None, :], sigma2s[:, None], out=denom)
-        np.abs(yt, out=t)
+
+class _Block:
+    """The components' view of a block of samples: the projections ``yt``
+    = U_k^H y_i and shifts ``denom`` = lam_k + sigma_i^2, (K, rows, M) each,
+    and ``log_marginals``, log CN(y_i; 0, C_ik) (K, rows)."""
+
+    def __init__(self, components: _Components, samples: np.ndarray, sigma2s: np.ndarray):
+        self.gamma, self.g = components.gamma, components.g
+        self.yt = samples @ components.uh.transpose(0, 2, 1)
+        self.denom = components.lam[:, None, :] + sigma2s[None, :, None]
+        t = np.abs(self.yt)
         t *= t
-        t /= denom
-        quad = np.sum(t, axis=1)
-        logdet = np.sum(np.log(denom, out=t), axis=1)
+        t /= self.denom
+        quad = np.sum(t, axis=2)
+        logdet = np.sum(np.log(self.denom, out=t), axis=2)
         self.log_marginals = -samples.shape[1] * math.log(math.pi) - logdet - quad
 
     def moment_stats(self) -> np.ndarray:
-        """Per-sample |mu|^2 + diag(C) as an (n, S) array."""
-        gamma = self.gamma[None, :]
-        mu = (self.yt / self.denom) @ self.g.T * gamma
-        quad = (1.0 / self.denom) @ (np.abs(self.g) ** 2).T
-        cov_diag = np.clip(gamma - gamma**2 * quad, 0.0, gamma)
-        return np.abs(mu) ** 2 + cov_diag
+        """Per-sample |mu|^2 + diag(C) as a (K, rows, S) array, taken one
+        component at a time: the (rows, S) temporaries are the large ones."""
+        return np.stack([
+            np.abs((yt / denom) @ g.T * gamma) ** 2  # |mu|^2
+            + np.clip(gamma - gamma**2 * ((1.0 / denom) @ (np.abs(g) ** 2).T), 0.0, gamma)
+            for gamma, g, yt, denom in zip(self.gamma, self.g, self.yt, self.denom)
+        ])
 
-    def moment_sum(self, r: np.ndarray, work: tuple) -> np.ndarray:
-        """A = sum_i r_i |mu_i|^2 and B = sum_i r_i w^H C_i^-1 w per
-        coefficient, stacked (2, S), from M x M statistics; the diagonal of
-        sum_i r_i C_i is R gamma - gamma^2 B (see :func:`_fit_sums`).
+    def moment_sums(self, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Q_k = sum_i r_ik z_ik z_ik^H (K, M, M), z_ik = U_k^H y_i / (lam_k
+        + sigma_i^2), and v_k = sum_i r_ik / (lam_k + sigma_i^2) (K, M), over
+        the block's samples weighted by their responsibilities (rows, K)."""
+        z = self.yt / self.denom
+        left = z * resp.T[:, :, None]
+        q = left.transpose(0, 2, 1) @ np.conjugate(z, out=z)
+        return q, (resp.T[:, None, :] @ (1.0 / self.denom))[:, 0]
 
-        It writes 1 / (lam + sigma_i^2), z_i and r_i z_i into the real and
-        the two complex arrays of ``work``, and nothing else.
-        """
-        inverse, z, left = work
-        np.divide(self.yt, self.denom, out=z)
-        np.multiply(z.T, r, out=left.T)  # F-order, as z.T * r would be
-        q = left.T @ np.conjugate(z, out=z)
-        mu2 = np.sum((self.g @ q) * self.g.conj(), axis=1).real
-        np.divide(1.0, self.denom, out=inverse)
-        return np.stack((self.gamma**2 * mu2, (np.abs(self.g) ** 2) @ (r @ inverse)))
+    def responsibilities(self, log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Responsibilities (rows, K), normalized in the log domain, and
+        per-sample log-likelihoods (rows,)."""
+        # row sums round by memory order; C order keeps the bytes fits were pinned with
+        log_post = np.ascontiguousarray(self.log_marginals.T) + log_weights
+        norm = _log_sum_exp(log_post)
+        resp = np.exp(log_post - norm[:, None])
+        resp /= resp.sum(axis=1, keepdims=True)
+        return resp, norm
+
+    def sums(self, log_weights: np.ndarray) -> tuple[np.ndarray, list]:
+        """The block's share of a pass: each sample's largest responsibility
+        (rows,), and the block's log-likelihood, totals R (K,), R again
+        summed per column, Q (K, M, M) and v (K, M)."""
+        resp, norm = self.responsibilities(log_weights)
+        # R_k summed per column too: resp.sum(axis=0) rounds differently
+        columns = np.ascontiguousarray(resp.T).sum(axis=1)
+        return resp.max(axis=1), [np.sum(norm), resp.sum(axis=0), columns, *self.moment_sums(resp)]
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -285,35 +301,6 @@ def _log_sum_exp(a: np.ndarray) -> np.ndarray:
     return (np.log1p(rest / m) + np.log(m) + top)[:, 0]
 
 
-def _e_step_arrays(k: int, n: int, m: int) -> tuple:
-    """The arrays of one E-step of K components on n samples of length M:
-    projections (K, n, M) complex and shifts (K, n, M) real, whose rows k
-    cache k keeps, and the (n, M) real, complex and complex work arrays
-    that every cache shares (see :class:`_ComponentCache`)."""
-    work = (np.empty((n, m)), np.empty((n, m), complex), np.empty((n, m), complex))
-    return np.empty((k, n, m), complex), np.empty((k, n, m)), work
-
-
-def _e_step(
-    model: SbgmModel, w: np.ndarray, obs: ObservationSet, arrays: tuple | None = None
-) -> tuple[list[_ComponentCache], np.ndarray, np.ndarray]:
-    """Per-component caches, built into ``arrays`` (by default a new
-    :func:`_e_step_arrays`), responsibilities (n, K) normalized in the log
-    domain, and per-sample log-likelihoods (n,)."""
-    if arrays is None:
-        arrays = _e_step_arrays(model.n_components, *obs.samples.shape)
-    projections, shifts, work = arrays
-    caches = [
-        _ComponentCache(gamma, w, obs.samples, obs.noise_vars, yt, denom, work)
-        for gamma, yt, denom in zip(model.expanded_variances(), projections, shifts)
-    ]
-    log_post = np.column_stack([c.log_marginals for c in caches]) + _log_weights(model.weights)
-    norm = _log_sum_exp(log_post)
-    resp = np.exp(log_post - norm[:, None])
-    resp /= resp.sum(axis=1, keepdims=True)
-    return caches, resp, norm
-
-
 def csgmm_e_step(
     model: SbgmModel, obs: ObservationSet, dictionary: Dictionary
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -323,27 +310,18 @@ def csgmm_e_step(
     |mu_ik|^2 + diag(C_ik) whose weighted sums the M-step needs.
     Responsibilities are normalized in the log domain.
     """
-    caches, resp, _ = _e_step(model, dictionary.rows(obs.pilots), obs)
-    return resp, np.stack([c.moment_stats() for c in caches])
+    components = _Components(model.expanded_variances(), dictionary.rows(obs.pilots))
+    block = _Block(components, obs.samples, obs.noise_vars)
+    resp, _ = block.responsibilities(_log_weights(model.weights))
+    return resp, block.moment_stats()
 
 
-def _restarted(resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Totals R (K,) and the responsibilities to sum, for :func:`_m_step`.
-
-    A component whose total responsibility underflows is reinitialized from
-    one badly explained sample: its column puts all weight on that sample,
-    with total 1. The j-th such component takes the j-th worst explained
-    sample, so components that die together restart apart.
-    """
-    totals = resp.sum(axis=0)
-    dead = totals < _DEAD_RESPONSIBILITY
-    dead_cols = np.flatnonzero(dead)
-    if len(dead_cols):
-        restarts = np.zeros_like(resp)
-        worst_first = np.argsort(resp.max(axis=1), kind="stable")
-        restarts[worst_first[np.arange(len(dead_cols)) % len(resp)], dead_cols] = 1.0
-        resp = np.where(dead, restarts, resp)
-    return np.where(dead, 1.0, totals), resp
+def _restarts(totals: np.ndarray, best: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Each component whose total responsibility underflows, with the sample
+    it restarts from, given each sample's largest responsibility ``best``: the
+    j-th takes the j-th worst explained sample, so components that die together restart apart."""
+    dead = np.flatnonzero(totals < _DEAD_RESPONSIBILITY)
+    return zip(dead, np.argsort(best, kind="stable")[np.arange(len(dead)) % len(best)])
 
 
 def _m_step(
@@ -375,22 +353,42 @@ def _m_step(
     return SbgmModel.from_factors(weights, KRONECKER, (gt, gf), clip_floor)
 
 
-def _fit_sums(
-    caches: list[_ComponentCache], resp: np.ndarray, work: tuple
-) -> tuple[np.ndarray, ...]:
-    """Totals R (K,), the EM statistic sums T (K, S) and the fixed point's
-    terms A and B (K, S) from one E-step's caches and responsibilities.
+def _scored(
+    model: SbgmModel, w: np.ndarray, obs: ObservationSet
+) -> tuple[float, tuple[np.ndarray, ...]]:
+    """One pass of ``model`` over the samples: its total log-likelihood, and
+    the totals R (K,), the EM sums T (K, S) and the fixed point's terms A and
+    B (K, S) that the next update needs (see the module docstring).
 
-    T_k = A_k + clip(R_k gamma_k - gamma_k^2 B_k, 0, R_k gamma_k): the
-    weighted second moments, with every posterior variance in [0, gamma].
-    Dead components restart as in :func:`_restarted`.
+    Each component is factorized once. The partial sums of each row block
+    (:meth:`_Block.sums`) are added in block order, and A, B and T are
+    formed after the last; T_k's posterior variances R_k gamma_k - gamma_k^2
+    B_k are clipped to [0, R_k gamma_k]. Dead components restart
+    (:func:`_restarts`) from the one row of their sample.
     """
-    totals, resp = _restarted(resp)
-    a, b = np.stack([cache.moment_sum(r, work) for cache, r in zip(caches, resp.T)], axis=1)
-    gamma = np.stack([cache.gamma for cache in caches])
-    # R_k summed per column: resp.sum(axis=0) rounds differently
-    r = np.array([r.sum() for r in resp.T])[:, None]
-    return totals, a + np.clip(r * gamma - gamma**2 * b, 0.0, r * gamma), a, b
+    gamma = model.expanded_variances()
+    components = _Components(gamma, w)
+    log_weights = _log_weights(model.weights)
+    samples, sigma2s = obs.samples, obs.noise_vars
+    blocks = aligned_blocks(len(samples), _FIT_BLOCK_ELEMENTS // (len(gamma) * w.shape[0]))
+    # freeing a mapped chunk of one block's working size raises glibc's mmap and
+    # trim thresholds, so the blocks' arrays stay in the heap between blocks
+    np.empty((4, len(gamma), blocks[0].stop, w.shape[0]), complex)
+    best, sums = np.empty(len(samples)), None  # each sample's largest responsibility
+    for rows in blocks:
+        best[rows], part = _Block(components, samples[rows], sigma2s[rows]).sums(log_weights)
+        sums = part if sums is None else [s + p for s, p in zip(sums, part)]
+    loglik, totals, r, q, v = sums
+    for k, i in _restarts(totals, best):
+        one = _Block(components, samples[i : i + 1], sigma2s[i : i + 1])
+        one_q, one_v = one.moment_sums(np.ones((1, len(totals))))
+        totals[k], r[k], q[k], v[k] = 1.0, 1.0, one_q[k], one_v[k]
+    # one component at a time: the (S, M) temporaries stay small
+    a = gamma**2 * np.stack([np.sum((g @ qk) * g.conj(), axis=1).real
+                             for g, qk in zip(components.g, q)])
+    b = np.stack([(np.abs(g) ** 2) @ vk for g, vk in zip(components.g, v)])
+    r = r[:, None]
+    return float(loglik), (totals, a + np.clip(r * gamma - gamma**2 * b, 0.0, r * gamma), a, b)
 
 
 def _rescaled(x: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -402,7 +400,7 @@ def _fixed_point_step(
     totals: np.ndarray, a: np.ndarray, b: np.ndarray, model: SbgmModel
 ) -> SbgmModel:
     """MacKay's fixed-point update of ``model`` from the terms A and B of
-    :func:`_fit_sums`; the weights take the EM update.
+    :func:`_scored`; the weights take the EM update.
 
     With Abar = A / gamma^2, the full form sets gamma to gamma Abar / B =
     A / (gamma B), a multiplicative step along the log-likelihood's
@@ -424,9 +422,13 @@ def _fixed_point_step(
 
 
 def _sample_sums(resp: np.ndarray, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Totals R (K,) and sums T (K, S) of per-sample statistics (K, n, S)."""
-    totals, resp = _restarted(np.asarray(resp, dtype=float))
-    return totals, np.stack([r @ s for r, s in zip(resp.T, np.asarray(stats, dtype=float))])
+    """Totals R (K,) and sums T (K, S) of per-sample statistics (K, n, S),
+    dead components restarted (:func:`_restarts`)."""
+    resp, stats = np.asarray(resp, dtype=float), np.asarray(stats, dtype=float)
+    totals, sums = resp.sum(axis=0), np.stack([r @ s for r, s in zip(resp.T, stats)])
+    for k, i in _restarts(totals, resp.max(axis=1)):
+        totals[k], sums[k] = 1.0, stats[k, i]
+    return totals, sums
 
 
 def csgmm_m_step(
@@ -435,7 +437,7 @@ def csgmm_m_step(
     """Closed-form update: weighted means of the posterior statistics.
 
     A component whose total responsibility underflows is reinitialized
-    from a badly explained sample (see :func:`_restarted`).
+    from a badly explained sample (see :func:`_restarts`).
     """
     return _m_step(*_sample_sums(resp, stats), clip_floor)
 
@@ -490,9 +492,9 @@ def kronecker_m_step(
 def total_log_likelihood(
     model: SbgmModel, obs: ObservationSet, dictionary: Dictionary
 ) -> float:
-    """Sum over samples of log sum_k rho_k CN(y_i; 0, C_ik)."""
-    _, _, norm = _e_step(model, dictionary.rows(obs.pilots), obs)
-    return float(np.sum(norm))
+    """Sum over samples of log sum_k rho_k CN(y_i; 0, C_ik): the total of
+    the fit's pass (:func:`_scored`)."""
+    return _scored(model, dictionary.rows(obs.pilots), obs)[0]
 
 
 def _em_steps(
@@ -502,28 +504,22 @@ def _em_steps(
     log-likelihood of ``model``, ``model`` itself and False, then the same
     for each update of it, the flag telling whether the update is EM's.
 
-    Each update tries two candidates in turn, each scored by the E-step that
-    the next update needs anyway. The first is :func:`_fixed_point_step`,
-    accepted if its total is finite and no lower than the current one. It
-    is rejected when lower, non-finite, an invalid model, or when its
-    factorization fails; then the EM update, formed from the same sums, is
-    taken instead, so the yielded log-likelihoods rise at least as EM's
-    would. The EM update is always accepted: if it makes an invalid model
-    or its factorization fails, :class:`NumericError` names the trace row
-    it would have written, "EM iteration i" (``model``'s is row 0), with
-    the cause as ``__cause__``. Variances are clipped at
-    :data:`GAMMA_FLOOR`; an EM Kronecker update runs :data:`KRON_SWEEPS`
-    sweeps.
+    Each update tries two candidates in turn, each scored by one pass
+    (:func:`_scored`) that also forms the sums the next update needs. The
+    first is :func:`_fixed_point_step`, accepted if its total is finite and
+    no lower than the current one. It is rejected when lower, non-finite,
+    an invalid model, or when its factorization fails; then the EM update,
+    formed from the same sums, is taken instead, so the yielded
+    log-likelihoods rise at least as EM's would. The EM update is always
+    accepted: if it makes an invalid model or its factorization fails,
+    :class:`NumericError` names the trace row it would have written, "EM
+    iteration i" (``model``'s is row 0), with the cause as ``__cause__``.
+    Variances are clipped at :data:`GAMMA_FLOOR`; an EM Kronecker update
+    runs :data:`KRON_SWEEPS` sweeps.
 
     The update that makes the next item runs only when that item is asked
-    for, so a driver that stops discards none. One set of
-    :func:`_e_step_arrays` is allocated before the first item and lives as
-    long as the generator: every E-step's caches are built into it, and the
-    sums write only into its work arrays. Caches are dropped once their
-    sums are taken or their candidate is rejected, so no two E-steps'
-    caches are alive at once.
+    for, so a driver that stops discards none.
     """
-    arrays = _e_step_arrays(model.n_components, *obs.samples.shape)
     # the candidates of one update in turn; the last is always accepted
     loglik, candidates = -math.inf, (lambda: model,)
     for row in itertools.count():
@@ -531,22 +527,19 @@ def _em_steps(
             last = propose is candidates[-1]
             try:
                 candidate = propose()
-                caches, resp, norm = _e_step(candidate, w, obs, arrays)
+                candidate_loglik, sums = _scored(candidate, w, obs)
             except (InvalidArgumentError, np.linalg.LinAlgError) as exc:
                 if last:
                     raise NumericError(f"EM iteration {row} failed: {exc}") from exc
                 continue
-            candidate_loglik = float(np.sum(norm))
             if last or math.isfinite(candidate_loglik) and candidate_loglik >= loglik:
                 break
-            del caches
         model, loglik = candidate, candidate_loglik
         yield loglik, model, bool(took_em)
-        totals, sums, a, b = _fit_sums(caches, resp, arrays[2])
-        del caches
+        totals, t, a, b = sums
         candidates = (
             functools.partial(_fixed_point_step, totals, a, b, model),
-            functools.partial(_m_step, totals, sums, GAMMA_FLOOR, model.factors),
+            functools.partial(_m_step, totals, t, GAMMA_FLOOR, model.factors),
         )
 
 
@@ -567,7 +560,6 @@ def _init_variances(
     """
     n = len(obs)
     n_coef = w.shape[1]
-    scale = float(np.mean(np.abs(obs.samples) ** 2))
     col_norm2 = np.sum(np.abs(w) ** 2, axis=0)
     picks = rng.choice(n, size=min(n_components, n), replace=False)
     gammas = np.empty((n_components, n_coef))
@@ -575,8 +567,8 @@ def _init_variances(
         y = obs.samples[picks[k % len(picks)]]
         spectrum = np.abs(w.conj().T @ y) ** 2 / col_norm2**2
         total = spectrum.sum()
-        if total == 0.0:
-            gammas[k] = scale
+        if total == 0.0:  # the data's mean power, taken only here: it reads every sample
+            gammas[k] = np.mean(np.abs(obs.samples) ** 2)
             continue
         sharp = spectrum**4
         gammas[k] = sharp * (total / sharp.sum())

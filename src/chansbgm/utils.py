@@ -27,13 +27,20 @@ ROW_ALIGN = 64
 
 def row_blocks(n: int, row_size: int) -> list[slice]:
     """Consecutive row slices covering ``range(n)``, each of about
-    ``BLOCK_ELEMENTS`` elements for rows of ``row_size`` elements.
+    ``BLOCK_ELEMENTS`` elements for rows of ``row_size`` elements (see
+    :func:`aligned_blocks`)."""
+    return aligned_blocks(n, BLOCK_ELEMENTS // max(row_size, 1))
+
+
+def aligned_blocks(n: int, rows: int) -> list[slice]:
+    """Consecutive row slices covering ``range(n)``, each of ``rows`` rows
+    rounded down to a multiple of ``ROW_ALIGN``, and at least ``ROW_ALIGN``.
 
     There is always at least one slice (an empty one when ``n`` is 0).
     A lone last row joins the block before it, because numpy multiplies a
     single row through a matrix-vector kernel whose sums round differently.
     """
-    rows = max(ROW_ALIGN, BLOCK_ELEMENTS // max(row_size, 1) // ROW_ALIGN * ROW_ALIGN)
+    rows = max(ROW_ALIGN, rows // ROW_ALIGN * ROW_ALIGN)
     starts = list(range(0, n, rows)) or [0]
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()

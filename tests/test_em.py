@@ -18,14 +18,13 @@ from chansbgm.dictionary import (
 from chansbgm.em import (
     GAMMA_FLOOR,
     SbgmModel,
-    _ComponentCache,
-    _e_step,
-    _e_step_arrays,
+    _Block,
+    _Components,
     _em_steps,
-    _fit_sums,
     _fixed_point_step,
     _log_sum_exp,
     _m_step,
+    _scored,
     csgmm_e_step,
     csgmm_fit,
     csgmm_m_step,
@@ -39,7 +38,7 @@ from chansbgm.errors import InvalidArgumentError, NumericError
 from chansbgm.generation import sample_parameters
 from chansbgm.posterior import posterior_moments
 from chansbgm.scenario import ObservationSet, make_observations
-from chansbgm.utils import complex_standard_normal
+from chansbgm.utils import aligned_blocks, complex_standard_normal
 
 
 def simo_setup(s=16, n_antennas=8):
@@ -74,28 +73,25 @@ def random_kronecker_model(rng, k, s_t, s_f):
     )
 
 
-def ofdm_problem(seed):
-    """A 4 x 4 delay-Doppler dictionary and 50 observations at 20 pilots."""
+def ofdm_problem(seed, n=50):
+    """A 4 x 4 delay-Doppler dictionary and n observations at 20 pilots."""
     grid = DelayDopplerGrid(4, 4, doppler_bound=200.0, delay_bound=4e-6)
     d = build_ofdm_dictionary(grid, SystemConfig.ofdm(5, 4, 15e3, 1e-3 / 14))
     rng = np.random.default_rng(seed)
-    coeff = complex_standard_normal(rng, (50, 16)) * rng.uniform(0, 1, (50, 16))
+    coeff = complex_standard_normal(rng, (n, 16)) * rng.uniform(0, 1, (n, 16))
     return d, make_observations(coeff @ d.matrix.T, np.arange(20), (5.0, 20.0), rng)
 
 
-def fit_loop_sums(model, obs, dictionary, resp=None):
+def fit_loop_sums(model, obs, dictionary):
     """The totals, the EM statistic sums and the fixed point's terms A and
-    B that the fit loop forms from its caches."""
-    arrays = _e_step_arrays(model.n_components, *obs.samples.shape)
-    caches, e_resp, _ = _e_step(model, dictionary.rows(obs.pilots), obs, arrays)
-    resp = e_resp if resp is None else resp
-    return _fit_sums(caches, resp, arrays[2])
+    B that the fit's pass forms from M x M statistics."""
+    return _scored(model, dictionary.rows(obs.pilots), obs)[1]
 
 
-def fresh_cache(gamma, w, samples, sigma2s):
-    """A component cache built into arrays of its own."""
-    projections, shifts, work = _e_step_arrays(1, *samples.shape)
-    return _ComponentCache(gamma, w, samples, sigma2s, projections[0], shifts[0], work)
+def log_marginals(gamma, w, samples, sigma2s):
+    """log CN(y_i; 0, W diag(gamma) W^H + sigma_i^2 I) per sample, as the
+    fit computes them."""
+    return _Block(_Components(gamma[None, :], w), samples, sigma2s).log_marginals[0]
 
 
 class TestEStep:
@@ -212,15 +208,23 @@ class TestMStep:
         np.testing.assert_allclose(model.variances[1], stats[1, worst])
         assert model.weights[1] > 0
         assert model.weights.sum() == pytest.approx(1.0)
-        # the fit loop takes the same row, with total 1, from M x M statistics
+        # the fit's pass takes the same row, with total 1, from M x M
+        # statistics: a component of weight 0 and huge variances explains
+        # no sample
         d = simo_setup()
         obs = synthetic_observations(d, 8, seed=3)
-        e_model = random_model(rng, 2, d.n_columns)
-        _, stats = csgmm_e_step(e_model, obs, d)
-        totals, sums, _, _ = fit_loop_sums(e_model, obs, d, resp)
-        np.testing.assert_array_equal(totals, [8.0, 1.0])
-        np.testing.assert_allclose(sums[0], resp[:, 0] @ stats[0], rtol=1e-10)
-        np.testing.assert_allclose(sums[1], stats[1, worst], rtol=1e-10)
+        variances = random_model(rng, 3, d.n_columns).variances
+        variances[2] = 1e6
+        e_model = SbgmModel(weights=[0.4, 0.6, 0.0], variances=variances)
+        resp, stats = csgmm_e_step(e_model, obs, d)
+        assert resp[:, 2].sum() < 1e-300
+        worst = int(np.argmin(resp.max(axis=1)))
+        assert worst != 0  # not a tie broken by order
+        totals, sums, _, _ = fit_loop_sums(e_model, obs, d)
+        np.testing.assert_allclose(totals, [*resp[:, :2].sum(axis=0), 1.0], rtol=1e-12)
+        for k in range(2):
+            np.testing.assert_allclose(sums[k], resp[:, k] @ stats[k], rtol=1e-10)
+        np.testing.assert_allclose(sums[2], stats[2, worst], rtol=1e-10)
 
     def test_components_dying_together_restart_apart(self):
         rng = np.random.default_rng(4)
@@ -420,7 +424,7 @@ class TestFit:
     def test_candidate_whose_factorization_fails_falls_back_to_em(self, monkeypatch, fault):
         # one fault in the third fixed-point candidate, which the fit rejects
         # and goes on from the EM update instead: a failed SVD, an infinite
-        # variance, or an E-step total of +inf that is no lower than any
+        # variance, or a pass's total of +inf that is no lower than any
         import chansbgm.em as em_module
 
         d = simo_setup()
@@ -434,15 +438,14 @@ class TestFit:
             return real(totals, np.full_like(a, np.inf), b, model)
 
         def infinite_total(real, *args):
-            caches, resp, norm = real(*args)
-            norm[0] = np.inf
-            return caches, resp, norm
+            _, sums = real(*args)
+            return math.inf, sums
 
         # the patched function, its call that makes the third candidate, the fault
         module, name, nth, inject = {
             "factorization": (np.linalg, "svd", 8, failed_svd),  # its second component
             "invalid-model": (em_module, "_fixed_point_step", 3, infinite_variance),
-            "non-finite-total": (em_module, "_e_step", 4, infinite_total),
+            "non-finite-total": (em_module, "_scored", 4, infinite_total),
         }[fault]
         real, calls = getattr(module, name), []
 
@@ -466,13 +469,13 @@ class TestFit:
 
         d = simo_setup()
         obs = synthetic_observations(d, 20, seed=18)
-        real_sums = em_module._fit_sums
+        real_scored = em_module._scored
 
         def nan_sums(*args):
-            totals, *sums = real_sums(*args)
-            return totals, *(np.full_like(x, np.nan) for x in sums)
+            loglik, (totals, *sums) = real_scored(*args)
+            return loglik, (totals, *(np.full_like(x, np.nan) for x in sums))
 
-        monkeypatch.setattr(em_module, "_fit_sums", nan_sums)
+        monkeypatch.setattr(em_module, "_scored", nan_sums)
         with pytest.raises(NumericError, match="EM iteration 1 failed") as info:
             csgmm_fit(obs, d, 2, max_iters=10, seed=0)
         assert isinstance(info.value.__cause__, InvalidArgumentError)
@@ -511,13 +514,14 @@ class TestFit:
 
 
 class TestEStepArrays:
-    """The fit writes each E-step into arrays it allocated once."""
+    """The fit scores each candidate in one pass over row blocks, and its
+    memory does not grow with the number of samples."""
 
     @staticmethod
     def _buffered_loop_took_em(problem, k, fixed_point_step=_fixed_point_step):
-        """Six iterations of the fit against a loop that builds every E-step
-        into arrays of its own and takes the fixed point or EM by hand, bit
-        for bit; returns the fit's ``took_em`` flags."""
+        """Six iterations of the fit against a loop that scores every
+        candidate by a pass of its own and takes the fixed point or EM by
+        hand, bit for bit; returns the fit's ``took_em`` flags."""
         rng = np.random.default_rng(40 + k)
         if problem == "simo":
             d = simo_setup(s=24, n_antennas=8)
@@ -528,26 +532,20 @@ class TestEStepArrays:
             model = random_kronecker_model(rng, k, 4, 4)
         w = d.rows(obs.pilots)
         steps = list(itertools.islice(_em_steps(model, w, obs), 6))
-
-        def scored(candidate):
-            arrays = _e_step_arrays(k, *obs.samples.shape)
-            caches, resp, norm = _e_step(candidate, w, obs, arrays)
-            return float(np.sum(norm)), (caches, resp, arrays[2])
-
-        (want, e_step), fell_back = scored(model), False
+        (want, sums), fell_back = _scored(model, w, obs), False
         for loglik, got, took_em in steps:
             assert loglik == want and took_em == fell_back
             for a, b in zip((got.weights, *got.factors), (model.weights, *model.factors)):
                 assert a.tobytes() == b.tobytes()
-            totals, sums, *terms = _fit_sums(*e_step)
+            totals, t, *terms = sums
             candidate = fixed_point_step(totals, *terms, model)
-            candidate_loglik, candidate_e_step = scored(candidate)
+            candidate_loglik, candidate_sums = _scored(candidate, w, obs)
             fell_back = not candidate_loglik >= want  # accept the fixed point, else fall back to EM
             if not fell_back:
-                model, want, e_step = candidate, candidate_loglik, candidate_e_step
+                model, want, sums = candidate, candidate_loglik, candidate_sums
             else:
-                model = _m_step(totals, sums, GAMMA_FLOOR, model.factors)
-                want, e_step = scored(model)
+                model = _m_step(totals, t, GAMMA_FLOOR, model.factors)
+                want, sums = _scored(model, w, obs)
         return [took_em for *_, took_em in steps]
 
     @pytest.mark.parametrize("problem, k", [("simo", 3), ("simo", 1), ("ofdm", 2)])
@@ -570,96 +568,111 @@ class TestEStepArrays:
         took_em = self._buffered_loop_took_em(problem, k, floored_step)
         assert took_em == [False] + [True] * 5
 
-    def test_cache_built_over_another_e_step_keeps_every_bit(self):
-        # arrays that hold another model's E-step and M-step sums give the
-        # bits of fresh ones
-        d = simo_setup(s=24, n_antennas=8)
-        obs = synthetic_observations(d, 30, seed=43)
-        rng = np.random.default_rng(44)
-        gamma = random_model(rng, 1, d.n_columns).variances[0]
-        other = random_model(rng, 2, d.n_columns)
-        w = d.rows(obs.pilots)
-        arrays = _e_step_arrays(2, *obs.samples.shape)
-        caches, resp, _ = _e_step(other, w, obs, arrays)
-        for k, cache in enumerate(caches):
-            cache.moment_sum(resp[:, k], arrays[2])
-        fresh = fresh_cache(gamma, w, obs.samples, obs.noise_vars)
-        yt, denom = arrays[0][1], arrays[1][1]
-        reused = _ComponentCache(gamma, w, obs.samples, obs.noise_vars, yt, denom, arrays[2])
-        assert reused.yt is yt and reused.denom is denom
-        for name in ("log_marginals", "yt", "denom"):
-            assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes()
-        r = resp[:, 0]
-        fresh_sum = fresh.moment_sum(r, _e_step_arrays(1, *obs.samples.shape)[2])
-        assert reused.moment_sum(r, arrays[2]).tobytes() == fresh_sum.tobytes()
+    @pytest.mark.parametrize("case", ["simo-3", "simo-1", "ofdm-2", "simo-restart"])
+    def test_row_blocks_keep_the_single_block_fit(self, case, monkeypatch):
+        # 200 or more samples in at least three row blocks against one block:
+        # the first six items of the fit agree to round-off, and a component
+        # of weight 0 restarts from the same sample
+        import chansbgm.em as em_module
 
-    @pytest.mark.parametrize("problem", ["simo", "ofdm"])
-    def test_moment_sum_leaves_its_cache_as_built(self, problem):
-        # moment_stats reads the same bytes after every moment_sum as before
-        rng = np.random.default_rng(46)
-        if problem == "simo":
-            d = simo_setup(s=24, n_antennas=8)
-            obs = synthetic_observations(d, 40, seed=47)
-            model = random_model(rng, 3, d.n_columns)
-        else:
-            d, obs = ofdm_problem(48)
+        rng = np.random.default_rng(50)
+        if case == "ofdm-2":
+            d, obs = ofdm_problem(51, n=230)
             model = random_kronecker_model(rng, 2, 4, 4)
-        arrays = _e_step_arrays(model.n_components, *obs.samples.shape)
-        caches, resp, _ = _e_step(model, d.rows(obs.pilots), obs, arrays)
-        before = [cache.moment_stats().tobytes() for cache in caches]
-        for k, cache in enumerate(caches):
-            cache.moment_sum(resp[:, k], arrays[2])
-        assert [cache.moment_stats().tobytes() for cache in caches] == before
+        else:
+            d = simo_setup(s=24, n_antennas=8)
+            obs = synthetic_observations(d, 200, seed=52)
+            model = random_model(rng, 1 if case == "simo-1" else 3, d.n_columns)
+        if case == "simo-restart":  # weight 0 and huge variances: no sample is its own
+            model.variances[2] = 1e6
+            model = SbgmModel(weights=[0.5, 0.5, 0.0], variances=model.variances)
+        w = d.rows(obs.pilots)
+        real_restarts, restarts = em_module._restarts, []
 
-    def test_fit_frees_each_iterations_caches_before_the_next_e_step(self, monkeypatch):
-        # no cache of one iteration is alive when the next E-step starts, nor
-        # a rejected candidate's when its EM fallback's E-step starts
+        def recorded_restarts(*args):
+            restarts.append(list(real_restarts(*args)))
+            return restarts[-1]
+
+        monkeypatch.setattr(em_module, "_restarts", recorded_restarts)
+        whole = list(itertools.islice(_em_steps(model, w, obs), 6))
+        monkeypatch.setattr(em_module, "_FIT_BLOCK_ELEMENTS", 1)
+        rows = em_module._FIT_BLOCK_ELEMENTS // (model.n_components * len(w))
+        assert len(aligned_blocks(len(obs), rows)) >= 3
+        blocked = list(itertools.islice(_em_steps(model, w, obs), 6))
+        half = len(restarts) // 2
+        assert restarts[:half] == restarts[half:]
+        assert any(restarts) == (case == "simo-restart")
+        for (want_ll, want, want_em), (ll, got, took_em) in zip(whole, blocked):
+            assert took_em == want_em
+            assert abs(ll - want_ll) <= 1e-12 * abs(want_ll)
+            assert np.abs(got.weights - want.weights).max() <= 1e-10 * want.weights.max()
+            for a, b in zip(got.factors, want.factors):
+                assert np.abs(a - b).max() <= 1e-10 * b.max()
+
+    def test_no_block_of_a_pass_outlives_it(self, monkeypatch):
+        # one row block's arrays at a time: a block is gone when the next
+        # block of its pass is projected, and every block of a pass when the
+        # next pass starts, a rejected candidate's included
         import chansbgm.em as em_module
 
         d = simo_setup(s=24, n_antennas=8)
-        obs = synthetic_observations(d, 30, seed=49)
-        real_e_step, built, alive = em_module._e_step, [], []
+        obs = synthetic_observations(d, 200, seed=49)
+        real_scored, built, alive_at = em_module._scored, [], {"pass": [], "block": []}
 
-        def tracked_e_step(*args):
-            alive.append([ref() is not None for ref in built])
-            caches, resp, norm = real_e_step(*args)
-            built[:] = map(weakref.ref, caches)
-            return caches, resp, norm
+        class TrackedBlock(em_module._Block):
+            def __init__(self, *args):
+                alive_at["block"].append(sum(ref() is not None for ref in built))
+                super().__init__(*args)
+                built.append(weakref.ref(self))
 
-        monkeypatch.setattr(em_module, "_e_step", tracked_e_step)
+        def tracked_scored(*args):
+            alive_at["pass"].append(sum(ref() is not None for ref in built))
+            return real_scored(*args)
+
+        monkeypatch.setattr(em_module, "_Block", TrackedBlock)
+        monkeypatch.setattr(em_module, "_scored", tracked_scored)
+        monkeypatch.setattr(em_module, "_FIT_BLOCK_ELEMENTS", 1)
         _, trace = csgmm_fit(obs, d, 3, max_iters=4, rel_tol=1e-12, seed=0)
-        assert trace.n_fallbacks == 0 and alive == [[]] + [[False] * 3] * 3
-
-        # every candidate floored, as in TestCsvBytes, scores lower: each
-        # update runs the candidate's E-step and then the fallback's
-        fixed_point_step = em_module._fixed_point_step
-
+        assert trace.n_fallbacks == 0 and alive_at["pass"] == [0] * 4
+        assert alive_at["block"] == [0] * 4 * 4 and len(built) == 4 * 4
+        # every candidate floored scores lower: each update runs the
+        # candidate's pass and then the fallback's
         def floored_step(*args):
-            candidate = fixed_point_step(*args)
+            candidate = _fixed_point_step(*args)
             for factor in candidate.factors:
                 factor.fill(GAMMA_FLOOR)
             return candidate
 
         monkeypatch.setattr(em_module, "_fixed_point_step", floored_step)
         built.clear()
-        alive.clear()
+        alive_at["pass"].clear()
         _, trace = csgmm_fit(obs, d, 3, max_iters=4, rel_tol=1e-12, seed=0)
-        assert trace.n_fallbacks == 3 and alive == [[]] + [[False] * 3] * 6
+        assert trace.n_fallbacks == 3 and alive_at["pass"] == [0] * 7
 
-    def test_fit_holds_one_e_steps_arrays(self):
-        # n=2000 samples at 16 antennas on a 128-point grid, K=16: one set
-        # of projections and shifts is K n M (16 + 8) bytes (12.3 MB); a fit
-        # that kept two sets alive would peak near twice that
-        k, n, m = 16, 2000, 16
-        d = simo_setup(s=128, n_antennas=m)
+    @staticmethod
+    def _k16_fit_peak(n):
+        """The tracemalloc peak of 3 iterations of a K=16 fit of n samples at
+        16 antennas on a 128-point grid."""
+        d = simo_setup(s=128, n_antennas=16)
         obs = synthetic_observations(d, n, seed=45)
         tracemalloc.start()
         try:
-            csgmm_fit(obs, d, k, max_iters=3, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
+            csgmm_fit(obs, d, 16, max_iters=3, seed=1)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * k * n * m * 24
+
+    def test_fit_holds_one_e_steps_arrays(self):
+        # one E-step's projections and shifts over all samples would take
+        # K n M (16 + 8) bytes (12.3 MB), and the fit holds one row block of them
+        k, n, m = 16, 2000, 16
+        assert self._k16_fit_peak(n) < 1.5 * k * n * m * 24
+
+    @pytest.mark.parametrize("n", [2000, 20_000])
+    def test_fit_memory_does_not_grow_with_the_samples(self, n):
+        # the E-step arrays over all samples would take 12.3 MB at n=2000 and
+        # 123 MB at n=20 000; the fit peaks near 3.2 MB at either
+        assert self._k16_fit_peak(n) < 8e6
 
 
 @pytest.fixture(scope="module")
@@ -730,7 +743,7 @@ class TestTotalLogLikelihood:
         w = d.rows(obs.pilots)
         log_marg = np.column_stack(
             [
-                fresh_cache(model.variances[k], w, obs.samples, obs.noise_vars).log_marginals
+                log_marginals(model.variances[k], w, obs.samples, obs.noise_vars)
                 for k in range(3)
             ]
         )
@@ -775,7 +788,7 @@ class TestTotalLogLikelihood:
                 + np.sum(np.log(gamma[big]))
             )
             expected[i] = -16 * math.log(math.pi) - logdet - quad
-        got = fresh_cache(gamma, w, samples, sigma2s).log_marginals
+        got = log_marginals(gamma, w, samples, sigma2s)
         np.testing.assert_allclose(got, expected, rtol=1e-9)
 
 
