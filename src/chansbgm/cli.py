@@ -102,7 +102,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             out_dir,
             extra_meta={
                 "seed": int(args.seed),
-                "dictionary_id": meta["dictionary_id"],
                 "grid": meta["grid"],
                 "system": meta["system"],
                 "converged": trace.converged,
@@ -166,7 +165,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         save_batch(
             map(cap_and_render, drawn),
             out_dir,
-            extra_meta={"grid": grid_doc, "system": system_doc, "model_id": model.content_id},
+            extra_meta={"grid": grid_doc, "system": system_doc},
         )
     print(f"generate: wrote {args.n} samples to {args.out}")
     return EXIT_OK

@@ -21,7 +21,6 @@ from .dictionary import (
     DelayDopplerGrid,
     Dictionary,
     SystemConfig,
-    build_dictionary,
     grid_to_json,
     load_dictionary,
     vectorize_channel,
@@ -147,6 +146,18 @@ def _angle_profile(entries: list[dict] | None) -> AngleProfile:
     )
 
 
+def _synth_grid(config: dict) -> AngleGrid | DelayDopplerGrid:
+    """The coefficient grid of a checked synth config."""
+    if config["scenario"] == "simo":
+        return AngleGrid(config["grid_size"])
+    return DelayDopplerGrid(
+        doppler_size=config["doppler_size"],
+        delay_size=config["delay_size"],
+        doppler_bound=config["doppler_bound_hz"],
+        delay_bound=config["delay_bound_s"],
+    )
+
+
 def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dict]:
     """Simulate the dataset of a checked synth config.
 
@@ -154,23 +165,16 @@ def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dic
     dataset's ``scenario.json`` document. SIMO observes every antenna; OFDM
     draws ``n_pilots`` pilots after the channels, from the same generator.
     """
-    system = SystemConfig.from_json(config["system"])
+    system, grid = SystemConfig.from_json(config["system"]), _synth_grid(config)
     rng = np.random.default_rng(seed)
     n_train = config["n_train"]
     if config["scenario"] == "simo":
-        grid = AngleGrid(config["grid_size"])
         profile = _angle_profile(config.get("angle_profile"))
         std = math.radians(config.get("laplacian_std_deg", 2.0))
         quad = config.get("quadrature_points", QUADRATURE_POINTS)
         channels = simo_channels(profile, std, system.n_antennas, n_train, rng, quad)
         pilots = np.arange(system.n_antennas)
     else:
-        grid = DelayDopplerGrid(
-            doppler_size=config["doppler_size"],
-            delay_size=config["delay_size"],
-            doppler_bound=config["doppler_bound_hz"],
-            delay_bound=config["delay_bound_s"],
-        )
         scenario = OfdmScenario(
             config=system,
             doppler_bound=grid.doppler_bound,
@@ -192,7 +196,6 @@ def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dic
         "normalization_scale": scale,
         "grid": grid_to_json(grid),
         "system": system.to_json(),
-        "dictionary_id": build_dictionary(grid, system).content_id,
         "n_train": n_train,
     }
     return channels, obs, document
@@ -228,16 +231,20 @@ def _selection_pilots(selection, n_entries: int):
 def load_dataset(directory: str | Path) -> tuple[ObservationSet, Dictionary, dict]:
     """A dataset's observation set, dictionary and ``scenario.json`` document.
 
-    The dictionary is rebuilt from the ``grid`` and ``system`` documents and
-    must hash to the ``dictionary_id``; the stored selection matrix becomes
-    the observation set's pilot indices.
+    The dictionary is rebuilt from the ``grid`` and ``system`` documents,
+    which must be the grid and system that the document's synth ``config``
+    describes; the stored selection matrix becomes the observation set's
+    pilot indices. A ``dictionary_id`` (a hash of the dictionary's entries
+    that earlier versions wrote) is ignored.
     """
     directory = Path(directory)
     meta = read_json(directory / DATASET_DOCUMENT)
     dictionary = load_dictionary(meta.get("grid"), meta.get("system"))
-    if dictionary.content_id != meta.get("dictionary_id"):
+    config = check_synth_config(meta.get("config"))
+    described = _synth_grid(config), SystemConfig.from_json(config["system"])
+    if (dictionary.grid, dictionary.config) != described:
         raise InvalidArgumentError(
-            f"{directory / DATASET_DOCUMENT}: grid and system do not rebuild its dictionary_id"
+            f"{directory / DATASET_DOCUMENT}: grid and system are not those its config describes"
         )
     samples, _ = read_array(directory / "observations")
     noise_vars, _ = read_array(directory / "noise_vars")

@@ -13,7 +13,7 @@ A dictionary keeps its steering factors, ``(D,)`` for SIMO and
 (:meth:`Dictionary.apply`) and gathering the rows observed at pilots
 (:meth:`Dictionary.rows`) go through the factors, so no stage forms the
 (channel_dim, grid size) OFDM matrix. ``rows`` forms every row of the
-product, those of ``Dictionary.matrix`` and of its hash included.
+product, those of ``Dictionary.matrix`` included.
 
 Grids are stored as integer sizes plus bounds (points are derived on
 demand), so value equality of grids never depends on floating-point
@@ -23,6 +23,9 @@ A dictionary is a pure function of its grid and system configuration, so
 it is never stored: :func:`build_dictionary` derives it (the grid type
 picks the builder), and :func:`load_dictionary` does the same from the
 ``grid`` and ``system`` JSON documents that datasets and models carry.
+Those two documents are also its only name. No hash of its entries
+stands for it, since their last bits vary with numpy's SIMD dispatch
+while the dictionary they describe does not.
 
 Vectorization convention for OFDM: a channel matrix ``H`` of shape
 (n_subcarriers, n_symbols) is flattened column-major (frequency index
@@ -39,7 +42,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .utils import check_tagged_document, content_id, row_blocks
+from .utils import check_tagged_document
 
 MAX_DICTIONARY_COLUMNS = 1 << 16
 
@@ -221,13 +224,6 @@ class Dictionary:
         matrix = self.rows(np.arange(self.config.channel_dim))
         matrix.flags.writeable = False
         return matrix
-
-    @cached_property
-    def content_id(self) -> str:
-        """Hash of ``matrix``'s bytes, formed in row blocks
-        (:func:`~chansbgm.utils.row_blocks`) so the product is never whole."""
-        blocks = row_blocks(self.config.channel_dim, self.n_columns)
-        return content_id(self.rows(np.arange(b.start, b.stop)).tobytes() for b in blocks)
 
     def apply(self, s: np.ndarray) -> np.ndarray:
         """Channels D s of the coefficient rows ``s`` (n, n_columns), as an

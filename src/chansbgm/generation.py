@@ -116,10 +116,7 @@ def render_channels(batch: GeneratedBatch, dictionary: Dictionary) -> GeneratedB
             f"dictionary has {dictionary.n_columns} columns but the batch has "
             f"{batch.n_coefficients} coefficients"
         )
-    channels = dictionary.apply(batch.sparse)
-    provenance = dict(batch.provenance or {})
-    provenance["dictionary_id"] = dictionary.content_id
-    return replace(batch, channels=channels, provenance=provenance)
+    return replace(batch, channels=dictionary.apply(batch.sparse))
 
 
 def limit_paths(s: np.ndarray, p_max: int) -> np.ndarray:

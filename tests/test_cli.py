@@ -282,23 +282,75 @@ class TestFit:
                      "--out", str(tmp_path / "m")])
         assert code == EXIT_BAD_CONFIG
 
-    def test_model_records_dictionary_id(self, simo_dataset, tmp_path):
+    def test_model_records_the_datasets_grid_and_system(self, simo_dataset, tmp_path):
         out = tmp_path / "m"
         em = write_config(tmp_path, {"max_iters": 2}, "em.json")
         assert main(["fit", str(simo_dataset), "--model", "msbl", "--out", str(out),
                      "--config", em]) == EXIT_OK
         scenario = json.loads((simo_dataset / "scenario.json").read_text())
         model = json.loads((out / "model.json").read_text())
-        assert model["dictionary_id"] == scenario["dictionary_id"]
+        assert (model["grid"], model["system"]) == (scenario["grid"], scenario["system"])
+        assert "dictionary_id" not in scenario and "dictionary_id" not in model
 
-    def test_grid_not_matching_dictionary_id_rejected(self, simo_dataset, tmp_path):
+    @pytest.mark.parametrize(
+        "key, field", [("grid", "size"), ("system", "n_antennas")], ids=["grid", "system"]
+    )
+    def test_grid_or_system_not_matching_config_rejected(
+        self, simo_dataset, tmp_path, capsys, key, field
+    ):
         path = simo_dataset / "scenario.json"
         scenario = json.loads(path.read_text())
-        scenario["grid"]["size"] += 2
+        scenario[key][field] += 2
         path.write_text(json.dumps(scenario))
         code = main(["fit", str(simo_dataset), "--model", "msbl",
                      "--out", str(tmp_path / "m")])
         assert code == EXIT_BAD_CONFIG
+        assert "grid and system are not those its config describes" in capsys.readouterr().err
+
+    def test_scenario_without_its_synth_config_rejected(self, simo_dataset, tmp_path):
+        path = simo_dataset / "scenario.json"
+        scenario = json.loads(path.read_text())
+        del scenario["config"]
+        path.write_text(json.dumps(scenario))
+        code = main(["fit", str(simo_dataset), "--model", "msbl",
+                     "--out", str(tmp_path / "m")])
+        assert code == EXIT_BAD_CONFIG
+
+    def test_dataset_with_an_earlier_dictionary_id_fits(self, simo_dataset, tmp_path):
+        # earlier versions wrote a hash of the dictionary's entries; it is ignored
+        path = simo_dataset / "scenario.json"
+        scenario = json.loads(path.read_text())
+        path.write_text(json.dumps({**scenario, "dictionary_id": "3f9c2a7d1e04"}))
+        em = write_config(tmp_path, {"max_iters": 2}, "em.json")
+        assert main(["fit", str(simo_dataset), "--model", "msbl", "--config", em,
+                     "--out", str(tmp_path / "m")]) == EXIT_OK
+
+    def test_dataset_written_under_baseline_dispatch_fits(self, tmp_path):
+        """A dataset moves between hosts whose numpy dispatches to other
+        SIMD targets: ``synth`` runs in a child process with every dispatch
+        target that this host's numpy reports as found turned off, so at
+        the x86-64 baseline, and the fit runs here under the full dispatch.
+        On a host whose numpy finds no target above its baseline (numpy then
+        omits the "found" list), both run alike and the test passes
+        trivially."""
+        import subprocess
+        import sys
+
+        found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cfg = write_config(tmp_path, dict(small_ofdm_config(), n_train=20), "ofdm.json")
+        data = tmp_path / "data"
+        proc = subprocess.run(
+            [sys.executable, "-m", "chansbgm.cli", "synth", "--config", cfg, "--seed", "3",
+             "--out", str(data)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        em = write_config(tmp_path, {"max_iters": 2}, "em.json")
+        assert main(["fit", str(data), "--model", "msbl", "--config", em,
+                     "--out", str(tmp_path / "m")]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "key, field, value",
@@ -680,6 +732,14 @@ class TestGenerateAndMetrics:
         code = main(["metrics", str(batch), "--out", str(tmp_path / "r")])
         assert code == EXIT_BAD_CONFIG
 
+    def test_model_with_an_earlier_dictionary_id_generates(self, fitted_model, tmp_path):
+        # earlier versions copied the dataset's dictionary hash here; it is ignored
+        path = fitted_model / "model.json"
+        meta = json.loads(path.read_text())
+        path.write_text(json.dumps({**meta, "dictionary_id": "3f9c2a7d1e04"}))
+        assert main(["generate", str(fitted_model), "-n", "5", "--seed", "0", "--render",
+                     "--out", str(tmp_path / "b")]) == EXIT_OK
+
     def test_model_on_a_grid_of_another_size_rejected(self, fitted_model, tmp_path):
         path = fitted_model / "model.json"
         meta = json.loads(path.read_text())
@@ -820,8 +880,7 @@ def _library_batch(model_dir, n, out, p_max, system_doc=None):
     system_doc = system_doc or meta["system"]
     batch = limit_batch_paths(sample_parameters(model, n, 4), p_max)
     batch = render_channels(batch, load_dictionary(meta["grid"], system_doc))
-    save_batch(batch, out, extra_meta={"grid": meta["grid"], "system": system_doc,
-                                       "model_id": meta["model_id"]})
+    save_batch(batch, out, extra_meta={"grid": meta["grid"], "system": system_doc})
     return dir_bytes(out)
 
 
@@ -894,7 +953,7 @@ class TestCsvBytes:
         "simo_model/fit.json":
             "b871170caa18c7741acd42343d6e0d3bdcaf07fce4332e553d9908729c4b3fee",
         "simo_model/model.json":
-            "7bf4cdb18c595abd1ab44012738e6b706913a8c735b9dcfbf45b27f10c269107",
+            "8cb4f104d8a63db7b48e41ece7cb95ebe9f68a6507a3d0257f1f987104d0dc8c",
         "simo_report/profile.csv":
             "6f21015f7fb949c63a97d58f1c2c4a8cde52902aea6930852f30a97251adbb2b",
         "simo_report/spread_hist.csv":
@@ -904,7 +963,7 @@ class TestCsvBytes:
         "ofdm_model/fit.json":
             "9841e7caf05b83b8a6b0f71e034f1ee1b7eaff5a4a9a3478366846095c36775b",
         "ofdm_model/model.json":
-            "5ba7f45181f4bcb4ab1d7ec6aa71c6e8033d147c7a2e115c9b3a8eacbc47c409",
+            "13c40565b9993d8295c3f41a27de86c521d5f8ff6c102c756eb43f794b8bc6ab",
         "ofdm_report/profile.csv":
             "712fc407c944bde06cfd68f397c55d8ce6ce1af759cfa17030bb6e5e5f8d4c36",
         "ofdm_kron_model/trace.csv":
@@ -912,15 +971,15 @@ class TestCsvBytes:
         "ofdm_kron_model/fit.json":
             "bf55b7e0fe763a49b71acafbd08bbe18d0e1607c7819625dbf8a170489c4b945",
         "ofdm_kron_model/model.json":
-            "7629a490f463d237e01211eaabe01dbce5c81983706160e9d93e96a5ff53c9aa",
+            "a80a948e1393c2dbf9e832104ec60d85516193a4770359ca73a7b517e1a601c0",
         "simo_tol_model/trace.csv":
             "d52468c3ff32a48ed7cba1227bd468dd8a852b932ba104e5fffb8703e1ecb897",
         "simo_tol_model/fit.json":
             "b51ad189c8567962d020b34acf2e3a3fad07b2331cd02cc0bb746c860c9309fd",
         "simo_tol_model/model.json":
-            "78429c9e2666044e8fb5f39aa83bfe25fec9f48309154c535ddaef8d58ebd752",
+            "cc6d466a27cb55f02f4a92f01ae456e16b3b2fabb8335e7bc3dd8d79dc58233c",
         "simo_batch/batch.json":
-            "0f873009c8d9684a20f1f1813784ea22eead38b3b96aaf53c2dde62d837ba618",
+            "ba91ee72b6085d49a7edef90ef1d7d12d8c90992cac6b3e1c2d49f1fd9abb735",
         "simo_report/report.json":
             "bd3fe6aa1bfd019a269ef85cb190203fdf0f7d9235277b7a7d39192378b9c397",
         "ofdm_report/report.json":
@@ -935,19 +994,19 @@ class TestCsvBytes:
         "simo_model/trace.csv":
             "e44120254f8a0ec4ebc00003d4332a001d285983774a1ba0110f049a4226d070",
         "simo_model/model.json":
-            "4f85bd2b8a4a2212b8d286a84f4301a302cbed81da075bbf52e9a07bd4c59d54",
+            "fbe5056c75bf507808266f2a972519d4412c08dd67208e9e5adc1548eac607bf",
         "ofdm_model/trace.csv":
             "4856461fe8e1055e21eafb3f61b44c5b75ec22db66b0b58ad34b85b2e2a24f5a",
         "ofdm_model/model.json":
-            "4b5dab13af13fa013da1ac5329505f747eaaeeaab048d39eeea6e66d6611324b",
+            "f1aa829514fc4a4da7fe9c75b8aa46a9aa5f6b7913888f918a02082822a97e0e",
         "ofdm_kron_model/trace.csv":
             "cb893c96e254d4587b453ceaf77d2c95fa06595592f63f3708998d3140cccfc1",
         "ofdm_kron_model/model.json":
-            "8157d4596f3cfd7224bc09d36b6f6abafb37044fb2e45742082d2b77207b5998",
+            "dab853eec83a6ce43f34a6ed66fa17c3c094bd0374689828b945255961289637",
         "simo_tol_model/trace.csv":
             "e49a158ea8616a071bd86fdb3ac08a49f7a90ab8b4fa74ef32afa07d1c82d966",
         "simo_tol_model/model.json":
-            "ca40260575f1b53e051fa9b85855d2fa5c8692c6d50d2c021ce7cc8695b8d072",
+            "501d9888a698307ab1717bfa01c47c6c5b5786067c263e27fdf5f150c132b8b7",
     }
 
     @staticmethod
@@ -1103,8 +1162,7 @@ class TestPrefetchedGenerate:
         if render:
             dictionary = load_dictionary(meta["grid"], meta["system"])
             blocks = (render_channels(block, dictionary) for block in blocks)
-        save_batch(blocks, out, extra_meta={"grid": meta["grid"], "system": meta["system"],
-                                            "model_id": model.content_id})
+        save_batch(blocks, out, extra_meta={"grid": meta["grid"], "system": meta["system"]})
         return dir_bytes(out)
 
     # with 64-row blocks: no rows, one row, one row past a block (which joins

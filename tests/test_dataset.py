@@ -14,7 +14,7 @@ from chansbgm.dataset import (
     save_dataset,
     synthesize,
 )
-from chansbgm.dictionary import SystemConfig, vectorize_channel
+from chansbgm.dictionary import SystemConfig, grid_to_json, vectorize_channel
 from chansbgm.errors import InvalidArgumentError
 from chansbgm.scenario import (
     OfdmScenario,
@@ -53,7 +53,9 @@ def test_save_then_load_round_trips(tmp_path, config):
         assert (read.dtype, read.shape) == (written.dtype, written.shape), name
         assert read.tobytes() == written.tobytes(), name
     assert meta == document
-    assert dictionary.content_id == document["dictionary_id"]
+    assert "dictionary_id" not in document
+    assert grid_to_json(dictionary.grid) == document["grid"]
+    assert dictionary.config.to_json() == document["system"]
     reader, opened = open_channels(tmp_path)
     assert reader[:].tobytes() == channels.tobytes()
     assert opened == document

@@ -18,7 +18,7 @@ from chansbgm.dictionary import (
     vectorize_channel,
 )
 from chansbgm.errors import InvalidArgumentError
-from chansbgm.utils import complex_standard_normal, content_id
+from chansbgm.utils import complex_standard_normal
 
 
 def small_ofdm_setup():
@@ -213,18 +213,6 @@ class TestFactoredDictionary:
         d = build_ofdm_dictionary(PAPER_GRID, PAPER_OFDM)
         with pytest.raises(InvalidArgumentError, match="pilots must be"):
             d.rows(pilots)
-
-    @pytest.mark.parametrize("config", [PAPER_OFDM, SWAPPED_OFDM], ids=["default", "swapped"])
-    def test_content_id_hashes_the_kronecker_product(self, config):
-        d = build_ofdm_dictionary(PAPER_GRID, config)
-        d_t, d_f = d.factors
-        assert d.content_id == content_id([np.kron(d_t, d_f).tobytes()])
-        assert "matrix" not in vars(d)
-
-    def test_simo_content_id_hashes_the_matrix(self):
-        d = build_simo_dictionary(AngleGrid(64), SystemConfig.simo(12))
-        (matrix,) = d.factors
-        assert d.content_id == content_id([matrix.tobytes()])
 
     def test_matrix_is_formed_once_and_read_only(self):
         d = build_ofdm_dictionary(*small_ofdm_setup())

@@ -342,4 +342,4 @@ class TestBatchSerialization:
         assert loaded.sparse.tobytes() == batch.sparse.tobytes()
         assert np.array_equal(loaded.labels, batch.labels)
         assert loaded.channels.tobytes() == batch.channels.tobytes()
-        assert meta["provenance"]["dictionary_id"] == d.content_id
+        assert meta["provenance"] == {"model_id": model.content_id, "seed": 10, "p_max": None}

@@ -47,9 +47,11 @@ def test_traced_synth_and_fit_record_their_spans(tmp_path):
     synth = traced_stage(
         tmp_path, "synth", "synth", "--config", str(config), "--seed", "3", "--out", "data"
     )
-    # the per-layer scenario.*, dictionary.build_* and container.write_* read these spans
+    # the per-layer scenario.* and container.write_* read these spans; synth
+    # builds no dictionary
     assert {"scenario.covariance", "scenario.draw", "scenario.observations",
-            "dictionary.build", "container.write"} <= synth
+            "container.write"} <= synth
+    assert "dictionary.build" not in synth
     fit = traced_stage(
         tmp_path, "fit", "fit", "data", "--K", "2", "--config", "em.json", "--out", "model"
     )
@@ -72,8 +74,8 @@ def test_traced_ofdm_synth_and_kronecker_fit_record_their_spans(tmp_path):
     synth = traced_stage(
         tmp_path, "synth", "synth", "--config", str(config), "--seed", "3", "--out", "data"
     )
-    assert {"scenario.draw", "scenario.observations", "dictionary.build",
-            "container.write"} <= synth
+    assert {"scenario.draw", "scenario.observations", "container.write"} <= synth
+    assert "dictionary.build" not in synth
     (tmp_path / "em.json").write_text(json.dumps({"max_iters": 3}), encoding="utf-8")
     fit = traced_stage(
         tmp_path, "fit", "fit", "data", "--K", "2", "--variance-form", "kronecker",
