@@ -199,7 +199,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         sample_nmse,
         spread_histogram,
     )
-    from .utils import row_blocks
+    from .utils import row_blocks, side_by_side
 
     batch_dir, reference = args.batch, args.reference
     batch = open_batch(batch_dir)
@@ -228,7 +228,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             "channel metrics need a reference with channels aligned to the batch"
         )
     with output_directory(args.out, "report.json", reads=[batch_dir, reference]) as out_dir:
-        profile, skipped, spreads = power_angular_profile(batch.sparse, angle_grid)
+        ref_profile = None
+        if ref_sparse is None:
+            profile, skipped, spreads = power_angular_profile(batch.sparse, angle_grid)
+        else:  # the reference's profile on a helper thread meanwhile
+            (profile, skipped, spreads), (ref_profile, _, ref_spreads) = side_by_side(
+                lambda: power_angular_profile(batch.sparse, angle_grid),
+                lambda: power_angular_profile(ref_sparse, angle_grid),
+            )
         report: dict = {"n_samples": len(batch.sparse), "n_skipped_zero_norm": skipped}
 
         indices = range(len(profile))
@@ -243,8 +250,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         else:
             _write_csv(out_dir / "profile.csv", "grid_index,mass", zip(indices, profile.tolist()))
 
-        if ref_sparse is not None:
-            ref_profile, _, ref_spreads = power_angular_profile(ref_sparse, angle_grid)
+        if ref_profile is not None:
             report["leakage_vs_reference_support"] = profile_support_leakage(
                 profile, ref_profile > 1e-12
             )
@@ -258,10 +264,18 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         if aligned:
             n = len(batch.channels)
             errors, cosines = np.empty(n), np.empty(n)
-            for rows in row_blocks(n, batch.channels.shape[1]):
-                estimates, truths = batch.channels[rows], ref_channels[rows]
-                errors[rows] = sample_nmse(estimates, truths)
-                cosines[rows] = sample_cosines(estimates, truths)
+
+            def score(blocks):
+                for rows in blocks:
+                    estimates, truths = batch.channels[rows], ref_channels[rows]
+                    errors[rows] = sample_nmse(estimates, truths)
+                    cosines[rows] = sample_cosines(estimates, truths)
+
+            # the first half of the blocks here, the second on a helper thread;
+            # each writes only its own rows of errors and cosines
+            blocks = row_blocks(n, batch.channels.shape[1])
+            half = (len(blocks) + 1) // 2
+            side_by_side(lambda: score(blocks[:half]), lambda: score(blocks[half:]))
             report["nmse"] = float(np.mean(errors))
             report["cosine_similarity"] = float(np.mean(cosines))
         write_json(out_dir / "report.json", report)

@@ -353,6 +353,23 @@ def _m_step(
     return SbgmModel.from_factors(weights, KRONECKER, (gt, gf), clip_floor)
 
 
+def _block_sums(components: _Components, obs: ObservationSet, share) -> list:
+    """Walk the samples in row blocks and add up ``share(rows, block)``, a
+    list of partial sums for the :class:`_Block` of ``rows``, elementwise
+    in block order. Each block is freed before the next is projected."""
+    samples, sigma2s = obs.samples, obs.noise_vars
+    n_components, m = components.lam.shape
+    blocks = aligned_blocks(len(samples), _FIT_BLOCK_ELEMENTS // (n_components * m))
+    # freeing a mapped chunk of one block's working size raises glibc's mmap and
+    # trim thresholds, so the blocks' arrays stay in the heap between blocks
+    np.empty((4, n_components, blocks[0].stop, m), complex)
+    sums = None
+    for rows in blocks:
+        part = share(rows, _Block(components, samples[rows], sigma2s[rows]))
+        sums = part if sums is None else [s + p for s, p in zip(sums, part)]
+    return sums
+
+
 def _scored(
     model: SbgmModel, w: np.ndarray, obs: ObservationSet
 ) -> tuple[float, tuple[np.ndarray, ...]]:
@@ -370,15 +387,13 @@ def _scored(
     components = _Components(gamma, w)
     log_weights = _log_weights(model.weights)
     samples, sigma2s = obs.samples, obs.noise_vars
-    blocks = aligned_blocks(len(samples), _FIT_BLOCK_ELEMENTS // (len(gamma) * w.shape[0]))
-    # freeing a mapped chunk of one block's working size raises glibc's mmap and
-    # trim thresholds, so the blocks' arrays stay in the heap between blocks
-    np.empty((4, len(gamma), blocks[0].stop, w.shape[0]), complex)
-    best, sums = np.empty(len(samples)), None  # each sample's largest responsibility
-    for rows in blocks:
-        best[rows], part = _Block(components, samples[rows], sigma2s[rows]).sums(log_weights)
-        sums = part if sums is None else [s + p for s, p in zip(sums, part)]
-    loglik, totals, r, q, v = sums
+    best = np.empty(len(samples))  # each sample's largest responsibility
+
+    def share(rows, block):
+        best[rows], part = block.sums(log_weights)
+        return part
+
+    loglik, totals, r, q, v = _block_sums(components, obs, share)
     for k, i in _restarts(totals, best):
         one = _Block(components, samples[i : i + 1], sigma2s[i : i + 1])
         one_q, one_v = one.moment_sums(np.ones((1, len(totals))))
@@ -493,8 +508,14 @@ def total_log_likelihood(
     model: SbgmModel, obs: ObservationSet, dictionary: Dictionary
 ) -> float:
     """Sum over samples of log sum_k rho_k CN(y_i; 0, C_ik): the total of
-    the fit's pass (:func:`_scored`)."""
-    return _scored(model, dictionary.rows(obs.pilots), obs)[0]
+    the fit's pass (:func:`_scored`), which this sums alone."""
+    components = _Components(model.expanded_variances(), dictionary.rows(obs.pilots))
+    log_weights = _log_weights(model.weights)
+
+    def share(rows, block):
+        return [np.sum(block.responsibilities(log_weights)[1])]
+
+    return float(_block_sums(components, obs, share)[0])
 
 
 def _em_steps(

@@ -58,7 +58,8 @@ def power_angular_profile(vectors, grid: AngleGrid | None = None):
     for rows in row_blocks(len(vectors), vectors.shape[1]):
         power = np.abs(vectors[rows])  # the block itself is not kept
         power *= power  # the bits of np.abs(block) ** 2
-        _, norms, keep = _row_powers(power)
+        checked = _row_powers(power)
+        _, norms, keep = checked
         kept, norms = (power, norms) if keep.all() else (power[keep], norms[keep])
         summed = np.empty((len(kept) + 1, len(total)))
         summed[0] = total
@@ -67,7 +68,7 @@ def power_angular_profile(vectors, grid: AngleGrid | None = None):
         n_kept += len(kept)
         del kept, norms, summed  # freed before the spreads and the next block
         if grid is not None:
-            spreads.append(batch_angular_spreads(power, grid)[0])
+            spreads.append(batch_angular_spreads(power, grid, _checked=checked)[0])
     if n_kept == 0:
         raise InvalidArgumentError("all samples have zero norm")
     return total / n_kept, len(vectors) - n_kept, np.concatenate(spreads) if spreads else None
@@ -87,10 +88,15 @@ def angular_spread(s: np.ndarray, grid: AngleGrid) -> float:
     return float(math.sqrt(np.sum((angles - mean) ** 2 * power) / total))
 
 
-def batch_angular_spreads(power: np.ndarray, grid: AngleGrid) -> tuple[np.ndarray, int]:
+def batch_angular_spreads(
+    power: np.ndarray, grid: AngleGrid, *, _checked=None
+) -> tuple[np.ndarray, int]:
     """Angular spread per sample, from the samples' powers ``np.abs(s) ** 2``
-    as the rows of ``power``; zero-norm samples are skipped and counted."""
-    power, totals, keep = _row_powers(power)
+    as the rows of ``power``; zero-norm samples are skipped and counted.
+
+    :func:`power_angular_profile` passes its ``_row_powers(power)`` as
+    ``_checked``, so that each block is summed and checked once."""
+    power, totals, keep = _row_powers(power) if _checked is None else _checked
     n_skipped = int(np.sum(~keep))
     angles = grid.points
     # the product runs over every row, so which rows are kept cannot move

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
 T = TypeVar("T")
+U = TypeVar("U")
 _END = object()  # marks the end of the items in prefetch
 
 # Batches are generated, written, read and scored in row blocks of about
@@ -68,6 +69,24 @@ def prefetch(items: Iterable[T]) -> Iterator[T]:
             ahead = worker.submit(next, iterator, _END)
             yield item
             del item  # not kept while the next item is awaited
+
+
+def side_by_side(first: Callable[[], T], second: Callable[[], U]) -> tuple[T, U]:
+    """``first()`` and ``second()``, the first called on the calling thread
+    while a helper thread calls the second.
+
+    The helper is joined before this returns or raises. An exception
+    raised by ``second`` is raised again in the caller, as the same object;
+    when both raise, the exception of ``first`` wins, as it would in a
+    serial run that calls ``first`` before ``second``.
+    """
+    # imported here, so that only the commands with a second pass pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="side") as helper:
+        other = helper.submit(second)
+        mine = first()  # an exception leaves the block, which waits for the helper
+    return mine, other.result()
 
 
 def _is_number(value) -> bool:

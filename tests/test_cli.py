@@ -1184,6 +1184,196 @@ class TestPrefetchedGenerate:
         assert ("channels.bin" in serial) == render
 
 
+class TestPairedMetrics:
+    """A paired metrics run profiles the reference on a helper thread while
+    it profiles the batch, then scores the channel pass in two halves, the
+    second on the helper; it writes the bytes of the serial library path."""
+
+    @pytest.fixture()
+    def model(self, simo_dataset, tmp_path):
+        em = write_config(tmp_path, {"max_iters": 10}, "em.json")
+        out = tmp_path / "model"
+        assert main(["fit", str(simo_dataset), "--K", "2", "--seed", "2", "--config", em,
+                     "--out", str(out)]) == EXIT_OK
+        return out
+
+    @staticmethod
+    def generated(model, root, name, n, seed, *extra):
+        out = root / name
+        assert main(["generate", str(model), "-n", str(n), "--seed", str(seed), "--render",
+                     *extra, "--out", str(out)]) == EXIT_OK
+        return out
+
+    @staticmethod
+    def serial_report(batch_dir, reference, out):
+        """The batch's profile, then the reference's (a batch's; a dataset
+        has none), then sample_nmse and sample_cosines block by block."""
+        from chansbgm.cli import _open_reference, _write_csv
+        from chansbgm.container import write_json
+        from chansbgm.dictionary import grid_from_json
+        from chansbgm.generation import open_batch
+        from chansbgm.metrics import (
+            SPREAD_HIST_EDGES,
+            histogram_w1,
+            power_angular_profile,
+            profile_support_leakage,
+            sample_cosines,
+            sample_nmse,
+            spread_histogram,
+        )
+        from chansbgm.utils import row_blocks
+
+        batch = open_batch(batch_dir)
+        ref_sparse, ref_channels, _ = _open_reference(reference)
+        grid = grid_from_json(batch.meta["grid"])
+        profile, skipped, spreads = power_angular_profile(batch.sparse, grid)
+        report = {"n_samples": len(batch.sparse), "n_skipped_zero_norm": skipped,
+                  "mean_angular_spread": float(np.mean(spreads))}
+        hist, edges = spread_histogram(spreads), SPREAD_HIST_EDGES.tolist()
+        if ref_sparse is None:
+            report["leakage_vs_own_support"] = profile_support_leakage(profile, profile > 1e-12)
+        else:
+            ref_profile, _, ref_spreads = power_angular_profile(ref_sparse, grid)
+            report["leakage_vs_reference_support"] = profile_support_leakage(
+                profile, ref_profile > 1e-12
+            )
+            report["spread_w1_vs_reference"] = histogram_w1(hist, spread_histogram(ref_spreads))
+        errors, cosines = [], []
+        for rows in row_blocks(len(batch.channels), batch.channels.shape[1]):
+            estimates, truths = batch.channels[rows], ref_channels[rows]
+            errors.append(sample_nmse(estimates, truths))
+            cosines.append(sample_cosines(estimates, truths))
+        report["nmse"] = float(np.mean(np.concatenate(errors)))
+        report["cosine_similarity"] = float(np.mean(np.concatenate(cosines)))
+        out.mkdir()
+        rows = zip(range(len(profile)), grid.points.tolist(), profile.tolist())
+        _write_csv(out / "profile.csv", "grid_index,angle_rad,mass", rows)
+        _write_csv(out / "spread_hist.csv", "bin_lo,bin_hi,mass",
+                   zip(edges[:-1], edges[1:], hist.tolist()))
+        write_json(out / "report.json", report)
+        return dir_bytes(out)
+
+    @staticmethod
+    def channel_blocks(batch):
+        from chansbgm.generation import open_batch
+        from chansbgm.utils import row_blocks
+
+        channels = open_batch(batch).channels
+        return len(row_blocks(len(channels), channels.shape[1]))
+
+    # with 64-row blocks: 1, 2 and 3 channel blocks, the last split into
+    # halves of unequal size
+    @pytest.mark.parametrize("n, blocks", [(40, 1), (128, 2), (150, 3)])
+    def test_bytes_equal_serial_composition(self, model, tmp_path, monkeypatch, n, blocks):
+        import chansbgm.utils as utils_module
+
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1)
+        batch = self.generated(model, tmp_path, "capped", n, 4, "--p-max", "2")
+        reference = self.generated(model, tmp_path, "full", n, 5)
+        assert self.channel_blocks(batch) == blocks
+        assert main(["metrics", str(batch), str(reference), "--channel-metrics",
+                     "--out", str(tmp_path / "report")]) == EXIT_OK
+        serial = self.serial_report(batch, reference, tmp_path / "serial")
+        assert dir_bytes(tmp_path / "report") == serial
+
+    def test_dataset_reference_bytes_equal_serial_composition(self, model, tmp_path, monkeypatch):
+        # a dataset holds channels but no coefficients: only the channel pass is shared
+        import chansbgm.utils as utils_module
+
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1)
+        config = write_config(tmp_path, {**small_simo_config(), "n_train": 150}, "data150.json")
+        dataset = tmp_path / "data150"
+        assert main(["synth", "--config", config, "--seed", "6", "--out", str(dataset)]) == EXIT_OK
+        batch = self.generated(model, tmp_path, "batch", 150, 4)
+        assert self.channel_blocks(batch) == 3
+        assert main(["metrics", str(batch), str(dataset), "--channel-metrics",
+                     "--out", str(tmp_path / "report")]) == EXIT_OK
+        serial = self.serial_report(batch, dataset, tmp_path / "serial")
+        assert dir_bytes(tmp_path / "report") == serial
+
+    @staticmethod
+    def spoil(directory, stem, row_bytes, rows, value):
+        """Write ``value`` over the first float64 of each of ``rows`` in a
+        payload of ``row_bytes``-byte rows."""
+        path = directory / f"{stem}.bin"
+        payload = bytearray(path.read_bytes())
+        for row in rows:
+            payload[row * row_bytes : row * row_bytes + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(payload))
+
+    def failed_run(self, tmp_path, capsys, batch, reference):
+        import threading
+
+        baseline = threading.active_count()
+        capsys.readouterr()
+        code = main(["metrics", str(batch), str(reference), "--channel-metrics",
+                     "--out", str(tmp_path / "report")])
+        assert threading.active_count() == baseline
+        assert code == EXIT_BAD_CONFIG
+        assert not (tmp_path / "report").exists()
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+        return capsys.readouterr().err
+
+    # the sparse rows hold 24 c128 entries, the channel rows 6
+    @pytest.mark.parametrize("spoiled, message", [
+        ("reference", "error: coefficient values must be finite"),
+        ("both", "error: all samples have zero norm"),
+    ])
+    def test_bad_reference_profile(self, model, tmp_path, capsys, monkeypatch, spoiled, message):
+        # the reference's NaN, on the helper, is found in its first block; the
+        # batch's zero norms only after its last, yet the batch's error wins
+        import chansbgm.utils as utils_module
+
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1)
+        batch = self.generated(model, tmp_path, "batch", 150, 4)
+        reference = self.generated(model, tmp_path, "reference", 150, 5)
+        self.spoil(reference, "sparse", 24 * 16, [0], np.nan)
+        if spoiled == "both":
+            (batch / "sparse.bin").write_bytes(bytes((batch / "sparse.bin").stat().st_size))
+        err = self.failed_run(tmp_path, capsys, batch, reference)
+        assert err.strip() == message
+
+    @pytest.mark.parametrize("spoiled, message", [
+        ("second-half", "error: cosine similarity is undefined for zero vectors"),
+        ("both-halves", "error: channel values must be finite"),
+    ])
+    def test_bad_channel_halves(self, model, tmp_path, capsys, monkeypatch, spoiled, message):
+        # 3 blocks: rows 0-127 are scored here, rows 128-149 on the helper
+        import chansbgm.utils as utils_module
+
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1)
+        batch = self.generated(model, tmp_path, "batch", 150, 4)
+        reference = self.generated(model, tmp_path, "reference", 150, 5)
+        zero_row = bytes(6 * 16)
+        payload = bytearray((batch / "channels.bin").read_bytes())
+        payload[140 * len(zero_row) : 141 * len(zero_row)] = zero_row
+        (batch / "channels.bin").write_bytes(bytes(payload))
+        if spoiled == "both-halves":
+            self.spoil(batch, "channels", 6 * 16, [100], np.nan)
+        err = self.failed_run(tmp_path, capsys, batch, reference)
+        assert err.strip() == message
+
+    def test_unpaired_run_starts_no_thread(self, model, tmp_path):
+        # a fresh interpreter runs only the metrics stage of a batch without a reference
+        import subprocess
+        import sys
+
+        batch = self.generated(model, tmp_path, "batch", 100, 4)
+        code = (
+            "import sys, threading\n"
+            "def refused(thread):\n"
+            "    raise AssertionError('a thread was started')\n"
+            "threading.Thread.start = refused\n"
+            "from chansbgm.cli import main\n"
+            f"assert main(['metrics', {str(batch)!r}, '--out', {str(tmp_path / 'r')!r}]) == 0\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.splitlines()[-1] == "False 1"
+
+
 class TestReferenceMismatch:
     """metrics compares coefficients only on one grid and channels only
     for one system."""

@@ -752,6 +752,31 @@ class TestTotalLogLikelihood:
         )
         assert total_log_likelihood(model, obs, d) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("problem", ["simo-k16", "ofdm"])
+    def test_sums_the_fit_pass_total_alone(self, problem, monkeypatch):
+        # the blocks' log-likelihoods in the fit pass's block order, bit for
+        # bit, without the statistics that pass also forms
+        import chansbgm.em as em_module
+
+        rng = np.random.default_rng(50)
+        if problem == "simo-k16":
+            d = simo_setup(s=128, n_antennas=16)
+            obs = synthetic_observations(d, 2000, seed=51)
+            model = random_model(rng, 16, d.n_columns)
+            rows = em_module._FIT_BLOCK_ELEMENTS // (16 * 16)
+            assert len(aligned_blocks(len(obs), rows)) == 16
+        else:
+            d, obs = ofdm_problem(52)
+            model = random_kronecker_model(rng, 2, 4, 4)
+        want = _scored(model, d.rows(obs.pilots), obs)[0]
+
+        def formed(*args):
+            raise AssertionError("the pass's statistics were formed")
+
+        monkeypatch.setattr(em_module._Block, "moment_sums", formed)
+        got = total_log_likelihood(model, obs, d)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_log_sum_exp_keeps_small_terms_and_ties(self):
         # a dominated term below round-off of 1 still counts, through log1p
         out = _log_sum_exp(np.array([[0.0, -40.0], [3.0, 3.0]]))

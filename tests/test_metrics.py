@@ -159,6 +159,22 @@ class TestAngularSpread:
                 assert spreads.tobytes() == expected.tobytes()
                 assert skipped == len(zero_rows)
 
+    def test_profile_sums_and_checks_each_block_once(self, monkeypatch):
+        import chansbgm.metrics as metrics_module
+
+        real_row_powers, summed = metrics_module._row_powers, []
+
+        def counted(power):
+            summed.append(len(power))
+            return real_row_powers(power)
+
+        monkeypatch.setattr(metrics_module, "_row_powers", counted)
+        monkeypatch.setattr(utils, "BLOCK_ELEMENTS", 1)
+        rng = np.random.default_rng(7)
+        vectors = rng.standard_normal((300, 16)) + 1j * rng.standard_normal((300, 16))
+        power_angular_profile(vectors, AngleGrid(16))
+        assert summed == [len(range(300)[rows]) for rows in utils.row_blocks(300, 16)]
+
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(4)
         vectors = rng.standard_normal((20, 8)) + 1j * rng.standard_normal((20, 8))

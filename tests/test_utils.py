@@ -6,7 +6,7 @@ from contextlib import closing
 import pytest
 
 from chansbgm.errors import InvalidArgumentError
-from chansbgm.utils import prefetch
+from chansbgm.utils import prefetch, side_by_side
 
 WAIT_S = 10.0
 
@@ -118,3 +118,64 @@ class TestPrefetch:
         assert not consumer.is_alive()
         assert outcome == ["raised" if how == "raise" else "closed", ([0, 1], baseline + 1)]
         assert threading.active_count() == baseline
+
+
+class TestSideBySide:
+    @staticmethod
+    def run(first, second):
+        """``side_by_side(first, second)`` on a consumer thread, so that a
+        call that never returns shows as a timeout; returns its result or
+        the exception it raised, and the thread count just after it."""
+        outcome = []
+
+        def call():
+            try:
+                outcome.append(side_by_side(first, second))
+            except Exception as exc:  # handed to the test
+                outcome.append(exc)
+            outcome.append(threading.active_count())
+
+        baseline = threading.active_count()
+        consumer = threading.Thread(target=call, daemon=True)
+        consumer.start()
+        consumer.join(timeout=WAIT_S)
+        assert not consumer.is_alive()
+        assert outcome[1] == baseline + 1  # the helper was joined; the consumer remains
+        return outcome[0]
+
+    def test_second_runs_on_a_helper_thread_beside_the_first(self):
+        both_started = threading.Barrier(2, timeout=WAIT_S)
+
+        def work(name):
+            both_started.wait()  # only returns while the other call runs too
+            return name, threading.get_ident()
+
+        (a, first_thread), (b, second_thread) = self.run(lambda: work("a"), lambda: work("b"))
+        assert (a, b) == ("a", "b") and first_thread != second_thread
+
+    def test_second_exception_reaches_the_caller_as_itself(self):
+        error = InvalidArgumentError("bad reference")
+
+        def second():
+            raise error
+
+        assert self.run(lambda: 1, second) is error
+
+    @pytest.mark.parametrize("second_fails_first", [True, False])
+    def test_first_exception_wins_once_the_second_is_done(self, second_fails_first):
+        first_error, second_error = InvalidArgumentError("a"), InvalidArgumentError("b")
+        second_done = threading.Event()
+
+        def first():
+            if second_fails_first:
+                assert second_done.wait(WAIT_S)
+            raise first_error
+
+        def second():
+            if not second_fails_first:
+                time.sleep(0.1)  # still running when the first fails
+            second_done.set()
+            raise second_error
+
+        assert self.run(first, second) is first_error
+        assert second_done.is_set()
