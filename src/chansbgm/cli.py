@@ -174,13 +174,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _open_reference(path: str | Path):
     """Readers of a reference batch's (or dataset's) coefficients (None for
     a dataset) and channels, and its batch or dataset document."""
-    from .dataset import open_channels
     from .generation import open_batch
 
     path = Path(path)
     if (path / "batch.json").exists():
         stored = open_batch(path)
         return stored.sparse, stored.channels, stored.meta
+    from .dataset import open_channels  # only here, since a dataset loads the scenarios
+
     return (None, *open_channels(path))
 
 

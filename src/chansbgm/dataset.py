@@ -71,13 +71,13 @@ _SYNTH_FIELDS = {
 }
 _SYNTH_OPTIONAL = ("normalize", "angle_profile", "laplacian_std_deg", "quadrature_points", "paths")
 _ANGLE_COMPONENT_FIELDS = {"center_deg": "number", "half_width_deg": "number", "weight": "number"}
-# each paths field: its JSON type and the OfdmScenario argument it sets (an
-# absent field leaves that argument at its default)
+# each paths field sets the OfdmScenario argument of its name (an absent
+# field leaves that argument at its default)
 _PATHS_FIELDS = {
-    "max_paths": ("integer", "max_paths"),
-    "delay_range_s": ("number pair", "delay_range"),
-    "doppler_range_hz": ("number pair", "doppler_range"),
-    "gain_decay_rate": ("number", "gain_decay_rate"),
+    "max_paths": "integer",
+    "delay_range_s": "number pair",
+    "doppler_range_hz": "number pair",
+    "gain_decay_rate": "number",
 }
 
 
@@ -124,8 +124,7 @@ def check_synth_config(document) -> dict:
             entry, _ANGLE_COMPONENT_FIELDS, _ANGLE_COMPONENT_FIELDS, "angle_profile entry"
         )
     if "paths" in config:
-        types = {field: kind for field, (kind, _) in _PATHS_FIELDS.items()}
-        config["paths"] = check_document(config["paths"], types, what="paths")
+        config["paths"] = check_document(config["paths"], _PATHS_FIELDS, what="paths")
     return config
 
 
@@ -175,12 +174,7 @@ def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dic
         channels = simo_channels(profile, std, system.n_antennas, n_train, rng, quad)
         pilots = np.arange(system.n_antennas)
     else:
-        scenario = OfdmScenario(
-            config=system,
-            doppler_bound=grid.doppler_bound,
-            delay_bound=grid.delay_bound,
-            **{_PATHS_FIELDS[k][1]: v for k, v in config.get("paths", {}).items()},
-        )
+        scenario = OfdmScenario(system, grid, **config.get("paths", {}))
         channels = np.empty((n_train, system.channel_dim), dtype=complex)
         for row in channels:
             row[:] = vectorize_channel(draw_ofdm_channel(scenario, rng))

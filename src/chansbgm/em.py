@@ -66,19 +66,22 @@ that names them.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .container import read_array, read_json, write_array, write_json
 from .dictionary import AngleGrid, DelayDopplerGrid, Dictionary, kron_rows
 from .errors import InvalidArgumentError, NumericError
-from .scenario import ObservationSet
-from .utils import aligned_blocks, check_tagged_document, content_id
+from .utils import aligned_blocks, check_tagged_document
+
+if TYPE_CHECKING:  # annotations only: a model loads without the scenarios
+    from .scenario import ObservationSet
 
 GAMMA_FLOOR = 1e-7
 
@@ -177,7 +180,9 @@ class SbgmModel:
 
     @property
     def content_id(self) -> str:
-        return content_id([self.weights.tobytes(), *(f.tobytes() for f in self.factors)])
+        """SHA-256 of the weights' bytes and the factors', 12 hex digits."""
+        chunks = [self.weights.tobytes(), *(f.tobytes() for f in self.factors)]
+        return hashlib.sha256(b"".join(chunks)).hexdigest()[:12]
 
     def check_grid(self, grid: AngleGrid | DelayDopplerGrid) -> None:
         """Reject a grid whose points are not this model's coefficients: one

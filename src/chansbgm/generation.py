@@ -20,15 +20,17 @@ from __future__ import annotations
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from .container import ArrayReader, ArrayWriter, read_json, write_json
-from .dictionary import Dictionary
-from .em import SbgmModel
 from .errors import InvalidArgumentError
 from .utils import complex_standard_normal, row_blocks
+
+if TYPE_CHECKING:  # annotations only: a batch is read without the fit's modules
+    from .dictionary import Dictionary
+    from .em import SbgmModel
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,10 @@ class GeneratedBatch:
         return self.sparse.shape[1]
 
 
-def sample_blocks(
-    model: SbgmModel, n: int, rng: np.random.Generator | int
-) -> Iterator[GeneratedBatch]:
+def sample_blocks(model: SbgmModel, n: int, seed: int) -> Iterator[GeneratedBatch]:
     """Draw ``n`` coefficient vectors from the fitted mixture, as
-    consecutive row blocks (:func:`chansbgm.utils.row_blocks`).
+    consecutive row blocks (:func:`chansbgm.utils.row_blocks`), from the
+    generator ``np.random.default_rng(seed)``.
 
     Component labels follow the mixture weights; conditioned on the label
     the entries are independent circularly symmetric complex Gaussians
@@ -74,16 +75,11 @@ def sample_blocks(
     """
     if n < 0:
         raise InvalidArgumentError("n must be nonnegative")
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(seed)
     s = model.n_coefficients
     labels = rng.choice(model.n_components, size=n, p=model.weights)
     scales = np.sqrt(model.expanded_variances())
-    provenance = {
-        "model_id": model.content_id,
-        "seed": None if seed is None else int(seed),
-        "p_max": None,
-    }
+    provenance = {"model_id": model.content_id, "seed": int(seed), "p_max": None}
     for rows in row_blocks(n, s):
         block_labels = labels[rows]
         draws = complex_standard_normal(rng, (len(block_labels), s))
@@ -91,12 +87,10 @@ def sample_blocks(
         yield GeneratedBatch(sparse=draws, labels=block_labels, provenance=provenance)
 
 
-def sample_parameters(
-    model: SbgmModel, n: int, rng: np.random.Generator | int
-) -> GeneratedBatch:
+def sample_parameters(model: SbgmModel, n: int, seed: int) -> GeneratedBatch:
     """Draw ``n`` coefficient vectors from the fitted mixture in one batch
     (the blocks of :func:`sample_blocks`, joined)."""
-    blocks = list(sample_blocks(model, n, rng))
+    blocks = list(sample_blocks(model, n, seed))
     return GeneratedBatch(
         sparse=np.concatenate([b.sparse for b in blocks]),
         labels=np.concatenate([b.labels for b in blocks]),

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dictionary import SystemConfig, check_pilots, delay_matrix, doppler_matrix
+from .dictionary import DelayDopplerGrid, SystemConfig, check_pilots, delay_matrix, doppler_matrix
 from .errors import InvalidArgumentError, NumericError
 from .utils import complex_standard_normal, row_blocks
 
@@ -353,26 +353,29 @@ def simo_channels(
 
 @dataclass(frozen=True)
 class OfdmScenario:
-    """Parametric multipath scenario for the OFDM system.
+    """Parametric multipath scenario for an OFDM system, drawn within the
+    bounds of the delay-Doppler grid its representation is learned on.
 
     Per realization: the path count is uniform on {1..max_paths}, delays
     and Dopplers are uniform on their ranges, and each path gain has
     squared magnitude exp(-delay * gain_decay_rate) with a phase uniform
-    on [0, 2pi).
+    on [0, 2pi). The arguments after ``grid`` are the synth config's
+    ``paths`` fields of the same names.
     """
 
     config: SystemConfig
+    grid: DelayDopplerGrid
     max_paths: int = 8
-    delay_range: tuple[float, float] | None = None  # default (0, delay_bound / 2)
-    doppler_range: tuple[float, float] | None = None  # default +-0.8 doppler_bound
+    delay_range_s: tuple[float, float] | None = None  # default (0, delay_bound / 2)
+    doppler_range_hz: tuple[float, float] | None = None  # default +-0.8 doppler_bound
     gain_decay_rate: float = 1e6
-    # grid bounds the learned representation will use; ranges must fit inside
-    doppler_bound: float = 250.0
-    delay_bound: float = 6e-6
 
     def __post_init__(self):
-        bound = 0.8 * self.doppler_bound
-        defaults = {"delay_range": (0.0, 0.5 * self.delay_bound), "doppler_range": (-bound, bound)}
+        delay_bound, doppler_bound = self.grid.delay_bound, self.grid.doppler_bound
+        defaults = {
+            "delay_range_s": (0.0, 0.5 * delay_bound),
+            "doppler_range_hz": (-0.8 * doppler_bound, 0.8 * doppler_bound),
+        }
         for name, default in defaults.items():  # frozen: the ranges are settled here, once
             value = getattr(self, name)
             object.__setattr__(self, name, default if value is None else tuple(value))
@@ -382,12 +385,14 @@ class OfdmScenario:
             raise InvalidArgumentError("max_paths must be >= 1")
         if not self.gain_decay_rate >= 0:
             raise InvalidArgumentError("gain_decay_rate must be >= 0")
-        lo_d, hi_d = self.delay_range
-        if not (0.0 <= lo_d <= hi_d < self.delay_bound):
-            raise InvalidArgumentError("delay_range must lie within [0, delay_bound)")
-        lo_v, hi_v = self.doppler_range
-        if not (-self.doppler_bound <= lo_v <= hi_v <= self.doppler_bound):
-            raise InvalidArgumentError("doppler_range must lie within the Doppler bound")
+        lo, hi = delays = [float(v) for v in self.delay_range_s]
+        if not 0.0 <= lo <= hi < delay_bound:
+            raise InvalidArgumentError(f"delay_range_s {delays} must lie within [0, {delay_bound})")
+        lo, hi = dopplers = [float(v) for v in self.doppler_range_hz]
+        if not -doppler_bound <= lo <= hi <= doppler_bound:
+            raise InvalidArgumentError(
+                f"doppler_range_hz {dopplers} must lie within [{-doppler_bound}, {doppler_bound}]"
+            )
 
 
 def evaluate_ofdm_channel(
@@ -409,8 +414,8 @@ def evaluate_ofdm_channel(
 def draw_ofdm_channel(scenario: OfdmScenario, rng: np.random.Generator) -> np.ndarray:
     """One multipath OFDM channel matrix (n_subcarriers, n_symbols)."""
     n_paths = int(rng.integers(1, scenario.max_paths + 1))
-    delays = rng.uniform(*scenario.delay_range, size=n_paths)
-    dopplers = rng.uniform(*scenario.doppler_range, size=n_paths)
+    delays = rng.uniform(*scenario.delay_range_s, size=n_paths)
+    dopplers = rng.uniform(*scenario.doppler_range_hz, size=n_paths)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_paths)
     amplitudes = np.exp(-0.5 * delays * scenario.gain_decay_rate)
     gains = amplitudes * np.exp(1j * phases)

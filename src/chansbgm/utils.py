@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -159,12 +158,3 @@ def complex_standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     pair = rng.standard_normal(tuple(np.atleast_1d(shape)) + (2,))
     pair *= 1.0 / np.sqrt(2.0)
     return pair.view(np.complex128)[..., 0]
-
-
-def content_id(chunks: Iterable[bytes]) -> str:
-    """Short stable identifier for binary content given as consecutive
-    chunks (used in provenance); only the joined bytes count."""
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk)
-    return h.hexdigest()[:12]

@@ -200,6 +200,51 @@ class TestSynth:
         assert f"a {scenario} scenario cannot take a" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def synth_matrices(tmp_path, name, paths):
+        """The channels that synth draws for the small OFDM config with
+        ``paths``, each reshaped to its (n_subcarriers, n_symbols) matrix."""
+        from chansbgm.container import read_array
+
+        config = small_ofdm_config()
+        config["paths"] = paths
+        out = tmp_path / name
+        path = write_config(tmp_path, config, f"{name}.json")
+        assert main(["synth", "--config", path, "--seed", "3", "--out", str(out)]) == EXIT_OK
+        channels, _ = read_array(out / "channels")
+        system = config["system"]
+        shape = (system["n_subcarriers"], system["n_symbols"])
+        return channels, np.stack([row.reshape(shape, order="F") for row in channels])
+
+    def test_paths_reach_the_scenario(self, tmp_path):
+        # one path per channel: every channel matrix is one outer product
+        _, matrices = self.synth_matrices(tmp_path, "one", {"max_paths": 1})
+        assert (np.linalg.matrix_rank(matrices) == 1).all()
+        _, matrices = self.synth_matrices(tmp_path, "default", {})
+        assert (np.linalg.matrix_rank(matrices) > 1).any()
+        # every path at one delay and one Doppler: the channels differ only by a factor
+        pinned = {"delay_range_s": [1e-6, 1e-6], "doppler_range_hz": [50.0, 50.0]}
+        channels, _ = self.synth_matrices(tmp_path, "pinned", pinned)
+        assert np.linalg.matrix_rank(channels) == 1
+
+    @pytest.mark.parametrize(
+        "paths, message",
+        [
+            ({"delay_range_s": [0, 1e-5]}, "delay_range_s [0.0, 1e-05] must lie within [0, 6e-06)"),
+            ({"doppler_range_hz": [-300, 0]},
+             "doppler_range_hz [-300.0, 0.0] must lie within [-250.0, 250.0]"),
+        ],
+        ids=["delay", "doppler"],
+    )
+    def test_paths_range_outside_the_grid_rejected(self, tmp_path, capsys, paths, message):
+        config = small_ofdm_config()
+        config["paths"] = paths
+        out = tmp_path / "x"
+        assert main(["synth", "--config", write_config(tmp_path, config), "--seed", "0",
+                     "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_integral_floats_accepted_as_integers(self, tmp_path):
         config = small_simo_config()
         config.update(n_train=30.0, grid_size=24.0, quadrature_points=256.0)
@@ -1354,24 +1399,41 @@ class TestPairedMetrics:
         assert err.strip() == message
 
     def test_unpaired_run_starts_no_thread(self, model, tmp_path):
-        # a fresh interpreter runs only the metrics stage of a batch without a reference
+        # a fresh interpreter runs the metrics stage of a batch without a
+        # reference, which starts no thread, then with one; neither loads the
+        # fit's or the scenarios' modules. A generate stage after them loads
+        # the fit's model but no scenario.
         import subprocess
         import sys
 
         batch = self.generated(model, tmp_path, "batch", 100, 4)
+        reference = self.generated(model, tmp_path, "reference", 100, 5)
+        unused = ["chansbgm.em", "chansbgm.scenario", "hashlib"]
+        stages = {
+            "unpaired": ["metrics", str(batch), "--out", str(tmp_path / "r")],
+            "paired": ["metrics", str(batch), str(reference), "--out", str(tmp_path / "p")],
+            "generate": ["generate", str(model), "-n", "10", "--out", str(tmp_path / "g")],
+        }
         code = (
             "import sys, threading\n"
+            "start = threading.Thread.start\n"
             "def refused(thread):\n"
             "    raise AssertionError('a thread was started')\n"
             "threading.Thread.start = refused\n"
             "from chansbgm.cli import main\n"
-            f"assert main(['metrics', {str(batch)!r}, '--out', {str(tmp_path / 'r')!r}]) == 0\n"
-            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+            f"assert main({stages['unpaired']!r}) == 0\n"
+            "print('check', 'concurrent.futures' in sys.modules, threading.active_count())\n"
+            "threading.Thread.start = start\n"
+            f"assert main({stages['paired']!r}) == 0\n"
+            f"print('check', sorted(set({unused!r}) & set(sys.modules)))\n"
+            f"assert main({stages['generate']!r}) == 0\n"
+            "print('check', 'chansbgm.scenario' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=env)
-        assert out.stdout.splitlines()[-1] == "False 1"
+        checks = [line for line in out.stdout.splitlines() if line.startswith("check ")]
+        assert checks == ["check False 1", "check []", "check False"]
 
 
 class TestReferenceMismatch:

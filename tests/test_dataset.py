@@ -14,7 +14,7 @@ from chansbgm.dataset import (
     save_dataset,
     synthesize,
 )
-from chansbgm.dictionary import SystemConfig, grid_to_json, vectorize_channel
+from chansbgm.dictionary import DelayDopplerGrid, SystemConfig, grid_to_json, vectorize_channel
 from chansbgm.errors import InvalidArgumentError
 from chansbgm.scenario import (
     OfdmScenario,
@@ -68,7 +68,9 @@ def test_ofdm_synthesis_equals_stacking_and_scaling_a_copy():
     channels, obs, document = synthesize(config, seed=4)
     system = SystemConfig.from_json(config["system"])
     rng = np.random.default_rng(4)
-    scenario = OfdmScenario(config=system, doppler_bound=250.0, delay_bound=6e-6)
+    grid = DelayDopplerGrid(config["doppler_size"], config["delay_size"],
+                            config["doppler_bound_hz"], config["delay_bound_s"])
+    scenario = OfdmScenario(system, grid)
     stacked = np.stack([vectorize_channel(draw_ofdm_channel(scenario, rng)) for _ in range(200)])
     _, scale = normalize_dataset(stacked.copy())
     expected = stacked * scale
@@ -81,8 +83,7 @@ def test_ofdm_synthesis_equals_stacking_and_scaling_a_copy():
 
 
 def test_every_paths_field_sets_an_ofdm_scenario_argument():
-    arguments = {f.name for f in fields(OfdmScenario)}
-    assert {argument for _, argument in _PATHS_FIELDS.values()} <= arguments
+    assert set(_PATHS_FIELDS) <= {f.name for f in fields(OfdmScenario)}
 
 
 

@@ -382,7 +382,7 @@ class TestFit:
         gamma[0, 4:8] = 2.0
         gamma[1, 20:26] = 1.5
         truth = SbgmModel(weights=np.array([0.3, 0.7]), variances=gamma)
-        batch = sample_parameters(truth, 2000, np.random.default_rng(14))
+        batch = sample_parameters(truth, 2000, 14)
         channels = batch.sparse @ d.matrix.T
         obs = make_observations(
             channels, np.arange(16), (15.0, 20.0), np.random.default_rng(15)

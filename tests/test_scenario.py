@@ -370,14 +370,16 @@ class TestOfdmChannelDraws:
         assert np.linalg.matrix_rank(h) <= 3
 
     def test_default_ranges_follow_the_bounds(self):
-        scenario = OfdmScenario(config=self.config, doppler_bound=300.0, delay_bound=5e-6)
-        assert scenario.delay_range == (0.0, 2.5e-6)
-        assert scenario.doppler_range == (-240.0, 240.0)
-        given = OfdmScenario(config=self.config, delay_range=[1e-7, 2e-6])
-        assert given.delay_range == (1e-7, 2e-6)
+        grid = DelayDopplerGrid(4, 4, doppler_bound=300.0, delay_bound=5e-6)
+        scenario = OfdmScenario(self.config, grid)
+        assert scenario.delay_range_s == (0.0, 2.5e-6)
+        assert scenario.doppler_range_hz == (-240.0, 240.0)
+        given = OfdmScenario(self.config, grid, delay_range_s=[1e-7, 2e-6])
+        assert given.delay_range_s == (1e-7, 2e-6)
 
     def test_draw_respects_path_budget(self):
-        scenario = OfdmScenario(config=self.config, max_paths=2)
+        grid = DelayDopplerGrid(4, 4, doppler_bound=250.0, delay_bound=6e-6)
+        scenario = OfdmScenario(self.config, grid, max_paths=2)
         rng = np.random.default_rng(5)
         for _ in range(10):
             h = draw_ofdm_channel(scenario, rng)
