@@ -178,11 +178,26 @@ def _open_reference(path: str | Path):
 
     path = Path(path)
     if (path / "batch.json").exists():
-        stored = open_batch(path)
-        return stored.sparse, stored.channels, stored.meta
+        batch, meta = open_batch(path)
+        return batch.sparse, batch.channels, meta
     from .dataset import open_channels  # only here, since a dataset loads the scenarios
 
     return (None, *open_channels(path))
+
+
+def _channel_mismatch(batch_dir, channels, meta, reference, ref_channels, ref_meta):
+    """Why a batch's channels cannot be scored row by row against the
+    reference's (channels compare only for one system), or None if they can."""
+    if reference is None:
+        return "no reference was given"
+    if channels is None or ref_channels is None:
+        return f"{batch_dir if channels is None else reference} holds no channels"
+    if ref_channels.shape != channels.shape:
+        return (f"{reference} holds channels of shape {ref_channels.shape}, "
+                f"{batch_dir} of shape {channels.shape}")
+    if ref_meta.get("system") != meta.get("system"):
+        return f"{reference} holds channels of another system than {batch_dir}"
+    return None
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -203,8 +218,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from .utils import row_blocks, side_by_side
 
     batch_dir, reference = args.batch, args.reference
-    batch = open_batch(batch_dir)
-    grid_doc = batch.meta.get("grid")
+    batch, meta = open_batch(batch_dir)
+    grid_doc = meta.get("grid")
     grid = grid_from_json(grid_doc) if grid_doc else None
     angle_grid = grid if isinstance(grid, AngleGrid) else None  # angular spreads need one
     ref_sparse, ref_channels, ref_meta = (
@@ -218,16 +233,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             raise InvalidArgumentError(f"{path} holds no samples to score")
         if grid is not None and sparse is not None and sparse.shape[1] != grid.size:
             raise InvalidArgumentError(f"{path}: sparse does not hold one column per grid point")
-    aligned = (
-        batch.channels is not None
-        and ref_channels is not None
-        and ref_channels.shape == batch.channels.shape
-        and ref_meta.get("system") == batch.meta.get("system")
+    misaligned = _channel_mismatch(
+        batch_dir, batch.channels, meta, reference, ref_channels, ref_meta
     )
-    if args.channel_metrics and not aligned:
-        raise InvalidArgumentError(
-            "channel metrics need a reference with channels aligned to the batch"
-        )
+    if args.channel_metrics and misaligned:
+        raise InvalidArgumentError(f"channel metrics need aligned channels: {misaligned}")
     with output_directory(args.out, "report.json", reads=[batch_dir, reference]) as out_dir:
         ref_profile = None
         if ref_sparse is None:
@@ -262,7 +272,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
         # the spreads are reduced; free them before the channel pass adds two (n,) vectors
         spreads = ref_spreads = None
-        if aligned:
+        if not misaligned:
             n = len(batch.channels)
             errors, cosines = np.empty(n), np.empty(n)
 
@@ -351,7 +361,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
             batches = (first / "trained", first / "swapped")
             sparse = [(batch / "sparse.bin").read_bytes() for batch in batches]
             _expect(sparse[0] == sparse[1], "the swapped batch holds other coefficients")
-            columns = [open_batch(batch).channels.shape[1] for batch in batches]
+            columns = [open_batch(batch)[0].channels.shape[1] for batch in batches]
             _expect(columns == [6, 9], f"channels of {columns} columns, not [6, 9]")
 
         def swapped_covariance_toeplitz():

@@ -48,12 +48,6 @@ _DTYPES = {
 }
 
 
-def _dtype_tag(array: np.ndarray) -> str:
-    if np.iscomplexobj(array):
-        return "c128"
-    return "f64"
-
-
 @contextmanager
 def output_directory(path: str | Path, document: str, reads=()) -> Iterator[Path]:
     """Stage a command's output directory and commit it whole.
@@ -106,22 +100,21 @@ def read_json(path: str | Path) -> dict:
 class ArrayWriter:
     """Write one array to ``<stem>.json`` + ``<stem>.bin`` a row block at a time.
 
-    The first block fixes the dtype tag and the shape of a row; later
-    blocks must match them. Used as a context manager, the writer closes
-    the payload on exit and, when the block exits cleanly, commits.
+    The first block fixes the dtype tag (``"c128"`` for complex blocks,
+    ``"f64"`` for any other) and the shape of a row; later blocks must
+    match them. The writer is a context manager: on exit it closes the
+    payload and, when the block exits cleanly, writes the sidecar.
     """
 
     def __init__(self, stem: str | Path, role: str):
-        stem = Path(stem)
-        self._bin = stem.with_suffix(".bin")
-        self._sidecar_path = stem.with_suffix(".json")
+        self._bin = Path(stem).with_suffix(".bin")
         self._sidecar = {"format": FORMAT_TAG, "order": "C", "endianness": "LE", "role": role}
         self._shape: list[int] | None = None
         self._file = open(self._bin, "wb")
 
     def append(self, block: np.ndarray) -> None:
         block = np.asarray(block)
-        tag = _dtype_tag(block)
+        tag = "c128" if np.iscomplexobj(block) else "f64"
         if block.ndim == 0:
             raise InvalidArgumentError("arrays are written in rows; a 0-d array has none")
         if self._shape is None:
@@ -135,20 +128,15 @@ class ArrayWriter:
         self._file.write(np.ascontiguousarray(block, dtype=_DTYPES[tag]).data)
         self._shape[0] += len(block)
 
-    def commit(self) -> None:
-        """Close the payload, then write the sidecar."""
-        self._file.close()
-        if self._shape is None:
-            raise InvalidArgumentError(f"no rows were appended to {self._bin}")
-        write_json(self._sidecar_path, dict(self._sidecar, shape=self._shape))
-
     def __enter__(self) -> "ArrayWriter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._file.close()
         if exc_type is None:
-            self.commit()
+            if self._shape is None:
+                raise InvalidArgumentError(f"no rows were appended to {self._bin}")
+            write_json(self._bin.with_suffix(".json"), dict(self._sidecar, shape=self._shape))
 
 
 class ArrayReader:

@@ -41,6 +41,8 @@ from .scenario import (
 from .utils import check_document, check_tagged_document
 
 DATASET_DOCUMENT = "scenario.json"
+# |SNR| in dB: with 10**(SNR/10) within 1e±30 the noise variances stay finite and positive
+_SNR_BOUND_DB = 300.0
 
 # JSON types of the fields of each scenario's synth config (its system
 # document is checked by SystemConfig.from_json, value ranges by the
@@ -165,6 +167,10 @@ def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dic
     draws ``n_pilots`` pilots after the channels, from the same generator.
     """
     system, grid = SystemConfig.from_json(config["system"]), _synth_grid(config)
+    # ranges checked before any draw, so that the message names the config field
+    snr, bound = config["snr_range_db"], _SNR_BOUND_DB
+    if not all(-bound <= v <= bound for v in snr):
+        raise InvalidArgumentError(f"snr_range_db {snr} must lie in [{-bound}, {bound}]")
     rng = np.random.default_rng(seed)
     n_train = config["n_train"]
     if config["scenario"] == "simo":
@@ -174,11 +180,14 @@ def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dic
         channels = simo_channels(profile, std, system.n_antennas, n_train, rng, quad)
         pilots = np.arange(system.n_antennas)
     else:
+        m, n = config["n_pilots"], system.channel_dim
+        if not 1 <= m <= n:
+            raise InvalidArgumentError(f"n_pilots {m} must lie in [1, {n}]")
         scenario = OfdmScenario(system, grid, **config.get("paths", {}))
         channels = np.empty((n_train, system.channel_dim), dtype=complex)
         for row in channels:
             row[:] = vectorize_channel(draw_ofdm_channel(scenario, rng))
-        pilots = random_pilots(config["n_pilots"], system.channel_dim, rng)
+        pilots = random_pilots(m, n, rng)
     scale = 1.0
     if config.get("normalize", config["scenario"] == "ofdm"):  # OFDM by default, SIMO on request
         channels, scale = normalize_dataset(channels)  # in place

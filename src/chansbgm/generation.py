@@ -33,11 +33,20 @@ if TYPE_CHECKING:  # annotations only: a batch is read without the fit's modules
     from .em import SbgmModel
 
 
+# a batch directory's payloads: GeneratedBatch field (and file stem) -> role
+_PAYLOADS = {
+    "sparse": "generated-coefficients",
+    "labels": "component-labels",
+    "channels": "generated-channels",
+}
+
+
 @dataclass(frozen=True)
 class GeneratedBatch:
     """Generated coefficient vectors with component labels and provenance.
 
     ``channels`` is present if and only if a dictionary has been applied.
+    The payloads are arrays, or row sources as :func:`open_batch` returns.
     """
 
     sparse: np.ndarray
@@ -46,7 +55,7 @@ class GeneratedBatch:
     provenance: dict | None = None
 
     def __post_init__(self):
-        if self.sparse.ndim != 2:
+        if len(self.sparse.shape) != 2:
             raise InvalidArgumentError("sparse must be a 2-D (n, S) array")
         if len(self.sparse) != len(self.labels):
             raise InvalidArgumentError("one label per generated vector required")
@@ -91,16 +100,16 @@ def sample_parameters(model: SbgmModel, n: int, seed: int) -> GeneratedBatch:
     """Draw ``n`` coefficient vectors from the fitted mixture in one batch
     (the blocks of :func:`sample_blocks`, joined)."""
     blocks = list(sample_blocks(model, n, seed))
-    return GeneratedBatch(
+    return replace(
+        blocks[0],
         sparse=np.concatenate([b.sparse for b in blocks]),
         labels=np.concatenate([b.labels for b in blocks]),
-        provenance=blocks[0].provenance,
     )
 
 
 def render_channels(batch: GeneratedBatch, dictionary: Dictionary) -> GeneratedBatch:
-    """Return a copy of the batch with channels D s attached, rendered
-    through the dictionary's factors (:meth:`Dictionary.apply`).
+    """Return a copy of an in-memory batch with channels D s attached,
+    rendered through the dictionary's factors (:meth:`Dictionary.apply`).
 
     Any dictionary over the training grid is accepted; only the column
     count has to match the coefficient dimension.
@@ -149,19 +158,17 @@ def limit_paths(s: np.ndarray, p_max: int) -> np.ndarray:
 
 
 def limit_batch_paths(batch: GeneratedBatch, p_max: int) -> GeneratedBatch:
-    """Apply :func:`limit_paths` to every vector of a batch.
+    """Apply :func:`limit_paths` to every vector of an in-memory batch.
 
     The result has no channels (``channels=None``): channels rendered
     before the cap no longer match the capped coefficients, so render
     after capping.
     """
-    provenance = dict(batch.provenance or {})
-    provenance["p_max"] = int(p_max)
-    return GeneratedBatch(
+    return replace(
+        batch,
         sparse=limit_paths(batch.sparse, p_max),
-        labels=batch.labels,
         channels=None,
-        provenance=provenance,
+        provenance=dict(batch.provenance or {}, p_max=int(p_max)),
     )
 
 
@@ -181,8 +188,8 @@ def save_batch(
     directory: str | Path,
     extra_meta: dict | None = None,
 ) -> None:
-    """Write a batch directory: ``sparse``, ``labels``, ``channels`` (when
-    the batch has them) and, last, ``batch.json``.
+    """Write a batch directory: a payload per :data:`_PAYLOADS` field that
+    the batch has (``channels`` only when rendered) and, last, ``batch.json``.
 
     ``batch`` is a whole batch or the consecutive row blocks of one, such
     as :func:`sample_blocks` yields (then rendered or capped block by
@@ -199,22 +206,18 @@ def save_batch(
     has_channels = block.channels is not None
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    roles = {"sparse": "generated-coefficients", "labels": "component-labels"}
-    if has_channels:
-        roles["channels"] = "generated-channels"
     n_samples = 0
     with ExitStack() as stack:
         writers = {
-            stem: stack.enter_context(ArrayWriter(directory / stem, role))
-            for stem, role in roles.items()
+            field: stack.enter_context(ArrayWriter(directory / field, role))
+            for field, role in _PAYLOADS.items()
+            if getattr(block, field) is not None
         }
         while block is not None:
             if (block.channels is not None) != has_channels:
                 raise InvalidArgumentError("either every block of a batch has channels or none")
-            writers["sparse"].append(block.sparse)
-            writers["labels"].append(block.labels.astype(float))
-            if has_channels:
-                writers["channels"].append(block.channels)
+            for field, writer in writers.items():
+                writer.append(getattr(block, field))
             n_samples += len(block)
             del block  # freed before the next block is made
             block = next(blocks, None)
@@ -230,40 +233,27 @@ def save_batch(
     write_json(directory / "batch.json", meta)
 
 
-@dataclass(frozen=True)
-class StoredBatch:
-    """A batch directory opened for reading: its ``batch.json`` and a
-    checked :class:`~chansbgm.container.ArrayReader` per payload."""
-
-    meta: dict
-    sparse: ArrayReader
-    labels: ArrayReader
-    channels: ArrayReader | None
-
-
-def open_batch(directory: str | Path) -> StoredBatch:
-    """Open a batch directory and check its payloads against each other,
-    their sidecars and the counts in ``batch.json``, without reading any rows."""
+def open_batch(directory: str | Path) -> tuple[GeneratedBatch, dict]:
+    """Open a batch directory without reading any rows: the batch and its
+    ``batch.json``. The payloads are :class:`~chansbgm.container.ArrayReader`
+    row sources, checked against their sidecars, each other and the counts
+    in ``batch.json``."""
     directory = Path(directory)
     meta = read_json(directory / "batch.json")
-    sparse = ArrayReader(directory / "sparse")
-    labels = ArrayReader(directory / "labels")
-    channels = ArrayReader(directory / "channels") if meta.get("has_channels") else None
-    if len(sparse.shape) != 2:
-        raise InvalidArgumentError(f"{directory}: sparse must be a 2-D (n, S) array")
-    if len(labels) != len(sparse) or (channels is not None and len(channels) != len(sparse)):
-        raise InvalidArgumentError(f"{directory}: sparse, labels and channels differ in length")
-    if [meta.get("n_samples"), meta.get("n_coefficients")] != list(sparse.shape):
+    fields = [f for f in _PAYLOADS if f != "channels" or meta.get("has_channels")]
+    payloads = {field: ArrayReader(directory / field) for field in fields}
+    try:
+        batch = GeneratedBatch(**payloads, provenance=meta.get("provenance"))
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{directory}: {exc}") from exc
+    if [meta.get("n_samples"), meta.get("n_coefficients")] != list(batch.sparse.shape):
         raise InvalidArgumentError(f"{directory}: batch.json miscounts sparse's rows or columns")
-    return StoredBatch(meta=meta, sparse=sparse, labels=labels, channels=channels)
+    return batch, meta
 
 
 def load_batch(directory: str | Path) -> tuple[GeneratedBatch, dict]:
-    stored = open_batch(directory)
-    batch = GeneratedBatch(
-        sparse=stored.sparse[:],
-        labels=stored.labels[:].astype(int),
-        channels=None if stored.channels is None else stored.channels[:],
-        provenance=stored.meta.get("provenance"),
-    )
-    return batch, stored.meta
+    """:func:`open_batch` with every payload read whole, the labels as integers."""
+    batch, meta = open_batch(directory)
+    payloads = {f: getattr(batch, f)[:] for f in _PAYLOADS if getattr(batch, f) is not None}
+    payloads["labels"] = payloads["labels"].astype(int)  # stored as f64
+    return replace(batch, **payloads), meta

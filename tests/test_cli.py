@@ -121,15 +121,20 @@ class TestSynth:
             (small_simo_config, lambda c: c.update(n_train=10**30)),
             (small_simo_config, lambda c: c.update(n_train=1e30)),
             (small_simo_config, lambda c: c.update(n_train=2**63)),
+            (small_ofdm_config, lambda c: c.update(n_pilots=0)),
+            (small_ofdm_config, lambda c: c.update(n_pilots=400)),
+            (small_simo_config, lambda c: c.update(snr_range_db=[4000.0, 4000.0])),
+            (small_simo_config, lambda c: c.update(snr_range_db=[-4000.0, -4000.0])),
         ],
         ids=["n_train-string", "ofdm-n_train-0", "snr-three-items", "unknown-key",
              "profile-entry-without-weight", "negative-gain-decay", "paths-unknown-key",
              "normalize-string",
              "scenario-mimo", "simo-field-in-ofdm", "system-of-other-variant",
              "simo-grid-above-the-column-cap", "quadrature-points-0",
-             "n_train-1e30-integer", "n_train-1e30-float", "n_train-int64-max-plus-one"],
+             "n_train-1e30-integer", "n_train-1e30-float", "n_train-int64-max-plus-one",
+             "n_pilots-0", "n_pilots-above-the-channel-entries", "snr-too-high", "snr-too-low"],
     )
-    def test_malformed_config_rejected(self, tmp_path, make, edit):
+    def test_malformed_config_rejected(self, tmp_path, capsys, request, make, edit):
         config = make()
         edit(config)
         path = write_config(tmp_path, config)
@@ -138,6 +143,14 @@ class TestSynth:
             EXIT_BAD_CONFIG
         )
         assert not out.exists()
+        # a range error names the field, its value and the bound (6 x 4 channel entries)
+        message = {
+            "n_pilots-0": "n_pilots 0 must lie in [1, 24]",
+            "n_pilots-above-the-channel-entries": "n_pilots 400 must lie in [1, 24]",
+            "snr-too-high": "snr_range_db [4000.0, 4000.0] must lie in [-300.0, 300.0]",
+            "snr-too-low": "snr_range_db [-4000.0, -4000.0] must lie in [-300.0, 300.0]",
+        }.get(request.node.callspec.id)
+        assert message is None or message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit, field",
@@ -703,9 +716,21 @@ class TestGenerateAndMetrics:
         assert report["nmse"] == 0.0
         assert report["cosine_similarity"] == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("case", ["no-reference", "zero-norm-channel"])
-    def test_rejected_channel_metrics_write_nothing(self, fitted_model, tmp_path, case):
-        batch = tmp_path / "batch"
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("no-reference", "no reference was given"),
+            ("zero-norm-channel", "cosine similarity is undefined for zero vectors"),
+            ("unrendered-reference", "{reference} holds no channels"),
+            ("shorter-reference", "{reference} holds channels of shape (5, 6), {batch} of "
+                                  "shape (10, 6)"),
+        ],
+        ids=["no-reference", "zero-norm-channel", "unrendered-reference", "shorter-reference"],
+    )
+    def test_rejected_channel_metrics_write_nothing(
+        self, fitted_model, tmp_path, capsys, case, message
+    ):
+        batch, other = tmp_path / "batch", tmp_path / "other"
         main(["generate", str(fitted_model), "-n", "10", "--seed", "5", "--render",
               "--out", str(batch)])
         reference = []
@@ -716,9 +741,16 @@ class TestGenerateAndMetrics:
             payload[:96] = bytes(96)
             (batch / "channels.bin").write_bytes(bytes(payload))
             reference = [str(batch)]
+        elif case != "no-reference":
+            n, render = ("10", []) if case == "unrendered-reference" else ("5", ["--render"])
+            assert main(["generate", str(fitted_model), "-n", n, "--seed", "6", *render,
+                         "--out", str(other)]) == EXIT_OK
+            reference = [str(other)]
+        capsys.readouterr()
         code = main(["metrics", str(batch), *reference, "--channel-metrics",
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_BAD_CONFIG
+        assert message.format(batch=batch, reference=other) in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
@@ -829,12 +861,18 @@ class TestGenerateAndMetrics:
                      "--out", str(report)]) == EXIT_BAD_CONFIG
         assert not report.exists()
 
-    @pytest.mark.parametrize("corruption", ["truncated", "shape", "missing-channels"])
-    def test_corrupt_batch_rejected(self, fitted_model, tmp_path, corruption):
+    @pytest.mark.parametrize(
+        "corruption", ["truncated", "shape", "missing-channels", "labels-rows"]
+    )
+    def test_corrupt_batch_rejected(self, fitted_model, tmp_path, capsys, corruption):
+        from chansbgm.container import write_array
+
         batch = tmp_path / "batch"
         main(["generate", str(fitted_model), "-n", "30", "--seed", "5", "--render",
               "--out", str(batch)])
-        if corruption == "truncated":
+        if corruption == "labels-rows":  # a whole labels payload, one row short of sparse
+            write_array(batch / "labels", np.zeros(29), "component-labels")
+        elif corruption == "truncated":
             payload = (batch / "sparse.bin").read_bytes()
             (batch / "sparse.bin").write_bytes(payload[:-16])
         elif corruption == "shape":
@@ -845,6 +883,8 @@ class TestGenerateAndMetrics:
             (batch / "channels.bin").unlink()
         code = main(["metrics", str(batch), "--out", str(tmp_path / "r")])
         assert code == EXIT_BAD_CONFIG
+        assert str(batch) in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("counts", [(7, 24), (30, 5), (7, 5)])
     def test_batch_json_counts_not_matching_payloads_rejected(
@@ -1268,9 +1308,9 @@ class TestPairedMetrics:
         )
         from chansbgm.utils import row_blocks
 
-        batch = open_batch(batch_dir)
+        batch, meta = open_batch(batch_dir)
         ref_sparse, ref_channels, _ = _open_reference(reference)
-        grid = grid_from_json(batch.meta["grid"])
+        grid = grid_from_json(meta["grid"])
         profile, skipped, spreads = power_angular_profile(batch.sparse, grid)
         report = {"n_samples": len(batch.sparse), "n_skipped_zero_norm": skipped,
                   "mean_angular_spread": float(np.mean(spreads))}
@@ -1303,7 +1343,7 @@ class TestPairedMetrics:
         from chansbgm.generation import open_batch
         from chansbgm.utils import row_blocks
 
-        channels = open_batch(batch).channels
+        channels = open_batch(batch)[0].channels
         return len(row_blocks(len(channels), channels.shape[1]))
 
     # with 64-row blocks: 1, 2 and 3 channel blocks, the last split into
@@ -1458,7 +1498,7 @@ class TestReferenceMismatch:
                      "--out", str(report)]) == EXIT_BAD_CONFIG
         assert not report.exists()
 
-    def test_channels_for_another_system_rejected(self, ofdm_model, tmp_path):
+    def test_channels_for_another_system_rejected(self, ofdm_model, tmp_path, capsys):
         batches = []
         for n_subcarriers, n_symbols in ((4, 4), (2, 8)):  # 16 channel entries each
             system = dict(small_ofdm_config()["system"],
@@ -1471,6 +1511,8 @@ class TestReferenceMismatch:
         report = tmp_path / "report"
         assert main(["metrics", *batches, "--channel-metrics",
                      "--out", str(report)]) == EXIT_BAD_CONFIG
+        assert (f"{batches[1]} holds channels of another system than {batches[0]}"
+                in capsys.readouterr().err)
         assert not report.exists()
         # without --channel-metrics the coefficients are scored and the channels are not
         assert main(["metrics", *batches, "--out", str(report)]) == EXIT_OK
@@ -1736,7 +1778,10 @@ class TestDiagnosticsAndDefaults:
         data, model = tmp_path / "data", tmp_path / "model"
         assert main(["synth", "--config", write_config(tmp_path, config), "--seed", "0",
                      "--out", str(data)]) == EXIT_OK
-        with pytest.raises(NumericError, match="the initial model is invalid"):
+        with (
+            pytest.warns(RuntimeWarning),
+            pytest.raises(NumericError, match="the initial model is invalid"),
+        ):
             main(["fit", str(data), "--K", "2", "--out", str(model)])
         assert not model.exists()
 

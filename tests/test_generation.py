@@ -11,6 +11,7 @@ from chansbgm.dictionary import (
     build_dictionary,
     build_ofdm_dictionary,
     build_simo_dictionary,
+    grid_to_json,
 )
 from chansbgm.em import SbgmModel
 from chansbgm.errors import InvalidArgumentError
@@ -335,11 +336,22 @@ class TestConditionalCovariance:
 class TestBatchSerialization:
     def test_round_trip(self, tmp_path):
         model = one_component_model(np.linspace(0.2, 1.0, 8))
-        d = build_simo_dictionary(AngleGrid(8), SystemConfig.simo(4))
-        batch = render_channels(sample_parameters(model, 12, 10), d)
-        save_batch(batch, tmp_path / "batch")
-        loaded, meta = load_batch(tmp_path / "batch")
-        assert loaded.sparse.tobytes() == batch.sparse.tobytes()
-        assert np.array_equal(loaded.labels, batch.labels)
-        assert loaded.channels.tobytes() == batch.channels.tobytes()
-        assert meta["provenance"] == {"model_id": model.content_id, "seed": 10, "p_max": None}
+        grid, system = AngleGrid(8), SystemConfig.simo(4)
+        documents = {"grid": grid_to_json(grid), "system": system.to_json()}
+        drawn = sample_parameters(model, 12, 10)
+        rendered = render_channels(drawn, build_simo_dictionary(grid, system))
+        for name, batch in (("unrendered", drawn), ("rendered", rendered)):
+            first, second = tmp_path / name, tmp_path / f"{name}-rewritten"
+            save_batch(batch, first, extra_meta=documents)
+            loaded, meta = load_batch(first)
+            assert loaded.sparse.tobytes() == batch.sparse.tobytes()
+            assert np.array_equal(loaded.labels, batch.labels)
+            assert (loaded.channels is None) == (batch.channels is None)
+            if batch.channels is not None:
+                assert loaded.channels.tobytes() == batch.channels.tobytes()
+            assert meta["provenance"] == {"model_id": model.content_id, "seed": 10, "p_max": None}
+            # the loaded batch, written again with its documents, gives the same files
+            save_batch(loaded, second, extra_meta={"grid": meta["grid"], "system": meta["system"]})
+            files = sorted(p.name for p in first.iterdir())
+            assert files == sorted(p.name for p in second.iterdir())
+            assert all((first / f).read_bytes() == (second / f).read_bytes() for f in files)
