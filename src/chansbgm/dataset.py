@@ -43,6 +43,8 @@ from .utils import check_document, check_tagged_document
 DATASET_DOCUMENT = "scenario.json"
 # |SNR| in dB: with 10**(SNR/10) within 1e±30 the noise variances stay finite and positive
 _SNR_BOUND_DB = 300.0
+# the coarsest spacing of angles in [-pi/2, pi/2), where SIMO path centers lie
+_NODE_ULP = math.ulp(math.pi / 2)
 
 # JSON types of the fields of each scenario's synth config (its system
 # document is checked by SystemConfig.from_json, value ranges by the
@@ -175,8 +177,17 @@ def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dic
     n_train = config["n_train"]
     if config["scenario"] == "simo":
         profile = _angle_profile(config.get("angle_profile"))
-        std = math.radians(config.get("laplacian_std_deg", 2.0))
+        spread = config.get("laplacian_std_deg", 2.0)
         quad = config.get("quadrature_points", QUADRATURE_POINTS)
+        std = math.radians(spread)
+        # the +-10 std window must span one ulp of pi/2 per node, or the
+        # nodes collapse onto a few angles and the covariance loses its trace
+        if 20.0 * std < quad * _NODE_ULP:
+            bound = math.degrees(quad * _NODE_ULP / 20.0)
+            raise InvalidArgumentError(
+                f"laplacian_std_deg {spread} must be at least {bound:.3g} at {quad} "
+                "quadrature points"
+            )
         channels = simo_channels(profile, std, system.n_antennas, n_train, rng, quad)
         pilots = np.arange(system.n_antennas)
     else:

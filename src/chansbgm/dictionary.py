@@ -273,19 +273,6 @@ def check_pilots(pilots, n_entries: int | None = None) -> np.ndarray:
     return pilots
 
 
-def steering_vector_ula(theta: float, n_antennas: int) -> np.ndarray:
-    """Steering vector of a half-wavelength ULA toward angle ``theta``.
-
-    Entry i (1-based) is exp(-j*pi*(i-1)*sin(theta)); entry 1 is always 1.
-    """
-    if n_antennas < 1:
-        raise InvalidArgumentError("n_antennas must be >= 1")
-    if not math.isfinite(theta):
-        raise InvalidArgumentError("theta must be finite")
-    idx = np.arange(n_antennas)
-    return np.exp(-1j * math.pi * idx * math.sin(theta))
-
-
 def ula_matrix(angles: np.ndarray, n_antennas: int) -> np.ndarray:
     """Half-wavelength ULA steering vectors toward ``angles`` as columns.
 

@@ -590,14 +590,20 @@ def _init_variances(
     picks = rng.choice(n, size=min(n_components, n), replace=False)
     gammas = np.empty((n_components, n_coef))
     for k in range(n_components):
-        y = obs.samples[picks[k % len(picks)]]
-        spectrum = np.abs(w.conj().T @ y) ** 2 / col_norm2**2
+        pick = picks[k % len(picks)]
+        spectrum = np.abs(w.conj().T @ obs.samples[pick]) ** 2 / col_norm2**2
         total = spectrum.sum()
         if total == 0.0:  # the data's mean power, taken only here: it reads every sample
             gammas[k] = np.mean(np.abs(obs.samples) ** 2)
             continue
         sharp = spectrum**4
-        gammas[k] = sharp * (total / sharp.sum())
+        sharp_total = sharp.sum()
+        if sharp_total == 0.0:
+            raise NumericError(
+                f"the initial model is invalid: the sharpened spectrum of sample {pick} "
+                "underflows to zero"
+            )
+        gammas[k] = sharp * (total / sharp_total)
     return np.maximum(gammas, GAMMA_FLOOR)
 
 
@@ -621,8 +627,9 @@ def csgmm_fit(
     holds one log-likelihood per accepted model and is non-decreasing up
     to the EM fallback's round-off; its last entry scores the returned model, and ``n_fallbacks`` counts
     the iterations that took the EM update. A failed computation raises
-    :class:`NumericError`: an EM fallback whose factorization fails, or an
-    init or EM M-step whose variances are not finite.
+    :class:`NumericError`: an EM fallback whose factorization fails, an
+    init whose sharpened spectrum underflows, or an init or EM M-step
+    whose variances are not finite.
     """
     if n_components < 1:
         raise InvalidArgumentError("n_components must be >= 1")

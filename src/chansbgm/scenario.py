@@ -255,72 +255,64 @@ def _steering_sums(theta: np.ndarray, coeffs: np.ndarray, n_antennas: int) -> np
 
 
 def laplacian_local_covariance(
-    center,
+    centers: np.ndarray,
     std_dev: float,
     n_antennas: int,
     quadrature_points: int = QUADRATURE_POINTS,
 ) -> np.ndarray:
-    """Channel covariance for a Laplacian angle density around ``center``.
+    """Channel covariances for Laplacian angle densities around each of the
+    1-D array ``centers``, as an (n, N, N) stack.
 
     Integrates g(theta) a(theta) a(theta)^H over the quadrature window of
     :func:`_laplacian_nodes`; the default node count converges it to near
     machine precision. The covariance of a ULA is Hermitian Toeplitz, so
     only its first column r_m = sum_j w_j z_j^m (z_j = exp(-j pi sin
     theta_j)) is integrated, and entry (a, b) is r_(a-b), or the conjugate
-    of r_(b-a) above the diagonal: the result is exactly Hermitian and
-    exactly Toeplitz.
-
-    A scalar ``center`` gives one (N, N) matrix; a 1-D array of centers
-    gives the (n, N, N) stack of their covariances, each row of which
-    equals the scalar call. The stack's working arrays are (n,
-    quadrature_points), so callers pass a block of centers at a time.
+    of r_(b-a) above the diagonal: each matrix is exactly Hermitian and
+    exactly Toeplitz. The working arrays are (n, quadrature_points), so
+    callers pass a block of centers at a time.
     """
     if std_dev <= 0:
         raise InvalidArgumentError("std_dev must be positive")
-    centers = np.asarray(center, dtype=float)
-    if centers.ndim > 1:
-        raise InvalidArgumentError("center must be a scalar or a 1-D array")
-    theta, weights = _laplacian_nodes(centers.reshape(-1), std_dev, quadrature_points)
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 1:
+        raise InvalidArgumentError(f"centers must be a 1-D array, not of shape {centers.shape}")
+    theta, weights = _laplacian_nodes(centers, std_dev, quadrature_points)
     column = _steering_sums(theta, weights, n_antennas)
     lag = np.arange(n_antennas)[:, None] - np.arange(n_antennas)[None, :]
     cov = column[:, np.abs(lag)]
     above = lag < 0
     cov[:, above] = cov[:, above].conj()
-    return cov if centers.ndim else cov[0]
+    return cov
 
 
-def _cholesky_factors(covs: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack of PSD covariances, each with 1e-12 *
-    trace/N added to its diagonal: singular covariances factor too, and since
-    every covariance gets the jitter, the factor is continuous in it."""
+def draw_simo_channel(covs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One circularly symmetric complex Gaussian row per covariance of the
+    (n, N, N) stack ``covs``; shape (n, N).
+
+    Row i is L_i z_i, with L_i the lower Cholesky factor of covariance i
+    plus 1e-12 * trace/N on its diagonal and z the rows of one
+    ``complex_standard_normal(rng, (rows, N))`` call, so a stack consumes
+    the generator exactly as its rows do when drawn as stacks of one.
+    Every covariance gets the jitter, so singular ones factor too and the
+    factor is continuous in the covariance. An all-zero covariance draws
+    zeros and consumes no normals.
+    """
+    covs = np.asarray(covs)
+    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
+        raise InvalidArgumentError(f"covs must be an (n, N, N) stack, not of shape {covs.shape}")
     n = covs.shape[-1]
-    jitter = 1e-12 * (np.trace(covs, axis1=1, axis2=2).real / n)
+    live = covs.any(axis=(1, 2))
+    kept = covs[live]
+    jitter = 1e-12 * (np.trace(kept, axis1=1, axis2=2).real / n)
     try:
-        return np.linalg.cholesky(covs + jitter[:, None, None] * np.eye(n))
+        factors = np.linalg.cholesky(kept + jitter[:, None, None] * np.eye(n))
     except np.linalg.LinAlgError as exc:
         raise NumericError("covariance is not positive semidefinite") from exc
-
-
-def draw_simo_channel(cov: np.ndarray, rng: np.random.Generator):
-    """Draw circularly symmetric complex Gaussian vectors with covariance ``cov``.
-
-    An (N, N) ``cov`` gives one vector; an (n, N, N) stack gives one row
-    per covariance. Each draw is L z with L the Cholesky factor of its
-    covariance plus 1e-12 * trace/N on the diagonal and z a row of one
-    ``complex_standard_normal(rng, (rows, N))`` call, so a stack consumes
-    the generator exactly as its rows drawn one at a time do. An all-zero
-    covariance draws zeros and consumes no normals, alone or in a stack.
-    """
-    cov = np.asarray(cov)
-    if cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2]:
-        raise InvalidArgumentError("cov must be an (N, N) matrix or an (n, N, N) stack")
-    stack = cov if cov.ndim == 3 else cov[None]
-    live = stack.any(axis=(1, 2))
-    factors = _cholesky_factors(stack[live])
-    z = complex_standard_normal(rng, (int(live.sum()), stack.shape[-1]))
-    draws = np.zeros(stack.shape[:2], dtype=complex)
+    z = complex_standard_normal(rng, (len(kept), n))
+    draws = np.zeros(covs.shape[:2], dtype=complex)
     draws[live] = (factors @ z[..., None])[..., 0]
-    return draws[0] if cov.ndim == 2 else draws
+    return draws
 
 
 def simo_channels(

@@ -125,6 +125,8 @@ class TestSynth:
             (small_ofdm_config, lambda c: c.update(n_pilots=400)),
             (small_simo_config, lambda c: c.update(snr_range_db=[4000.0, 4000.0])),
             (small_simo_config, lambda c: c.update(snr_range_db=[-4000.0, -4000.0])),
+            (small_simo_config, lambda c: c.update(laplacian_std_deg=1e-16)),
+            (small_simo_config, lambda c: c.update(laplacian_std_deg=1e-300)),
         ],
         ids=["n_train-string", "ofdm-n_train-0", "snr-three-items", "unknown-key",
              "profile-entry-without-weight", "negative-gain-decay", "paths-unknown-key",
@@ -132,7 +134,8 @@ class TestSynth:
              "scenario-mimo", "simo-field-in-ofdm", "system-of-other-variant",
              "simo-grid-above-the-column-cap", "quadrature-points-0",
              "n_train-1e30-integer", "n_train-1e30-float", "n_train-int64-max-plus-one",
-             "n_pilots-0", "n_pilots-above-the-channel-entries", "snr-too-high", "snr-too-low"],
+             "n_pilots-0", "n_pilots-above-the-channel-entries", "snr-too-high", "snr-too-low",
+             "spread-1e-16", "spread-1e-300"],
     )
     def test_malformed_config_rejected(self, tmp_path, capsys, request, make, edit):
         config = make()
@@ -149,6 +152,12 @@ class TestSynth:
             "n_pilots-above-the-channel-entries": "n_pilots 400 must lie in [1, 24]",
             "snr-too-high": "snr_range_db [4000.0, 4000.0] must lie in [-300.0, 300.0]",
             "snr-too-low": "snr_range_db [-4000.0, -4000.0] must lie in [-300.0, 300.0]",
+            "spread-1e-16": (
+                "laplacian_std_deg 1e-16 must be at least 1.63e-13 at 256 quadrature points"
+            ),
+            "spread-1e-300": (
+                "laplacian_std_deg 1e-300 must be at least 1.63e-13 at 256 quadrature points"
+            ),
         }.get(request.node.callspec.id)
         assert message is None or message in capsys.readouterr().err
 
@@ -1771,17 +1780,15 @@ class TestDiagnosticsAndDefaults:
             main(["fit", str(simo_dataset), "--model", "msbl", "--out", str(tmp_path / "m")])
 
     def test_model_the_fit_cannot_build_is_a_numeric_error(self, tmp_path):
-        # the init's sharpened spectrum underflows to zero, and 0 * inf is NaN
+        # the init's sharpened spectrum underflows to zero; it is refused
+        # before the rescaling would divide by it
         from chansbgm.errors import NumericError
 
         config = dict(small_simo_config(), grid_size=16, laplacian_std_deg=1e300)
         data, model = tmp_path / "data", tmp_path / "model"
         assert main(["synth", "--config", write_config(tmp_path, config), "--seed", "0",
                      "--out", str(data)]) == EXIT_OK
-        with (
-            pytest.warns(RuntimeWarning),
-            pytest.raises(NumericError, match="the initial model is invalid"),
-        ):
+        with pytest.raises(NumericError, match="the initial model is invalid"):
             main(["fit", str(data), "--K", "2", "--out", str(model)])
         assert not model.exists()
 

@@ -14,7 +14,7 @@ from chansbgm.dictionary import (
     grid_from_json,
     grid_to_json,
     load_dictionary,
-    steering_vector_ula,
+    ula_matrix,
     vectorize_channel,
 )
 from chansbgm.errors import InvalidArgumentError
@@ -30,30 +30,26 @@ def small_ofdm_setup():
 
 
 class TestSteeringVector:
+    """Closed forms of the ULA steering columns of ``ula_matrix``."""
+
     def test_broadside_is_all_ones(self):
-        np.testing.assert_allclose(steering_vector_ula(0.0, 4), np.ones(4))
+        np.testing.assert_allclose(ula_matrix(np.array([0.0]), 4)[:, 0], np.ones(4))
 
     def test_endfire_alternates_sign(self):
         np.testing.assert_allclose(
-            steering_vector_ula(math.pi / 2, 2), [1.0, -1.0], atol=1e-15
+            ula_matrix(np.array([math.pi / 2]), 2)[:, 0], [1.0, -1.0], atol=1e-15
         )
 
     def test_thirty_degrees_closed_form(self):
         # sin(pi/6) = 1/2, so entries walk the quarter circle
         np.testing.assert_allclose(
-            steering_vector_ula(math.pi / 6, 3), [1.0, -1j, -1.0], atol=1e-15
+            ula_matrix(np.array([math.pi / 6]), 3)[:, 0], [1.0, -1j, -1.0], atol=1e-15
         )
 
     def test_first_entry_always_one(self):
         rng = np.random.default_rng(0)
-        for theta in rng.uniform(-math.pi / 2, math.pi / 2, 20):
-            assert steering_vector_ula(theta, 7)[0] == 1.0 + 0.0j
-
-    def test_rejects_non_finite_angle(self):
-        with pytest.raises(InvalidArgumentError):
-            steering_vector_ula(math.nan, 4)
-        with pytest.raises(InvalidArgumentError):
-            steering_vector_ula(math.inf, 4)
+        angles = rng.uniform(-math.pi / 2, math.pi / 2, 20)
+        assert np.all(ula_matrix(angles, 7)[0] == 1.0 + 0.0j)
 
 
 class TestAngleGrid:
@@ -94,7 +90,8 @@ class TestSimoDictionary:
         grid = AngleGrid(16)
         d = build_simo_dictionary(grid, SystemConfig.simo(6))
         for g, theta in enumerate(grid.points):
-            np.testing.assert_allclose(d.matrix[:, g], steering_vector_ula(theta, 6))
+            steer = np.exp(-1j * math.pi * np.arange(6) * math.sin(theta))
+            np.testing.assert_allclose(d.matrix[:, g], steer)
 
     def test_unit_modulus(self):
         d = build_simo_dictionary(AngleGrid(64), SystemConfig.simo(8))

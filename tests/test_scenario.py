@@ -8,7 +8,6 @@ from chansbgm.dictionary import (
     DelayDopplerGrid,
     SystemConfig,
     build_ofdm_dictionary,
-    steering_vector_ula,
     ula_matrix,
     vectorize_channel,
 )
@@ -113,14 +112,16 @@ class TestGaussLegendreNodes:
 
 class TestLaplacianCovariance:
     def test_hermitian_and_psd(self):
-        cov = laplacian_local_covariance(0.3, math.radians(2.0), 16)
+        cov = laplacian_local_covariance(np.array([0.3]), math.radians(2.0), 16)[0]
         np.testing.assert_allclose(cov, cov.conj().T, atol=1e-12)
         eigvals = np.linalg.eigvalsh(cov)
         assert eigvals.min() >= -1e-10
 
     def test_trace_matches_density_mass(self):
         n = 16
-        cov = laplacian_local_covariance(0.2, math.radians(2.0), n, quadrature_points=2048)
+        cov = laplacian_local_covariance(
+            np.array([0.2]), math.radians(2.0), n, quadrature_points=2048
+        )[0]
         # every diagonal entry integrates the bare density, and the mass
         # inside the ten-sigma window is 1 - exp(-10 sqrt(2))
         mass = 1.0 - math.exp(-10.0 * math.sqrt(2.0))
@@ -128,22 +129,23 @@ class TestLaplacianCovariance:
 
     def test_narrow_density_approaches_rank_one(self):
         center, n = -0.4, 8
-        cov = laplacian_local_covariance(center, 1e-9, n)
-        steer = steering_vector_ula(center, n)
+        cov = laplacian_local_covariance(np.array([center]), 1e-9, n)[0]
+        steer = ula_matrix(np.array([center]), n)[:, 0]
         normalized = cov * (n / np.trace(cov).real)
         np.testing.assert_allclose(normalized, np.outer(steer, steer.conj()), atol=1e-8)
 
     def test_diagonal_entries_equal(self):
-        cov = laplacian_local_covariance(0.0, math.radians(2.0), 16)
+        cov = laplacian_local_covariance(np.array([0.0]), math.radians(2.0), 16)[0]
         diag = np.diag(cov).real
         np.testing.assert_allclose(diag, diag[0], rtol=1e-12)
 
     def test_stack_rows_equal_scalar_calls(self):
+        # each row of a stack is the block of its one center
         centers = np.random.default_rng(0).uniform(-1.3, 1.3, 9)
         stack = laplacian_local_covariance(centers, STD, 16, quadrature_points=256)
         assert stack.shape == (9, 16, 16)
         for center, cov in zip(centers, stack):
-            single = laplacian_local_covariance(center, STD, 16, quadrature_points=256)
+            single = laplacian_local_covariance(np.array([center]), STD, 16, 256)[0]
             assert np.array_equal(cov, single)
 
     @pytest.mark.parametrize("n", [4, 16, 64])
@@ -161,9 +163,16 @@ class TestLaplacianCovariance:
             assert np.array_equal(cov, cov.conj().T)
             assert np.array_equal(cov[1:, 1:], cov[:-1, :-1])
 
+    @pytest.mark.parametrize("centers", [0.3, np.zeros((2, 1))], ids=["scalar", "2-D"])
+    def test_centers_must_be_a_1d_array(self, centers):
+        with pytest.raises(InvalidArgumentError, match="centers must be a 1-D array"):
+            laplacian_local_covariance(centers, STD, 4)
+
     def test_quadrature_refinement_converges(self):
-        coarse = laplacian_local_covariance(0.1, math.radians(2.0), 12, quadrature_points=2048)
-        fine = laplacian_local_covariance(0.1, math.radians(2.0), 12, quadrature_points=4096)
+        coarse, fine = (
+            laplacian_local_covariance(np.array([0.1]), math.radians(2.0), 12, quadrature_points=q)
+            for q in (2048, 4096)
+        )
         assert np.linalg.norm(coarse - fine) < 1e-8
 
 
@@ -175,7 +184,7 @@ def _repeated_draws(cov, n, rng):
 class TestSimoChannelDraws:
     def test_zero_covariance_gives_zero_vector(self):
         rng = np.random.default_rng(0)
-        h = draw_simo_channel(np.zeros((4, 4)), rng)
+        h = draw_simo_channel(np.zeros((1, 4, 4)), rng)
         np.testing.assert_array_equal(h, 0.0)
 
     def test_identity_covariance_unit_energy(self):
@@ -186,7 +195,7 @@ class TestSimoChannelDraws:
 
     def test_rank_one_covariance_draws_proportional(self):
         rng = np.random.default_rng(2)
-        a = steering_vector_ula(0.5, 6)
+        a = ula_matrix(np.array([0.5]), 6)[:, 0]
         cov = np.outer(a, a.conj())
         draws = _repeated_draws(cov, 32, rng)
         # remove the component along a; the residual is jitter-level only
@@ -196,7 +205,7 @@ class TestSimoChannelDraws:
 
     def test_circular_symmetry(self):
         rng = np.random.default_rng(3)
-        cov = laplacian_local_covariance(0.2, math.radians(2.0), 4)
+        cov = laplacian_local_covariance(np.array([0.2]), math.radians(2.0), 4)[0]
         draws = _repeated_draws(cov, 100_000, rng)
         re_var = np.var(draws.real, axis=0)
         im_var = np.var(draws.imag, axis=0)
@@ -206,7 +215,7 @@ class TestSimoChannelDraws:
 
     def test_empirical_covariance_matches(self):
         rng = np.random.default_rng(4)
-        cov = laplacian_local_covariance(-0.3, math.radians(2.0), 4)
+        cov = laplacian_local_covariance(np.array([-0.3]), math.radians(2.0), 4)[0]
         draws = _repeated_draws(cov, 100_000, rng)
         emp = draws.T.conj() @ draws / len(draws)
         tol = 6 * np.abs(np.diag(cov)).max() / math.sqrt(len(draws))
@@ -222,13 +231,13 @@ class TestSimoChannelDraws:
         covs = self._stack()
         stacked_rng, single_rng = np.random.default_rng(5), np.random.default_rng(5)
         stacked = draw_simo_channel(covs, stacked_rng)
-        singles = np.stack([draw_simo_channel(cov, single_rng) for cov in covs])
+        singles = np.stack([draw_simo_channel(cov[None], single_rng)[0] for cov in covs])
         assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
         assert stacked.shape == (4, 16)
         np.testing.assert_allclose(stacked, singles, rtol=0, atol=1e-14 * np.abs(singles).max())
 
     def test_every_draw_uses_the_jittered_factor(self):
-        a = steering_vector_ula(0.5, 4)
+        a = ula_matrix(np.array([0.5]), 4)[:, 0]
         covs = np.stack([self._stack(4)[0], np.outer(a, a.conj())])  # definite, singular
         draws = draw_simo_channel(covs, np.random.default_rng(7))
         z = complex_standard_normal(np.random.default_rng(7), (2, 4))
@@ -242,10 +251,17 @@ class TestSimoChannelDraws:
         # a 2-degree covariance on 16 antennas is singular to round-off; raising
         # its real parts by one ulp moves the jittered factor by about 5e-6,
         # while switching between a plain and a jittered factor moves it by 2e-2
-        cov = laplacian_local_covariance(center, math.radians(2.0), 16)
+        cov = laplacian_local_covariance(np.array([center]), math.radians(2.0), 16)
         nudged = cov.real * (1 + 2.0**-52) + 1j * cov.imag
         first, second = (draw_simo_channel(c, np.random.default_rng(11)) for c in (cov, nudged))
         assert np.abs(first - second).max() < 1e-4
+
+    @pytest.mark.parametrize(
+        "covs", [np.eye(4), np.zeros((2, 4, 3))], ids=["one-matrix", "non-square"]
+    )
+    def test_covariances_must_be_a_stack(self, covs):
+        with pytest.raises(InvalidArgumentError, match=r"covs must be an \(n, N, N\) stack"):
+            draw_simo_channel(covs, np.random.default_rng(8))
 
     def test_indefinite_covariance_in_stack_raises(self):
         covs = self._stack(4)
@@ -260,7 +276,7 @@ class TestSimoChannelDraws:
         covs[1] = 0.0
         stacked_rng, single_rng = np.random.default_rng(9), np.random.default_rng(9)
         stacked = draw_simo_channel(covs, stacked_rng)
-        singles = np.stack([draw_simo_channel(cov, single_rng) for cov in covs])
+        singles = np.stack([draw_simo_channel(cov[None], single_rng)[0] for cov in covs])
         assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
         np.testing.assert_array_equal(stacked[1], 0.0)
         np.testing.assert_allclose(stacked, singles, rtol=0, atol=1e-14 * np.abs(singles).max())
@@ -281,7 +297,7 @@ class TestSimoDatasets:
             rng = np.random.default_rng(10)
             angles = sample_angle(profile, rng, size=n_samples)
             expected = np.stack([
-                draw_simo_channel(laplacian_local_covariance(angle, STD, 8, q), rng)
+                draw_simo_channel(laplacian_local_covariance(np.array([angle]), STD, 8, q), rng)[0]
                 for angle in angles
             ])
             assert np.array_equal(channels, expected), (n_samples, q)
