@@ -63,7 +63,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     config = check_synth_config(read_json(args.config))
     with output_directory(args.out, DATASET_DOCUMENT, reads=[args.config]) as out_dir:
-        save_dataset(out_dir, *synthesize(config, args.seed))
+        save_dataset(out_dir, *synthesize(config, args.seed, out_dir))
     print(f"synth: wrote {config['n_train']} samples to {Path(args.out)}")
     return EXIT_OK
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .container import ArrayReader, read_array, read_json, write_array, write_json
+from .container import ArrayReader, ArrayWriter, read_array, read_json, write_array, write_json
 from .dictionary import (
     AngleGrid,
     DelayDopplerGrid,
@@ -23,7 +24,6 @@ from .dictionary import (
     SystemConfig,
     grid_to_json,
     load_dictionary,
-    vectorize_channel,
 )
 from .errors import InvalidArgumentError
 from .scenario import (
@@ -32,15 +32,19 @@ from .scenario import (
     AngleProfile,
     ObservationSet,
     OfdmScenario,
-    draw_ofdm_channel,
     make_observations,
-    normalize_dataset,
+    normalization_scale,
+    ofdm_channels,
     random_pilots,
+    row_energies,
     simo_channels,
 )
-from .utils import check_document, check_tagged_document
+from .utils import check_document, check_tagged_document, row_blocks
 
 DATASET_DOCUMENT = "scenario.json"
+_CHANNELS_ROLE = "ground-truth-channels"
+# the stem of the unscaled channels while a dataset is drawn
+_DRAWN_CHANNELS = "drawn-channels"
 # |SNR| in dB: with 10**(SNR/10) within 1e±30 the noise variances stay finite and positive
 _SNR_BOUND_DB = 300.0
 # the coarsest spacing of angles in [-pi/2, pi/2), where SIMO path centers lie
@@ -161,12 +165,45 @@ def _synth_grid(config: dict) -> AngleGrid | DelayDopplerGrid:
     )
 
 
-def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dict]:
-    """Simulate the dataset of a checked synth config.
+def _channel_blocks(
+    config: dict, system: SystemConfig, grid: AngleGrid | DelayDopplerGrid, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """The row blocks of a checked synth config's channels, drawn from
+    ``rng`` as they are asked for; its fields are checked now."""
+    n_train, n = config["n_train"], system.channel_dim
+    if config["scenario"] == "ofdm":
+        if not 1 <= config["n_pilots"] <= n:
+            raise InvalidArgumentError(f"n_pilots {config['n_pilots']} must lie in [1, {n}]")
+        return ofdm_channels(OfdmScenario(system, grid, **config.get("paths", {})), n_train, rng)
+    profile = _angle_profile(config.get("angle_profile"))
+    spread = config.get("laplacian_std_deg", 2.0)
+    quad = config.get("quadrature_points", QUADRATURE_POINTS)
+    std = math.radians(spread)
+    # the +-10 std window must span one ulp of pi/2 per node, or the
+    # nodes collapse onto a few angles and the covariance loses its trace
+    if 20.0 * std < quad * _NODE_ULP:
+        bound = math.degrees(quad * _NODE_ULP / 20.0)
+        raise InvalidArgumentError(
+            f"laplacian_std_deg {spread} must be at least {bound:.3g} at {quad} "
+            "quadrature points"
+        )
+    return simo_channels(profile, std, n, n_train, rng, quad)
 
-    Returns the (n, N) ground-truth channels, their observations and the
-    dataset's ``scenario.json`` document. SIMO observes every antenna; OFDM
-    draws ``n_pilots`` pilots after the channels, from the same generator.
+
+def synthesize(config: dict, seed: int, directory: str | Path) -> tuple[ObservationSet, dict]:
+    """Simulate the dataset of a checked synth config into ``directory``,
+    which must exist; returns its observations and ``scenario.json``
+    document, which :func:`save_dataset` writes beside the channels.
+
+    The ground-truth channels are drawn a row block at a time
+    (:func:`~chansbgm.scenario.simo_channels`,
+    :func:`~chansbgm.scenario.ofdm_channels`) and appended to a drawn
+    payload; only each channel's squared norm is kept. SIMO observes every
+    antenna; OFDM draws ``n_pilots`` pilots after the channels, from the
+    same generator. One pass over the drawn rows then scales them by the
+    normalization scale into ``channels`` and gathers the entries at the
+    pilots, which are observed. The drawn payload is removed, so no more
+    than one block of channels is held at a time.
     """
     system, grid = SystemConfig.from_json(config["system"]), _synth_grid(config)
     # ranges checked before any draw, so that the message names the config field
@@ -174,35 +211,33 @@ def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dic
     if not all(-bound <= v <= bound for v in snr):
         raise InvalidArgumentError(f"snr_range_db {snr} must lie in [{-bound}, {bound}]")
     rng = np.random.default_rng(seed)
-    n_train = config["n_train"]
+    blocks = _channel_blocks(config, system, grid, rng)
+    directory, n_train, n = Path(directory), config["n_train"], system.channel_dim
+    energies = []
+    with ArrayWriter(directory / _DRAWN_CHANNELS, _CHANNELS_ROLE) as writer:
+        for block in blocks:
+            energies.append(row_energies(block))
+            writer.append(block)
+            del block  # freed before the next block is drawn
     if config["scenario"] == "simo":
-        profile = _angle_profile(config.get("angle_profile"))
-        spread = config.get("laplacian_std_deg", 2.0)
-        quad = config.get("quadrature_points", QUADRATURE_POINTS)
-        std = math.radians(spread)
-        # the +-10 std window must span one ulp of pi/2 per node, or the
-        # nodes collapse onto a few angles and the covariance loses its trace
-        if 20.0 * std < quad * _NODE_ULP:
-            bound = math.degrees(quad * _NODE_ULP / 20.0)
-            raise InvalidArgumentError(
-                f"laplacian_std_deg {spread} must be at least {bound:.3g} at {quad} "
-                "quadrature points"
-            )
-        channels = simo_channels(profile, std, system.n_antennas, n_train, rng, quad)
-        pilots = np.arange(system.n_antennas)
+        pilots = np.arange(n)
     else:
-        m, n = config["n_pilots"], system.channel_dim
-        if not 1 <= m <= n:
-            raise InvalidArgumentError(f"n_pilots {m} must lie in [1, {n}]")
-        scenario = OfdmScenario(system, grid, **config.get("paths", {}))
-        channels = np.empty((n_train, system.channel_dim), dtype=complex)
-        for row in channels:
-            row[:] = vectorize_channel(draw_ofdm_channel(scenario, rng))
-        pilots = random_pilots(m, n, rng)
-    scale = 1.0
+        pilots = random_pilots(config["n_pilots"], n, rng)
+    scale = 1.0  # x * 1.0 is x, so an unnormalized pass copies the drawn bytes
     if config.get("normalize", config["scenario"] == "ofdm"):  # OFDM by default, SIMO on request
-        channels, scale = normalize_dataset(channels)  # in place
-    obs = make_observations(channels, pilots, tuple(config["snr_range_db"]), rng)
+        scale = normalization_scale(np.concatenate(energies), n)
+    drawn = ArrayReader(directory / _DRAWN_CHANNELS)
+    compressed = np.empty((n_train, len(pilots)), dtype=complex)
+    with ArrayWriter(directory / "channels", _CHANNELS_ROLE) as writer:
+        for rows in row_blocks(n_train, n):
+            block = drawn[rows]
+            block *= scale
+            writer.append(block)
+            compressed[rows] = block[:, pilots]
+            del block  # freed before the next block is read
+    for suffix in (".bin", ".json"):
+        (directory / _DRAWN_CHANNELS).with_suffix(suffix).unlink()
+    obs = make_observations(compressed, pilots, tuple(config["snr_range_db"]), rng)
     document = {
         "kind": "dataset",
         "config": config,
@@ -212,19 +247,19 @@ def synthesize(config: dict, seed: int) -> tuple[np.ndarray, ObservationSet, dic
         "system": system.to_json(),
         "n_train": n_train,
     }
-    return channels, obs, document
+    return obs, document
 
 
-def save_dataset(
-    directory: str | Path, channels: np.ndarray, obs: ObservationSet, document: dict
-) -> None:
-    """Write a dataset into ``directory``, which must exist."""
+def save_dataset(directory: str | Path, obs: ObservationSet, document: dict) -> None:
+    """Write a dataset's observations, its selection matrix and its
+    ``scenario.json`` ``document`` into ``directory``, beside the channels
+    that :func:`synthesize` drew there."""
     directory = Path(directory)
-    write_array(directory / "channels", channels, role="ground-truth-channels")
     write_array(directory / "observations", obs.samples, role="observations")
     write_array(directory / "noise_vars", obs.noise_vars, role="noise-variances")
     write_array(directory / "snr_db", obs.snr_db, role="per-sample-snr-db")
-    selection = np.eye(channels.shape[1])[obs.pilots]
+    selection = np.zeros((len(obs.pilots), SystemConfig.from_json(document["system"]).channel_dim))
+    selection[np.arange(len(obs.pilots)), obs.pilots] = 1.0
     write_array(directory / "selection", selection, role="selection-matrix")
     write_json(directory / DATASET_DOCUMENT, document)
 

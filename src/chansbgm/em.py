@@ -218,11 +218,12 @@ class EmTrace:
 
 class _Components:
     """The K components' factorizations W diag(gamma_k) W^H = U_k diag(lam_k)
-    U_k^H, stacked: ``uh`` holds U_k^H (K, M, M), ``lam`` (K, M), and ``g``
-    G_k = W^H U_k (K, S, M); every block of samples shares them."""
+    U_k^H, stacked: ``uh`` holds U_k^H (K, M, M) and ``lam`` (K, M); every
+    block of samples shares them. G_k = W^H U_k (S, M) is formed where it
+    is used, one component at a time (:meth:`gs`)."""
 
     def __init__(self, gammas: np.ndarray, w: np.ndarray):
-        self.gamma = gammas
+        self.gamma, self.w = gammas, w
         self.uh = np.empty((len(gammas), w.shape[0], w.shape[0]), complex)
         self.lam = np.zeros((len(gammas), w.shape[0]))
         for gamma, uh, lam in zip(gammas, self.uh, self.lam):
@@ -231,7 +232,13 @@ class _Components:
             r = np.linalg.qr((w * np.sqrt(gamma)[None, :]).conj().T, mode="r")
             _, sv, uh[...] = np.linalg.svd(r)
             lam[: len(sv)] = sv**2
-        self.g = w.conj().T @ self.uh.conj().transpose(0, 2, 1)
+
+    def gs(self) -> Iterator[np.ndarray]:
+        """G_k = W^H U_k (S, M) for each component in turn, each the slice
+        that the stacked product would give."""
+        wh = self.w.conj().T
+        for uh in self.uh:
+            yield wh @ uh.conj().T
 
 
 class _Block:
@@ -240,7 +247,7 @@ class _Block:
     and ``log_marginals``, log CN(y_i; 0, C_ik) (K, rows)."""
 
     def __init__(self, components: _Components, samples: np.ndarray, sigma2s: np.ndarray):
-        self.gamma, self.g = components.gamma, components.g
+        self.components = components
         self.yt = samples @ components.uh.transpose(0, 2, 1)
         self.denom = components.lam[:, None, :] + sigma2s[None, :, None]
         t = np.abs(self.yt)
@@ -256,7 +263,8 @@ class _Block:
         return np.stack([
             np.abs((yt / denom) @ g.T * gamma) ** 2  # |mu|^2
             + np.clip(gamma - gamma**2 * ((1.0 / denom) @ (np.abs(g) ** 2).T), 0.0, gamma)
-            for gamma, g, yt, denom in zip(self.gamma, self.g, self.yt, self.denom)
+            for gamma, g, yt, denom in zip(self.components.gamma, self.components.gs(),
+                                           self.yt, self.denom)
         ])
 
     def moment_sums(self, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -403,10 +411,12 @@ def _scored(
         one = _Block(components, samples[i : i + 1], sigma2s[i : i + 1])
         one_q, one_v = one.moment_sums(np.ones((1, len(totals))))
         totals[k], r[k], q[k], v[k] = 1.0, 1.0, one_q[k], one_v[k]
-    # one component at a time: the (S, M) temporaries stay small
-    a = gamma**2 * np.stack([np.sum((g @ qk) * g.conj(), axis=1).real
-                             for g, qk in zip(components.g, q)])
-    b = np.stack([(np.abs(g) ** 2) @ vk for g, vk in zip(components.g, v)])
+    # one component at a time: G_k and the (S, M) temporaries stay small
+    a, b = np.empty_like(gamma), np.empty_like(gamma)
+    for g, qk, vk, ak, bk in zip(components.gs(), q, v, a, b):
+        ak[:] = np.sum((g @ qk) * g.conj(), axis=1).real
+        bk[:] = (np.abs(g) ** 2) @ vk
+    a = gamma**2 * a
     r = r[:, None]
     return float(loglik), (totals, a + np.clip(r * gamma - gamma**2 * b, 0.0, r * gamma), a, b)
 

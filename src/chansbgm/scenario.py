@@ -27,10 +27,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .dictionary import DelayDopplerGrid, SystemConfig, check_pilots, delay_matrix, doppler_matrix
+from .dictionary import (
+    DelayDopplerGrid,
+    SystemConfig,
+    check_pilots,
+    delay_matrix,
+    doppler_matrix,
+    vectorize_channel,
+)
 from .errors import InvalidArgumentError, NumericError
 from .utils import complex_standard_normal, row_blocks
 
@@ -322,25 +330,23 @@ def simo_channels(
     n_samples: int,
     rng: np.random.Generator,
     quadrature_points: int = QUADRATURE_POINTS,
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """Draw ``n_samples`` path angles from ``profile``, then one channel per
-    angle from the Laplacian local covariance around it; shape
-    (n, n_antennas).
+    angle from the Laplacian local covariance around it; yields the
+    channels a row block (:func:`~chansbgm.utils.row_blocks`, one
+    quadrature node per element) at a time, (rows, n_antennas) each.
 
-    Samples go a row block (:func:`~chansbgm.utils.row_blocks`, one
-    quadrature node per element) at a time: the block's covariance stack
-    (:func:`laplacian_local_covariance`) is drawn from
+    The angles are drawn when the first block is asked for. Each block's
+    covariance stack (:func:`laplacian_local_covariance`) is drawn from
     (:func:`draw_simo_channel`) before the next block is computed, so only
     one block's (rows, quadrature_points) arrays are held. Both are looked
     up in this module when called, so the benchmark's tracer, which wraps
     them by name, times them.
     """
     angles = sample_angle(profile, rng, size=n_samples)
-    channels = np.empty((n_samples, n_antennas), dtype=complex)
     for rows in row_blocks(n_samples, quadrature_points):
         covs = laplacian_local_covariance(angles[rows], std_dev, n_antennas, quadrature_points)
-        channels[rows] = draw_simo_channel(covs, rng)
-    return channels
+        yield draw_simo_channel(covs, rng)
 
 
 @dataclass(frozen=True)
@@ -412,6 +418,23 @@ def draw_ofdm_channel(scenario: OfdmScenario, rng: np.random.Generator) -> np.nd
     amplitudes = np.exp(-0.5 * delays * scenario.gain_decay_rate)
     gains = amplitudes * np.exp(1j * phases)
     return evaluate_ofdm_channel(scenario.config, gains, dopplers, delays)
+
+
+def ofdm_channels(
+    scenario: OfdmScenario, n_samples: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Draw ``n_samples`` channels of ``scenario`` (:func:`draw_ofdm_channel`,
+    looked up when called, as in :func:`simo_channels`), each vectorized
+    (:func:`~chansbgm.dictionary.vectorize_channel`); yields them a row
+    block (:func:`~chansbgm.utils.row_blocks`) at a time, (rows, channel_dim)
+    each, drawn row by row in sample order."""
+    dim = scenario.config.channel_dim
+    for rows in row_blocks(n_samples, dim):
+        block = np.empty((rows.stop - rows.start, dim), dtype=complex)
+        for i in range(len(block)):
+            block[i] = vectorize_channel(draw_ofdm_channel(scenario, rng))
+        yield block
+        del block  # not held while the next block is drawn
 
 
 def simo_ground_truth(
@@ -501,57 +524,56 @@ class ObservationSet:
         return len(self.samples)
 
 
+def row_energies(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a 2-D array, squared in place: the
+    bytes of ``np.sum(np.abs(rows) ** 2, axis=1)``."""
+    power = np.abs(rows)
+    power *= power
+    return np.sum(power, axis=1)
+
+
 def make_observations(
-    channels: np.ndarray,
+    compressed: np.ndarray,
     pilots: np.ndarray,
     snr_range_db: tuple[float, float],
     rng: np.random.Generator,
 ) -> ObservationSet:
-    """Keep the channel entries at ``pilots`` and add per-sample noise.
+    """Add per-sample noise to ``compressed``, the (n, M) channel entries
+    at ``pilots`` (row i is A h_i, ``h_i[pilots]``).
 
     The per-sample noise variance is
     signal_energy / (M * 10^(SNR_i/10)) with SNR_i uniform on the given
-    dB range and signal_energy the dataset mean of ||A h||^2, A h being
-    the entries at the M pilots.
+    dB range and signal_energy the dataset mean of ||A h||^2. The noise
+    is scaled in place and the entries are added into it.
     """
-    channels = np.asarray(channels, dtype=complex)
-    if channels.ndim != 2 or len(channels) == 0:
-        raise InvalidArgumentError("channels must be a nonempty (n, N) array")
+    # C order, whatever the caller's layout: the row sums below then round
+    # as over the rows of a matrix product
+    compressed = np.ascontiguousarray(compressed, dtype=complex)
+    if compressed.ndim != 2 or len(compressed) == 0:
+        raise InvalidArgumentError("compressed channels must be a nonempty (n, M) array")
     lo, hi = snr_range_db
     if lo > hi:
         raise InvalidArgumentError("snr_range_db must satisfy lo <= hi")
-    pilots = check_pilots(pilots, channels.shape[1])
-    # take keeps the rows contiguous (channels[:, pilots] is column-major),
-    # so the row sums below round as over the rows of a matrix product
-    compressed = channels.take(pilots, axis=1)
-    signal_energy = float(np.mean(np.sum(np.abs(compressed) ** 2, axis=1)))
+    pilots = check_pilots(pilots)
+    if compressed.shape[1] != len(pilots):
+        raise InvalidArgumentError("compressed channels need one column per pilot")
+    signal_energy = float(np.mean(row_energies(compressed)))
     if signal_energy <= 0:
         raise InvalidArgumentError("channel set carries no energy at the pilots")
     m = len(pilots)
-    snr_db = rng.uniform(lo, hi, size=len(channels))
+    snr_db = rng.uniform(lo, hi, size=len(compressed))
     noise_vars = signal_energy / (m * 10.0 ** (0.1 * snr_db))
-    noise = complex_standard_normal(rng, (len(channels), m)) * np.sqrt(noise_vars)[:, None]
-    return ObservationSet(
-        samples=compressed + noise,
-        noise_vars=noise_vars,
-        pilots=pilots,
-        snr_db=snr_db,
-    )
+    samples = complex_standard_normal(rng, (len(compressed), m))
+    samples *= np.sqrt(noise_vars)[:, None]
+    samples += compressed
+    return ObservationSet(samples=samples, noise_vars=noise_vars, pilots=pilots, snr_db=snr_db)
 
 
-def normalize_dataset(channels: np.ndarray) -> tuple[np.ndarray, float]:
-    """Scale channels so the mean squared norm equals the channel dimension.
-
-    Returns the scaled channels and the applied scale factor. A complex128
-    array is scaled in place and returned; any other input is first
-    converted to a new complex128 array.
-    """
-    channels = np.asarray(channels, dtype=complex)
-    if channels.ndim != 2 or len(channels) == 0:
-        raise InvalidArgumentError("channels must be a nonempty (n, N) array")
-    mean_energy = float(np.mean(np.sum(np.abs(channels) ** 2, axis=1)))
+def normalization_scale(energies: np.ndarray, n_entries: int) -> float:
+    """The factor that scales channels of squared norms ``energies`` (one
+    per channel, see :func:`row_energies`) to a mean squared norm of
+    ``n_entries``, the channel dimension."""
+    mean_energy = float(np.mean(energies))
     if mean_energy == 0.0:
         raise InvalidArgumentError("cannot normalize an all-zero dataset")
-    scale = math.sqrt(channels.shape[1] / mean_energy)
-    channels *= scale
-    return channels, scale
+    return math.sqrt(n_entries / mean_energy)

@@ -292,6 +292,68 @@ class TestSynth:
         assert energy == pytest.approx(24.0, abs=1e-9)  # 6 x 4 resource elements
 
 
+class TestStreamedSynth:
+    """synth draws, scales and gathers its channels a row block at a time:
+    the bytes do not depend on the block size, and a failed synth leaves
+    --out as it was."""
+
+    STEMS = ("channels", "observations", "noise_vars", "snr_db", "selection")
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(small_simo_config(), n_train=150),
+            dict(small_simo_config(), n_train=129, normalize=True),
+            dict(small_ofdm_config(), n_train=150),
+            dict(small_ofdm_config(), n_train=129,
+                 paths={"max_paths": 2, "doppler_range_hz": [-100.0, 100.0]}),
+        ],
+        ids=["simo", "simo-normalized", "ofdm", "ofdm-paths"],
+    )
+    def test_bytes_independent_of_block_size(self, tmp_path, monkeypatch, config):
+        import chansbgm.utils as utils_module
+
+        path = write_config(tmp_path, config)
+        whole, blocked = tmp_path / "whole", tmp_path / "blocked"
+        assert main(["synth", "--config", path, "--seed", "8", "--out", str(whole)]) == EXIT_OK
+        monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1)
+        # 64-row blocks at any row size: three of 150 rows, two of 129 (the
+        # lone last row joins the block before it)
+        assert len(utils_module.row_blocks(config["n_train"], 24)) == {150: 3, 129: 2}[
+            config["n_train"]]
+        assert main(["synth", "--config", path, "--seed", "8", "--out", str(blocked)]) == EXIT_OK
+        written = dir_bytes(blocked)
+        assert written == dir_bytes(whole)
+        # the drawn payload is gone: scenario.json and the five payload pairs stay
+        assert sorted(written) == sorted(
+            ["scenario.json", *(f"{stem}.{ext}" for stem in self.STEMS for ext in ("bin", "json"))]
+        )
+
+    @pytest.mark.parametrize(
+        "normalize, message",
+        [(True, "cannot normalize an all-zero dataset"),
+         (False, "channel set carries no energy at the pilots")],
+        ids=["at-the-scale", "at-the-observations"],
+    )
+    def test_failed_synth_leaves_out_as_it_was(self, tmp_path, capsys, normalize, message):
+        # gains of exp(-500) and below square to zero, so the channels carry
+        # no energy: a normalized synth fails after drawing every block, an
+        # unnormalized one after writing every scaled block too
+        out = tmp_path / "data"
+        path = write_config(tmp_path, small_ofdm_config())
+        assert main(["synth", "--config", path, "--seed", "1", "--out", str(out)]) == EXIT_OK
+        before = dir_bytes(out)
+        config = dict(small_ofdm_config(), normalize=normalize,
+                      paths={"delay_range_s": [1e-6, 2e-6], "gain_decay_rate": 1e9})
+        path = write_config(tmp_path, config, "silent.json")
+        capsys.readouterr()
+        assert main(["synth", "--config", path, "--seed", "2", "--out", str(out)]) == (
+            EXIT_BAD_CONFIG)
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert dir_bytes(out) == before
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+
 class TestFit:
     def test_fit_writes_model_and_trace(self, simo_dataset, tmp_path):
         out = tmp_path / "model"

@@ -1,10 +1,13 @@
-"""A dataset written by ``save_dataset`` reads back bit for bit."""
+"""A dataset written by ``synthesize`` and ``save_dataset`` reads back bit for bit."""
 
+import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from chansbgm.container import read_array
 from chansbgm.dataset import (
     _PATHS_FIELDS,
     check_synth_config,
@@ -20,7 +23,6 @@ from chansbgm.scenario import (
     OfdmScenario,
     draw_ofdm_channel,
     make_observations,
-    normalize_dataset,
     random_pilots,
 )
 
@@ -45,8 +47,8 @@ OFDM = dict(
 
 @pytest.mark.parametrize("config", [SIMO, OFDM], ids=["simo", "ofdm"])
 def test_save_then_load_round_trips(tmp_path, config):
-    channels, obs, document = synthesize(check_synth_config(dict(config)), seed=3)
-    save_dataset(tmp_path, channels, obs, document)
+    obs, document = synthesize(check_synth_config(dict(config)), 3, tmp_path)
+    save_dataset(tmp_path, obs, document)
     loaded, dictionary, meta = load_dataset(tmp_path)
     for name in ("samples", "noise_vars", "pilots", "snr_db"):
         written, read = getattr(obs, name), getattr(loaded, name)
@@ -57,29 +59,62 @@ def test_save_then_load_round_trips(tmp_path, config):
     assert grid_to_json(dictionary.grid) == document["grid"]
     assert dictionary.config.to_json() == document["system"]
     reader, opened = open_channels(tmp_path)
-    assert reader[:].tobytes() == channels.tobytes()
+    assert reader.shape == (config["n_train"], dictionary.config.channel_dim)
     assert opened == document
 
 
-def test_ofdm_synthesis_equals_stacking_and_scaling_a_copy():
-    # the rows are drawn into one array and scaled in place; the reference
-    # stacks a list of rows and scales a copy
+def test_ofdm_synthesis_equals_stacking_and_scaling_a_copy(tmp_path):
+    # the rows are drawn, written, read back and scaled a row block at a
+    # time; the reference stacks a list of rows and scales a copy by the
+    # mean squared norm of the whole array
     config = check_synth_config(dict(OFDM, n_train=200))
-    channels, obs, document = synthesize(config, seed=4)
+    obs, document = synthesize(config, 4, tmp_path)
+    channels, _ = read_array(tmp_path / "channels")
     system = SystemConfig.from_json(config["system"])
     rng = np.random.default_rng(4)
     grid = DelayDopplerGrid(config["doppler_size"], config["delay_size"],
                             config["doppler_bound_hz"], config["delay_bound_s"])
     scenario = OfdmScenario(system, grid)
     stacked = np.stack([vectorize_channel(draw_ofdm_channel(scenario, rng)) for _ in range(200)])
-    _, scale = normalize_dataset(stacked.copy())
+    scale = math.sqrt(system.channel_dim / float(np.mean(np.sum(np.abs(stacked) ** 2, axis=1))))
     expected = stacked * scale
     pilots = random_pilots(config["n_pilots"], system.channel_dim, rng)
-    samples = make_observations(expected, pilots, (5.0, 20.0), rng).samples
+    samples = make_observations(expected.take(pilots, axis=1), pilots, (5.0, 20.0), rng).samples
     assert document["normalization_scale"] == scale
     assert (channels.dtype, channels.shape) == (expected.dtype, expected.shape)
     assert channels.tobytes() == expected.tobytes()
     assert obs.samples.tobytes() == samples.tobytes()
+
+
+def _ofdm_synth_peak(directory, n_train):
+    """The tracemalloc peak of synthesizing and saving the default OFDM
+    config (N = 336 entries, M = 30 pilots) at ``n_train`` samples."""
+    config = check_synth_config(dict(default_ofdm_synth_config(), n_train=n_train))
+    directory.mkdir()
+    tracemalloc.start()
+    try:
+        save_dataset(directory, *synthesize(config, 5, directory))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ofdm_synth_holds_one_block_and_the_observations(tmp_path, monkeypatch):
+    # at 64-row blocks (344 kB) a few hundred samples span many blocks; the
+    # channels of all samples would take 16 n N bytes (2.7 and 8.1 MB), and
+    # synth holds one block of them and a few (n, M) and (n,) arrays: peaks
+    # near 0.7 and 1.7 MB
+    import chansbgm.utils as utils_module
+
+    monkeypatch.setattr(utils_module, "BLOCK_ELEMENTS", 1 << 14)
+    assert utils_module.row_blocks(500, 336)[0] == slice(0, 64)
+    _ofdm_synth_peak(tmp_path / "warm-up", 1)  # first-call allocations are not the stage's
+    small, large = 500, 1500
+    peaks = [_ofdm_synth_peak(tmp_path / str(n), n) for n in (small, large)]
+    for n, peak in zip((small, large), peaks):
+        assert peak < 0.4 * 16 * n * 336, (n, peak)
+    # the observations, the entries at the pilots and a few per-sample vectors
+    assert peaks[1] - peaks[0] < (large - small) * (3 * 16 * 30 + 8 * 8)
 
 
 def test_every_paths_field_sets_an_ofdm_scenario_argument():

@@ -676,7 +676,7 @@ class TestEStepArrays:
 
 
 @pytest.fixture(scope="module")
-def street_canyon_500():
+def street_canyon_500(tmp_path_factory):
     """A 500-sample street-canyon dataset at 16 antennas on a 128-point grid,
     its dictionary, and the K=4 fit of 60 iterations that the tests transform."""
     config = check_synth_config({
@@ -684,7 +684,7 @@ def street_canyon_500():
         "system": {"variant": "simo", "n_antennas": 16}, "grid_size": 128,
         "laplacian_std_deg": 2.0, "quadrature_points": 2048,
     })
-    _, obs, _ = synthesize(config, 100)
+    obs, _ = synthesize(config, 100, tmp_path_factory.mktemp("street_canyon_500"))
     d = build_simo_dictionary(AngleGrid(128), SystemConfig.simo(16))
     return obs, d, fit_60(obs, d)
 
