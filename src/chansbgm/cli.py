@@ -59,11 +59,11 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     from .container import output_directory, read_json
-    from .dataset import DATASET_DOCUMENT, check_synth_config, save_dataset, synthesize
+    from .dataset import DATASET_DOCUMENT, check_synth_config, synthesize
 
     config = check_synth_config(read_json(args.config))
     with output_directory(args.out, DATASET_DOCUMENT, reads=[args.config]) as out_dir:
-        save_dataset(out_dir, *synthesize(config, args.seed, out_dir))
+        synthesize(config, args.seed, out_dir)
     print(f"synth: wrote {config['n_train']} samples to {Path(args.out)}")
     return EXIT_OK
 

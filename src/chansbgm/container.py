@@ -16,8 +16,9 @@ never has to be whole in memory:
   size against it, and is then indexed like the array: ``reader[rows]``
   reads a step-1 slice of rows with ``seek`` and ``np.fromfile`` (plain
   reads: mapped file pages would count toward the process's resident
-  memory). With ``len`` and ``shape`` it is a row source, like an array,
-  for the loops over :func:`~chansbgm.utils.row_blocks`.
+  memory), and ``reader[rows] = block`` overwrites them in place. With
+  ``len`` and ``shape`` it is a row source, like an array, for the loops
+  over :func:`~chansbgm.utils.row_blocks`.
 
 :func:`write_array` and :func:`read_array` are the whole-array forms of the
 same writer and reader; the bytes on disk do not depend on the block size.
@@ -55,7 +56,8 @@ def output_directory(path: str | Path, document: str, reads=()) -> Iterator[Path
     ``path`` must be absent, empty or an earlier output holding ``document``;
     anything else is refused, and so is a ``path`` that holds one of the
     inputs ``reads`` (paths the command reads; None entries are skipped),
-    which replacing it would delete. The block fills a fresh sibling
+    which replacing it would delete, or that lies inside one, which a later
+    command replacing that input would delete. The block fills a fresh sibling
     directory ``.<name>.partial-<pid>``, which replaces ``path`` only on a
     clean exit. On an error it is removed and ``path`` is left as it was.
     """
@@ -67,6 +69,8 @@ def output_directory(path: str | Path, document: str, reads=()) -> Iterator[Path
         read = Path(read).resolve()
         if read == path or path in read.parents:
             raise InvalidArgumentError(f"{read} is an input; replacing {path} would delete it")
+        if read in path.parents:
+            raise InvalidArgumentError(f"{path} lies inside the input {read}")
     staging = path.with_name(f".{path.name}.partial-{os.getpid()}")
     earlier = path.with_name(f".{path.name}.replaced-{os.getpid()}")
     staging.mkdir(parents=True)  # not mkdtemp: its mode 0700 would carry over to outputs
@@ -176,20 +180,35 @@ class ArrayReader:
     def __len__(self) -> int:
         return self.shape[0]
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        """Rows ``rows`` (a step-1 slice) of the array; ``reader[:]`` is all of it."""
+    def _span(self, rows: slice) -> tuple[int, tuple[int, ...]]:
+        """The payload offset and the shape of ``rows``, a step-1 slice."""
         if not isinstance(rows, slice) or rows.step not in (None, 1):
             raise InvalidArgumentError(f"{self.path} is read in row slices of step 1, not {rows!r}")
         start, stop, _ = rows.indices(len(self))
-        n_rows = max(stop - start, 0)
-        count = n_rows * self._row_items
-        with open(self.path, "rb") as payload:
-            payload.seek(start * self._row_items * self.dtype.itemsize)
-            data = np.fromfile(payload, dtype=self.dtype, count=count)
-        if data.size != count:
-            raise InvalidArgumentError(f"payload of {self.path} ended before row {stop}")
-        return data.reshape((n_rows,) + self.shape[1:])
+        offset = start * self._row_items * self.dtype.itemsize
+        return offset, (max(stop - start, 0),) + self.shape[1:]
 
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """Rows ``rows`` (a step-1 slice) of the array; ``reader[:]`` is all of it."""
+        offset, shape = self._span(rows)
+        with open(self.path, "rb") as payload:
+            payload.seek(offset)
+            data = np.fromfile(payload, dtype=self.dtype, count=math.prod(shape))
+        if data.size != math.prod(shape):
+            raise InvalidArgumentError(f"payload of {self.path} ended within rows {rows!r}")
+        return data.reshape(shape)
+
+    def __setitem__(self, rows: slice, block: np.ndarray) -> None:
+        """Write ``block``, of the shape of rows ``rows`` (a step-1 slice)
+        and the payload's dtype, over those rows in place."""
+        offset, shape = self._span(rows)
+        if block.dtype != self.dtype or block.shape != shape:
+            raise InvalidArgumentError(
+                f"{self.path} rows {shape} are {self.dtype}, not {block.dtype} {block.shape}"
+            )
+        with open(self.path, "r+b") as payload:
+            payload.seek(offset)
+            payload.write(np.ascontiguousarray(block).data)
 
 def write_array(stem: str | Path, array: np.ndarray, role: str) -> None:
     """Write ``array`` to ``<stem>.json`` + ``<stem>.bin``.

@@ -42,9 +42,6 @@ from .scenario import (
 from .utils import check_document, check_tagged_document, row_blocks
 
 DATASET_DOCUMENT = "scenario.json"
-_CHANNELS_ROLE = "ground-truth-channels"
-# the stem of the unscaled channels while a dataset is drawn
-_DRAWN_CHANNELS = "drawn-channels"
 # |SNR| in dB: with 10**(SNR/10) within 1e±30 the noise variances stay finite and positive
 _SNR_BOUND_DB = 300.0
 # the coarsest spacing of angles in [-pi/2, pi/2), where SIMO path centers lie
@@ -190,20 +187,18 @@ def _channel_blocks(
     return simo_channels(profile, std, n, n_train, rng, quad)
 
 
-def synthesize(config: dict, seed: int, directory: str | Path) -> tuple[ObservationSet, dict]:
+def synthesize(config: dict, seed: int, directory: str | Path) -> None:
     """Simulate the dataset of a checked synth config into ``directory``,
-    which must exist; returns its observations and ``scenario.json``
-    document, which :func:`save_dataset` writes beside the channels.
+    which must exist.
 
     The ground-truth channels are drawn a row block at a time
     (:func:`~chansbgm.scenario.simo_channels`,
-    :func:`~chansbgm.scenario.ofdm_channels`) and appended to a drawn
-    payload; only each channel's squared norm is kept. SIMO observes every
-    antenna; OFDM draws ``n_pilots`` pilots after the channels, from the
-    same generator. One pass over the drawn rows then scales them by the
-    normalization scale into ``channels`` and gathers the entries at the
-    pilots, which are observed. The drawn payload is removed, so no more
-    than one block of channels is held at a time.
+    :func:`~chansbgm.scenario.ofdm_channels`) and appended to ``channels``;
+    only each channel's squared norm is kept. SIMO observes every antenna;
+    OFDM draws ``n_pilots`` pilots after the channels, from the same
+    generator. One pass over the stored rows then scales them in place by
+    the normalization scale and gathers the entries at the pilots, which
+    are observed, so no more than one block of channels is held at a time.
     """
     system, grid = SystemConfig.from_json(config["system"]), _synth_grid(config)
     # ranges checked before any draw, so that the message names the config field
@@ -214,7 +209,7 @@ def synthesize(config: dict, seed: int, directory: str | Path) -> tuple[Observat
     blocks = _channel_blocks(config, system, grid, rng)
     directory, n_train, n = Path(directory), config["n_train"], system.channel_dim
     energies = []
-    with ArrayWriter(directory / _DRAWN_CHANNELS, _CHANNELS_ROLE) as writer:
+    with ArrayWriter(directory / "channels", role="ground-truth-channels") as writer:
         for block in blocks:
             energies.append(row_energies(block))
             writer.append(block)
@@ -223,22 +218,26 @@ def synthesize(config: dict, seed: int, directory: str | Path) -> tuple[Observat
         pilots = np.arange(n)
     else:
         pilots = random_pilots(config["n_pilots"], n, rng)
-    scale = 1.0  # x * 1.0 is x, so an unnormalized pass copies the drawn bytes
+    scale = 1.0
     if config.get("normalize", config["scenario"] == "ofdm"):  # OFDM by default, SIMO on request
         scale = normalization_scale(np.concatenate(energies), n)
-    drawn = ArrayReader(directory / _DRAWN_CHANNELS)
+    channels = ArrayReader(directory / "channels")
     compressed = np.empty((n_train, len(pilots)), dtype=complex)
-    with ArrayWriter(directory / "channels", _CHANNELS_ROLE) as writer:
-        for rows in row_blocks(n_train, n):
-            block = drawn[rows]
+    for rows in row_blocks(n_train, n):
+        block = channels[rows]
+        if scale != 1.0:  # x * 1.0 is x, so an unscaled row is left as written
             block *= scale
-            writer.append(block)
-            compressed[rows] = block[:, pilots]
-            del block  # freed before the next block is read
-    for suffix in (".bin", ".json"):
-        (directory / _DRAWN_CHANNELS).with_suffix(suffix).unlink()
-    obs = make_observations(compressed, pilots, tuple(config["snr_range_db"]), rng)
-    document = {
+            channels[rows] = block
+        compressed[rows] = block[:, pilots]
+        del block  # freed before the next block is read
+    obs = make_observations(compressed, pilots, tuple(snr), rng)
+    write_array(directory / "observations", obs.samples, role="observations")
+    write_array(directory / "noise_vars", obs.noise_vars, role="noise-variances")
+    write_array(directory / "snr_db", obs.snr_db, role="per-sample-snr-db")
+    selection = np.zeros((len(pilots), n))
+    selection[np.arange(len(pilots)), pilots] = 1.0
+    write_array(directory / "selection", selection, role="selection-matrix")
+    write_json(directory / DATASET_DOCUMENT, {
         "kind": "dataset",
         "config": config,
         "seed": int(seed),
@@ -246,22 +245,7 @@ def synthesize(config: dict, seed: int, directory: str | Path) -> tuple[Observat
         "grid": grid_to_json(grid),
         "system": system.to_json(),
         "n_train": n_train,
-    }
-    return obs, document
-
-
-def save_dataset(directory: str | Path, obs: ObservationSet, document: dict) -> None:
-    """Write a dataset's observations, its selection matrix and its
-    ``scenario.json`` ``document`` into ``directory``, beside the channels
-    that :func:`synthesize` drew there."""
-    directory = Path(directory)
-    write_array(directory / "observations", obs.samples, role="observations")
-    write_array(directory / "noise_vars", obs.noise_vars, role="noise-variances")
-    write_array(directory / "snr_db", obs.snr_db, role="per-sample-snr-db")
-    selection = np.zeros((len(obs.pilots), SystemConfig.from_json(document["system"]).channel_dim))
-    selection[np.arange(len(obs.pilots)), obs.pilots] = 1.0
-    write_array(directory / "selection", selection, role="selection-matrix")
-    write_json(directory / DATASET_DOCUMENT, document)
+    })
 
 
 def _selection_pilots(selection, n_entries: int):

@@ -366,21 +366,15 @@ def _m_step(
     return SbgmModel.from_factors(weights, KRONECKER, (gt, gf), clip_floor)
 
 
-def _block_sums(components: _Components, obs: ObservationSet, share) -> list:
-    """Walk the samples in row blocks and add up ``share(rows, block)``, a
-    list of partial sums for the :class:`_Block` of ``rows``, elementwise
-    in block order. Each block is freed before the next is projected."""
-    samples, sigma2s = obs.samples, obs.noise_vars
+def _fit_blocks(components: _Components, n: int) -> list[slice]:
+    """The row blocks that a pass over ``n`` samples walks, aligned, each
+    the size of a :class:`_Block` of about :data:`_FIT_BLOCK_ELEMENTS`."""
     n_components, m = components.lam.shape
-    blocks = aligned_blocks(len(samples), _FIT_BLOCK_ELEMENTS // (n_components * m))
+    blocks = aligned_blocks(n, _FIT_BLOCK_ELEMENTS // (n_components * m))
     # freeing a mapped chunk of one block's working size raises glibc's mmap and
     # trim thresholds, so the blocks' arrays stay in the heap between blocks
     np.empty((4, n_components, blocks[0].stop, m), complex)
-    sums = None
-    for rows in blocks:
-        part = share(rows, _Block(components, samples[rows], sigma2s[rows]))
-        sums = part if sums is None else [s + p for s, p in zip(sums, part)]
-    return sums
+    return blocks
 
 
 def _scored(
@@ -401,12 +395,12 @@ def _scored(
     log_weights = _log_weights(model.weights)
     samples, sigma2s = obs.samples, obs.noise_vars
     best = np.empty(len(samples))  # each sample's largest responsibility
-
-    def share(rows, block):
-        best[rows], part = block.sums(log_weights)
-        return part
-
-    loglik, totals, r, q, v = _block_sums(components, obs, share)
+    sums = None
+    for rows in _fit_blocks(components, len(samples)):
+        # a temporary: each block is freed before the next is projected
+        best[rows], part = _Block(components, samples[rows], sigma2s[rows]).sums(log_weights)
+        sums = part if sums is None else [s + p for s, p in zip(sums, part)]
+    loglik, totals, r, q, v = sums
     for k, i in _restarts(totals, best):
         one = _Block(components, samples[i : i + 1], sigma2s[i : i + 1])
         one_q, one_v = one.moment_sums(np.ones((1, len(totals))))
@@ -526,11 +520,13 @@ def total_log_likelihood(
     the fit's pass (:func:`_scored`), which this sums alone."""
     components = _Components(model.expanded_variances(), dictionary.rows(obs.pilots))
     log_weights = _log_weights(model.weights)
-
-    def share(rows, block):
-        return [np.sum(block.responsibilities(log_weights)[1])]
-
-    return float(_block_sums(components, obs, share)[0])
+    samples, sigma2s = obs.samples, obs.noise_vars
+    loglik = 0.0
+    for rows in _fit_blocks(components, len(samples)):
+        # a temporary: each block is freed before the next is projected
+        _, norm = _Block(components, samples[rows], sigma2s[rows]).responsibilities(log_weights)
+        loglik += np.sum(norm)
+    return float(loglik)
 
 
 def _em_steps(

@@ -324,10 +324,31 @@ class TestStreamedSynth:
         assert main(["synth", "--config", path, "--seed", "8", "--out", str(blocked)]) == EXIT_OK
         written = dir_bytes(blocked)
         assert written == dir_bytes(whole)
-        # the drawn payload is gone: scenario.json and the five payload pairs stay
+        # scenario.json and the five payload pairs, nothing else
         assert sorted(written) == sorted(
             ["scenario.json", *(f"{stem}.{ext}" for stem in self.STEMS for ext in ("bin", "json"))]
         )
+
+    @pytest.mark.parametrize(
+        "config", [dict(small_simo_config(), normalize=True), small_ofdm_config()],
+        ids=["simo-normalized", "ofdm"],
+    )
+    def test_creates_only_the_dataset_stems(self, tmp_path, monkeypatch, config):
+        # the channels are scaled where they were appended: no payload
+        # beside the dataset's five is ever written, even for a moment
+        from chansbgm.container import ArrayWriter
+
+        created, real_init = [], ArrayWriter.__init__
+
+        def recording_init(self, stem, role):
+            created.append(Path(stem).name)
+            real_init(self, stem, role)
+
+        monkeypatch.setattr(ArrayWriter, "__init__", recording_init)
+        path = write_config(tmp_path, config)
+        out = str(tmp_path / "data")
+        assert main(["synth", "--config", path, "--seed", "8", "--out", out]) == EXIT_OK
+        assert sorted(created) == sorted(self.STEMS)
 
     @pytest.mark.parametrize(
         "normalize, message",
@@ -626,6 +647,22 @@ class TestGenerateAndMetrics:
         before = dir_bytes(out)
         assert main([*args, "--out", str(out)]) == EXIT_BAD_CONFIG
         assert dir_bytes(out) == before
+
+    @pytest.mark.parametrize("command", ["fit", "generate"])
+    def test_out_inside_an_input_refused(self, fitted_model, simo_dataset, capsys, command):
+        # a later command replacing the input would delete the output inside it
+        if command == "fit":
+            read = simo_dataset
+            args = ["fit", str(read), "--K", "2", "--seed", "2"]
+        else:
+            read = fitted_model
+            args = ["generate", str(read), "-n", "5"]
+        out = read / "inside"
+        before = dir_bytes(read), sorted(read.rglob("*"))
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == f"error: {out} lies inside the input {read}\n"
+        assert (dir_bytes(read), sorted(read.rglob("*"))) == before
 
     @pytest.mark.parametrize("command", ["synth", "fit", "generate"])
     def test_negative_seed_rejected(self, fitted_model, simo_dataset, tmp_path, capsys, command):

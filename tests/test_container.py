@@ -89,6 +89,36 @@ def test_reader_takes_only_row_slices_of_step_1(tmp_path, rows):
         reader[rows]
 
 
+def test_row_assignment_rewrites_rows_in_place(tmp_path):
+    rng = np.random.default_rng(5)
+    arr = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+    write_array(tmp_path / "x", arr, role="test")
+    size = (tmp_path / "x.bin").stat().st_size
+    reader = ArrayReader(tmp_path / "x")
+    block = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    reader[4:7] = block
+    reader[9:] = arr[:0]  # no rows: nothing is written
+    arr[4:7] = block
+    assert reader[4:7].tobytes() == block.tobytes()
+    assert reader[:].tobytes() == arr.tobytes()
+    assert (tmp_path / "x.bin").stat().st_size == size
+
+
+@pytest.mark.parametrize(
+    "rows, block",
+    [(slice(0, 2), np.zeros((2, 3))), (slice(0, 2), np.zeros((3, 3), dtype=complex)),
+     (slice(0, 2), np.zeros((2, 2), dtype=complex)), (slice(0, 4, 2), np.zeros((2, 3), complex))],
+    ids=["dtype", "rows", "row-shape", "step-2"],
+)
+def test_row_assignment_of_another_block_rejected(tmp_path, rows, block):
+    arr = np.arange(12.0).reshape(4, 3) * (1 + 1j)
+    write_array(tmp_path / "x", arr, role="test")
+    reader = ArrayReader(tmp_path / "x")
+    with pytest.raises(InvalidArgumentError):
+        reader[rows] = block
+    assert reader[:].tobytes() == arr.tobytes()
+
+
 def test_failed_write_leaves_final_names_untouched(tmp_path):
     out = tmp_path / "out"
     with output_directory(out, "x.json") as staged:

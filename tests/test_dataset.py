@@ -1,4 +1,4 @@
-"""A dataset written by ``synthesize`` and ``save_dataset`` reads back bit for bit."""
+"""A dataset written by ``synthesize`` reads back bit for bit."""
 
 import math
 import tracemalloc
@@ -7,14 +7,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from chansbgm.container import read_array
+from chansbgm.container import read_array, read_json
 from chansbgm.dataset import (
     _PATHS_FIELDS,
     check_synth_config,
     default_ofdm_synth_config,
     load_dataset,
     open_channels,
-    save_dataset,
     synthesize,
 )
 from chansbgm.dictionary import DelayDopplerGrid, SystemConfig, grid_to_json, vectorize_channel
@@ -47,28 +46,35 @@ OFDM = dict(
 
 @pytest.mark.parametrize("config", [SIMO, OFDM], ids=["simo", "ofdm"])
 def test_save_then_load_round_trips(tmp_path, config):
-    obs, document = synthesize(check_synth_config(dict(config)), 3, tmp_path)
-    save_dataset(tmp_path, obs, document)
+    config = check_synth_config(dict(config))
+    synthesize(config, 3, tmp_path)
     loaded, dictionary, meta = load_dataset(tmp_path)
-    for name in ("samples", "noise_vars", "pilots", "snr_db"):
-        written, read = getattr(obs, name), getattr(loaded, name)
+    for name, stem in (("samples", "observations"), ("noise_vars", "noise_vars"),
+                       ("snr_db", "snr_db")):
+        written, _ = read_array(tmp_path / stem)
+        read = getattr(loaded, name)
         assert (read.dtype, read.shape) == (written.dtype, written.shape), name
         assert read.tobytes() == written.tobytes(), name
-    assert meta == document
-    assert "dictionary_id" not in document
-    assert grid_to_json(dictionary.grid) == document["grid"]
-    assert dictionary.config.to_json() == document["system"]
+    selection, _ = read_array(tmp_path / "selection")
+    assert (selection[np.arange(len(loaded.pilots)), loaded.pilots] == 1.0).all()
+    assert selection.sum() == len(loaded.pilots)
+    assert meta == read_json(tmp_path / "scenario.json")
+    assert (meta["kind"], meta["config"], meta["seed"]) == ("dataset", config, 3)
+    assert "dictionary_id" not in meta
+    assert grid_to_json(dictionary.grid) == meta["grid"]
+    assert dictionary.config.to_json() == meta["system"]
     reader, opened = open_channels(tmp_path)
     assert reader.shape == (config["n_train"], dictionary.config.channel_dim)
-    assert opened == document
+    assert opened == meta
 
 
 def test_ofdm_synthesis_equals_stacking_and_scaling_a_copy(tmp_path):
-    # the rows are drawn, written, read back and scaled a row block at a
-    # time; the reference stacks a list of rows and scales a copy by the
-    # mean squared norm of the whole array
+    # the rows are drawn, written, read back and scaled in place a row
+    # block at a time; the reference stacks a list of rows and scales a
+    # copy by the mean squared norm of the whole array
     config = check_synth_config(dict(OFDM, n_train=200))
-    obs, document = synthesize(config, 4, tmp_path)
+    synthesize(config, 4, tmp_path)
+    obs, _, document = load_dataset(tmp_path)
     channels, _ = read_array(tmp_path / "channels")
     system = SystemConfig.from_json(config["system"])
     rng = np.random.default_rng(4)
@@ -87,13 +93,13 @@ def test_ofdm_synthesis_equals_stacking_and_scaling_a_copy(tmp_path):
 
 
 def _ofdm_synth_peak(directory, n_train):
-    """The tracemalloc peak of synthesizing and saving the default OFDM
-    config (N = 336 entries, M = 30 pilots) at ``n_train`` samples."""
+    """The tracemalloc peak of synthesizing the default OFDM config
+    (N = 336 entries, M = 30 pilots) at ``n_train`` samples."""
     config = check_synth_config(dict(default_ofdm_synth_config(), n_train=n_train))
     directory.mkdir()
     tracemalloc.start()
     try:
-        save_dataset(directory, *synthesize(config, 5, directory))
+        synthesize(config, 5, directory)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from chansbgm.dataset import check_synth_config, synthesize
+from chansbgm.dataset import check_synth_config, load_dataset, synthesize
 from chansbgm.dictionary import (
     AngleGrid,
     DelayDopplerGrid,
@@ -612,7 +612,8 @@ class TestEStepArrays:
     def test_no_block_of_a_pass_outlives_it(self, monkeypatch):
         # one row block's arrays at a time: a block is gone when the next
         # block of its pass is projected, and every block of a pass when the
-        # next pass starts, a rejected candidate's included
+        # next pass starts, a rejected candidate's included; the same holds
+        # for total_log_likelihood's pass
         import chansbgm.em as em_module
 
         d = simo_setup(s=24, n_antennas=8)
@@ -632,9 +633,15 @@ class TestEStepArrays:
         monkeypatch.setattr(em_module, "_Block", TrackedBlock)
         monkeypatch.setattr(em_module, "_scored", tracked_scored)
         monkeypatch.setattr(em_module, "_FIT_BLOCK_ELEMENTS", 1)
-        _, trace = csgmm_fit(obs, d, 3, max_iters=4, rel_tol=1e-12, seed=0)
+        model, trace = csgmm_fit(obs, d, 3, max_iters=4, rel_tol=1e-12, seed=0)
         assert trace.n_fallbacks == 0 and alive_at["pass"] == [0] * 4
         assert alive_at["block"] == [0] * 4 * 4 and len(built) == 4 * 4
+        # total_log_likelihood walks the same blocks, one alive at a time
+        built.clear()
+        alive_at["block"].clear()
+        em_module.total_log_likelihood(model, obs, d)
+        assert alive_at["block"] == [0] * 4 and len(built) == 4
+        assert all(ref() is None for ref in built)
         # every candidate floored scores lower: each update runs the
         # candidate's pass and then the fallback's
         def floored_step(*args):
@@ -684,7 +691,9 @@ def street_canyon_500(tmp_path_factory):
         "system": {"variant": "simo", "n_antennas": 16}, "grid_size": 128,
         "laplacian_std_deg": 2.0, "quadrature_points": 2048,
     })
-    obs, _ = synthesize(config, 100, tmp_path_factory.mktemp("street_canyon_500"))
+    directory = tmp_path_factory.mktemp("street_canyon_500")
+    synthesize(config, 100, directory)
+    obs, _, _ = load_dataset(directory)
     d = build_simo_dictionary(AngleGrid(128), SystemConfig.simo(16))
     return obs, d, fit_60(obs, d)
 
