@@ -396,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learn and generate wireless channel parameter distributions.",
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="linear-algebra threads (default 1)"
+        "--threads", type=int, default=1,
+        help="linear-algebra (BLAS) threads (default 1); fit, generate and paired "
+        "metrics also run one helper thread of their own, which this does not cap",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -46,9 +46,13 @@ M-step core also serves :func:`csgmm_m_step` and :func:`kronecker_m_step`.
 
 A fit's memory does not grow with n beyond a few numbers per sample. Each
 scored candidate is one pass (:func:`_scored`) that factorizes every
-component once and walks the samples in row blocks: only one block's K
-projections and shifts, :data:`_FIT_BLOCK_ELEMENTS` elements of 24 bytes,
-are alive at a time. :func:`csgmm_e_step` takes all samples as one block.
+component once and walks the samples in row blocks, two at a time: the
+calling thread scores one block while a helper thread scores another
+(:func:`_block_total`), and the blocks' partial sums are added in block
+order, so the bytes are those of a walk on one thread. Only one block's
+K projections and shifts, :data:`_FIT_BLOCK_ELEMENTS` elements of 24
+bytes, are alive per thread. :func:`csgmm_e_step` takes all samples as
+one block.
 
 Setting K = 1 recovers multiple-measurement-vector sparse Bayesian
 learning; the CLI exposes it under the name ``msbl``.
@@ -69,19 +73,22 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 import numpy as np
 
 from .container import read_array, read_json, write_array, write_json
 from .dictionary import AngleGrid, DelayDopplerGrid, Dictionary, kron_rows
 from .errors import InvalidArgumentError, NumericError
-from .utils import aligned_blocks, check_tagged_document
+from .utils import aligned_blocks, check_tagged_document, side_by_side
 
 if TYPE_CHECKING:  # annotations only: a model loads without the scenarios
     from .scenario import ObservationSet
+
+T = TypeVar("T")
 
 GAMMA_FLOOR = 1e-7
 
@@ -93,6 +100,9 @@ _DEAD_RESPONSIBILITY = 1e-300
 # one row block of the fit holds this many elements of the K (rows, M)
 # projections, rows aligned to ROW_ALIGN; of 2**14 to 2**17, 2**15 timed fastest
 _FIT_BLOCK_ELEMENTS = 1 << 15
+# a pass's blocks are scored in chunks of at most this many, half of each on a
+# helper thread whose partial sums wait for the join, so these bound them
+_CHUNK_BLOCKS = 16
 
 # a log-likelihood may fall by this fraction of its size and still count as monotone
 _MONOTONE_REL_SLACK = 1e-8
@@ -229,7 +239,8 @@ class _Components:
         for gamma, uh, lam in zip(gammas, self.uh, self.lam):
             # the SVD of the triangular factor has the same singular values and
             # right basis, and its full basis spans C^M even when S < M
-            r = np.linalg.qr((w * np.sqrt(gamma)[None, :]).conj().T, mode="r")
+            scaled = w * np.sqrt(gamma)[None, :]
+            r = np.linalg.qr(np.conjugate(scaled, out=scaled).T, mode="r")
             _, sv, uh[...] = np.linalg.svd(r)
             lam[: len(sv)] = sv**2
 
@@ -270,11 +281,16 @@ class _Block:
     def moment_sums(self, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Q_k = sum_i r_ik z_ik z_ik^H (K, M, M), z_ik = U_k^H y_i / (lam_k
         + sigma_i^2), and v_k = sum_i r_ik / (lam_k + sigma_i^2) (K, M), over
-        the block's samples weighted by their responsibilities (rows, K)."""
-        z = self.yt / self.denom
+        the block's samples weighted by their responsibilities (rows, K).
+
+        It uses the block up: z is written over the projections, and the
+        shifts, turned into their reciprocals in place, are dropped before
+        the weighted copy of z is made."""
+        z = np.divide(self.yt, self.denom, out=self.yt)
+        v = (resp.T[:, None, :] @ np.divide(1.0, self.denom, out=self.denom))[:, 0]
+        self.denom = None
         left = z * resp.T[:, :, None]
-        q = left.transpose(0, 2, 1) @ np.conjugate(z, out=z)
-        return q, (resp.T[:, None, :] @ (1.0 / self.denom))[:, 0]
+        return left.transpose(0, 2, 1) @ np.conjugate(z, out=z), v
 
     def responsibilities(self, log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Responsibilities (rows, K), normalized in the log domain, and
@@ -377,42 +393,95 @@ def _fit_blocks(components: _Components, n: int) -> list[slice]:
     return blocks
 
 
-def _scored(
-    model: SbgmModel, w: np.ndarray, obs: ObservationSet
-) -> tuple[float, tuple[np.ndarray, ...]]:
+def _block_total(
+    blocks: list[slice], part: Callable[[slice], T], add: Callable[[T, T], T]
+) -> T:
+    """The parts ``part(rows)`` of the row blocks ``blocks`` added up in block
+    order: ``add(...add(add(part(b0), part(b1)), part(b2))..., part(bn))``.
+
+    The blocks go in chunks of at most :data:`_CHUNK_BLOCKS`. The calling
+    thread scores the first half of a chunk and adds each part as it comes,
+    while a helper thread scores the second half (:func:`side_by_side`);
+    each thread holds one block at a time, and the helper's parts are added
+    once it is joined. A chunk of one block starts no thread. An exception
+    in either half is raised again here, as the same object; when both
+    halves raise, the first half's.
+    """
+
+    def added(total, rows_list):
+        for rows in rows_list:
+            one = part(rows)
+            total = one if total is None else add(total, one)
+        return total
+
+    total = None
+    for start in range(0, len(blocks), _CHUNK_BLOCKS):
+        chunk = blocks[start : start + _CHUNK_BLOCKS]
+        if len(chunk) == 1:
+            total = added(total, chunk)
+            continue
+        half = (len(chunk) + 1) // 2
+        total, theirs = side_by_side(
+            lambda: added(total, chunk[:half]), lambda: [part(rows) for rows in chunk[half:]]
+        )
+        total = functools.reduce(add, theirs, total)
+        del theirs  # not kept while the next chunk is scored
+    return total
+
+
+def _scored(model: SbgmModel, w: np.ndarray, obs: ObservationSet) -> tuple[float, tuple]:
     """One pass of ``model`` over the samples: its total log-likelihood, and
-    the totals R (K,), the EM sums T (K, S) and the fixed point's terms A and
-    B (K, S) that the next update needs (see the module docstring).
+    the pass's sums, from which :func:`_update_terms` forms what the next
+    update needs: the components, the totals R (K,), R summed per column,
+    Q (K, M, M) and v (K, M) (see the module docstring).
 
     Each component is factorized once. The partial sums of each row block
-    (:meth:`_Block.sums`) are added in block order, and A, B and T are
-    formed after the last; T_k's posterior variances R_k gamma_k - gamma_k^2
-    B_k are clipped to [0, R_k gamma_k]. Dead components restart
+    (:meth:`_Block.sums`) are added in block order. Dead components restart
     (:func:`_restarts`) from the one row of their sample.
     """
-    gamma = model.expanded_variances()
-    components = _Components(gamma, w)
+    components = _Components(model.expanded_variances(), w)
     log_weights = _log_weights(model.weights)
     samples, sigma2s = obs.samples, obs.noise_vars
     best = np.empty(len(samples))  # each sample's largest responsibility
-    sums = None
-    for rows in _fit_blocks(components, len(samples)):
-        # a temporary: each block is freed before the next is projected
+
+    def block_sums(rows):
+        # a temporary: a thread's block is freed before it projects its next
         best[rows], part = _Block(components, samples[rows], sigma2s[rows]).sums(log_weights)
-        sums = part if sums is None else [s + p for s, p in zip(sums, part)]
-    loglik, totals, r, q, v = sums
+        return part
+
+    loglik, totals, r, q, v = _block_total(
+        _fit_blocks(components, len(samples)),
+        block_sums,
+        lambda sums, part: [s + p for s, p in zip(sums, part)],
+    )
     for k, i in _restarts(totals, best):
         one = _Block(components, samples[i : i + 1], sigma2s[i : i + 1])
         one_q, one_v = one.moment_sums(np.ones((1, len(totals))))
         totals[k], r[k], q[k], v[k] = 1.0, 1.0, one_q[k], one_v[k]
+    return float(loglik), (components, totals, r, q, v)
+
+
+def _update_terms(
+    components: _Components, totals: np.ndarray, r: np.ndarray, q: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The totals R (K,), the EM sums T (K, S) and the fixed point's terms A
+    and B (K, S), formed from the sums of a pass (:func:`_scored`).
+
+    T_k's posterior variances R_k gamma_k - gamma_k^2 B_k are clipped to
+    [0, R_k gamma_k].
+    """
+    gamma = components.gamma
     # one component at a time: G_k and the (S, M) temporaries stay small
     a, b = np.empty_like(gamma), np.empty_like(gamma)
     for g, qk, vk, ak, bk in zip(components.gs(), q, v, a, b):
-        ak[:] = np.sum((g @ qk) * g.conj(), axis=1).real
-        bk[:] = (np.abs(g) ** 2) @ vk
+        g2 = np.abs(g)
+        bk[:] = np.multiply(g2, g2, out=g2) @ vk
+        gq = g @ qk
+        ak[:] = np.sum(np.multiply(gq, np.conjugate(g, out=g), out=gq), axis=1).real
+        del g, g2, gq  # freed before the next component's G is formed
     a = gamma**2 * a
     r = r[:, None]
-    return float(loglik), (totals, a + np.clip(r * gamma - gamma**2 * b, 0.0, r * gamma), a, b)
+    return totals, a + np.clip(r * gamma - gamma**2 * b, 0.0, r * gamma), a, b
 
 
 def _rescaled(x: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -521,12 +590,13 @@ def total_log_likelihood(
     components = _Components(model.expanded_variances(), dictionary.rows(obs.pilots))
     log_weights = _log_weights(model.weights)
     samples, sigma2s = obs.samples, obs.noise_vars
-    loglik = 0.0
-    for rows in _fit_blocks(components, len(samples)):
-        # a temporary: each block is freed before the next is projected
+
+    def block_loglik(rows):
+        # a temporary: a thread's block is freed before it projects its next
         _, norm = _Block(components, samples[rows], sigma2s[rows]).responsibilities(log_weights)
-        loglik += np.sum(norm)
-    return float(loglik)
+        return np.sum(norm)
+
+    return float(_block_total(_fit_blocks(components, len(samples)), block_loglik, operator.add))
 
 
 def _em_steps(
@@ -537,7 +607,8 @@ def _em_steps(
     for each update of it, the flag telling whether the update is EM's.
 
     Each update tries two candidates in turn, each scored by one pass
-    (:func:`_scored`) that also forms the sums the next update needs. The
+    (:func:`_scored`) that also sums what the next update needs; only the
+    accepted one's terms are formed (:func:`_update_terms`). The
     first is :func:`_fixed_point_step`, accepted if its total is finite and
     no lower than the current one. It is rejected when lower, non-finite,
     an invalid model, or when its factorization fails; then the EM update,
@@ -568,7 +639,7 @@ def _em_steps(
                 break
         model, loglik = candidate, candidate_loglik
         yield loglik, model, bool(took_em)
-        totals, t, a, b = sums
+        totals, t, a, b = _update_terms(*sums)
         candidates = (
             functools.partial(_fixed_point_step, totals, a, b, model),
             functools.partial(_m_step, totals, t, GAMMA_FLOOR, model.factors),

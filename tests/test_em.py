@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import operator
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -19,12 +22,14 @@ from chansbgm.em import (
     GAMMA_FLOOR,
     SbgmModel,
     _Block,
+    _block_total,
     _Components,
     _em_steps,
     _fixed_point_step,
     _log_sum_exp,
     _m_step,
     _scored,
+    _update_terms,
     csgmm_e_step,
     csgmm_fit,
     csgmm_m_step,
@@ -85,7 +90,7 @@ def ofdm_problem(seed, n=50):
 def fit_loop_sums(model, obs, dictionary):
     """The totals, the EM statistic sums and the fixed point's terms A and
     B that the fit's pass forms from M x M statistics."""
-    return _scored(model, dictionary.rows(obs.pilots), obs)[1]
+    return _update_terms(*_scored(model, dictionary.rows(obs.pilots), obs)[1])
 
 
 def log_marginals(gamma, w, samples, sigma2s):
@@ -472,8 +477,8 @@ class TestFit:
         real_scored = em_module._scored
 
         def nan_sums(*args):
-            loglik, (totals, *sums) = real_scored(*args)
-            return loglik, (totals, *(np.full_like(x, np.nan) for x in sums))
+            loglik, (components, totals, *sums) = real_scored(*args)
+            return loglik, (components, totals, *(np.full_like(x, np.nan) for x in sums))
 
         monkeypatch.setattr(em_module, "_scored", nan_sums)
         with pytest.raises(NumericError, match="EM iteration 1 failed") as info:
@@ -537,7 +542,7 @@ class TestEStepArrays:
             assert loglik == want and took_em == fell_back
             for a, b in zip((got.weights, *got.factors), (model.weights, *model.factors)):
                 assert a.tobytes() == b.tobytes()
-            totals, t, *terms = sums
+            totals, t, *terms = _update_terms(*sums)
             candidate = fixed_point_step(totals, *terms, model)
             candidate_loglik, candidate_sums = _scored(candidate, w, obs)
             fell_back = not candidate_loglik >= want  # accept the fixed point, else fall back to EM
@@ -610,24 +615,31 @@ class TestEStepArrays:
                 assert np.abs(a - b).max() <= 1e-10 * b.max()
 
     def test_no_block_of_a_pass_outlives_it(self, monkeypatch):
-        # one row block's arrays at a time: a block is gone when the next
-        # block of its pass is projected, and every block of a pass when the
-        # next pass starts, a rejected candidate's included; the same holds
-        # for total_log_likelihood's pass
+        # at most one row block's arrays per thread: a thread's block is gone
+        # when it projects its next, so a block meets at most the other
+        # thread's, and every block of a pass is gone when the next pass
+        # starts, a rejected candidate's included; the same holds for
+        # total_log_likelihood's pass
         import chansbgm.em as em_module
 
         d = simo_setup(s=24, n_antennas=8)
         obs = synthetic_observations(d, 200, seed=49)
-        real_scored, built, alive_at = em_module._scored, [], {"pass": [], "block": []}
+        real_scored, built = em_module._scored, []
+        alive_at = {"pass": [], "own": [], "other": []}
+
+        def alive(own):
+            me = threading.get_ident()
+            return sum(ref() is not None and (ident == me) == own for ident, ref in built)
 
         class TrackedBlock(em_module._Block):
             def __init__(self, *args):
-                alive_at["block"].append(sum(ref() is not None for ref in built))
+                alive_at["own"].append(alive(True))
+                alive_at["other"].append(alive(False))
                 super().__init__(*args)
-                built.append(weakref.ref(self))
+                built.append((threading.get_ident(), weakref.ref(self)))
 
         def tracked_scored(*args):
-            alive_at["pass"].append(sum(ref() is not None for ref in built))
+            alive_at["pass"].append(alive(True) + alive(False))
             return real_scored(*args)
 
         monkeypatch.setattr(em_module, "_Block", TrackedBlock)
@@ -635,13 +647,16 @@ class TestEStepArrays:
         monkeypatch.setattr(em_module, "_FIT_BLOCK_ELEMENTS", 1)
         model, trace = csgmm_fit(obs, d, 3, max_iters=4, rel_tol=1e-12, seed=0)
         assert trace.n_fallbacks == 0 and alive_at["pass"] == [0] * 4
-        assert alive_at["block"] == [0] * 4 * 4 and len(built) == 4 * 4
-        # total_log_likelihood walks the same blocks, one alive at a time
+        assert alive_at["own"] == [0] * 4 * 4 and len(built) == 4 * 4
+        assert max(alive_at["other"]) <= 1
+        assert len({ident for ident, _ in built}) >= 2  # the blocks did run on two threads
+        # total_log_likelihood walks the same blocks, one alive per thread
         built.clear()
-        alive_at["block"].clear()
+        alive_at["own"].clear()
+        alive_at["other"].clear()
         em_module.total_log_likelihood(model, obs, d)
-        assert alive_at["block"] == [0] * 4 and len(built) == 4
-        assert all(ref() is None for ref in built)
+        assert alive_at["own"] == [0] * 4 and max(alive_at["other"]) <= 1
+        assert len(built) == 4 and all(ref() is None for _, ref in built)
         # every candidate floored scores lower: each update runs the
         # candidate's pass and then the fallback's
         def floored_step(*args):
@@ -680,6 +695,139 @@ class TestEStepArrays:
         # the E-step arrays over all samples would take 12.3 MB at n=2000 and
         # 123 MB at n=20 000; the fit peaks near 3.2 MB at either
         assert self._k16_fit_peak(n) < 8e6
+
+
+def run_inline(first, second):
+    """``utils.side_by_side`` without the helper thread: the two calls in turn."""
+    return first(), second()
+
+
+class TestTwoThreadPass:
+    """A pass scores its row blocks on the calling thread and one helper
+    thread, and writes the bytes of the same walk on one thread."""
+
+    @pytest.fixture
+    def em_module(self, monkeypatch):
+        # 64-row blocks in chunks of four: 520 samples make chunks of 4, 4 and 1 blocks
+        import chansbgm.em as em_module
+
+        monkeypatch.setattr(em_module, "_FIT_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(em_module, "_CHUNK_BLOCKS", 4)
+        return em_module
+
+    def test_block_total_adds_the_parts_in_block_order(self, em_module):
+        blocks = aligned_blocks(520, 64)
+        threads = {}
+
+        def part(rows):
+            threads[rows.start] = threading.get_ident()
+            return [rows.start]
+
+        assert len(blocks) == 9
+        assert _block_total(blocks, part, operator.add) == [rows.start for rows in blocks]
+        # each chunk's second half on a helper; the lone last block on the caller
+        main = threading.get_ident()
+        on_main = [threads[rows.start] == main for rows in blocks]
+        assert on_main == [True, True, False, False] * 2 + [True]
+
+    @pytest.mark.parametrize("case", ["full", "kronecker", "restart", "total-log-likelihood"])
+    def test_threads_write_the_serial_walks_bytes(self, case, em_module, monkeypatch):
+        # six items of the fit's steps, or total_log_likelihood, on two threads
+        # and with the helper's half run inline, compared with ==: each
+        # log-likelihood, the flag, every model array and the model_id
+        rng = np.random.default_rng(60)
+        if case == "kronecker":
+            d, obs = ofdm_problem(61, n=520)
+            model = random_kronecker_model(rng, 2, 4, 4)
+        else:
+            d = simo_setup(s=24, n_antennas=8)
+            obs = synthetic_observations(d, 520, seed=62)
+            model = random_model(rng, 3, d.n_columns)
+        if case == "restart":  # weight 0 and huge variances: no sample is its own
+            model.variances[2] = 1e6
+            model = SbgmModel(weights=[0.5, 0.5, 0.0], variances=model.variances)
+        w = d.rows(obs.pilots)
+        real_restarts, restarts = em_module._restarts, []
+
+        def recorded_restarts(*args):
+            restarts.append(list(real_restarts(*args)))
+            return restarts[-1]
+
+        def run():
+            if case == "total-log-likelihood":
+                return [(total_log_likelihood(model, obs, d), model, False)]
+            return list(itertools.islice(_em_steps(model, w, obs), 6))
+
+        monkeypatch.setattr(em_module, "_restarts", recorded_restarts)
+        real_side_by_side, helpers = em_module.side_by_side, []
+
+        def counted_side_by_side(*calls):
+            helpers.append(None)
+            return real_side_by_side(*calls)
+
+        monkeypatch.setattr(em_module, "side_by_side", counted_side_by_side)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the threads swap often, so a lost row of best would show
+        try:
+            threaded = run()
+        finally:
+            sys.setswitchinterval(interval)
+        # two chunks of each pass on two threads
+        assert len(helpers) >= 2 * len(threaded)
+        monkeypatch.setattr(em_module, "side_by_side", run_inline)
+        serial = run()
+        assert any(restarts) == (case == "restart")
+        for (want_ll, want, want_em), (ll, got, took_em) in zip(serial, threaded, strict=True):
+            assert type(ll) is float and ll == want_ll and took_em == want_em
+            assert got.content_id == want.content_id
+            for a, b in zip((got.weights, *got.factors), (want.weights, *want.factors)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("failing", ["first", "second", "both"])
+    def test_an_exception_in_either_half_reaches_the_caller(self, failing, em_module, monkeypatch):
+        # 200 samples: one chunk of four blocks, the caller's 0-127 and the
+        # helper's 128-199; the raised object itself arrives, the first
+        # half's when both raise, and the helper is gone in either case
+        d = simo_setup(s=24, n_antennas=8)
+        obs = synthetic_observations(d, 200, seed=66)
+        errors = {64: RuntimeError("first half"), 192: RuntimeError("second half")}
+        if failing != "both":
+            del errors[64 if failing == "second" else 192]
+
+        class FailingBlock(em_module._Block):
+            def __init__(self, components, samples, sigma2s):
+                for start, error in errors.items():
+                    if np.array_equal(samples[0], obs.samples[start]):
+                        raise error
+                super().__init__(components, samples, sigma2s)
+
+        baseline = threading.active_count()
+        csgmm_fit(obs, d, 2, max_iters=3, seed=0)
+        assert threading.active_count() == baseline
+        monkeypatch.setattr(em_module, "_Block", FailingBlock)
+        with pytest.raises(RuntimeError) as info:
+            csgmm_fit(obs, d, 2, max_iters=3, seed=0)
+        assert info.value is errors[64 if failing != "second" else 192]
+        assert threading.active_count() == baseline
+
+    def test_a_one_block_pass_starts_no_thread(self, monkeypatch):
+        import chansbgm.em as em_module
+
+        d = simo_setup(s=24, n_antennas=8)
+        obs = synthetic_observations(d, 100, seed=67)
+        started = []
+        real_start = threading.Thread.start
+
+        def recorded_start(thread):
+            started.append(thread.name)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        model, _ = csgmm_fit(obs, d, 1, max_iters=3, seed=0)
+        total_log_likelihood(model, obs, d)
+        components = em_module._Components(model.expanded_variances(), d.rows(obs.pilots))
+        assert len(em_module._fit_blocks(components, len(obs))) == 1
+        assert started == []
 
 
 @pytest.fixture(scope="module")
